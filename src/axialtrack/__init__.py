@@ -47,7 +47,6 @@ from .segmenter import (
     Tube,
     associate_clips,
     decode_clip_queries,
-    hungarian as match,  # noqa: F401 - convenience alias
     near_online_inference,
     predict_clip_tubes,
     split_into_clips,
@@ -65,7 +64,6 @@ from .tensor import (
     atrous_conv1d,
     bilinear_sample,
     layer_norm,
-    matmul,
     softmax_last,
 )
 

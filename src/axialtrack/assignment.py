@@ -1,10 +1,20 @@
 """Minimum-cost assignment with a deterministic tie-break.
 
-The solver is a shortest-augmenting-path (potentials) method. Among
-equally cheap assignments it returns the lexicographically smallest one:
-rows are settled in increasing index order and each row takes the lowest
-column index that still permits an optimal completion. Totals are always
-computed as a flat sum of the selected entries in row order, so equal
+The cost matrix is zero-padded to a square; real rows and columns keep
+the lowest indices, and a row matched to a padding column is unassigned.
+One shortest-augmenting-path (potentials) solve gives an optimal matching
+and duals u, v; the optimal assignments are the perfect matchings on the
+tight edges, where c[i, j] - u[i] - v[j] is zero up to rounding. A walk
+over those edges settles rows in increasing index order, each taking the
+lowest column that still permits an optimal completion, so the result is
+the lexicographically smallest optimal assignment, in O(n^3) overall.
+
+Ties are decided on the duals, not on float totals: assignments whose
+flat sums differ only by rounding (0.0 + 0.8 against 0.1 + 0.7) tie, and
+the lexicographically smaller one wins. The tolerance is per edge,
+relative to (|c[i, j]| + |u[i]| + |v[j]|) * n, so large "forbidden"
+entries do not blur distinctions between small ones elsewhere. Totals
+are a flat sum of the selected entries in row order, so equal
 assignments compare equal bitwise.
 """
 
@@ -18,6 +28,7 @@ from .errors import DimensionError
 from .tensor import as_array, require_finite
 
 _INF = float("inf")
+_TIE_RTOL = 64 * np.finfo(np.float64).eps  # per unit of edge magnitude and side
 
 
 @dataclass(frozen=True)
@@ -38,25 +49,27 @@ def _flat_total(cost: np.ndarray, pairs) -> float:
     return total
 
 
-def _solve_rows_le_cols(cost: list[list[float]], n: int, m: int) -> list[tuple[int, int]]:
-    # Potentials / shortest augmenting path; requires n <= m. 1-based with
-    # a virtual column 0, after the classic formulation.
+def _potentials(cost: list[list[float]]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    # Shortest augmenting path on a square matrix, 1-based with a virtual
+    # column 0, after the classic formulation. Returns the row duals, the
+    # column duals and the row of each column, all 0-based.
+    n = len(cost)
     u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    p = [0] * (m + 1)
-    way = [0] * (m + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [_INF] * (m + 1)
-        used = [False] * (m + 1)
+        minv = [_INF] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
             delta = _INF
             j1 = -1
             row = cost[i0 - 1]
-            for j in range(1, m + 1):
+            for j in range(1, n + 1):
                 if used[j]:
                     continue
                 cur = row[j - 1] - u[i0] - v[j]
@@ -66,7 +79,7 @@ def _solve_rows_le_cols(cost: list[list[float]], n: int, m: int) -> list[tuple[i
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(m + 1):
+            for j in range(n + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
@@ -79,25 +92,7 @@ def _solve_rows_le_cols(cost: list[list[float]], n: int, m: int) -> list[tuple[i
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    return [(p[j] - 1, j - 1) for j in range(1, m + 1) if p[j] != 0]
-
-
-def _optimal_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
-    n, m = cost.shape
-    if n == 0 or m == 0:
-        return []
-    rows = cost.tolist()
-    if n <= m:
-        return sorted(_solve_rows_le_cols(rows, n, m))
-    transposed = cost.T.tolist()
-    return sorted((i, j) for j, i in _solve_rows_le_cols(transposed, m, n))
-
-
-def _completion(cost: np.ndarray, rows: list[int], cols: list[int]) -> list[tuple[int, int]]:
-    if not rows or not cols:
-        return []
-    sub = cost[np.ix_(rows, cols)]
-    return [(rows[i], cols[j]) for i, j in _optimal_pairs(sub)]
+    return np.array(u[1:]), np.array(v[1:]), [p[j] - 1 for j in range(1, n + 1)]
 
 
 def hungarian(cost) -> Assignment:
@@ -115,30 +110,34 @@ def hungarian(cost) -> Assignment:
         return Assignment((), 0.0)
     require_finite(cost, "cost matrix")
 
-    fixed: list[tuple[int, int]] = []
-    rows_left = list(range(n))
-    cols_left = list(range(m))
-    quota = min(n, m)
+    side = max(n, m)
+    square = np.zeros((side, side))
+    square[:n, :m] = cost
+    u, v, row_of = _potentials(square.tolist())
+    col_of = np.argsort(row_of).tolist()
+    slack = square - u[:, None] - v[None, :]
+    scale = np.abs(square) + np.abs(u)[:, None] + np.abs(v)[None, :]
+    tight = slack <= _TIE_RTOL * side * scale
+    # The solver's own matching is optimal even if rounding lifts its slack.
+    tight[np.arange(side), col_of] = True
+    tight_rows = [np.flatnonzero(tight[:, j]).tolist() for j in range(side)]
     for i in range(n):
-        if len(fixed) == quota:
-            break
-        rows_left.remove(i)
-        best_j = -1
-        best_total = _INF
-        for j in cols_left:
-            rest = [c for c in cols_left if c != j]
-            candidate = fixed + [(i, j)] + _completion(cost, rows_left, rest)
-            total = _flat_total(cost, candidate)
-            if total < best_total:
-                best_total = total
-                best_j = j
-        if len(rows_left) >= quota - len(fixed):
-            # Skipping this row still leaves enough rows to fill the quota;
-            # prefer assigning it unless skipping is strictly cheaper.
-            skip_total = _flat_total(cost, fixed + _completion(cost, rows_left, cols_left))
-            if skip_total < best_total:
-                continue
-        fixed.append((i, best_j))
-        cols_left.remove(best_j)
+        # Backward search from i's column over the rows not yet settled:
+        # `shift[c]` is the column that c's holder moves to if i takes c.
+        home = col_of[i]
+        shift = {home: -1}
+        frontier = [home]
+        for c in frontier:
+            for r in tight_rows[c]:
+                if r > i and col_of[r] not in shift:
+                    shift[col_of[r]] = c
+                    frontier.append(col_of[r])
+        j = min(c for c in shift if tight[i, c])
+        mover = i
+        while j != -1:
+            holder = row_of[j]
+            col_of[mover], row_of[j] = j, mover
+            mover, j = holder, shift[j]
 
-    return Assignment(tuple(sorted(fixed)), _flat_total(cost, fixed))
+    pairs = [(i, col_of[i]) for i in range(n) if col_of[i] < m]
+    return Assignment(tuple(pairs), _flat_total(cost, pairs))

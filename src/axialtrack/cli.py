@@ -151,6 +151,7 @@ def _config_dict(cfg: ModelConfig) -> dict:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    cfg.validate_pipeline()
     spec = demo_video_spec(cfg, args.objects)
     video, gt = generate_synthetic(spec)
     params = build_oracle_params(spec, cfg)
@@ -243,6 +244,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_attn(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    cfg.validate_pipeline()
     spec = demo_video_spec(cfg)
     video, _ = generate_synthetic(spec)
     params = build_oracle_params(spec, cfg)

@@ -54,6 +54,17 @@ class ModelConfig:
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
+    def validate_pipeline(self) -> None:
+        """`validate`, plus the frame-size rule of the segmentation pipeline.
+
+        MAC accounting runs the attention alone at any extents; the
+        pipeline's feature pyramid halves H and W twice.
+        """
+        self.validate()
+        for key in ("h", "w"):
+            if getattr(self, key) % 4:
+                raise ConfigError(f"{key} must be divisible by 4, got {getattr(self, key)}")
+
     def scale(self) -> float:
         if self.scale_mode == SCALE_ONE:
             return 1.0

@@ -73,14 +73,27 @@ def dump_tube(tube: Tube, class_id: int, dirpath) -> None:
 
 def load_tube(dirpath) -> tuple[np.ndarray, int, int]:
     """Return (masks, class_id, track_id) for one dumped tube."""
+    path = os.path.join(dirpath, "meta")
     meta: dict[str, int] = {}
-    with open(os.path.join(dirpath, "meta"), "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
+            if "=" not in line:
+                raise DimensionError(f"{path}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            meta[key] = int(value)
+            try:
+                meta[key] = int(value)
+            except ValueError:
+                raise DimensionError(f"{path}: {key} needs an integer, got {value!r}") from None
+    for key in ("track_id", "class_id", "span"):
+        if key not in meta:
+            raise DimensionError(f"{path}: missing key {key!r}")
+    if meta["class_id"] < 0:
+        raise DimensionError(f"{path}: class_id must be >= 0, got {meta['class_id']}")
+    if meta["span"] < 1:
+        raise DimensionError(f"{path}: span must be >= 1, got {meta['span']}")
     span = meta["span"]
     frames = [read_pgm(os.path.join(dirpath, f"t{f:04d}.pgm")) for f in range(span)]
     masks = np.stack(frames).astype(np.float64) / 255.0

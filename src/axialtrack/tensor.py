@@ -41,26 +41,6 @@ def sorted_sum(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndar
     return ordered.sum(axis=axis, keepdims=keepdims)
 
 
-def matmul(a, b) -> np.ndarray:
-    """2-D matrix product accumulated left-to-right over the inner axis.
-
-    c[i, j] is built as ((a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ... in index
-    order, which matches a scalar triple loop ulp for ulp.
-    """
-    a = as_array(a)
-    b = as_array(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    require_finite(a, "matmul lhs")
-    require_finite(b, "matmul rhs")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k, None] * b[k]
-    return out
-
-
 def softmax_last(x) -> np.ndarray:
     """Softmax over the trailing axis, max-shifted for stability.
 

@@ -16,20 +16,6 @@ import numpy as np
 LN_EPS = 1e-5
 
 
-def naive_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for kk in range(k):
-                acc += float(a[i, kk]) * float(b[kk, j])
-            out[i, j] = acc
-    return out
-
-
 def naive_layer_norm(x, gamma, beta, eps):
     flat = x.reshape(-1, x.shape[-1])
     out = np.zeros_like(flat)

@@ -80,3 +80,39 @@ class TestHungarian:
     def test_non_matrix_rejected(self):
         with pytest.raises(DimensionError):
             hungarian(np.zeros(4))
+
+    def test_rounding_near_tie_breaks_lexicographically(self):
+        # 0.0 + 0.8 and 0.1 + 0.7 differ only by rounding; the lower
+        # columns win even though the other flat sum is a float below.
+        out = hungarian([[0.0, 0.1], [0.7, 0.8]])
+        assert out.pairs == ((0, 0), (1, 1))
+        assert out.total == 0.8
+
+    def test_forbidden_entries_tall_match_exhaustive(self):
+        # Metric-style costs: -IoU where a pair may match, 1e9 where not.
+        # Which rows take forced 1e9 entries is an exact tie that the
+        # exhaustive search orders by the rounding of its float totals; the
+        # solver takes the lexicographically smaller pairs instead.
+        rng = np.random.default_rng(3)
+        for shape in [(5, 3), (6, 2), (4, 3), (6, 4)]:
+            for _ in range(10):
+                ious = rng.uniform(size=shape)
+                cost = np.where(ious > 0.5, -ious, 1e9)
+                got = hungarian(cost)
+                pairs, total = brute_hungarian(cost)
+                allowed = [(i, j) for i, j in pairs if cost[i, j] < 1e9]
+                assert [(i, j) for i, j in got.pairs if cost[i, j] < 1e9] == allowed
+                assert got.pairs <= pairs
+                assert got.total == pytest.approx(total, rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (24, 24), (50, 50), (100, 100), (30, 70), (70, 30), (1, 9)])
+    def test_total_matches_scipy(self, shape):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(shape)
+        for cost in (rng.normal(size=shape), rng.integers(0, 4, size=shape).astype(float)):
+            rows, cols = linear_sum_assignment(cost)
+            best = 0.0
+            for i, j in zip(rows, cols):
+                best += float(cost[i, j])
+            assert abs(hungarian(cost).total - best) <= 1e-12 * max(1.0, abs(best))

@@ -1,8 +1,12 @@
 import json
 import os
 
+import numpy as np
+import pytest
+
 from axialtrack.cli import cli_main
-from axialtrack.pgm import read_pgm
+from axialtrack.pgm import dump_tube_set, read_pgm
+from axialtrack.segmenter import Tube
 
 
 def _read(path):
@@ -101,6 +105,28 @@ class TestEval:
         rc = cli_main(["eval", "--pred", "/nonexistent", "--gt", "/nonexistent", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("meta, names", [
+        ("track_id = 0\nspan = 2\n", "'class_id'"),
+        ("track_id = 0\nclass_id 1\nspan = 2\n", "key = value"),
+        ("track_id = 0\nclass_id = one\nspan = 2\n", "class_id"),
+        ("track_id = 0\nclass_id = -1\nspan = 2\n", "class_id"),
+        ("track_id = 0\nclass_id = 1\nspan = -2\n", "span"),
+    ])
+    def test_bad_meta_is_validation_error(self, tmp_path, capsys, meta, names):
+        masks = np.zeros((2, 4, 4))
+        masks[:, 1:3, 1:3] = 1.0
+        tubes = [Tube(masks, np.array([0.0, 1.0]), track_id=0)]
+        dump_tube_set(tubes, [1], tmp_path / "gt")
+        dump_tube_set(tubes, [1], tmp_path / "pred")
+        meta_path = tmp_path / "pred" / "tube_000" / "meta"
+        meta_path.write_text(meta)
+        rc = cli_main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(meta_path) in err
+        assert names in err
+
 
 class TestErrors:
     def test_unknown_flag_prints_usage_and_exits_one(self, capsys):
@@ -119,6 +145,11 @@ class TestErrors:
         rc = cli_main(["demo", "--t", "1", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_frame_size_not_divisible_by_four(self, tmp_path, capsys):
+        rc = cli_main(["demo", "--h", "30", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "h must be divisible by 4" in capsys.readouterr().err
 
     def test_config_file_and_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

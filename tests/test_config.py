@@ -28,6 +28,14 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(n_w=-1).validate()
 
+    def test_pipeline_needs_extents_divisible_by_four(self):
+        ModelConfig(h=16, w=24).validate_pipeline()
+        for key in ("h", "w"):
+            bad = ModelConfig(**{key: 30})
+            bad.validate()  # MAC accounting still accepts it
+            with pytest.raises(ConfigError, match=f"{key} must be divisible by 4"):
+                bad.validate_pipeline()
+
 
 class TestConfigText:
     def test_format_parse_round_trip(self):

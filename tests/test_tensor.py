@@ -3,51 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from axialtrack.errors import ConfigError, DimensionError, NumericError
+from axialtrack.errors import ConfigError, DimensionError
 from axialtrack.tensor import (
     RngSpec,
     atrous_conv1d,
     bilinear_sample,
     layer_norm,
-    matmul,
     softmax_last,
     sorted_sum,
 )
 
-from oracles import naive_atrous_conv1d, naive_bilinear_point, naive_layer_norm, naive_matmul
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=(3, 5))
-        assert np.array_equal(matmul(np.eye(3), b), b)
-
-    def test_zero_annihilation(self):
-        rng = np.random.default_rng(1)
-        b = rng.normal(size=(2, 4))
-        assert np.array_equal(matmul(np.zeros((2, 2)), b), np.zeros((2, 4)))
-
-    def test_matches_triple_loop_exactly(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(4, 5))
-        b = rng.normal(size=(5, 3))
-        assert np.array_equal(matmul(a, b), naive_matmul(a, b))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_non_finite_rejected(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 0.0]])
-        with pytest.raises(NumericError):
-            matmul(bad, np.eye(2))
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(6, 7))
-        b = rng.normal(size=(7, 2))
-        assert np.array_equal(matmul(a, b), matmul(a, b))
+from oracles import naive_atrous_conv1d, naive_bilinear_point, naive_layer_norm
 
 
 class TestSoftmax:
