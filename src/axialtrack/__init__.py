@@ -60,7 +60,6 @@ from .synthetic import (
 )
 from .tensor import (
     MacCounter,
-    RngSpec,
     atrous_conv1d,
     bilinear_sample,
     layer_norm,

@@ -33,6 +33,10 @@ LN_EPS = 1e-5
 # bound on T*H*W (its weight tensor grows with the square of that).
 DEFAULT_REFERENCE_CAP = 4096
 
+# Largest float64 stage-one product, 8*B*T^2*S^2*D bytes, that a pass may
+# materialise; larger inputs are refused before anything is allocated.
+STAGE_ONE_BYTES_LIMIT = 2 ** 30
+
 
 @dataclass
 class ProjectionWeights:
@@ -104,6 +108,12 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
 def _pass_forward(x: np.ndarray, params: AttentionParams, counter: MacCounter | None) -> dict:
     """Run both stages, returning all intermediates for field export and backprop."""
     b, t, s, d = x.shape
+    stage_one = 8 * b * t * t * s * s * d
+    if stage_one > STAGE_ONE_BYTES_LIMIT:
+        raise ResourceGuardError(
+            f"trajectory pass refused: (B, T, S, D) = {x.shape} needs a stage-one product "
+            f"of {stage_one} bytes, above the limit of {STAGE_ONE_BYTES_LIMIT} bytes"
+        )
     g = params.heads
     c = d // g
     s1, s2, scale = params.stage1, params.stage2, params.scale
@@ -183,16 +193,24 @@ def _validate_clip(f: np.ndarray) -> None:
         raise DimensionError(f"all clip extents must be >= 1, got {f.shape}")
 
 
-def to_height_sequence(f) -> np.ndarray:
-    """Reshape (T, D, H, W) into the (W, T, H, D) height-axis sequence."""
+# Axis -> (clip-to-sequence, sequence-to-clip) transposes. The (B, T, S, D)
+# sequence attends along S, the named axis; the other spatial axis is B.
+_AXES = {
+    "h": ((3, 0, 2, 1), (1, 3, 2, 0)),  # (W, T, H, D)
+    "w": ((2, 0, 3, 1), (1, 3, 0, 2)),  # (H, T, W, D)
+}
+
+
+def to_sequence(f, axis: str) -> np.ndarray:
+    """Lay a (T, D, H, W) clip out as the (B, T, S, D) sequence along `axis`."""
     f = as_array(f)
     _validate_clip(f)
-    return np.ascontiguousarray(f.transpose(3, 0, 2, 1))
+    return np.ascontiguousarray(f.transpose(_AXES[axis][0]))
 
 
-def from_height_sequence(x) -> np.ndarray:
-    """Inverse of `to_height_sequence` (lossless round trip)."""
-    return np.ascontiguousarray(as_array(x).transpose(1, 3, 2, 0))
+def from_sequence(x, axis: str) -> np.ndarray:
+    """Inverse of `to_sequence` (lossless round trip)."""
+    return np.ascontiguousarray(as_array(x).transpose(_AXES[axis][1]))
 
 
 def prenorm(x) -> np.ndarray:
@@ -201,30 +219,25 @@ def prenorm(x) -> np.ndarray:
     return layer_norm(x, np.ones(d), np.zeros(d), LN_EPS)
 
 
+def _axial_pass(f, params: AttentionParams, axis: str, counter, return_field: bool):
+    f = as_array(f)
+    y, fld = trajectory_pass_1d(prenorm(to_sequence(f, axis)), params, counter=counter)
+    out = f + from_sequence(y, axis)
+    return (out, fld) if return_field else out
+
+
 def axial_trajectory_h(
     f, params: AttentionParams, *, counter: MacCounter | None = None, return_field: bool = False
 ):
     """Trajectory pass along the height axis with width as batch, pre-norm residual."""
-    f = as_array(f)
-    _validate_clip(f)
-    x = to_height_sequence(f)
-    y, fld = trajectory_pass_1d(prenorm(x), params, counter=counter)
-    out = f + from_height_sequence(y)
-    return (out, fld) if return_field else out
+    return _axial_pass(f, params, "h", counter, return_field)
 
 
 def axial_trajectory_w(
     f, params: AttentionParams, *, counter: MacCounter | None = None, return_field: bool = False
 ):
-    """Trajectory pass along the width axis; the H<->W transpose image of the height pass."""
-    f = as_array(f)
-    _validate_clip(f)
-    ft = np.ascontiguousarray(np.swapaxes(f, 2, 3))
-    res = axial_trajectory_h(ft, params, counter=counter, return_field=return_field)
-    if return_field:
-        out_t, fld = res
-        return np.ascontiguousarray(np.swapaxes(out_t, 2, 3)), fld
-    return np.ascontiguousarray(np.swapaxes(res, 2, 3))
+    """Trajectory pass along the width axis with height as batch, pre-norm residual."""
+    return _axial_pass(f, params, "w", counter, return_field)
 
 
 def full_trajectory_reference(

@@ -17,9 +17,9 @@ from .attention import (
     LN_EPS,
     AttentionParams,
     _pass_forward,
-    from_height_sequence,
+    from_sequence,
     prenorm,
-    to_height_sequence,
+    to_sequence,
 )
 from .errors import DimensionError
 from .tensor import as_array, require_finite
@@ -143,25 +143,18 @@ def _prenorm_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     )
 
 
-def _axial_h_forward(f: np.ndarray, params: AttentionParams) -> tuple[np.ndarray, tuple]:
-    x = to_height_sequence(f)
+def _axial_forward(f: np.ndarray, params: AttentionParams, axis: str) -> tuple[np.ndarray, tuple]:
+    x = to_sequence(f, axis)
     cache = _pass_forward(prenorm(x), params, None)
-    out = f + from_height_sequence(cache["out"])
-    return out, (x, cache)
+    return f + from_sequence(cache["out"], axis), (x, cache)
 
 
-def _axial_h_backward(
-    params: AttentionParams, state: tuple, d_out: np.ndarray
+def _axial_backward(
+    params: AttentionParams, state: tuple, d_out: np.ndarray, axis: str
 ) -> tuple[np.ndarray, AttentionParamGrads]:
     x, cache = state
-    dy = to_height_sequence(d_out)
-    dxn, grads = _pass_backward(cache, params, dy)
-    dx = _prenorm_backward(x, dxn)
-    return d_out + from_height_sequence(dx), grads
-
-
-def _swap(f: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.swapaxes(f, 2, 3))
+    dxn, grads = _pass_backward(cache, params, to_sequence(d_out, axis))
+    return d_out + from_sequence(_prenorm_backward(x, dxn), axis), grads
 
 
 def trajectory_backward(
@@ -184,10 +177,9 @@ def trajectory_backward(
     params_h.validate(f.shape[1])
     params_w.validate(f.shape[1])
 
-    mid, state_h = _axial_h_forward(f, params_h)
-    _, state_w = _axial_h_forward(_swap(mid), params_w)
+    mid, state_h = _axial_forward(f, params_h, "h")
+    _, state_w = _axial_forward(mid, params_w, "w")
 
-    d_mid_t, grads_w = _axial_h_backward(params_w, state_w, _swap(upstream))
-    d_mid = _swap(d_mid_t)
-    d_f, grads_h = _axial_h_backward(params_h, state_h, d_mid)
+    d_mid, grads_w = _axial_backward(params_w, state_w, upstream, "w")
+    d_f, grads_h = _axial_backward(params_h, state_h, d_mid, "h")
     return AxialPairGrads(d_input=d_f, params_h=grads_h, params_w=grads_w)

@@ -31,7 +31,6 @@ from .metrics import GroundTruthSet, vpq
 from .pgm import dump_tube_set, load_tube_set
 from .segmenter import Tube, near_online_inference, split_into_clips
 from .synthetic import build_oracle_params, demo_video_spec, generate_synthetic
-from .tensor import RngSpec
 
 
 class _UsageError(Exception):
@@ -158,7 +157,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     near = near_online_inference(video, params)
     off = offline_inference(video, params)
-    shuffled = near_online_inference(video, params, shuffle_rng=RngSpec(cfg.seed + 1).stream())
+    shuffled = near_online_inference(video, params, shuffle_rng=np.random.default_rng(cfg.seed + 1))
 
     vpq_near = vpq(near, gt)
     vpq_off = vpq(off, gt)
@@ -269,23 +268,29 @@ def _cmd_attn(args: argparse.Namespace) -> int:
     return 0
 
 
+def _one_hot_tubes(masks, class_ids, track_ids, index: dict[int, int]) -> list[Tube]:
+    """Tubes whose class distribution is one-hot at `index[class_id]`.
+
+    `index` maps the class ids that occur to 0..k-1 in ascending order, so
+    the vectors stay k long however large the ids are.
+    """
+    tubes = []
+    for m, cid, tid in zip(masks, class_ids, track_ids):
+        probs = np.zeros(len(index))
+        probs[index[cid]] = 1.0
+        tubes.append(Tube(m, probs, track_id=tid))
+    return tubes
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     pred_masks, pred_cls, pred_tids = load_tube_set(args.pred)
     gt_masks, gt_cls, gt_tids = load_tube_set(args.gt)
     if not gt_masks:
         raise ConfigError(f"no tubes found under {args.gt}")
-    n_classes = max(pred_cls + gt_cls) + 1
-    preds = []
-    for masks, cid, tid in zip(pred_masks, pred_cls, pred_tids):
-        probs = np.zeros(n_classes)
-        probs[cid] = 1.0
-        preds.append(Tube(masks, probs, track_id=tid))
-    gt_tubes = []
-    for masks, cid, tid in zip(gt_masks, gt_cls, gt_tids):
-        probs = np.zeros(n_classes)
-        probs[cid] = 1.0
-        gt_tubes.append(Tube(np.round(masks), probs, track_id=tid))
-    score = vpq(preds, GroundTruthSet(gt_tubes, list(gt_cls)))
+    index = {cid: i for i, cid in enumerate(sorted(set(pred_cls) | set(gt_cls)))}
+    preds = _one_hot_tubes(pred_masks, pred_cls, pred_tids, index)
+    gt_tubes = _one_hot_tubes([np.round(m) for m in gt_masks], gt_cls, gt_tids, index)
+    score = vpq(preds, GroundTruthSet(gt_tubes, [index[cid] for cid in gt_cls]))
     write_report(args.out, {"vpq": score, "predictions": len(preds), "ground_truth": len(gt_tubes)})
     return 0
 

@@ -99,11 +99,9 @@ def trajectory_hit_rate(
                 t_global = min(k * clip_len + t_local, length - 1)
                 ys, xs = np.nonzero(mask[t_global])
                 for y, x in zip(ys, xs):
-                    rows_h = field_h.stage1[x, t_local, y]  # (T, H)
-                    rows_w = field_w.stage1[y, t_local, x]  # (T, W)
-                    for u in range(t_extent):
+                    frames = heatmap_frames(field_h, field_w, (t_local, y, x))
+                    for u, frame in enumerate(frames):
                         u_global = min(k * clip_len + u, length - 1)
-                        frame = np.outer(rows_h[u], rows_w[u])
                         best = int(np.argmax(frame))
                         by, bx = divmod(best, frame.shape[1])
                         hits += bool(mask[u_global, by, bx])

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .attention import (
     DEFAULT_REFERENCE_CAP,
     attention_params,
@@ -20,7 +22,7 @@ from .attention import (
     full_trajectory_reference,
 )
 from .config import ModelConfig
-from .tensor import MacCounter, RngSpec
+from .tensor import MacCounter
 
 CATEGORIES = (
     "stage1_scores",
@@ -96,7 +98,7 @@ class MacReport:
 def count_macs(cfg: ModelConfig, cap: int = DEFAULT_REFERENCE_CAP) -> MacReport:
     """Run both schemes on seeded random features and compare counts."""
     cfg.validate()
-    rng = RngSpec(cfg.seed).stream()
+    rng = np.random.default_rng(cfg.seed)
     feats = rng.normal(0.0, 1.0, size=(cfg.t, cfg.d, cfg.h, cfg.w))
     params = attention_params(cfg.d, rng, heads=cfg.heads, scale=cfg.scale())
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import Assignment, hungarian
-from .attention import ProjectionWeights, prenorm, projection_weights
+from .attention import ProjectionWeights, _project, prenorm, projection_weights
 from .deform import WithinClipBlock, build_pyramid, within_clip_forward
 from .errors import ConfigError, DimensionError
 from .tensor import as_array, logistic, require_finite, softmax_last
@@ -89,15 +89,9 @@ class DecoderParams:
 
 
 def _attend(q: np.ndarray, keys: np.ndarray, proj: ProjectionWeights, scale: float) -> np.ndarray:
-    qq = np.einsum("ne,de->nd", q, proj.w_q, optimize=False)
-    kk = np.einsum("pe,de->pd", keys, proj.w_k, optimize=False)
-    vv = np.einsum("pe,de->pd", keys, proj.w_v, optimize=False)
-    if proj.b_q is not None:
-        qq = qq + proj.b_q
-    if proj.b_k is not None:
-        kk = kk + proj.b_k
-    if proj.b_v is not None:
-        vv = vv + proj.b_v
+    qq = _project(q, proj.w_q, proj.b_q)
+    kk = _project(keys, proj.w_k, proj.b_k)
+    vv = _project(keys, proj.w_v, proj.b_v)
     weights = softmax_last(scale * np.einsum("nd,pd->np", qq, kk, optimize=False))
     return np.einsum("np,pd->nd", weights, vv, optimize=False)
 

@@ -21,7 +21,6 @@ from .deform import WithinClipBlock, identity_deform_params, within_clip_blocks
 from .errors import ConfigError, GenerationError
 from .metrics import GroundTruthSet
 from .segmenter import PipelineParams, Tube, decoder_params, identity_decoder_params
-from .tensor import RngSpec
 
 _MAX_RESTARTS = 1000
 
@@ -64,7 +63,7 @@ def _start_range(extent: int, size: int, vel: int, length: int) -> tuple[int, in
 def generate_synthetic(spec: SyntheticVideoSpec) -> tuple[np.ndarray, GroundTruthSet]:
     """Draw start positions (seeded), rejecting layouts that overlap at any
     frame; returns the (L, channels, H, W) video and exact binary tubes."""
-    rng = RngSpec(spec.seed).stream()
+    rng = np.random.default_rng(spec.seed)
     ranges = []
     for (sh, sw), (dy, dx) in zip(spec.sizes, spec.velocities):
         ylo, yhi = _start_range(spec.height, sh, dy, spec.length)
@@ -197,7 +196,7 @@ def build_oracle_params(spec: SyntheticVideoSpec, cfg: ModelConfig) -> PipelineP
 
 def random_pipeline_params(cfg: ModelConfig, decoder_layers: int = 3) -> PipelineParams:
     """Seeded random initialization of the whole parameter bundle."""
-    rng = RngSpec(cfg.seed).stream()
+    rng = np.random.default_rng(cfg.seed)
     scale = cfg.scale()
     return PipelineParams(
         clip_len=cfg.t,

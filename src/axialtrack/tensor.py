@@ -9,14 +9,9 @@ bitwise-invariant under permutations of the reduced axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-
-UNIFORM = "uniform"
-GAUSSIAN = "gaussian"
 
 
 def as_array(x) -> np.ndarray:
@@ -164,32 +159,3 @@ class MacCounter:
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-@dataclass(frozen=True)
-class RngSpec:
-    """Seeded random stream: same seed and distribution give the same draws.
-
-    `kind` selects uniform(-param, param) or gaussian(0, param).
-    """
-
-    seed: int
-    kind: str = GAUSSIAN
-    param: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.kind not in (UNIFORM, GAUSSIAN):
-            raise ConfigError(f"unknown distribution {self.kind!r}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if not self.param > 0:
-            raise ConfigError(f"distribution parameter must be positive, got {self.param}")
-
-    def stream(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.seed))
-
-    def draw(self, shape, stream: np.random.Generator | None = None) -> np.ndarray:
-        rng = self.stream() if stream is None else stream
-        if self.kind == UNIFORM:
-            return rng.uniform(-self.param, self.param, size=shape)
-        return rng.normal(0.0, self.param, size=shape)

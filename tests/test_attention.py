@@ -7,10 +7,11 @@ from axialtrack.attention import (
     attention_params,
     axial_trajectory_h,
     axial_trajectory_w,
-    from_height_sequence,
+    STAGE_ONE_BYTES_LIMIT,
+    from_sequence,
     full_trajectory_reference,
     passthrough_attention_params,
-    to_height_sequence,
+    to_sequence,
     trajectory_pass_1d,
 )
 from axialtrack.errors import DimensionError, NumericError, ResourceGuardError
@@ -141,10 +142,18 @@ class TestAxialPasses:
     def test_height_sequence_round_trip(self):
         rng = np.random.default_rng(20)
         f = rng.normal(size=(3, 4, 5, 2))
-        seq = to_height_sequence(f)
+        seq = to_sequence(f, "h")
         assert seq.shape == (2, 3, 5, 4)
         assert seq.reshape(2, 15, 4).shape == (2, 15, 4)
-        assert np.array_equal(from_height_sequence(seq), f)
+        assert np.array_equal(from_sequence(seq, "h"), f)
+
+    def test_width_sequence_round_trip(self):
+        rng = np.random.default_rng(20)
+        f = rng.normal(size=(3, 4, 5, 2))
+        seq = to_sequence(f, "w")
+        assert seq.shape == (5, 3, 2, 4)
+        assert np.array_equal(seq[1, 2, 0], f[2, :, 1, 0])
+        assert np.array_equal(from_sequence(seq, "w"), f)
 
     def test_zero_keys_give_uniform_stage1(self):
         rng = np.random.default_rng(21)
@@ -155,7 +164,7 @@ class TestAxialPasses:
         _, field = axial_trajectory_h(f, p, return_field=True)
         np.testing.assert_allclose(field.stage1, 1.0 / 5.0, atol=1e-12)
         # Uniform weights pool each target frame to its spatial mean.
-        x = to_height_sequence(f)
+        x = to_sequence(f, "h")
         from axialtrack.attention import prenorm
         v = np.einsum("btse,de->btsd", prenorm(x), p.stage1.w_v)
         mean = v.mean(axis=2)  # (B,T,D)
@@ -186,10 +195,13 @@ class TestAxialPasses:
     def test_w_pass_is_transposed_h_pass(self):
         rng = np.random.default_rng(27)
         f = rng.normal(size=(2, 4, 3, 5))
-        p = _params(4, 28)
-        direct = axial_trajectory_w(f, p)
-        via_t = np.swapaxes(axial_trajectory_h(np.swapaxes(f, 2, 3), p), 2, 3)
-        assert np.array_equal(direct, via_t)
+        for heads, bias in ((1, False), (2, False), (1, True), (2, True)):
+            p = _params(4, 28, heads=heads, bias=bias)
+            direct, fld = axial_trajectory_w(f, p, return_field=True)
+            via_t, fld_t = axial_trajectory_h(np.swapaxes(f, 2, 3), p, return_field=True)
+            assert np.array_equal(direct, np.swapaxes(via_t, 2, 3))
+            for name in ("values", "stage1", "stage2"):
+                assert np.array_equal(getattr(fld, name), getattr(fld_t, name))
 
     def test_w_pass_matches_naive(self):
         rng = np.random.default_rng(29)
@@ -233,6 +245,28 @@ class TestFullReference:
         f = np.zeros((2, 2, 8, 8))
         with pytest.raises(ResourceGuardError):
             full_trajectory_reference(f, _params(2, 39), cap=100)
+
+
+class TestStageOneGuard:
+    def test_oversized_pass_refused(self):
+        # 8 * B * T^2 * S^2 * D = 8 * 1 * 4 * 2^36 * 1 bytes = 2^41 > limit; an
+        # allocation that large fails at once, so a missing guard cannot
+        # exhaust memory here.
+        x = np.zeros((1, 2, 2 ** 18, 1))
+        with pytest.raises(ResourceGuardError) as exc:
+            trajectory_pass_1d(x, _params(1, 43))
+        msg = str(exc.value)
+        assert "(1, 2, 262144, 1)" in msg
+        assert str(2 ** 41) in msg and str(STAGE_ONE_BYTES_LIMIT) in msg
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        from axialtrack import attention
+        x = np.ones((1, 2, 4, 4))  # stage-one product 8 * 1 * 4 * 16 * 4 = 2048 bytes
+        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", 2048)
+        trajectory_pass_1d(x, _params(4, 44))
+        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", 2047)
+        with pytest.raises(ResourceGuardError):
+            trajectory_pass_1d(x, _params(4, 44))
 
 
 class TestPassthroughParams:

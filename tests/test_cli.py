@@ -51,6 +51,13 @@ class TestDemo:
         img = read_pgm(out / "heatmaps" / "t0000.pgm")
         assert img.shape == (32, 32)
 
+    def test_max_seed_runs(self, tmp_path):
+        out = tmp_path / "demo"
+        rc = cli_main(["demo", "--seed", str(2 ** 64 - 1), "--l", "4", "--h", "16", "--w", "16",
+                       "--objects", "2", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(_read(out / "report.json"))["config"]["seed"] == 2 ** 64 - 1
+
 
 class TestBench:
     def test_single_config_ratio(self, tmp_path):
@@ -85,6 +92,13 @@ class TestAttn:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_oversized_frames_refused(self, tmp_path, capsys):
+        # The H pass at T=2, 512x512, D=8 needs a 34 GB stage-one product.
+        rc = cli_main(["attn", "--l", "2", "--h", "512", "--w", "512", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stage-one product" in err and str(8 * 512 * 2 * 2 * 512 * 512 * 8) in err
+
 
 class TestEval:
     def test_round_trip_perfect_score(self, tmp_path):
@@ -100,6 +114,26 @@ class TestEval:
         assert rc == 0
         report = json.loads(_read(eval_out / "report.json"))
         assert report["vpq"] == 1.0
+
+    def test_large_class_ids_keep_the_score(self, tmp_path):
+        demo_out = tmp_path / "demo"
+        assert cli_main(["demo", "--seed", "5", "--out", str(demo_out)]) == 0
+
+        def evaluate(name):
+            out = tmp_path / name
+            assert cli_main(["eval", "--pred", str(demo_out / "pred_near"),
+                             "--gt", str(demo_out / "gt"), "--out", str(out)]) == 0
+            return json.loads(_read(out / "report.json"))["vpq"]
+
+        before = evaluate("before")
+        renamed = 0
+        for meta in sorted(demo_out.glob("*/tube_*/meta")):
+            text = meta.read_text()
+            if "class_id = 0\n" in text:
+                meta.write_text(text.replace("class_id = 0\n", f"class_id = {10 ** 13}\n"))
+                renamed += 1
+        assert renamed >= 2
+        assert evaluate("after") == before
 
     def test_missing_dump_is_validation_error(self, tmp_path, capsys):
         rc = cli_main(["eval", "--pred", "/nonexistent", "--gt", "/nonexistent", "--out", str(tmp_path)])

@@ -5,7 +5,6 @@ import pytest
 
 from axialtrack.errors import ConfigError, DimensionError
 from axialtrack.tensor import (
-    RngSpec,
     atrous_conv1d,
     bilinear_sample,
     layer_norm,
@@ -130,25 +129,6 @@ class TestBilinearSample:
         got = bilinear_sample(feat, pts)
         want = np.stack([naive_bilinear_point(feat, y, x) for y, x in pts])
         np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-class TestRngSpec:
-    def test_equal_seeds_agree_bitwise(self):
-        a = RngSpec(123, "uniform", 1.0)
-        b = RngSpec(123, "uniform", 1.0)
-        assert np.array_equal(a.draw(10 ** 6), b.draw(10 ** 6))
-
-    def test_gaussian_reproducible(self):
-        a = RngSpec(99).draw((4, 4))
-        b = RngSpec(99).draw((4, 4))
-        assert np.array_equal(a, b)
-
-    def test_different_seeds_differ(self):
-        assert not np.array_equal(RngSpec(1).draw(16), RngSpec(2).draw(16))
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            RngSpec(0, "cauchy")
 
 
 class TestSortedSum:
