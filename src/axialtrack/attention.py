@@ -15,6 +15,9 @@ pure batch axis, inside a pre-norm residual: out = x + pass(norm(x)).
 Attention reductions (softmax denominators and weighted sums) run in
 ascending value order, so outputs are bitwise-equivariant under
 permutations of the attended axis, the batch axis, and the frame axis.
+The weighted sums sort their products in place (`tensor.sorted_sum`), so
+a pass holds one (B, G, T, S, U, R, C) stage-one product at a time, the
+8*B*T^2*S^2*D bytes that `STAGE_ONE_BYTES_LIMIT` bounds.
 There are no positional encodings anywhere in this module.
 """
 
@@ -125,12 +128,15 @@ def _pass_forward(x: np.ndarray, params: AttentionParams, counter: MacCounter | 
     kh = _split_heads(k, g)
     vh = _split_heads(v, g)
 
-    # Stage one: per target frame u, attend over positions r.
-    e1 = scale * np.einsum("btsgc,burgc->bgtsur", qh, kh, optimize=False)
-    w1 = softmax_last(e1)  # (B,G,T,S,U,R)
+    # Stage one: per target frame u, attend over positions r. The product
+    # is the largest array of the pass; it is built in one C-order buffer
+    # that `sorted_sum` sorts in place, and is freed once summed.
+    w1 = softmax_last(scale * np.einsum("btsgc,burgc->bgtsur", qh, kh, optimize=False))
     vh_t = vh.transpose(0, 3, 1, 2, 4)  # (B,G,U,R,C)
-    prod1 = w1[..., None] * vh_t[:, :, None, None, :, :, :]
+    prod1 = np.empty(w1.shape + (c,))  # (B,G,T,S,U,R,C)
+    np.multiply(w1[..., None], vh_t[:, :, None, None, :, :, :], out=prod1)
     yt = sorted_sum(prod1, axis=-2)  # (B,G,T,S,U,C)
+    del prod1
     ytil = yt.transpose(0, 2, 4, 3, 1, 5).reshape(b, t, t, s, d)  # (B,T,U,S,D)
 
     # Stage two: re-project, query from the same-frame point, pool over frames.
@@ -150,8 +156,8 @@ def _pass_forward(x: np.ndarray, params: AttentionParams, counter: MacCounter | 
     out = yh.transpose(0, 2, 3, 1, 4).reshape(b, t, s, d)
 
     if counter is not None:
-        counter.add("stage1_scores", e1.size * c)
-        counter.add("stage1_values", e1.size * c)
+        counter.add("stage1_scores", w1.size * c)
+        counter.add("stage1_values", w1.size * c)
         counter.add("stage2_scores", e2.size * c)
         counter.add("stage2_values", e2.size * c)
         counter.add("proj_stage1", (q.size + k.size + v.size) * d)

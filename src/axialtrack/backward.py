@@ -143,10 +143,10 @@ def _prenorm_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     )
 
 
-def _axial_forward(f: np.ndarray, params: AttentionParams, axis: str) -> tuple[np.ndarray, tuple]:
+def _axial_state(f: np.ndarray, params: AttentionParams, axis: str) -> tuple:
+    """The sequence and pass cache of one axial pass; its output is cache["out"]."""
     x = to_sequence(f, axis)
-    cache = _pass_forward(prenorm(x), params, None)
-    return f + from_sequence(cache["out"], axis), (x, cache)
+    return x, _pass_forward(prenorm(x), params, None)
 
 
 def _axial_backward(
@@ -177,8 +177,8 @@ def trajectory_backward(
     params_h.validate(f.shape[1])
     params_w.validate(f.shape[1])
 
-    mid, state_h = _axial_forward(f, params_h, "h")
-    _, state_w = _axial_forward(mid, params_w, "w")
+    state_h = _axial_state(f, params_h, "h")
+    state_w = _axial_state(f + from_sequence(state_h[1]["out"], "h"), params_w, "w")
 
     d_mid, grads_w = _axial_backward(params_w, state_w, upstream, "w")
     d_f, grads_h = _axial_backward(params_h, state_h, d_mid, "h")

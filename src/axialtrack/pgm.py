@@ -95,7 +95,15 @@ def load_tube(dirpath) -> tuple[np.ndarray, int, int]:
     if meta["span"] < 1:
         raise DimensionError(f"{path}: span must be >= 1, got {meta['span']}")
     span = meta["span"]
-    frames = [read_pgm(os.path.join(dirpath, f"t{f:04d}.pgm")) for f in range(span)]
+    frames = []
+    for f in range(span):
+        frame_path = os.path.join(dirpath, f"t{f:04d}.pgm")
+        frames.append(read_pgm(frame_path))
+        if frames[-1].shape != frames[0].shape:
+            raise DimensionError(
+                f"{frame_path}: frame size (h, w) = {frames[-1].shape}, "
+                f"expected {frames[0].shape} as in the tube's first frame"
+            )
     masks = np.stack(frames).astype(np.float64) / 255.0
     return masks, meta["class_id"], meta["track_id"]
 

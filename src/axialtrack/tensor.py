@@ -1,10 +1,12 @@
 """Deterministic dense-array primitives on float64 numpy arrays.
 
-Every operation is a pure function with a fixed reduction order, so two
-calls on identical inputs are bitwise identical regardless of thread
-count. Reductions that feed attention normalizations sum their terms in
-ascending value order (`sorted_sum`), which additionally makes them
-bitwise-invariant under permutations of the reduced axis.
+Every operation has a fixed reduction order, so two calls on identical
+inputs are bitwise identical regardless of thread count. Reductions that
+feed attention normalizations sum their terms in ascending value order
+(`sorted_sum`), which additionally makes them bitwise-invariant under
+permutations of the reduced axis. `sorted_sum` sorts a writeable
+C-contiguous float64 operand in place, so callers that still need the
+original order pass a copy; every other operation leaves its inputs alone.
 """
 
 from __future__ import annotations
@@ -29,10 +31,20 @@ def sorted_sum(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndar
 
     The summand order depends only on the multiset of values, so the
     result is unchanged, bit for bit, when the reduced axis is permuted.
-    The memory layout is canonicalized first; summation blocking would
+    The sum runs over a C-contiguous array; summation blocking would
     otherwise depend on the strides of the operand.
+
+    A writeable C-contiguous float64 ndarray `x` is sorted in place and
+    is left sorted along `axis`, so no second buffer of its size is
+    allocated. Any other input (strided, read-only, another dtype, not an
+    ndarray) is left unchanged and one contiguous copy of it is sorted.
     """
-    ordered = np.sort(np.ascontiguousarray(x), axis=axis)
+    if (isinstance(x, np.ndarray) and x.dtype == np.float64
+            and x.flags.c_contiguous and x.flags.writeable):
+        ordered = x
+    else:
+        ordered = np.array(x, order="C")
+    ordered.sort(axis=axis)
     return ordered.sum(axis=axis, keepdims=keepdims)
 
 
@@ -40,7 +52,8 @@ def softmax_last(x) -> np.ndarray:
     """Softmax over the trailing axis, max-shifted for stability.
 
     Each trailing slice of the result is a probability vector; the
-    denominator is a `sorted_sum`, so the op is equivariant under
+    denominator is a `sorted_sum` of a copy of the exponentials (the
+    numerator needs them unsorted), so the op is equivariant under
     permutations of the trailing axis.
     """
     x = as_array(x)
@@ -49,7 +62,7 @@ def softmax_last(x) -> np.ndarray:
     require_finite(x, "softmax input")
     shifted = x - np.max(x, axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    return ex / sorted_sum(ex, axis=-1, keepdims=True)
+    return ex / sorted_sum(ex.copy(), axis=-1, keepdims=True)
 
 
 def layer_norm(x, gamma, beta, eps: float) -> np.ndarray:

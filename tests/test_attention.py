@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,21 @@ class TestStageOneGuard:
         monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", 2047)
         with pytest.raises(ResourceGuardError):
             trajectory_pass_1d(x, _params(4, 44))
+
+    def test_pass_holds_one_stage_one_buffer(self):
+        # The product is sorted in place; a second, sorted copy of it would
+        # put the traced peak at about twice its size.
+        b, t, s, d = 16, 4, 24, 16
+        rng = np.random.default_rng(45)
+        x = rng.normal(size=(b, t, s, d))
+        p = _params(d, 46, heads=2)
+        tracemalloc.start()
+        try:
+            trajectory_pass_1d(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (8 * b * t * t * s * s * d)
 
 
 class TestPassthroughParams:

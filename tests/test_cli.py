@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from axialtrack.cli import cli_main
-from axialtrack.pgm import dump_tube_set, read_pgm
+from axialtrack.pgm import dump_tube_set, read_pgm, write_pgm
 from axialtrack.segmenter import Tube
 
 
@@ -160,6 +160,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(meta_path) in err
         assert names in err
+
+    def test_frame_size_mismatch_is_validation_error(self, tmp_path, capsys):
+        masks = np.zeros((2, 4, 4))
+        masks[:, 1:3, 1:3] = 1.0
+        tubes = [Tube(masks, np.array([0.0, 1.0]), track_id=0)]
+        dump_tube_set(tubes, [1], tmp_path / "gt")
+        dump_tube_set(tubes, [1], tmp_path / "pred")
+        frame_path = tmp_path / "pred" / "tube_000" / "t0001.pgm"
+        write_pgm(frame_path, np.zeros((4, 6), dtype=np.uint8))
+        rc = cli_main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(frame_path) in err
+        assert "(4, 6)" in err and "(4, 4)" in err
 
 
 class TestErrors:

@@ -46,6 +46,14 @@ class TestSoftmax:
         with pytest.raises(DimensionError):
             softmax_last(np.zeros((2, 0)))
 
+    def test_keeps_exponential_order(self):
+        x = np.array([[2.0, -1.0, 0.5, 3.0], [0.0, 4.0, -2.0, 1.0]])
+        ex = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = ex / np.sort(ex, axis=-1).sum(axis=-1, keepdims=True)
+        got = softmax_last(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.argsort(got, axis=-1), np.argsort(x, axis=-1))
+
 
 class TestLayerNorm:
     def test_constant_slice_collapses_to_beta(self):
@@ -136,4 +144,32 @@ class TestSortedSum:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(5, 17))
         perm = rng.permutation(17)
-        assert np.array_equal(sorted_sum(x, axis=-1), sorted_sum(x[:, perm], axis=-1))
+        assert np.array_equal(sorted_sum(x.copy(), axis=-1), sorted_sum(x[:, perm].copy(), axis=-1))
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_equals_sort_then_sum(self, axis):
+        x = np.random.default_rng(13).normal(size=(3, 11, 7, 5))
+        want = np.sort(x, axis=axis).sum(axis=axis)
+        assert np.array_equal(sorted_sum(x, axis=axis), want)
+
+    def test_contiguous_input_left_sorted(self):
+        x = np.random.default_rng(14).normal(size=(4, 9, 6))
+        want = np.sort(x, axis=-2)
+        sorted_sum(x, axis=-2)
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("kind", ["strided", "read-only", "integer"])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_copied_inputs_unchanged(self, kind, axis):
+        rng = np.random.default_rng(15)
+        if kind == "strided":
+            x = rng.normal(size=(6, 10, 8))[:, ::2].transpose(2, 0, 1)
+        elif kind == "read-only":
+            x = rng.normal(size=(6, 10, 8))
+            x.flags.writeable = False
+        else:
+            x = rng.integers(-50, 50, size=(6, 10, 8))
+        before = x.copy()
+        want = np.sort(x, axis=axis).sum(axis=axis)
+        assert np.array_equal(sorted_sum(x, axis=axis), want)
+        assert np.array_equal(x, before)
