@@ -33,6 +33,7 @@ from .deform import (
     within_clip_forward,
 )
 from .errors import (
+    AxialtrackError,
     ConfigError,
     DimensionError,
     GenerationError,

@@ -9,7 +9,8 @@ Subcommands:
 
 Every run is a pure function of its arguments and config file: repeated
 runs write byte-identical reports and image files. Exit codes: 0 on
-success, 1 on a validation problem, 2 on an internal error.
+success, 1 on a validation problem (an `AxialtrackError`) or a path that
+cannot be read or written (an `OSError`), 2 on an internal error.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import ModelConfig, format_config, load_config
+from .config import ModelConfig, config_values, format_config, load_config, parse_value
 from .crossclip import offline_inference
-from .errors import ConfigError, DimensionError, GenerationError, NumericError, ResourceGuardError
+from .errors import AxialtrackError, ConfigError, DimensionError
 from .heatmaps import axial_fields, dump_attention_heatmaps, trajectory_hit_rate
 from .macs import CATEGORIES, MacReport, count_macs
 from .metrics import GroundTruthSet, vpq
@@ -97,11 +98,8 @@ def _resolve_config(args: argparse.Namespace) -> ModelConfig:
         value = getattr(args, key, None)
         if value is None:
             continue
-        if key == "atrous_rates" and isinstance(value, str):
-            try:
-                value = tuple(int(v) for v in value.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"bad atrous rates {value!r}") from exc
+        if key == "atrous_rates":
+            value = parse_value(key, value)
         overrides[key] = value
     cfg = replace(cfg, **overrides)
     cfg.validate()
@@ -138,16 +136,6 @@ def write_report(out_dir: str, data: dict) -> None:
         fh.write("\n")
 
 
-def _config_dict(cfg: ModelConfig) -> dict:
-    out = {}
-    for f in fields(ModelConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "atrous_rates":
-            value = ",".join(str(v) for v in value)
-        out[f.name] = value
-    return out
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     cfg.validate_pipeline()
@@ -181,7 +169,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     dump_tube_set(off, [int(np.argmax(t.class_probs)) for t in off], os.path.join(args.out, "pred_offline"))
 
     write_report(args.out, {
-        "config": _config_dict(cfg),
+        "config": config_values(cfg),
         "objects": spec.n_objects,
         "vpq_near_online": vpq_near,
         "vpq_offline": vpq_off,
@@ -250,17 +238,19 @@ def _cmd_attn(args: argparse.Namespace) -> int:
     clips = split_into_clips(video, cfg.t)
     ref_t = args.ref_t
     if not 0 <= ref_t < video.shape[0]:
-        raise IndexError(f"reference frame {ref_t} outside video of length {video.shape[0]}")
+        raise DimensionError(f"reference frame {ref_t} outside video of length {video.shape[0]}")
     clip_idx, t_local = divmod(ref_t, cfg.t)
     ref_h = args.ref_h if args.ref_h is not None else cfg.h // 2
     ref_w = args.ref_w if args.ref_w is not None else cfg.w // 2
+    if not params.within_blocks:
+        raise ConfigError("attn needs a within-clip block to draw its maps from, got n_w = 0")
     block = params.within_blocks[0]
     field_h, field_w = axial_fields(clips[clip_idx], block.attn_h, block.attn_w)
     paths = dump_attention_heatmaps(
         field_h, field_w, (t_local, ref_h, ref_w), os.path.join(args.out, "heatmaps")
     )
     write_report(args.out, {
-        "config": _config_dict(cfg),
+        "config": config_values(cfg),
         "clip_index": clip_idx,
         "reference": f"({ref_t},{ref_h},{ref_w})",
         "frames_written": len(paths),
@@ -309,8 +299,7 @@ def cli_main(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DimensionError, NumericError, GenerationError,
-            ResourceGuardError, IndexError, FileNotFoundError, ValueError) as exc:
+    except (AxialtrackError, OSError) as exc:  # bad input or an unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - anything else is an internal failure

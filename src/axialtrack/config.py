@@ -71,14 +71,28 @@ class ModelConfig:
         return 1.0 / math.sqrt(self.d)
 
 
+def config_values(cfg: ModelConfig) -> dict:
+    """Key -> value in field order as the text format writes it (`atrous_rates` as "1,2,3")."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)}
+    values["atrous_rates"] = ",".join(str(v) for v in cfg.atrous_rates)
+    return values
+
+
 def format_config(cfg: ModelConfig) -> str:
-    lines = []
-    for f in fields(ModelConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "atrous_rates":
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in config_values(cfg).items())
+
+
+def parse_value(key: str, text: str):
+    """The value of a known `key` from its text; ConfigError names a bad one."""
+    try:
+        if key in _INT_KEYS:
+            return int(text)
+        if key == "atrous_rates":
+            return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        need = "an integer" if key in _INT_KEYS else "comma-separated integers"
+        raise ConfigError(f"{key} needs {need}, got {text!r}") from None
+    return text
 
 
 def parse_config(text: str, base: ModelConfig | None = None) -> ModelConfig:
@@ -95,24 +109,16 @@ def parse_config(text: str, base: ModelConfig | None = None) -> ModelConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in _INT_KEYS:
-            try:
-                updates[key] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {key} needs an integer, got {value!r}") from exc
-        elif key == "atrous_rates":
-            try:
-                rates = tuple(int(v) for v in value.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad atrous_rates {value!r}") from exc
-            updates[key] = rates
-        else:
-            updates[key] = value
+        try:
+            updates[key] = parse_value(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     cfg = replace(cfg, **updates)
     cfg.validate()
     return cfg
 
 
 def load_config(path, base: ModelConfig | None = None) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    # An undecodable byte reads as U+FFFD, which no key or value accepts.
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return parse_config(fh.read(), base)

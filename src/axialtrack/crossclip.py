@@ -79,16 +79,10 @@ def temporal_aspp(z, params: AsppParams) -> np.ndarray:
     fuse with a 1x1 projection, layer-norm, and add the input."""
     z = as_array(z)
     _validate_query_tensor(z)
-    d = z.shape[2]
-    params.validate(d)
-    n = z.shape[1]
-    branch_sum = np.empty_like(z)
-    for track in range(n):
-        seq = z[:, track, :]
-        acc = atrous_conv1d(seq, params.kernels[0], params.rates[0])
-        acc += atrous_conv1d(seq, params.kernels[1], params.rates[1])
-        acc += atrous_conv1d(seq, params.kernels[2], params.rates[2])
-        branch_sum[:, track, :] = acc
+    params.validate(z.shape[2])
+    branch_sum = atrous_conv1d(z, params.kernels[0], params.rates[0])
+    branch_sum += atrous_conv1d(z, params.kernels[1], params.rates[1])
+    branch_sum += atrous_conv1d(z, params.kernels[2], params.rates[2])
     fused = np.einsum("kne,de->knd", branch_sum, params.fuse, optimize=False)
     return z + layer_norm(fused, params.ln_gamma, params.ln_beta, LN_EPS)
 
@@ -139,16 +133,10 @@ def offline_inference(video, params: PipelineParams) -> list[Tube]:
     linked = link_video(video, params)
     z = cross_clip_forward(linked.aligned_queries, params.cross_blocks)
     probs = temporal_class_head(z, params.class_head, params.class_kernel)
-    n = z.shape[1]
-    tubes = []
-    for i in range(n):
-        per_clip = [
-            logistic(np.einsum("d,tdhw->thw", z[k, i], linked.clip_features[k], optimize=False))
-            for k in range(z.shape[0])
-        ]
-        masks = np.concatenate(per_clip, axis=0)[: linked.length]
-        tubes.append(Tube(masks, probs[i], track_id=i))
-    return tubes
+    logits = np.einsum("knd,ktdhw->nkthw", z, np.stack(linked.clip_features), optimize=False)
+    n, k, t, h, w = logits.shape
+    masks = logistic(logits).reshape(n, k * t, h, w)[:, : linked.length]
+    return [Tube(masks[i], probs[i], track_id=i) for i in range(n)]
 
 
 def aspp_params(

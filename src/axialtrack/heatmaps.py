@@ -3,17 +3,19 @@ reference pixel, multiplied into one map per target frame.
 
 A reference point (t, h, w) selects the height-pass weight row at batch
 index w and the width-pass row at batch index h; their outer product at
-each target frame is the per-frame trajectory map that the dumps and the
-tracking check use.
+each target frame is the per-frame trajectory map that the dumps write;
+the tracking check takes its argmax from the two rows (`outer_argmax`).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
 
 from .attention import AttentionParams, TrajectoryField, axial_trajectory_h, axial_trajectory_w
+from .errors import DimensionError
 from .pgm import write_pgm
 from .segmenter import split_into_clips
 from .tensor import as_array
@@ -30,17 +32,29 @@ def axial_fields(
 
 def heatmap_frames(
     field_h: TrajectoryField, field_w: TrajectoryField, reference: tuple[int, int, int]
-) -> list[np.ndarray]:
-    """One (H, W) outer-product map per target frame for the reference pixel."""
+) -> np.ndarray:
+    """(T, H, W): the outer-product map of each target frame for the reference pixel."""
     t, h, w = reference
     n_frames = field_h.stage1.shape[1]
     n_h = field_h.stage1.shape[2]
     n_w = field_w.stage1.shape[2]
     if not (0 <= t < n_frames and 0 <= h < n_h and 0 <= w < n_w):
-        raise IndexError(f"reference {reference} outside (T={n_frames}, H={n_h}, W={n_w})")
+        raise DimensionError(f"reference {reference} outside (T={n_frames}, H={n_h}, W={n_w})")
     rows_h = field_h.stage1[w, t, h]  # (T, H)
     rows_w = field_w.stage1[h, t, w]  # (T, W)
-    return [np.outer(rows_h[u], rows_w[u]) for u in range(n_frames)]
+    return rows_h[:, :, None] * rows_w[:, None, :]
+
+
+def outer_argmax(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of `np.argmax(np.outer(a, b))` per pair of trailing rows of
+    weights >= 0. Rounding is monotone, so the top product is max(a) * max(b):
+    the first row reaching it, then that row's first column, is the first argmax."""
+    b_max = rows_b.max(axis=-1, keepdims=True)
+    top = rows_a.max(axis=-1, keepdims=True) * b_max
+    row = np.argmax(rows_a * b_max == top, axis=-1)
+    a_row = np.take_along_axis(rows_a, row[..., None], axis=-1)
+    col = np.argmax(a_row * rows_b == top, axis=-1)
+    return row, col
 
 
 def normalize_heatmap(frame: np.ndarray) -> np.ndarray:
@@ -91,19 +105,12 @@ def trajectory_hit_rate(
     total = 0
     for k, clip in enumerate(clips):
         field_h, field_w = axial_fields(clip, params_h, params_w)
-        t_extent = clip.shape[0]
-        for mask, is_moving in zip(gt_masks, moving):
-            if not is_moving:
-                continue
-            for t_local in range(t_extent):
-                t_global = min(k * clip_len + t_local, length - 1)
-                ys, xs = np.nonzero(mask[t_global])
-                for y, x in zip(ys, xs):
-                    frames = heatmap_frames(field_h, field_w, (t_local, y, x))
-                    for u, frame in enumerate(frames):
-                        u_global = min(k * clip_len + u, length - 1)
-                        best = int(np.argmax(frame))
-                        by, bx = divmod(best, frame.shape[1])
-                        hits += bool(mask[u_global, by, bx])
-                        total += 1
+        # Video frame of each clip frame; padding frames repeat the last one.
+        frames = np.minimum(k * clip_len + np.arange(clip.shape[0]), length - 1)
+        for mask in itertools.compress(gt_masks, moving):
+            ts, ys, xs = np.nonzero(mask[frames])  # every on-mask reference in the clip
+            # (n, T, H) height rows and (n, T, W) width rows, one pair per reference
+            by, bx = outer_argmax(field_h.stage1[xs, ts, ys], field_w.stage1[ys, ts, xs])
+            hits += int(np.count_nonzero(mask[frames, by, bx]))
+            total += by.size
     return hits / total if total else 1.0

@@ -9,6 +9,7 @@ a mask exactly at 0.5 stays below threshold after a round trip.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -27,29 +28,25 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
+# "P5", then width, height and maxval as decimal tokens, each after
+# whitespace and `#` comments that run to the end of their line, then one
+# whitespace byte before the pixels.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*(?=\n|\Z))*(\d{1,18})(?!\S)" * 3 + rb"\s?")
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a binary P5 PGM (maxval 255, optional comment lines)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(b"P5"):
         raise DimensionError(f"{path}: not a binary PGM")
-    pos = 2
-    tokens = []
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(tok) for tok in tokens)
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise DimensionError(f"{path}: header needs a decimal width, height and maxval")
+    w, h, maxval = (int(tok) for tok in header.groups())
     if maxval != 255:
         raise DimensionError(f"{path}: only maxval 255 is supported")
+    pos = header.end()
     pixels = np.frombuffer(raw[pos:pos + w * h], dtype=np.uint8)
     if pixels.size != w * h:
         raise DimensionError(f"{path}: truncated pixel data")
@@ -75,7 +72,8 @@ def load_tube(dirpath) -> tuple[np.ndarray, int, int]:
     """Return (masks, class_id, track_id) for one dumped tube."""
     path = os.path.join(dirpath, "meta")
     meta: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # An undecodable byte reads as U+FFFD, which no integer value accepts.
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
             line = line.strip()
             if not line:

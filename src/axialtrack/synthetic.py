@@ -116,6 +116,8 @@ def demo_video_spec(cfg: ModelConfig, n_objects: int = 3) -> SyntheticVideoSpec:
     column at the neighbouring frame, which the trajectory-heatmap checks
     rely on.
     """
+    if n_objects < 1:
+        raise ConfigError(f"the demo video needs at least one object, got {n_objects}")
     thick = max(1, cfg.h // 4)
     long_w = max(2, 3 * cfg.w // 8)
     long_h = max(2, 3 * cfg.h // 8)

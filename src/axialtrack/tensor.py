@@ -83,16 +83,17 @@ def layer_norm(x, gamma, beta, eps: float) -> np.ndarray:
 
 
 def atrous_conv1d(x, kernel, rate: int) -> np.ndarray:
-    """Dilated 1-D convolution over a (length, channels) sequence.
+    """Dilated 1-D convolution over a (length, ..., channels) sequence.
 
-    `kernel` has shape (taps, out_channels, in_channels) with an odd tap
-    count; the input is zero padded so the output keeps its length, and
-    taps are accumulated in index order.
+    Axes between the first and the last are batch axes. `kernel` has
+    shape (taps, out_channels, in_channels) with an odd tap count; the
+    input is zero padded so the output keeps its length, and taps are
+    accumulated in index order.
     """
     x = as_array(x)
     kernel = as_array(kernel)
-    if x.ndim != 2:
-        raise DimensionError(f"atrous_conv1d expects a (length, channels) input, got {x.shape}")
+    if x.ndim < 2:
+        raise DimensionError(f"atrous_conv1d expects (length, ..., channels), got {x.shape}")
     if kernel.ndim != 3:
         raise DimensionError(f"kernel must be (taps, out, in), got {kernel.shape}")
     taps, dout, din = kernel.shape
@@ -100,15 +101,16 @@ def atrous_conv1d(x, kernel, rate: int) -> np.ndarray:
         raise ConfigError(f"kernel tap count must be odd, got {taps}")
     if rate < 1:
         raise ConfigError(f"dilation rate must be >= 1, got {rate}")
-    if din != x.shape[1]:
-        raise DimensionError(f"kernel input channels {din} != sequence channels {x.shape[1]}")
+    if din != x.shape[-1]:
+        raise DimensionError(f"kernel input channels {din} != sequence channels {x.shape[-1]}")
     length = x.shape[0]
     pad = (taps - 1) // 2 * rate
-    padded = np.zeros((length + 2 * pad, din))
+    padded = np.zeros((length + 2 * pad,) + x.shape[1:])
     padded[pad:pad + length] = x
-    out = np.zeros((length, dout))
+    out = np.zeros(x.shape[:-1] + (dout,))
     for j in range(taps):
-        out += np.einsum("le,de->ld", padded[j * rate:j * rate + length], kernel[j], optimize=False)
+        window = padded[j * rate:j * rate + length]
+        out += np.einsum("l...e,de->l...d", window, kernel[j], optimize=False)
     return out
 
 

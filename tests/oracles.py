@@ -3,7 +3,9 @@
 Everything here is written straight from the defining formulas with
 explicit Python loops, plain exp/sum softmaxes (no max shift, no sorted
 reductions), and scalar accumulation. None of it shares code with the
-library kernels it checks.
+library kernels it checks; the one exception, `naive_hit_rate`, takes the
+attention fields from the library (the oracles above check those) and
+re-does only the per-reference argmax loop.
 """
 
 from __future__ import annotations
@@ -275,3 +277,36 @@ def brute_hungarian(cost):
             if best is None or key < best:
                 best = key
     return best[1], best[0]
+
+
+def naive_hit_rate(video, gt_masks, moving, clip_len, params_h, params_w):
+    """Trajectory hit rate by brute force: for every on-mask reference,
+    build each target frame's full H x W outer-product map and argmax it."""
+    from axialtrack.heatmaps import axial_fields
+    from axialtrack.segmenter import split_into_clips
+
+    video = np.asarray(video, dtype=np.float64)
+    clips = split_into_clips(video, clip_len)
+    length = video.shape[0]
+    hits = 0
+    total = 0
+    for k, clip in enumerate(clips):
+        field_h, field_w = axial_fields(clip, params_h, params_w)
+        t_extent = clip.shape[0]
+        for mask, is_moving in zip(gt_masks, moving):
+            if not is_moving:
+                continue
+            for t_local in range(t_extent):
+                t_global = min(k * clip_len + t_local, length - 1)
+                ys, xs = np.nonzero(mask[t_global])
+                for y, x in zip(ys, xs):
+                    rows_h = field_h.stage1[x, t_local, y]
+                    rows_w = field_w.stage1[y, t_local, x]
+                    frames = [np.outer(rows_h[u], rows_w[u]) for u in range(t_extent)]
+                    for u, frame in enumerate(frames):
+                        u_global = min(k * clip_len + u, length - 1)
+                        best = int(np.argmax(frame))
+                        by, bx = divmod(best, frame.shape[1])
+                        hits += bool(mask[u_global, by, bx])
+                        total += 1
+    return hits / total if total else 1.0

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from axialtrack import cli
 from axialtrack.cli import cli_main
 from axialtrack.pgm import dump_tube_set, read_pgm, write_pgm
 from axialtrack.segmenter import Tube
@@ -176,6 +177,35 @@ class TestEval:
         assert str(frame_path) in err
         assert "(4, 6)" in err and "(4, 4)" in err
 
+    def test_missing_frame_names_file(self, tmp_path, capsys):
+        masks = np.zeros((3, 4, 4))
+        tubes = [Tube(masks, np.array([0.0, 1.0]), track_id=0)]
+        dump_tube_set(tubes, [1], tmp_path / "gt")
+        dump_tube_set(tubes, [1], tmp_path / "pred")
+        frame_path = tmp_path / "pred" / "tube_000" / "t0002.pgm"
+        frame_path.unlink()
+        rc = cli_main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        assert str(frame_path) in capsys.readouterr().err
+
+    def test_undecodable_meta_names_file(self, tmp_path, capsys):
+        tubes = [Tube(np.zeros((2, 4, 4)), np.array([0.0, 1.0]), track_id=0)]
+        dump_tube_set(tubes, [1], tmp_path / "gt")
+        meta_path = tmp_path / "gt" / "tube_000" / "meta"
+        meta_path.write_bytes(b"span = 2\n\xff\n")
+        rc = cli_main(["eval", "--pred", str(tmp_path / "gt"), "--gt", str(tmp_path / "gt"),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        assert str(meta_path) in capsys.readouterr().err
+
+    def test_prediction_path_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "file"
+        path.write_text("x")
+        rc = cli_main(["eval", "--pred", str(path), "--gt", str(path), "--out", str(tmp_path / "e")])
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+
 
 class TestErrors:
     def test_unknown_flag_prints_usage_and_exits_one(self, capsys):
@@ -215,3 +245,22 @@ class TestErrors:
         cfg_path.write_text("bogus = 4\n")
         rc = cli_main(["demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        rc = cli_main(["bench", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_bad_atrous_rates_flag_names_value(self, tmp_path, capsys):
+        rc = cli_main(["bench", "--atrous-rates", "1,x", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "'1,x'" in capsys.readouterr().err
+
+    def test_internal_value_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            raise ValueError("broken invariant")
+
+        monkeypatch.setattr(cli, "count_macs", broken)
+        rc = cli_main(["bench", "--t", "2", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "internal error: broken invariant" in capsys.readouterr().err

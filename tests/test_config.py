@@ -1,6 +1,6 @@
 import pytest
 
-from axialtrack.config import ModelConfig, format_config, parse_config
+from axialtrack.config import ModelConfig, format_config, load_config, parse_config
 from axialtrack.errors import ConfigError
 
 
@@ -68,3 +68,18 @@ class TestConfigText:
     def test_invalid_value_caught_at_parse(self):
         with pytest.raises(ConfigError):
             parse_config("t = 1\n")
+
+    def test_format_pins_rates_text(self):
+        text = format_config(ModelConfig(atrous_rates=(1, 3, 5)))
+        assert text.startswith("l = 8\nt = 2\n")
+        assert "\natrous_rates = 1,3,5\nscale_mode = rsqrt_d\nseed = 0\n" in text
+
+    def test_bad_value_names_line_and_value(self):
+        with pytest.raises(ConfigError, match="line 2: atrous_rates needs .*, got '1,x'"):
+            parse_config("t = 2\natrous_rates = 1,x\n")
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"t = 2\n\xff\n")
+        with pytest.raises(ConfigError, match="line 2"):
+            load_config(path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from axialtrack.attention import TrajectoryField, passthrough_attention_params
+from axialtrack.errors import DimensionError
 from axialtrack.heatmaps import (
     axial_fields,
     dump_attention_heatmaps,
@@ -33,6 +34,17 @@ class TestPgmRoundTrip:
         with open(path, "wb") as fh:
             fh.write(b"P5\n4 4\n255\n\x00")
         with pytest.raises(Exception):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("data", [
+        b"P5\n4 x\n255\n\x00",        # non-integer token
+        b"P5\n4 4",                      # missing maxval
+        b"P5\n-1 -1\n255\n\x00",      # negative size
+    ])
+    def test_bad_header_names_file(self, tmp_path, data):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        with pytest.raises(DimensionError, match=str(path)):
             read_pgm(path)
 
 
@@ -102,5 +114,5 @@ class TestHeatmaps:
     def test_out_of_range_reference(self):
         fh = self._uniform_field(4, 2, 3)
         fw = self._uniform_field(3, 2, 4)
-        with pytest.raises(IndexError):
+        with pytest.raises(DimensionError):
             heatmap_frames(fh, fw, (0, 5, 0))

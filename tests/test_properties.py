@@ -1,4 +1,5 @@
-"""Property tests for the text and binary parsers behind the CLI.
+"""Property tests for the inputs behind the CLI: text and binary files,
+paths and reference coordinates.
 
 A malformed input must end in a validation error (exit 1), never an
 internal error (exit 2).
@@ -93,3 +94,30 @@ def test_parse_config_raises_only_config_error(text):
     except ConfigError:
         return
     assert isinstance(cfg, ModelConfig)
+
+
+@PROPERTY
+@given(ref_t=st.none() | ints, ref_h=st.none() | ints, ref_w=st.none() | ints)
+def test_attn_reference_never_exits_two(ref_t, ref_h, ref_w):
+    argv = ["attn", "--l", "4", "--h", "8", "--w", "8", "--d", "4"]
+    for flag, value in (("--ref-t", ref_t), ("--ref-h", ref_h), ("--ref-w", ref_w)):
+        if value is not None:
+            argv += [flag, str(value)]
+    with tempfile.TemporaryDirectory() as root:
+        rc = cli_main(argv + ["--out", root])
+    assert rc in (0, 1)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["missing", "directory", "bytes"]), data=st.binary(max_size=60))
+def test_config_path_never_exits_two(kind, data):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "cfg")
+        if kind == "directory":
+            os.mkdir(path)
+        elif kind == "bytes":
+            with open(path, "wb") as fh:
+                fh.write(data)
+        rc = cli_main(["bench", "--config", path, "--t", "2", "--h", "2", "--w", "2", "--d", "4",
+                       "--out", os.path.join(root, "out")])
+    assert rc in (0, 1)

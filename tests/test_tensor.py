@@ -102,6 +102,18 @@ class TestAtrousConv:
         got = atrous_conv1d(x, kernel, 2)
         np.testing.assert_allclose(got, naive_atrous_conv1d(x, kernel, 2), atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [(5,), (1,), (3, 4)])
+    def test_batch_axes_equal_per_slice_calls(self, batch):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(7,) + batch + (6,))
+        kernel = rng.normal(size=(3, 5, 6))
+        for rate in (1, 2, 3):
+            got = atrous_conv1d(x, kernel, rate)
+            assert got.shape == (7,) + batch + (5,)
+            for idx in np.ndindex(*batch):
+                seq = x[(slice(None),) + idx]
+                assert np.array_equal(got[(slice(None),) + idx], atrous_conv1d(seq, kernel, rate))
+
     def test_even_taps_rejected(self):
         with pytest.raises(ConfigError):
             atrous_conv1d(np.zeros((4, 2)), np.zeros((2, 2, 2)), 1)
