@@ -17,7 +17,9 @@ ascending value order, so outputs are bitwise-equivariant under
 permutations of the attended axis, the batch axis, and the frame axis.
 The weighted sums sort their products in place (`tensor.sorted_sum`), so
 a pass holds one (B, G, T, S, U, R, C) stage-one product at a time, the
-8*B*T^2*S^2*D bytes that `STAGE_ONE_BYTES_LIMIT` bounds.
+8*B*T^2*S^2*D bytes that `STAGE_ONE_BYTES_LIMIT` bounds. The projections
+and stage two are shared with the backward (`axialtrack.backward`), which
+recomputes stage one in matrix form instead of in sorted order.
 There are no positional encodings anywhere in this module.
 """
 
@@ -108,30 +110,59 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
 
 
-def _pass_forward(x: np.ndarray, params: AttentionParams, counter: MacCounter | None) -> dict:
-    """Run both stages, returning all intermediates for field export and backprop."""
-    b, t, s, d = x.shape
+def check_stage_one(shape: tuple[int, int, int, int]) -> None:
+    """Refuse a (B, T, S, D) pass whose stage-one product exceeds the limit."""
+    b, t, s, d = shape
     stage_one = 8 * b * t * t * s * s * d
     if stage_one > STAGE_ONE_BYTES_LIMIT:
         raise ResourceGuardError(
-            f"trajectory pass refused: (B, T, S, D) = {x.shape} needs a stage-one product "
+            f"trajectory pass refused: (B, T, S, D) = {tuple(shape)} needs a stage-one product "
             f"of {stage_one} bytes, above the limit of {STAGE_ONE_BYTES_LIMIT} bytes"
         )
-    g = params.heads
-    c = d // g
-    s1, s2, scale = params.stage1, params.stage2, params.scale
 
-    q = _project(x, s1.w_q, s1.b_q)
-    k = _project(x, s1.w_k, s1.b_k)
-    v = _project(x, s1.w_v, s1.b_v)
-    qh = _split_heads(q, g)  # (B,T,S,G,C)
-    kh = _split_heads(k, g)
-    vh = _split_heads(v, g)
+
+def _stage_one_heads(x: np.ndarray, params: AttentionParams) -> tuple:
+    """Stage-one query, key and value projections as (B, T, S, G, C) heads."""
+    s1 = params.stage1
+    return tuple(
+        _split_heads(_project(x, w, bias), params.heads)
+        for w, bias in ((s1.w_q, s1.b_q), (s1.w_k, s1.b_k), (s1.w_v, s1.b_v))
+    )
+
+
+def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total) -> dict:
+    """Stage two: re-project the (B, T, U, S, D) points, query from the
+    same-frame point, pool over frames. `softmax` normalizes a trailing axis
+    and `total(a, axis=...)` sums one: the forward passes the sorted
+    `softmax_last` and `sorted_sum`, the backward plain index-order ones."""
+    b, t, _, s, d = ytil.shape
+    g = params.heads
+    s2, scale = params.stage2, params.scale
+    idx = np.arange(t)
+    ydiag = ytil[:, idx, idx]  # (B,T,S,D)
+    qth = _split_heads(_project(ydiag, s2.w_q, s2.b_q), g)  # (B,T,S,G,C)
+    kth = _split_heads(_project(ytil, s2.w_k, s2.b_k), g)  # (B,T,U,S,G,C)
+    vth = _split_heads(_project(ytil, s2.w_v, s2.b_v), g)
+    w2 = softmax(scale * np.einsum("btsgc,btusgc->bgtsu", qth, kth, optimize=False))
+    prod2 = w2[..., None] * vth.transpose(0, 4, 1, 3, 2, 5)  # (B,G,T,S,U,C)
+    yh = total(prod2, axis=-2)  # (B,G,T,S,C)
+    out = yh.transpose(0, 2, 3, 1, 4).reshape(b, t, s, d)
+    return {"ydiag": ydiag, "qth": qth, "kth": kth, "vth": vth, "w2": w2, "out": out}
+
+
+def _pass_forward(
+    x: np.ndarray, params: AttentionParams, counter: MacCounter | None
+) -> tuple[np.ndarray, TrajectoryField]:
+    """Run both stages, returning the output and the exported field."""
+    check_stage_one(x.shape)
+    b, t, s, d = x.shape
+    c = d // params.heads
+    qh, kh, vh = _stage_one_heads(x, params)
 
     # Stage one: per target frame u, attend over positions r. The product
     # is the largest array of the pass; it is built in one C-order buffer
     # that `sorted_sum` sorts in place, and is freed once summed.
-    w1 = softmax_last(scale * np.einsum("btsgc,burgc->bgtsur", qh, kh, optimize=False))
+    w1 = softmax_last(params.scale * np.einsum("btsgc,burgc->bgtsur", qh, kh, optimize=False))
     vh_t = vh.transpose(0, 3, 1, 2, 4)  # (B,G,U,R,C)
     prod1 = np.empty(w1.shape + (c,))  # (B,G,T,S,U,R,C)
     np.multiply(w1[..., None], vh_t[:, :, None, None, :, :, :], out=prod1)
@@ -139,35 +170,17 @@ def _pass_forward(x: np.ndarray, params: AttentionParams, counter: MacCounter | 
     del prod1
     ytil = yt.transpose(0, 2, 4, 3, 1, 5).reshape(b, t, t, s, d)  # (B,T,U,S,D)
 
-    # Stage two: re-project, query from the same-frame point, pool over frames.
-    idx = np.arange(t)
-    ydiag = ytil[:, idx, idx]  # (B,T,S,D)
-    qt = _project(ydiag, s2.w_q, s2.b_q)
-    kt = _project(ytil, s2.w_k, s2.b_k)
-    vt = _project(ytil, s2.w_v, s2.b_v)
-    qth = _split_heads(qt, g)  # (B,T,S,G,C)
-    kth = _split_heads(kt, g)  # (B,T,U,S,G,C)
-    vth = _split_heads(vt, g)
-    e2 = scale * np.einsum("btsgc,btusgc->bgtsu", qth, kth, optimize=False)
-    w2 = softmax_last(e2)  # (B,G,T,S,U)
-    vth_t = vth.transpose(0, 4, 1, 3, 2, 5)  # (B,G,T,S,U,C)
-    prod2 = w2[..., None] * vth_t
-    yh = sorted_sum(prod2, axis=-2)  # (B,G,T,S,C)
-    out = yh.transpose(0, 2, 3, 1, 4).reshape(b, t, s, d)
-
+    st2 = _stage_two(ytil, params, softmax_last, sorted_sum)
+    w2 = st2["w2"]
     if counter is not None:
         counter.add("stage1_scores", w1.size * c)
         counter.add("stage1_values", w1.size * c)
-        counter.add("stage2_scores", e2.size * c)
-        counter.add("stage2_values", e2.size * c)
-        counter.add("proj_stage1", (q.size + k.size + v.size) * d)
-        counter.add("proj_stage2", (qt.size + kt.size + vt.size) * d)
-
-    return {
-        "x": x, "q": q, "k": k, "v": v, "qh": qh, "kh": kh, "vh": vh,
-        "w1": w1, "ytil": ytil, "ydiag": ydiag,
-        "qth": qth, "kth": kth, "vth": vth, "w2": w2, "out": out,
-    }
+        counter.add("stage2_scores", w2.size * c)
+        counter.add("stage2_values", w2.size * c)
+        counter.add("proj_stage1", 3 * x.size * d)
+        counter.add("proj_stage2", (x.size + 2 * ytil.size) * d)
+    field = TrajectoryField(values=ytil, stage1=w1.mean(axis=1), stage2=w2.mean(axis=1))
+    return st2["out"], field
 
 
 def trajectory_pass_1d(
@@ -183,13 +196,7 @@ def trajectory_pass_1d(
         raise DimensionError(f"expected a (B, T, S, D) sequence, got shape {seq.shape}")
     require_finite(seq, "trajectory attention input")
     params.validate(seq.shape[-1])
-    cache = _pass_forward(seq, params, counter)
-    field = TrajectoryField(
-        values=cache["ytil"],
-        stage1=cache["w1"].mean(axis=1),
-        stage2=cache["w2"].mean(axis=1),
-    )
-    return cache["out"], field
+    return _pass_forward(seq, params, counter)
 
 
 def _validate_clip(f: np.ndarray) -> None:

@@ -5,6 +5,12 @@ against an upstream cotangent, chaining exactly through both softmax
 stages, all six projections per pass, the diagonal query extraction, the
 pre-norm layer normalization, and the residual connections. Gradients
 are verified against central finite differences in the test suite.
+
+Each pass's state is recomputed with the forward's projections and stage
+two, but with stage one as batched matrix products (`_recompute`), and
+the stage-one gradients are matrix products in the same layout. Nothing
+here sorts or builds the forward's (B, G, T, S, U, R, C) product; every
+contraction is a c_einsum in a fixed order, free of BLAS and thread count.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import numpy as np
 from .attention import (
     LN_EPS,
     AttentionParams,
-    _pass_forward,
+    _stage_one_heads,
+    _stage_two,
     from_sequence,
     prenorm,
     to_sequence,
@@ -50,30 +57,88 @@ class AxialPairGrads:
     params_w: AttentionParamGrads
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+# Matrix products batched over the leading axes, as c_einsum (never BLAS).
+# `_mm` sums a short axis (C); `_mm_t` takes b transposed, so a long summed
+# axis (R or T*S) is contiguous in both operands and runs as a dot product.
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b."""
+    return np.einsum("...ik,...kj->...ij", a, b, optimize=False)
+
+
+def _mm_t(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """a @ bt^T."""
+    return np.einsum("...ik,...jk->...ij", a, bt, optimize=False)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Contiguous transpose of the last two axes."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2))
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the trailing axis, in place, summed in index order."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _softmax_backward(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    # d_logits = w * (dw - <dw, w>) along the trailing axis
-    inner = np.einsum("...u,...u->...", dw, w, optimize=False)[..., None]
-    return w * (dw - inner)
+    """d_logits = w * (dw - <dw, w>) along the trailing axis, written over dw."""
+    dw -= np.einsum("...u,...u->...", dw, w, optimize=False)[..., None]
+    dw *= w
+    return dw
 
 
-def _pass_backward(
-    cache: dict, params: AttentionParams, d_out: np.ndarray
-) -> tuple[np.ndarray, AttentionParamGrads]:
-    x = cache["x"]
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., G, C) -> (..., G*C)."""
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def _heads_last(x: np.ndarray) -> np.ndarray:
+    """(B, G, T, S, C) -> (B, T, S, G*C)."""
+    b, g, t, s, c = x.shape
+    return x.transpose(0, 2, 3, 1, 4).reshape(b, t, s, g * c)
+
+
+def _recompute(x: np.ndarray, params: AttentionParams) -> dict:
+    """The state of one pass, with stage one in matrix form.
+
+    Per head and target frame u, the scores are a (T*S x C)(C x R) product
+    and the pooling a (T*S x R)(R x C) one, so the weights w1 live in one
+    (B, G, U, T*S, R) layout and no (B, G, T, S, U, R, C) product is
+    built. Reductions run in index order: the forward's sorted order only
+    serves its permutation equivariance, which no gradient needs.
+    """
     b, t, s, d = x.shape
     g = params.heads
     c = d // g
-    s1, s2, scale = params.stage1, params.stage2, params.scale
-    w1, w2 = cache["w1"], cache["w2"]
-    qh, kh, vh = cache["qh"], cache["kh"], cache["vh"]
-    qth, kth, vth = cache["qth"], cache["kth"], cache["vth"]
-    ytil, ydiag = cache["ytil"], cache["ydiag"]
+    qh, kh, vh = _stage_one_heads(x, params)  # (B,T,S,G,C)
+    q = np.ascontiguousarray(qh.transpose(0, 3, 1, 2, 4)).reshape(b, g, 1, t * s, c)
+    # (B,G,U,C,R): the frame axis of keys and values is the target frame u.
+    kt = np.ascontiguousarray(kh.transpose(0, 3, 1, 4, 2))
+    vt = np.ascontiguousarray(vh.transpose(0, 3, 1, 4, 2))
+    w1 = _mm(q, kt)  # (B,G,U,TS,R)
+    w1 *= params.scale
+    _softmax(w1)
+    yt = _mm_t(w1, vt).reshape(b, g, t, t, s, c)  # (B,G,U,T,S,C)
+    ytil = yt.transpose(0, 3, 2, 4, 1, 5).reshape(b, t, t, s, d)  # (B,T,U,S,D)
+    return {"x": x, "q": q, "kt": kt, "vt": vt, "w1": w1, "ytil": ytil,
+            **_stage_two(ytil, params, _softmax, np.sum)}
 
-    # Stage two, pooling over frames.
+
+def _stage_two_backward(
+    st: dict, params: AttentionParams, d_out: np.ndarray
+) -> tuple[np.ndarray, ProjectionGrads]:
+    """Stage-two projection grads and the cotangent of the pooled points,
+    laid out as stage one's (B, G, U, T*S, C) products."""
+    b, t, u, s, d = st["ytil"].shape
+    g = params.heads
+    c = d // g
+    s2, scale = params.stage2, params.scale
+    qth, kth, vth = st["qth"], st["kth"], st["vth"]
+    ytil, ydiag, w2 = st["ytil"], st["ydiag"], st["w2"]
+
     dyh = d_out.reshape(b, t, s, g, c).transpose(0, 3, 1, 2, 4)  # (B,G,T,S,C)
     vth_t = vth.transpose(0, 4, 1, 3, 2, 5)  # (B,G,T,S,U,C)
     dw2 = np.einsum("bgtsc,bgtsuc->bgtsu", dyh, vth_t, optimize=False)
@@ -100,18 +165,34 @@ def _pass_backward(
     dytil += np.einsum("btusd,de->btuse", dvt, s2.w_v, optimize=False)
     idx = np.arange(t)
     dytil[:, idx, idx] += dydiag
+    dyt = dytil.reshape(b, t, u, s, g, c).transpose(0, 4, 2, 1, 3, 5)  # (B,G,U,T,S,C)
+    grads = ProjectionGrads(d_uq, d_uk, d_uv, db_q2, db_k2, db_v2)
+    return np.ascontiguousarray(dyt).reshape(b, g, u, t * s, c), grads
 
-    # Stage one, attending over positions.
-    dyt = dytil.reshape(b, t, t, s, g, c).transpose(0, 4, 1, 3, 2, 5)  # (B,G,T,S,U,C)
-    dw1 = np.einsum("bgtsuc,burgc->bgtsur", dyt, vh, optimize=False)
-    dvh = np.einsum("bgtsur,bgtsuc->burgc", w1, dyt, optimize=False)
+
+def _pass_backward(
+    st: dict, params: AttentionParams, d_out: np.ndarray
+) -> tuple[np.ndarray, AttentionParamGrads]:
+    x = st["x"]
+    b, t, s, d = x.shape
+    g = params.heads
+    c = d // g
+    s1, scale = params.stage1, params.scale
+    dyt, grads2 = _stage_two_backward(st, params, d_out)
+
+    # Stage one, as matrix products batched over (B, G, U).
+    q, kt, vt = st["q"], st["kt"], st["vt"]
+    w1 = st.pop("w1")  # consumed: freed once de1 is formed
+    dv = _mm_t(_t(w1), _t(dyt))  # (B,G,U,R,C)
+    dw1 = _mm(dyt, vt)  # (B,G,U,TS,R)
     de1 = _softmax_backward(w1, dw1)
-    dqh = scale * np.einsum("bgtsur,burgc->btsgc", de1, kh, optimize=False)
-    dkh = scale * np.einsum("bgtsur,btsgc->burgc", de1, qh, optimize=False)
+    del w1
+    dq = scale * _mm_t(de1, kt).sum(axis=2)  # (B,G,TS,C)
+    dk = scale * _mm_t(_t(de1), _t(q))  # (B,G,U,R,C)
 
-    dq = _merge_heads(dqh)
-    dk = _merge_heads(dkh)
-    dv = _merge_heads(dvh)
+    dq = _heads_last(dq.reshape(b, g, t, s, c))
+    dk = _heads_last(dk)
+    dv = _heads_last(dv)
 
     d_wq = np.einsum("btsd,btse->de", dq, x, optimize=False)
     d_wk = np.einsum("btsd,btse->de", dk, x, optimize=False)
@@ -124,11 +205,8 @@ def _pass_backward(
     dx += np.einsum("btsd,de->btse", dk, s1.w_k, optimize=False)
     dx += np.einsum("btsd,de->btse", dv, s1.w_v, optimize=False)
 
-    grads = AttentionParamGrads(
-        stage1=ProjectionGrads(d_wq, d_wk, d_wv, db_q1, db_k1, db_v1),
-        stage2=ProjectionGrads(d_uq, d_uk, d_uv, db_q2, db_k2, db_v2),
-    )
-    return dx, grads
+    grads1 = ProjectionGrads(d_wq, d_wk, d_wv, db_q1, db_k1, db_v1)
+    return dx, AttentionParamGrads(stage1=grads1, stage2=grads2)
 
 
 def _prenorm_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
@@ -146,7 +224,7 @@ def _prenorm_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 def _axial_state(f: np.ndarray, params: AttentionParams, axis: str) -> tuple:
     """The sequence and pass cache of one axial pass; its output is cache["out"]."""
     x = to_sequence(f, axis)
-    return x, _pass_forward(prenorm(x), params, None)
+    return x, _recompute(prenorm(x), params)
 
 
 def _axial_backward(
@@ -179,7 +257,7 @@ def trajectory_backward(
 
     state_h = _axial_state(f, params_h, "h")
     state_w = _axial_state(f + from_sequence(state_h[1]["out"], "h"), params_w, "w")
-
     d_mid, grads_w = _axial_backward(params_w, state_w, upstream, "w")
+    del state_w  # the H backward holds one pass's state, not two
     d_f, grads_h = _axial_backward(params_h, state_h, d_mid, "h")
     return AxialPairGrads(d_input=d_f, params_h=grads_h, params_w=grads_w)

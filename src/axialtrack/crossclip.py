@@ -16,7 +16,6 @@ from .attention import LN_EPS, AttentionParams, attention_params, prenorm, traje
 from .errors import ConfigError, DimensionError
 from .segmenter import PipelineParams, Tube, link_video
 from .tensor import (
-    MacCounter,
     as_array,
     atrous_conv1d,
     layer_norm,
@@ -63,13 +62,13 @@ class CrossClipBlock:
 
 
 def query_trajectory_attention(
-    z, params: AttentionParams, *, counter: MacCounter | None = None, return_field: bool = False
+    z, params: AttentionParams, *, return_field: bool = False
 ):
     """Trajectory attention over clips (frame axis = clip index, attended
     axis = query index), pre-norm residual; shape preserved."""
     z = as_array(z)
     _validate_query_tensor(z)
-    y, fld = trajectory_pass_1d(prenorm(z[None]), params, counter=counter)
+    y, fld = trajectory_pass_1d(prenorm(z[None]), params)
     out = z + y[0]
     return (out, fld) if return_field else out
 
@@ -87,14 +86,12 @@ def temporal_aspp(z, params: AsppParams) -> np.ndarray:
     return z + layer_norm(fused, params.ln_gamma, params.ln_beta, LN_EPS)
 
 
-def cross_clip_forward(
-    z, blocks: list[CrossClipBlock], counter: MacCounter | None = None
-) -> np.ndarray:
+def cross_clip_forward(z, blocks: list[CrossClipBlock]) -> np.ndarray:
     """Stack attention and temporal pyramid blocks; zero blocks is the identity."""
     z = as_array(z)
     _validate_query_tensor(z)
     for blk in blocks:
-        z = query_trajectory_attention(z, blk.attn, counter=counter)
+        z = query_trajectory_attention(z, blk.attn)
         z = temporal_aspp(z, blk.aspp)
     return z
 

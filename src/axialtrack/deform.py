@@ -14,7 +14,7 @@ import numpy as np
 
 from .attention import AttentionParams, attention_params, axial_trajectory_h, axial_trajectory_w
 from .errors import DimensionError
-from .tensor import MacCounter, as_array, bilinear_sample, softmax_last
+from .tensor import as_array, bilinear_sample, softmax_last
 
 
 @dataclass
@@ -130,7 +130,7 @@ class WithinClipBlock:
 
 
 def within_clip_forward(
-    pyr: FeaturePyramid, blocks: list[WithinClipBlock], counter: MacCounter | None = None
+    pyr: FeaturePyramid, blocks: list[WithinClipBlock]
 ) -> FeaturePyramid:
     """Stack deformable sampling and per-level H/W axial passes; shapes preserved."""
     pyr.validate()
@@ -138,8 +138,8 @@ def within_clip_forward(
         pyr = msdeform_simplified(pyr, blk.deform)
         levels = []
         for lvl in pyr.levels:
-            lvl = axial_trajectory_h(lvl, blk.attn_h, counter=counter)
-            lvl = axial_trajectory_w(lvl, blk.attn_w, counter=counter)
+            lvl = axial_trajectory_h(lvl, blk.attn_h)
+            lvl = axial_trajectory_w(lvl, blk.attn_w)
             levels.append(lvl)
         pyr = FeaturePyramid(levels)
     return pyr

@@ -19,9 +19,11 @@ from .attention import (
     attention_params,
     axial_trajectory_h,
     axial_trajectory_w,
+    check_stage_one,
     full_trajectory_reference,
 )
 from .config import ModelConfig
+from .errors import ResourceGuardError
 from .tensor import MacCounter
 
 CATEGORIES = (
@@ -96,8 +98,20 @@ class MacReport:
 
 
 def count_macs(cfg: ModelConfig, cap: int = DEFAULT_REFERENCE_CAP) -> MacReport:
-    """Run both schemes on seeded random features and compare counts."""
+    """Run both schemes on seeded random features and compare counts.
+
+    Shapes above the reference cap or the stage-one limit are refused
+    before the features are drawn.
+    """
     cfg.validate()
+    t, h, w = cfg.t, cfg.h, cfg.w
+    if t * h * w > cap:
+        raise ResourceGuardError(
+            f"bench refused: (T, D, H, W) = {(t, cfg.d, h, w)} has T*H*W = {t * h * w}, "
+            f"above the reference cap {cap}"
+        )
+    # The reference pass's stage-one product bounds those of both axial passes.
+    check_stage_one((1, t, h * w, cfg.d))
     rng = np.random.default_rng(cfg.seed)
     feats = rng.normal(0.0, 1.0, size=(cfg.t, cfg.d, cfg.h, cfg.w))
     params = attention_params(cfg.d, rng, heads=cfg.heads, scale=cfg.scale())

@@ -1,8 +1,10 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from axialtrack import attention, tensor
 from axialtrack.attention import attention_params, axial_trajectory_h, axial_trajectory_w
 from axialtrack.backward import trajectory_backward
 from axialtrack.errors import DimensionError
@@ -115,6 +117,47 @@ class TestTrajectoryBackward:
         upstream = rng.normal(size=f.shape)
         g = trajectory_backward(f, ph, pw, upstream)
         assert _rel_err(g.d_input, _fd_input(f, ph, pw, upstream)) < TOL
+
+    def test_multi_head_projection_and_bias_gradients(self):
+        rng = np.random.default_rng(20)
+        f = rng.normal(size=(2, 4, 2, 3))
+        ph = _params(4, 21, heads=2, bias=True)
+        pw = _params(4, 22, heads=2, bias=True)
+        upstream = rng.normal(size=f.shape)
+        g = trajectory_backward(f, ph, pw, upstream)
+        for which, grads in (("h", g.params_h), ("w", g.params_w)):
+            for stage in ("stage1", "stage2"):
+                for name in ("w_q", "w_k", "w_v", "b_q", "b_k", "b_v"):
+                    fd = _fd_param(f, ph, pw, upstream, which, stage, name)
+                    analytic = getattr(getattr(grads, stage), name)
+                    assert _rel_err(analytic, fd) < TOL, (which, stage, name)
+
+    def test_no_sorted_reduction(self, monkeypatch):
+        # Sorted order only serves the forward's permutation equivariance.
+        def sorted_call(*args, **kwargs):
+            raise AssertionError("the backward called a sorted reduction")
+
+        for module in (attention, tensor):
+            monkeypatch.setattr(module, "sorted_sum", sorted_call)
+            monkeypatch.setattr(module, "softmax_last", sorted_call)
+        f = np.random.default_rng(23).normal(size=(2, 4, 3, 2))
+        trajectory_backward(f, _params(4, 24, heads=2), _params(4, 25, heads=2), f)
+
+    def test_peak_below_one_stage_one_product(self):
+        # Stage one runs as matrix products on (B, G, U, T*S, R) weights; one
+        # (B, G, T, S, U, R, C) product of the larger pass alone fills the bound.
+        t, d, h, w = 4, 16, 24, 24
+        rng = np.random.default_rng(26)
+        f = rng.normal(size=(t, d, h, w))
+        ph, pw = _params(d, 27, heads=2), _params(d, 28, heads=2)
+        upstream = rng.normal(size=f.shape)
+        tracemalloc.start()
+        try:
+            trajectory_backward(f, ph, pw, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * max(w * t * t * h * h * d, h * t * t * w * w * d)
 
     def test_shape_mismatch_rejected(self):
         f = np.zeros((2, 4, 3, 3))

@@ -79,6 +79,17 @@ class TestBench:
         for point in report.values():
             assert point["exact_match"] is True
 
+    def test_huge_frames_refused(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("features drawn before the size checks")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        out = tmp_path / "huge"
+        rc = cli_main(["bench", "--h", "100000", "--w", "100000", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "reference cap" in err and "100000" in err
+
 
 class TestAttn:
     def test_dump(self, tmp_path):

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from axialtrack.config import ModelConfig
@@ -51,3 +54,18 @@ class TestCountMacs:
     def test_reference_guard_propagates(self):
         with pytest.raises(ResourceGuardError):
             count_macs(ModelConfig(t=2, h=64, w=64, d=4), cap=1000)
+
+    @pytest.mark.parametrize("cfg, words", [
+        (ModelConfig(t=2, h=100000, w=100000, d=8), "(2, 8, 100000, 100000)"),
+        # T*H*W is at the cap; the H pass's stage-one product is 2 GiB.
+        (ModelConfig(t=2, h=2048, w=1, d=16), "stage-one product"),
+        # Both axial passes fit; the reference pass needs 2 GiB.
+        (ModelConfig(t=4, h=32, w=32, d=16), "(1, 4, 1024, 16)"),
+    ])
+    def test_refused_before_the_features_are_drawn(self, monkeypatch, cfg, words):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("features drawn before the size checks")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ResourceGuardError, match=re.escape(words)):
+            count_macs(cfg)
