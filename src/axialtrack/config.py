@@ -9,10 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceGuardError
 
 SCALE_RSQRT_D = "rsqrt_d"
 SCALE_ONE = "one"
+# Bound on the finest-level deformable sampler's (T, H*W*K, D) samples plus
+# (T, H*W, 3K) weights, which one gather per level holds for a whole clip.
+SAMPLER_BYTES_LIMIT = 2 ** 30
 
 _INT_KEYS = ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "heads", "k_sample", "seed")
 
@@ -55,15 +58,23 @@ class ModelConfig:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
     def validate_pipeline(self) -> None:
-        """`validate`, plus the frame-size rule of the segmentation pipeline.
+        """`validate`, plus the frame-size and sampler-size rules of the pipeline.
 
         MAC accounting runs the attention alone at any extents; the
-        pipeline's feature pyramid halves H and W twice.
+        pipeline's feature pyramid halves H and W twice, and its
+        deformable sampler must fit `SAMPLER_BYTES_LIMIT`.
         """
         self.validate()
         for key in ("h", "w"):
             if getattr(self, key) % 4:
                 raise ConfigError(f"{key} must be divisible by 4, got {getattr(self, key)}")
+        sampler = 8 * self.t * self.h * self.w * self.k_sample * (self.d + 3)
+        if sampler > SAMPLER_BYTES_LIMIT:
+            raise ResourceGuardError(
+                f"deformable sampling refused: t={self.t}, h={self.h}, w={self.w}, "
+                f"k_sample={self.k_sample}, d={self.d} need {sampler} bytes of finest-level "
+                f"samples and weights, above the limit of {SAMPLER_BYTES_LIMIT} bytes"
+            )
 
     def scale(self) -> float:
         if self.scale_mode == SCALE_ONE:

@@ -61,16 +61,13 @@ class CrossClipBlock:
     aspp: AsppParams
 
 
-def query_trajectory_attention(
-    z, params: AttentionParams, *, return_field: bool = False
-):
+def query_trajectory_attention(z, params: AttentionParams) -> np.ndarray:
     """Trajectory attention over clips (frame axis = clip index, attended
     axis = query index), pre-norm residual; shape preserved."""
     z = as_array(z)
     _validate_query_tensor(z)
-    y, fld = trajectory_pass_1d(prenorm(z[None]), params)
-    out = z + y[0]
-    return (out, fld) if return_field else out
+    y, _ = trajectory_pass_1d(prenorm(z[None]), params)
+    return z + y[0]
 
 
 def temporal_aspp(z, params: AsppParams) -> np.ndarray:

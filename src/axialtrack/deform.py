@@ -1,9 +1,9 @@
 """Within-clip feature mixing over a three-level pyramid.
 
-Each block applies per-frame multi-scale deformable sampling (spatial
-mixing, no temporal exchange) followed by axial-trajectory attention
-along the height and then the width axis of every level (temporal
-mixing, no cross-level exchange).
+Each block applies multi-scale deformable sampling (spatial mixing, no
+temporal exchange; one gather per level serves every frame) followed by
+axial-trajectory attention along the height and then the width axis of
+every level (temporal mixing, no cross-level exchange).
 """
 
 from __future__ import annotations
@@ -82,43 +82,37 @@ def _axis_refs(n_from: int, n_to: int) -> np.ndarray:
 
 
 def msdeform_simplified(pyr: FeaturePyramid, params: DeformParams) -> FeaturePyramid:
-    """Per-frame deformable sampling across all three levels, with residual.
+    """Deformable sampling across all three levels, with residual.
 
     For every query pixel: predict K offsets and 3K softmax weights from
     the projected query feature, bilinear-sample each level at the mapped
-    reference plus offset, blend, project, and add to the input. Frames
-    never mix.
+    reference plus offset, blend, project, and add to the input. Each
+    query level runs once over the whole clip; frames never mix.
     """
     pyr.validate()
-    d = pyr.levels[0].shape[1]
+    t, d = pyr.levels[0].shape[:2]
     params.validate(d)
-    t = pyr.levels[0].shape[0]
     k = params.points
 
     out_levels = []
     for lp, lvl in zip(params.levels, pyr.levels):
         hq, wq = lvl.shape[2:]
-        base = []
-        for tgt in pyr.levels:
+        pix = lvl.transpose(0, 2, 3, 1).reshape(t, -1, d)  # (T, P, D)
+        q = np.einsum("tpe,de->tpd", pix, lp.w_query, optimize=False)
+        off = np.einsum("tpe,oe->tpo", q, lp.w_offset, optimize=False).reshape(t, -1, k, 2)
+        wts = softmax_last(np.einsum("tpe,oe->tpo", q, lp.w_weight, optimize=False))
+        agg = np.zeros_like(pix)
+        for m, tgt in enumerate(pyr.levels):
             ys = _axis_refs(hq, tgt.shape[2])
             xs = _axis_refs(wq, tgt.shape[3])
-            grid = np.stack(np.meshgrid(ys, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-            base.append(grid)  # (H*W, 2)
-        frames = []
-        for ti in range(t):
-            pix = lvl[ti].transpose(1, 2, 0).reshape(-1, d)  # (P, D)
-            q = np.einsum("pe,de->pd", pix, lp.w_query, optimize=False)
-            off = np.einsum("pe,oe->po", q, lp.w_offset, optimize=False).reshape(-1, k, 2)
-            wts = softmax_last(np.einsum("pe,oe->po", q, lp.w_weight, optimize=False))
-            agg = np.zeros_like(pix)
-            for m, tgt in enumerate(pyr.levels):
-                pts = base[m][:, None, :] + off  # (P, K, 2)
-                smp = bilinear_sample(tgt[ti], pts.reshape(-1, 2)).reshape(-1, k, d)
-                for kk in range(k):
-                    agg += wts[:, m * k + kk, None] * smp[:, kk]
-            outp = pix + np.einsum("pe,de->pd", agg, lp.w_out, optimize=False)
-            frames.append(outp.reshape(hq, wq, d).transpose(2, 0, 1))
-        out_levels.append(np.stack(frames))
+            grid = np.stack(np.meshgrid(ys, xs, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+            pts = (grid + off).reshape(t, -1, 2)  # (T, P*K, 2)
+            smp = bilinear_sample(tgt, pts).reshape(t, -1, k, d)
+            for kk in range(k):
+                agg += wts[..., m * k + kk, None] * smp[:, :, kk]
+        outp = pix + np.einsum("tpe,de->tpd", agg, lp.w_out, optimize=False)
+        # C order, since downstream einsums may sum in a stride-dependent order.
+        out_levels.append(np.ascontiguousarray(outp.reshape(t, hq, wq, d).transpose(0, 3, 1, 2)))
     return FeaturePyramid(out_levels)
 
 

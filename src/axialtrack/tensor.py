@@ -115,23 +115,30 @@ def atrous_conv1d(x, kernel, rate: int) -> np.ndarray:
 
 
 def bilinear_sample(feature, points) -> np.ndarray:
-    """Sample a (channels, H, W) map at continuous (y, x) points.
+    """Sample (..., channels, H, W) maps at continuous (y, x) points (..., N, 2).
 
-    Four-corner interpolation; corners outside the grid contribute zero,
-    so the function is total in the coordinates. Returns (points, channels).
+    Leading axes are batch axes and must match; a single (channels, H, W)
+    map takes (N, 2) points. The four corners are gathered from one
+    channels-last copy of the maps with a one-pixel zero border, and
+    corner indices are clipped onto that border, so corners outside the
+    grid read an exact zero. Returns (..., N, channels).
     """
     feature = as_array(feature)
-    if feature.ndim != 3:
-        raise DimensionError(f"bilinear_sample expects (channels, H, W), got {feature.shape}")
-    pts = as_array(points).reshape(-1, 2)
-    _, h, w = feature.shape
-    y = pts[:, 0]
-    x = pts[:, 1]
-    y0 = np.floor(y).astype(np.int64)
-    x0 = np.floor(x).astype(np.int64)
-    fy = y - y0
-    fx = x - x0
-    out = np.zeros((pts.shape[0], feature.shape[0]))
+    pts = as_array(points)
+    batch = feature.shape[:-3]
+    if feature.ndim < 3 or pts.ndim < 2 or pts.shape[:-2] != batch or pts.shape[-1] != 2:
+        raise DimensionError(
+            f"bilinear_sample expects (..., channels, H, W) maps and (..., N, 2) points "
+            f"with the same leading axes, got {feature.shape} and {pts.shape}"
+        )
+    c, h, w = feature.shape[-3:]
+    padded = np.zeros(batch + (h + 2, w + 2, c))
+    padded[..., 1:-1, 1:-1, :] = np.moveaxis(feature, -3, -1)
+    rows = padded.reshape(-1, c)
+    map_start = np.arange(0, rows.shape[0], (h + 2) * (w + 2)).reshape(batch + (1,))
+    low = np.floor(pts).astype(np.int64)  # top-left corner
+    fy, fx = np.moveaxis(pts - low, -1, 0)
+    out = np.zeros(pts.shape[:-1] + (c,))
     corners = (
         (0, 0, (1.0 - fy) * (1.0 - fx)),
         (0, 1, (1.0 - fy) * fx),
@@ -139,13 +146,9 @@ def bilinear_sample(feature, points) -> np.ndarray:
         (1, 1, fy * fx),
     )
     for oy, ox, wt in corners:
-        yi = y0 + oy
-        xi = x0 + ox
-        inside = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        yc = np.clip(yi, 0, h - 1)
-        xc = np.clip(xi, 0, w - 1)
-        vals = feature[:, yc, xc].T
-        out += np.where(inside[:, None], wt[:, None] * vals, 0.0)
+        yi = np.clip(low[..., 0] + oy, -1, h) + 1
+        xi = np.clip(low[..., 1] + ox, -1, w) + 1
+        out += wt[..., None] * rows[map_start + yi * (w + 2) + xi]
     return out
 
 

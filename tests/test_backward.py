@@ -109,6 +109,22 @@ class TestTrajectoryBackward:
             fd2 = _fd_param(f, ph, pw, upstream, "w", "stage2", name)
             assert _rel_err(getattr(g.params_w.stage2, name), fd2) < TOL, name
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_key_bias_gradient_is_rounding_noise(self, heads):
+        # A key bias shifts every logit of a softmax row by the same amount,
+        # so it cannot change any output and its exact gradient is zero.
+        for seed, shape in enumerate([(2, 4, 2, 2), (2, 4, 2, 3), (3, 4, 3, 2), (2, 4, 3, 3)]):
+            rng = np.random.default_rng(50 + seed)
+            f = rng.normal(size=shape)
+            ph = _params(4, 60 + seed, heads=heads, bias=True)
+            pw = _params(4, 70 + seed, heads=heads, bias=True)
+            g = trajectory_backward(f, ph, pw, rng.normal(size=shape))
+            for which, grads in (("h", g.params_h), ("w", g.params_w)):
+                for stage in ("stage1", "stage2"):
+                    sg = getattr(grads, stage)
+                    scale = max(np.max(np.abs(w)) for w in (sg.w_q, sg.w_k, sg.w_v))
+                    assert np.max(np.abs(sg.b_k)) <= 1e-12 * scale, (shape, which, stage)
+
     def test_multi_head_input_gradient(self):
         rng = np.random.default_rng(15)
         f = rng.normal(size=(2, 4, 3, 3))

@@ -267,6 +267,19 @@ class TestErrors:
         assert rc == 1
         assert "'1,x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["demo", "attn"])
+    def test_huge_k_sample_refused(self, tmp_path, capsys, monkeypatch, command):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("parameters drawn before the sampler size check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        k = 10 ** 12
+        rc = cli_main([command, "--k-sample", str(k), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "deformable sampling refused" in err
+        assert f"k_sample={k}" in err and str(8 * 2 * 32 * 32 * k * (8 + 3)) in err
+
     def test_internal_value_error_exits_two(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):
             raise ValueError("broken invariant")

@@ -1,7 +1,8 @@
 import pytest
 
+from axialtrack import config
 from axialtrack.config import ModelConfig, format_config, load_config, parse_config
-from axialtrack.errors import ConfigError
+from axialtrack.errors import ConfigError, ResourceGuardError
 
 
 class TestModelConfig:
@@ -35,6 +36,18 @@ class TestModelConfig:
             bad.validate()  # MAC accounting still accepts it
             with pytest.raises(ConfigError, match=f"{key} must be divisible by 4"):
                 bad.validate_pipeline()
+
+    def test_pipeline_sampler_bytes_bounded(self, monkeypatch):
+        # Finest-level samples (T, H*W*K, D) plus weights (T, H*W, 3K), float64.
+        cfg = ModelConfig(t=3, h=8, w=12, k_sample=5, d=6)
+        need = 8 * 3 * 8 * 12 * 5 * (6 + 3)
+        monkeypatch.setattr(config, "SAMPLER_BYTES_LIMIT", need)
+        cfg.validate_pipeline()
+        monkeypatch.setattr(config, "SAMPLER_BYTES_LIMIT", need - 1)
+        with pytest.raises(ResourceGuardError) as err:
+            cfg.validate_pipeline()
+        for part in ("t=3", "h=8", "w=12", "k_sample=5", "d=6", str(need)):
+            assert part in str(err.value)
 
 
 class TestConfigText:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from axialtrack.attention import LN_EPS, attention_params
+from axialtrack.attention import LN_EPS, attention_params, prenorm, trajectory_pass_1d
 from axialtrack.config import ModelConfig
 from axialtrack.crossclip import (
     AsppParams,
@@ -31,7 +31,9 @@ class TestQueryTrajectoryAttention:
     def test_single_clip_degeneracy(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(1, 4, 6))
-        out, field = query_trajectory_attention(z, _attn(6, 1), return_field=True)
+        p = _attn(6, 1)
+        out = query_trajectory_attention(z, p)
+        _, field = trajectory_pass_1d(prenorm(z[None]), p)
         assert np.array_equal(field.stage2, np.ones_like(field.stage2))
         assert out.shape == z.shape
 
@@ -40,7 +42,7 @@ class TestQueryTrajectoryAttention:
         z = rng.normal(size=(3, 5, 4))
         p = _attn(4, 3)
         p.stage1.w_k = np.zeros((4, 4))
-        _, field = query_trajectory_attention(z, p, return_field=True)
+        _, field = trajectory_pass_1d(prenorm(z[None]), p)
         np.testing.assert_allclose(field.stage1, 1.0 / 5.0, atol=1e-12)
 
     def test_matches_naive_oracle(self):

@@ -20,8 +20,19 @@ from oracles import naive_msdeform
 
 
 def _pyramid(rng, t=2, d=4, hw=8):
-    fine = rng.normal(size=(t, d, hw, hw))
-    return build_pyramid(fine)
+    h, w = hw if isinstance(hw, tuple) else (hw, hw)
+    return build_pyramid(rng.normal(size=(t, d, h, w)))
+
+
+def _randomized_params(d, k, seed):
+    # Real predictor values, so offsets reach past the borders and weights matter.
+    params = deform_params(d, k, np.random.default_rng(seed))
+    gen = np.random.default_rng(seed + 1)
+    for lp in params.levels:
+        lp.w_query = gen.normal(0.0, 0.5, size=lp.w_query.shape)
+        lp.w_offset = gen.normal(0.0, 0.5, size=lp.w_offset.shape)
+        lp.w_weight = gen.normal(0.0, 0.5, size=lp.w_weight.shape)
+    return params
 
 
 def _aligned_identity_params(d, k):
@@ -82,18 +93,25 @@ class TestMsDeform:
             assert not np.array_equal(lvl_a[0], lvl_b[0])
 
     def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(3)
-        pyr = _pyramid(rng, t=2, d=3, hw=4)
-        params = deform_params(3, 2, np.random.default_rng(4))
-        # Give the predictors real values so offsets and weights matter.
-        gen = np.random.default_rng(5)
-        for lp in params.levels:
-            lp.w_offset = gen.normal(0.0, 0.5, size=lp.w_offset.shape)
-            lp.w_weight = gen.normal(0.0, 0.5, size=lp.w_weight.shape)
+        for t, d, hw, k in [(2, 3, 4, 2), (3, 3, (8, 12), 1), (3, 3, (8, 12), 4)]:
+            pyr = _pyramid(np.random.default_rng(3), t=t, d=d, hw=hw)
+            params = _randomized_params(d, k, 4)
+            got = msdeform_simplified(pyr, params)
+            want = naive_msdeform(pyr.levels, params)
+            for lvl, ref in zip(got.levels, want):
+                np.testing.assert_allclose(lvl, ref, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_clip_matches_single_frames_bitwise(self, k):
+        pyr = _pyramid(np.random.default_rng(14), t=3, d=4, hw=(8, 12))
+        params = _randomized_params(4, k, 15)
         got = msdeform_simplified(pyr, params)
-        want = naive_msdeform(pyr.levels, params)
-        for lvl, ref in zip(got.levels, want):
-            np.testing.assert_allclose(lvl, ref, atol=1e-10)
+        frames = [
+            msdeform_simplified(FeaturePyramid([lvl[ti:ti + 1] for lvl in pyr.levels]), params)
+            for ti in range(3)
+        ]
+        for m, lvl in enumerate(got.levels):
+            assert np.array_equal(lvl, np.concatenate([f.levels[m] for f in frames]))
 
     def test_identity_params_are_identity(self):
         rng = np.random.default_rng(6)

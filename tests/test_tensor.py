@@ -151,6 +151,34 @@ class TestBilinearSample:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+    @pytest.mark.parametrize("batch", [(3,), (2, 2)])
+    def test_batch_matches_stacked_single_maps(self, batch):
+        rng = np.random.default_rng(30)
+        c, h, w = 4, 5, 7
+        feat = rng.normal(size=batch + (c, h, w))
+        edges = [
+            (h - 1, 2.0), (h - 1, w - 1), (1.0, w - 1), (0.0, 0.0),  # last row and column
+            (-2.5, 3.0), (h + 1.5, 3.0), (2.0, -3.0), (2.0, w + 2.0),  # > 1 pixel outside
+            (-0.3, -0.7), (-1.0, 2.5), (3.5, -0.25), (-4.0, -9.0),  # negative
+        ]
+        pts = np.concatenate(
+            [np.broadcast_to(edges, batch + (len(edges), 2)),
+             rng.uniform(-2.0, 9.0, size=batch + (30, 2))],
+            axis=-2,
+        )
+        got = bilinear_sample(feat, pts)
+        assert got.shape == batch + (pts.shape[-2], c)
+        for idx in np.ndindex(batch):
+            assert np.array_equal(got[idx], bilinear_sample(feat[idx], pts[idx]))
+            want = np.stack([naive_bilinear_point(feat[idx], y, x) for y, x in pts[idx]])
+            np.testing.assert_allclose(got[idx], want, atol=1e-12)
+
+    @pytest.mark.parametrize("pts_shape", [(2, 5, 2), (5, 2), (3, 5, 3), (1, 3, 5, 2)])
+    def test_mismatched_batch_axes_rejected(self, pts_shape):
+        with pytest.raises(DimensionError):
+            bilinear_sample(np.zeros((3, 2, 4, 4)), np.zeros(pts_shape))
+
+
 class TestSortedSum:
     def test_permutation_invariant_bitwise(self):
         rng = np.random.default_rng(12)
