@@ -38,9 +38,6 @@ class Assignment:
     pairs: tuple[tuple[int, int], ...]
     total: float
 
-    def col_of_row(self) -> dict[int, int]:
-        return {i: j for i, j in self.pairs}
-
 
 def _flat_total(cost: np.ndarray, pairs) -> float:
     total = 0.0

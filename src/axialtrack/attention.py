@@ -232,25 +232,21 @@ def prenorm(x) -> np.ndarray:
     return layer_norm(x, np.ones(d), np.zeros(d), LN_EPS)
 
 
-def _axial_pass(f, params: AttentionParams, axis: str, counter, return_field: bool):
+def _axial_pass(f, params: AttentionParams, axis: str, counter: MacCounter | None = None):
+    """Pre-norm residual pass along `axis`; returns the output and its field."""
     f = as_array(f)
     y, fld = trajectory_pass_1d(prenorm(to_sequence(f, axis)), params, counter=counter)
-    out = f + from_sequence(y, axis)
-    return (out, fld) if return_field else out
+    return f + from_sequence(y, axis), fld
 
 
-def axial_trajectory_h(
-    f, params: AttentionParams, *, counter: MacCounter | None = None, return_field: bool = False
-):
+def axial_trajectory_h(f, params: AttentionParams, *, counter: MacCounter | None = None):
     """Trajectory pass along the height axis with width as batch, pre-norm residual."""
-    return _axial_pass(f, params, "h", counter, return_field)
+    return _axial_pass(f, params, "h", counter)[0]
 
 
-def axial_trajectory_w(
-    f, params: AttentionParams, *, counter: MacCounter | None = None, return_field: bool = False
-):
+def axial_trajectory_w(f, params: AttentionParams, *, counter: MacCounter | None = None):
     """Trajectory pass along the width axis with height as batch, pre-norm residual."""
-    return _axial_pass(f, params, "w", counter, return_field)
+    return _axial_pass(f, params, "w", counter)[0]
 
 
 def full_trajectory_reference(
@@ -259,8 +255,7 @@ def full_trajectory_reference(
     *,
     cap: int = DEFAULT_REFERENCE_CAP,
     counter: MacCounter | None = None,
-    return_field: bool = False,
-):
+) -> np.ndarray:
     """Undecomposed trajectory attention over the joint H*W axis.
 
     Stage one attends over all H*W positions of each target frame, so the
@@ -274,9 +269,8 @@ def full_trajectory_reference(
             f"reference pass refused: T*H*W = {t * h * w} exceeds cap {cap}"
         )
     x = np.ascontiguousarray(f.transpose(0, 2, 3, 1).reshape(1, t, h * w, d))
-    y, fld = trajectory_pass_1d(prenorm(x), params, counter=counter)
-    out = f + y.reshape(t, h, w, d).transpose(0, 3, 1, 2)
-    return (out, fld) if return_field else out
+    y, _ = trajectory_pass_1d(prenorm(x), params, counter=counter)
+    return f + y.reshape(t, h, w, d).transpose(0, 3, 1, 2)
 
 
 def projection_weights(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .attention import LN_EPS, AttentionParams, attention_params, prenorm, trajectory_pass_1d
 from .errors import ConfigError, DimensionError
-from .segmenter import PipelineParams, Tube, link_video
+from .segmenter import PipelineParams, Tube, link_video, stacked_tubes
 from .tensor import (
     as_array,
     atrous_conv1d,
@@ -127,10 +127,8 @@ def offline_inference(video, params: PipelineParams) -> list[Tube]:
     linked = link_video(video, params)
     z = cross_clip_forward(linked.aligned_queries, params.cross_blocks)
     probs = temporal_class_head(z, params.class_head, params.class_kernel)
-    logits = np.einsum("knd,ktdhw->nkthw", z, np.stack(linked.clip_features), optimize=False)
-    n, k, t, h, w = logits.shape
-    masks = logistic(logits).reshape(n, k * t, h, w)[:, : linked.length]
-    return [Tube(masks[i], probs[i], track_id=i) for i in range(n)]
+    logits = np.einsum("knd,ktdhw->nkthw", z, linked.clip_features, optimize=False)
+    return stacked_tubes(logistic(logits), probs, linked.length)
 
 
 def aspp_params(

@@ -141,8 +141,6 @@ def within_clip_forward(
 
 def _pool2(f: np.ndarray) -> np.ndarray:
     t, d, h, w = f.shape
-    if h % 2 or w % 2:
-        raise DimensionError(f"pooling needs even spatial extents, got {f.shape}")
     return f.reshape(t, d, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
 
 
@@ -152,8 +150,8 @@ def build_pyramid(f) -> FeaturePyramid:
     The input acts as the finest level; H and W must be divisible by 4.
     """
     f = as_array(f)
-    if f.ndim != 4:
-        raise DimensionError(f"expected (T, D, H, W) features, got {f.shape}")
+    if f.ndim != 4 or f.shape[2] % 4 or f.shape[3] % 4:
+        raise DimensionError(f"pyramid needs (T, D, H, W) with H, W divisible by 4, got {f.shape}")
     half = _pool2(f)
     quarter = _pool2(half)
     return FeaturePyramid([quarter, half, f])

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .attention import AttentionParams, TrajectoryField, axial_trajectory_h, axial_trajectory_w
+from .attention import AttentionParams, TrajectoryField, _axial_pass
 from .errors import DimensionError
 from .pgm import write_pgm
 from .segmenter import split_into_clips
@@ -25,8 +25,8 @@ def axial_fields(
     f, params_h: AttentionParams, params_w: AttentionParams
 ) -> tuple[TrajectoryField, TrajectoryField]:
     """Height-pass field on the features, width-pass field on the height output."""
-    mid, field_h = axial_trajectory_h(f, params_h, return_field=True)
-    _, field_w = axial_trajectory_w(mid, params_w, return_field=True)
+    mid, field_h = _axial_pass(f, params_h, "h")
+    _, field_w = _axial_pass(mid, params_w, "w")
     return field_h, field_w
 
 

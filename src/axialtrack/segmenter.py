@@ -61,8 +61,8 @@ def split_into_clips(video, t: int) -> list[np.ndarray]:
     final clip. Clip length must be at least 2.
     """
     video = as_array(video)
-    if video.ndim != 4:
-        raise DimensionError(f"video must be (L, D, H, W), got {video.shape}")
+    if video.ndim != 4 or video.shape[0] < 1:
+        raise DimensionError(f"video must be (L, D, H, W) with L >= 1, got {video.shape}")
     if t < 2:
         raise ConfigError(f"clip length must be >= 2, got {t}")
     length = video.shape[0]
@@ -117,9 +117,10 @@ def decode_clip_queries(f, init: ClipQuerySet, decoder: DecoderParams) -> ClipQu
     return ClipQuerySet(q, init.clip_index)
 
 
-def predict_clip_tubes(queries: ClipQuerySet, f, class_head) -> list[Tube]:
-    """One tube per query: per-pixel dot-product mask logits through a
-    logistic, class logits through the (D, C) head and a softmax."""
+def predict_clip_tubes(queries: ClipQuerySet, f, class_head) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T, H, W) masks and (N, C) class distributions, one row per query:
+    per-pixel dot-product mask logits through a logistic, class logits
+    through the (D, C) head and a softmax."""
     f = as_array(f)
     class_head = as_array(class_head)
     queries.validate()
@@ -129,9 +130,8 @@ def predict_clip_tubes(queries: ClipQuerySet, f, class_head) -> list[Tube]:
             f"channel mismatch: queries {q.shape}, features {f.shape}, head {class_head.shape}"
         )
     logits = np.einsum("nd,tdhw->nthw", q, f, optimize=False)
-    masks = logistic(logits)
     probs = softmax_last(np.einsum("nd,dc->nc", q, class_head, optimize=False))
-    return [Tube(masks[i], probs[i], track_id=i) for i in range(q.shape[0])]
+    return logistic(logits), probs
 
 
 def associate_clips(prev: ClipQuerySet, nxt: ClipQuerySet) -> Assignment:
@@ -168,18 +168,20 @@ class PipelineParams:
 @dataclass
 class ClipResult:
     queries: ClipQuerySet
-    features: np.ndarray  # finest-level (T, D, H, W) after within-clip mixing
-    tubes: list[Tube]
+    features: np.ndarray     # finest-level (T, D, H, W) after within-clip mixing
+    masks: np.ndarray        # (N, T, H, W)
+    class_probs: np.ndarray  # (N, C)
 
 
 @dataclass
 class LinkedVideo:
-    """Clip results re-indexed so row n is track n everywhere."""
+    """Clip results stacked in track order: row n is track n in every clip."""
 
-    aligned_queries: np.ndarray   # (K, N, D)
-    clip_features: list[np.ndarray]
-    clip_tubes: list[list[Tube]]
-    length: int                   # original frame count, before padding
+    aligned_queries: np.ndarray  # (K, N, D)
+    clip_features: np.ndarray    # (K, T, D, H, W)
+    masks: np.ndarray            # (N, K, T, H, W)
+    class_probs: np.ndarray      # (N, K, C)
+    length: int                  # original frame count, before padding
 
 
 def run_clip(clip, params: PipelineParams, clip_index: int) -> ClipResult:
@@ -188,34 +190,24 @@ def run_clip(clip, params: PipelineParams, clip_index: int) -> ClipResult:
     pyr = within_clip_forward(pyr, params.within_blocks)
     feats = pyr.levels[-1]
     qs = decode_clip_queries(feats, ClipQuerySet(params.init_queries, clip_index), params.decoder)
-    tubes = predict_clip_tubes(qs, feats, params.class_head)
-    return ClipResult(qs, feats, tubes)
+    return ClipResult(qs, feats, *predict_clip_tubes(qs, feats, params.class_head))
 
 
 def link_clip_results(results: list[ClipResult], length: int) -> LinkedVideo:
-    """Chain assignments left to right, remapping every clip to track order."""
-    n = results[0].queries.queries.shape[0]
-    aligned_q = []
-    clip_tubes = []
-    clip_feats = []
-    prev: ClipQuerySet | None = None
-    for k, res in enumerate(results):
-        if prev is None:
-            order = np.arange(n)
-        else:
-            assign = associate_clips(prev, res.queries)
-            mapping = assign.col_of_row()
-            order = np.array([mapping[i] for i in range(n)])
-        q = res.queries.queries[order]
-        tubes = [
-            Tube(res.tubes[j].masks, res.tubes[j].class_probs, track_id=i)
-            for i, j in enumerate(order)
-        ]
-        aligned_q.append(q)
-        clip_tubes.append(tubes)
-        clip_feats.append(res.features)
-        prev = ClipQuerySet(q, k)
-    return LinkedVideo(np.stack(aligned_q), clip_feats, clip_tubes, length)
+    """Chain assignments left to right and stack every clip in track order."""
+    orders = [np.arange(results[0].queries.queries.shape[0])]
+    for k in range(1, len(results)):
+        prev = ClipQuerySet(results[k - 1].queries.queries[orders[-1]], k - 1)
+        pairs = associate_clips(prev, results[k].queries).pairs
+        orders.append(np.array([j for _, j in pairs]))
+    ordered = list(zip(results, orders))
+    return LinkedVideo(
+        np.stack([res.queries.queries[order] for res, order in ordered]),
+        np.stack([res.features for res in results]),
+        np.stack([res.masks[order] for res, order in ordered], axis=1),
+        np.stack([res.class_probs[order] for res, order in ordered], axis=1),
+        length,
+    )
 
 
 def _shuffle_results(
@@ -224,15 +216,9 @@ def _shuffle_results(
     # Re-index every clip after the first; linking must undo the shuffle.
     out = [results[0]]
     for res in results[1:]:
-        n = res.queries.queries.shape[0]
-        perm = rng.permutation(n)
-        out.append(
-            ClipResult(
-                queries=ClipQuerySet(res.queries.queries[perm], res.queries.clip_index),
-                features=res.features,
-                tubes=[res.tubes[j] for j in perm],
-            )
-        )
+        perm = rng.permutation(res.queries.queries.shape[0])
+        queries = ClipQuerySet(res.queries.queries[perm], res.queries.clip_index)
+        out.append(ClipResult(queries, res.features, res.masks[perm], res.class_probs[perm]))
     return out
 
 
@@ -247,23 +233,19 @@ def link_video(video, params: PipelineParams, *, shuffle_rng=None) -> LinkedVide
     return link_clip_results(results, video.shape[0])
 
 
-def video_tubes_from_clips(linked: LinkedVideo) -> list[Tube]:
-    """Concatenate per-clip masks into span-L tubes; padding frames drop off.
-
-    The video-level class distribution is the mean of the per-clip ones.
-    """
-    n = linked.aligned_queries.shape[1]
-    tubes = []
-    for i in range(n):
-        masks = np.concatenate([ct[i].masks for ct in linked.clip_tubes], axis=0)
-        probs = np.mean([ct[i].class_probs for ct in linked.clip_tubes], axis=0)
-        tubes.append(Tube(masks[: linked.length], probs, track_id=i))
-    return tubes
+def stacked_tubes(masks: np.ndarray, class_probs: np.ndarray, length: int) -> list[Tube]:
+    """Span-`length` tubes from (N, K, T, H, W) clip masks and (N, C) class
+    distributions: each track's clips run end to end, padding frames drop off."""
+    n, k, t, h, w = masks.shape
+    spans = masks.reshape(n, k * t, h, w)[:, :length]
+    return [Tube(spans[i], class_probs[i], track_id=i) for i in range(n)]
 
 
 def near_online_inference(video, params: PipelineParams, *, shuffle_rng=None) -> list[Tube]:
-    """Clip-by-clip inference chained by query association."""
-    return video_tubes_from_clips(link_video(video, params, shuffle_rng=shuffle_rng))
+    """Clip-by-clip inference chained by query association; a track's class
+    distribution is the mean of its per-clip ones."""
+    linked = link_video(video, params, shuffle_rng=shuffle_rng)
+    return stacked_tubes(linked.masks, linked.class_probs.mean(axis=1), linked.length)
 
 
 def decoder_params(

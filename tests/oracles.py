@@ -3,9 +3,10 @@
 Everything here is written straight from the defining formulas with
 explicit Python loops, plain exp/sum softmaxes (no max shift, no sorted
 reductions), and scalar accumulation. None of it shares code with the
-library kernels it checks; the one exception, `naive_hit_rate`, takes the
-attention fields from the library (the oracles above check those) and
-re-does only the per-reference argmax loop.
+library kernels it checks. Two take library stages that the oracles above
+check: `naive_hit_rate` takes the attention fields and re-does only the
+per-reference argmax loop, and `naive_near_online_tubes` takes each clip's
+run and association and re-does only the linking, one track at a time.
 """
 
 from __future__ import annotations
@@ -310,3 +311,44 @@ def naive_hit_rate(video, gt_masks, moving, clip_len, params_h, params_w):
                         hits += bool(mask[u_global, by, bx])
                         total += 1
     return hits / total if total else 1.0
+
+
+def naive_near_online_tubes(video, params, shuffle_rng=None):
+    """Near-online tubes by per-clip tube lists: each clip's tubes are
+    re-linked through its association mapping, then every track's masks
+    are concatenated and its class distributions averaged as lists."""
+    from axialtrack.segmenter import (
+        ClipQuerySet,
+        Tube,
+        associate_clips,
+        run_clip,
+        split_into_clips,
+    )
+
+    video = np.asarray(video, dtype=np.float64)
+    clip_tubes = []
+    prev = None
+    for k, clip in enumerate(split_into_clips(video, params.clip_len)):
+        res = run_clip(clip, params, k)
+        queries = res.queries.queries
+        n = queries.shape[0]
+        tubes = [Tube(res.masks[j], res.class_probs[j], track_id=j) for j in range(n)]
+        if shuffle_rng is not None and k > 0:
+            perm = shuffle_rng.permutation(n)
+            queries = queries[perm]
+            tubes = [tubes[j] for j in perm]
+        if prev is None:
+            order = list(range(n))
+        else:
+            mapping = dict(associate_clips(prev, ClipQuerySet(queries, k)).pairs)
+            order = [mapping[i] for i in range(n)]
+        clip_tubes.append(
+            [Tube(tubes[j].masks, tubes[j].class_probs, track_id=i) for i, j in enumerate(order)]
+        )
+        prev = ClipQuerySet(queries[order], k)
+    out = []
+    for i in range(len(clip_tubes[0])):
+        masks = np.concatenate([ct[i].masks for ct in clip_tubes], axis=0)
+        probs = np.mean([ct[i].class_probs for ct in clip_tubes], axis=0)
+        out.append(Tube(masks[: video.shape[0]], probs, track_id=i))
+    return out

@@ -10,6 +10,7 @@ from axialtrack.attention import (
     axial_trajectory_h,
     axial_trajectory_w,
     STAGE_ONE_BYTES_LIMIT,
+    _axial_pass,
     from_sequence,
     full_trajectory_reference,
     passthrough_attention_params,
@@ -163,7 +164,7 @@ class TestAxialPasses:
         p = _params(4, 22)
         p.stage1.w_k = np.zeros((4, 4))
         p.stage1.b_k = None
-        _, field = axial_trajectory_h(f, p, return_field=True)
+        _, field = _axial_pass(f, p, "h")
         np.testing.assert_allclose(field.stage1, 1.0 / 5.0, atol=1e-12)
         # Uniform weights pool each target frame to its spatial mean.
         x = to_sequence(f, "h")
@@ -199,8 +200,8 @@ class TestAxialPasses:
         f = rng.normal(size=(2, 4, 3, 5))
         for heads, bias in ((1, False), (2, False), (1, True), (2, True)):
             p = _params(4, 28, heads=heads, bias=bias)
-            direct, fld = axial_trajectory_w(f, p, return_field=True)
-            via_t, fld_t = axial_trajectory_h(np.swapaxes(f, 2, 3), p, return_field=True)
+            direct, fld = _axial_pass(f, p, "w")
+            via_t, fld_t = _axial_pass(np.swapaxes(f, 2, 3), p, "h")
             assert np.array_equal(direct, np.swapaxes(via_t, 2, 3))
             for name in ("values", "stage1", "stage2"):
                 assert np.array_equal(getattr(fld, name), getattr(fld_t, name))

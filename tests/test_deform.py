@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,8 +68,10 @@ class TestPyramid:
             FeaturePyramid(levels).validate()
 
     def test_indivisible_extent_rejected(self):
-        with pytest.raises(DimensionError):
-            build_pyramid(np.zeros((1, 2, 6, 8)))
+        # 6 is even, so the half level would pool; the refusal names the input.
+        for shape in ((1, 2, 6, 8), (4, 8, 6, 8)):
+            with pytest.raises(DimensionError, match=re.escape(str(shape))):
+                build_pyramid(np.zeros(shape))
 
 
 class TestMsDeform:

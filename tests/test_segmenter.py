@@ -14,12 +14,40 @@ from axialtrack.segmenter import (
     decoder_params,
     near_online_inference,
     predict_clip_tubes,
+    run_clip,
     split_into_clips,
 )
-from axialtrack.synthetic import build_oracle_params, demo_video_spec, generate_synthetic
+from axialtrack.crossclip import offline_inference
+from axialtrack.synthetic import (
+    build_oracle_params,
+    demo_video_spec,
+    generate_synthetic,
+    random_pipeline_params,
+)
 from axialtrack.tensor import logistic
 
-from oracles import naive_decode
+from oracles import naive_decode, naive_near_online_tubes
+
+
+def _oracle_video(**kwargs):
+    cfg = ModelConfig(**kwargs)
+    spec = demo_video_spec(cfg)
+    video, _ = generate_synthetic(spec)
+    return video, build_oracle_params(spec, cfg)
+
+
+def _random_video(**kwargs):
+    cfg = ModelConfig(**kwargs)
+    video = np.random.default_rng((cfg.seed, 1)).normal(size=(cfg.l, cfg.d, cfg.h, cfg.w))
+    return video, random_pipeline_params(cfg)
+
+
+def _assert_same_tubes(got, want):
+    assert [t.track_id for t in got] == [t.track_id for t in want]
+    for a, b in zip(got, want):
+        assert a.masks.dtype == b.masks.dtype and np.array_equal(a.masks, b.masks)
+        assert a.class_probs.dtype == b.class_probs.dtype
+        assert np.array_equal(a.class_probs, b.class_probs)
 
 
 class TestSplitIntoClips:
@@ -96,8 +124,8 @@ class TestPredictClipTubes:
         f = np.zeros((2, 4, 3, 3))
         f[:, 0] = 1.0
         queries = ClipQuerySet(np.array([[0.0, 0.0, 0.0, 7.0]]), 0)
-        tubes = predict_clip_tubes(queries, f, np.eye(4))
-        np.testing.assert_allclose(tubes[0].masks, 0.5, atol=0)
+        masks, _ = predict_clip_tubes(queries, f, np.eye(4))
+        np.testing.assert_allclose(masks[0], 0.5, atol=0)
 
     def test_plus_minus_ten_logits(self):
         # Object pixels carry color 0, background color 1; the query
@@ -110,9 +138,9 @@ class TestPredictClipTubes:
         q = np.zeros((1, d))
         q[0, 0] = 10.0
         q[0, 1] = -10.0
-        tubes = predict_clip_tubes(ClipQuerySet(q, 0), f, np.eye(d))
-        on = tubes[0].masks[:, 1:3, 1:3]
-        off = tubes[0].masks[:, 0, :]
+        masks, _ = predict_clip_tubes(ClipQuerySet(q, 0), f, np.eye(d))
+        on = masks[0, :, 1:3, 1:3]
+        off = masks[0, :, 0, :]
         hi = float(logistic(np.array(10.0)))
         lo = float(logistic(np.array(-10.0)))
         np.testing.assert_allclose(on, hi, atol=1e-12)
@@ -123,10 +151,11 @@ class TestPredictClipTubes:
         rng = np.random.default_rng(4)
         f = rng.normal(size=(2, 4, 2, 2))
         queries = ClipQuerySet(rng.normal(size=(5, 4)), 0)
-        tubes = predict_clip_tubes(queries, f, rng.normal(size=(4, 6)))
-        for tube in tubes:
-            tube.validate()
-            np.testing.assert_allclose(tube.class_probs.sum(), 1.0, atol=1e-12)
+        masks, probs = predict_clip_tubes(queries, f, rng.normal(size=(4, 6)))
+        assert masks.shape == (5, 2, 2, 2) and probs.shape == (5, 6)
+        for i in range(5):
+            Tube(masks[i], probs[i], track_id=i).validate()
+            np.testing.assert_allclose(probs[i].sum(), 1.0, atol=1e-12)
 
 
 class TestAssociateClips:
@@ -141,7 +170,7 @@ class TestAssociateClips:
         q = rng.normal(size=(5, 8))
         perm = rng.permutation(5)
         out = associate_clips(ClipQuerySet(q, 0), ClipQuerySet(q[perm], 1))
-        mapping = out.col_of_row()
+        mapping = dict(out.pairs)
         for i in range(5):
             assert perm[mapping[i]] == i
 
@@ -180,12 +209,11 @@ class TestNearOnlineInference:
         tubes = near_online_inference(video, params)
         assert [t.track_id for t in tubes] == list(range(cfg.n))
         assert all(t.masks.shape[0] == 2 for t in tubes)
-        # A single-clip video's tubes are exactly the clip tubes.
-        from axialtrack.segmenter import run_clip
-        clip_tubes = run_clip(video, params, 0).tubes
-        for video_tube, clip_tube in zip(tubes, clip_tubes):
-            assert np.array_equal(video_tube.masks, clip_tube.masks)
-            assert np.array_equal(video_tube.class_probs, clip_tube.class_probs)
+        # A single-clip video's tubes are exactly the clip's masks and classes.
+        clip = run_clip(video, params, 0)
+        for i, video_tube in enumerate(tubes):
+            assert np.array_equal(video_tube.masks, clip.masks[i])
+            assert np.array_equal(video_tube.class_probs, clip.class_probs[i])
 
     def test_output_length_with_padding(self):
         cfg = ModelConfig(l=7, seed=4)
@@ -196,13 +224,36 @@ class TestNearOnlineInference:
         assert all(t.masks.shape[0] == 7 for t in tubes)
 
     def test_shuffle_invariance_identical_tubes(self):
+        # The oracle queries tie in association; the random ones do not.
         _, video, _, params = self._setup()
-        base = near_online_inference(video, params)
-        shuffled = near_online_inference(video, params, shuffle_rng=np.random.default_rng(99))
-        for a, b in zip(base, shuffled):
-            assert a.track_id == b.track_id
-            assert np.array_equal(a.masks, b.masks)
-            assert np.array_equal(a.class_probs, b.class_probs)
+        for video, params in ((video, params), _random_video(l=7, t=3, h=16, w=16, seed=8)):
+            base = near_online_inference(video, params)
+            shuffled = near_online_inference(video, params, shuffle_rng=np.random.default_rng(99))
+            for a, b in zip(base, shuffled):
+                assert a.track_id == b.track_id
+                assert np.array_equal(a.masks, b.masks)
+                assert np.array_equal(a.class_probs, b.class_probs)
+
+    @pytest.mark.parametrize("inputs", [
+        pytest.param(lambda: _oracle_video(seed=0), id="oracle-demo"),
+        pytest.param(lambda: _oracle_video(l=7, t=3, seed=4), id="oracle-padding"),
+        pytest.param(lambda: _oracle_video(l=2, seed=3), id="oracle-one-clip"),
+        pytest.param(lambda: _random_video(n=6, heads=2, h=16, w=16, seed=9), id="random-n6-heads2"),
+    ])
+    def test_matches_naive_relinking_bitwise(self, inputs):
+        video, params = inputs()
+        _assert_same_tubes(near_online_inference(video, params), naive_near_online_tubes(video, params))
+        _assert_same_tubes(
+            near_online_inference(video, params, shuffle_rng=np.random.default_rng(5)),
+            naive_near_online_tubes(video, params, shuffle_rng=np.random.default_rng(5)),
+        )
+
+    def test_empty_video_rejected_by_both_modes(self):
+        video, params = _oracle_video(l=2, seed=0)
+        empty = video[:0]
+        for infer in (near_online_inference, offline_inference):
+            with pytest.raises(DimensionError, match=r"\(0, 8, 32, 32\)"):
+                infer(empty, params)
 
     def test_masks_in_range_and_probs_normalized(self):
         _, video, _, params = self._setup(seed=5)
