@@ -5,12 +5,12 @@ from .assignment import Assignment, hungarian
 from .attention import (
     AttentionParams,
     ProjectionWeights,
-    TrajectoryField,
     attention_params,
     axial_trajectory_h,
     axial_trajectory_w,
     full_trajectory_reference,
     passthrough_attention_params,
+    stage_one_weights,
     trajectory_pass_1d,
 )
 from .backward import AxialPairGrads, trajectory_backward

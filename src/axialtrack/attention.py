@@ -20,6 +20,12 @@ a pass holds one (B, G, T, S, U, R, C) stage-one product at a time, the
 8*B*T^2*S^2*D bytes that `STAGE_ONE_BYTES_LIMIT` bounds. The projections
 and stage two are shared with the backward (`axialtrack.backward`), which
 recomputes stage one in matrix form instead of in sorted order.
+
+Every pass returns one array, its output. `stage_one_weights`, the only
+attention state exported, gives a sequence's head-mean stage-one weights
+(all that a trajectory map needs) without the product or stage two; it
+shares `_stage_one_weights`, their one producer, with the pass.
+
 There are no positional encodings anywhere in this module.
 """
 
@@ -81,24 +87,6 @@ class AttentionParams:
         self.stage2.validate(d)
 
 
-@dataclass
-class TrajectoryField:
-    """Exported attention state of one pass.
-
-    values: (B, T, T, S, D) pooled trajectory points, indexed by
-        (reference frame, target frame, position).
-    stage1: (B, T, S, T, S) positional weights, softmax over the last axis.
-    stage2: (B, T, S, T) frame-pooling weights, softmax over the last axis.
-
-    With several heads the weights are head averages; values concatenate
-    the per-head results back to D channels.
-    """
-
-    values: np.ndarray
-    stage1: np.ndarray
-    stage2: np.ndarray
-
-
 def _project(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     out = np.einsum("...e,de->...d", x, w, optimize=False)
     if b is not None:
@@ -150,53 +138,65 @@ def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total) -> dic
     return {"ydiag": ydiag, "qth": qth, "kth": kth, "vth": vth, "w2": w2, "out": out}
 
 
-def _pass_forward(
-    x: np.ndarray, params: AttentionParams, counter: MacCounter | None
-) -> tuple[np.ndarray, TrajectoryField]:
-    """Run both stages, returning the output and the exported field."""
-    check_stage_one(x.shape)
+def _stage_one_weights(qh: np.ndarray, kh: np.ndarray, scale: float) -> np.ndarray:
+    """(B, G, T, S, U, R) stage-one weights from (B, T, S, G, C) query and key heads."""
+    return softmax_last(scale * np.einsum("btsgc,burgc->bgtsur", qh, kh, optimize=False))
+
+
+def _stage_one(x: np.ndarray, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
+    """Stage one in sorted order: the per-head weights w1 and the (B, T, U, S, D)
+    trajectory points, indexed by (reference frame, target frame, position)."""
     b, t, s, d = x.shape
     c = d // params.heads
     qh, kh, vh = _stage_one_heads(x, params)
-
-    # Stage one: per target frame u, attend over positions r. The product
-    # is the largest array of the pass; it is built in one C-order buffer
-    # that `sorted_sum` sorts in place, and is freed once summed.
-    w1 = softmax_last(params.scale * np.einsum("btsgc,burgc->bgtsur", qh, kh, optimize=False))
+    # Per target frame u, attend over positions r. The product is the
+    # largest array of the pass; it is built in one C-order buffer that
+    # `sorted_sum` sorts in place, and is freed once summed.
+    w1 = _stage_one_weights(qh, kh, params.scale)
     vh_t = vh.transpose(0, 3, 1, 2, 4)  # (B,G,U,R,C)
     prod1 = np.empty(w1.shape + (c,))  # (B,G,T,S,U,R,C)
     np.multiply(w1[..., None], vh_t[:, :, None, None, :, :, :], out=prod1)
     yt = sorted_sum(prod1, axis=-2)  # (B,G,T,S,U,C)
     del prod1
-    ytil = yt.transpose(0, 2, 4, 3, 1, 5).reshape(b, t, t, s, d)  # (B,T,U,S,D)
-
-    st2 = _stage_two(ytil, params, softmax_last, sorted_sum)
-    w2 = st2["w2"]
-    if counter is not None:
-        counter.add("stage1_scores", w1.size * c)
-        counter.add("stage1_values", w1.size * c)
-        counter.add("stage2_scores", w2.size * c)
-        counter.add("stage2_values", w2.size * c)
-        counter.add("proj_stage1", 3 * x.size * d)
-        counter.add("proj_stage2", (x.size + 2 * ytil.size) * d)
-    field = TrajectoryField(values=ytil, stage1=w1.mean(axis=1), stage2=w2.mean(axis=1))
-    return st2["out"], field
+    return w1, yt.transpose(0, 2, 4, 3, 1, 5).reshape(b, t, t, s, d)
 
 
-def trajectory_pass_1d(
-    seq, params: AttentionParams, counter: MacCounter | None = None
-) -> tuple[np.ndarray, TrajectoryField]:
-    """Two-stage trajectory attention over a (B, T, S, D) sequence.
-
-    Returns the updated sequence (same shape) and the attention field
-    carrying both stages' weights and the pooled trajectory points.
-    """
+def _validate_sequence(seq, params: AttentionParams) -> np.ndarray:
     seq = as_array(seq)
     if seq.ndim != 4:
         raise DimensionError(f"expected a (B, T, S, D) sequence, got shape {seq.shape}")
     require_finite(seq, "trajectory attention input")
     params.validate(seq.shape[-1])
-    return _pass_forward(seq, params, counter)
+    check_stage_one(seq.shape)
+    return seq
+
+
+def trajectory_pass_1d(seq, params: AttentionParams, counter: MacCounter | None = None) -> np.ndarray:
+    """Two-stage trajectory attention over a (B, T, S, D) sequence; returns
+    the updated sequence (same shape)."""
+    x = _validate_sequence(seq, params)
+    d = x.shape[-1]
+    c = d // params.heads
+    w1, ytil = _stage_one(x, params)
+    st2 = _stage_two(ytil, params, softmax_last, sorted_sum)
+    if counter is not None:
+        counter.add("stage1_scores", w1.size * c)
+        counter.add("stage1_values", w1.size * c)
+        counter.add("stage2_scores", st2["w2"].size * c)
+        counter.add("stage2_values", st2["w2"].size * c)
+        counter.add("proj_stage1", 3 * x.size * d)
+        counter.add("proj_stage2", (x.size + 2 * ytil.size) * d)
+    return st2["out"]
+
+
+def stage_one_weights(seq, params: AttentionParams) -> np.ndarray:
+    """The (B, T, S, U, R) stage-one weights of the pass over a (B, T, S, D)
+    sequence, averaged over heads: for reference (t, s), the softmax over
+    positions r of target frame u. Nothing of stage one's product or of
+    stage two is computed."""
+    x = _validate_sequence(seq, params)
+    qh, kh, _ = _stage_one_heads(x, params)
+    return _stage_one_weights(qh, kh, params.scale).mean(axis=1)
 
 
 def _validate_clip(f: np.ndarray) -> None:
@@ -233,20 +233,20 @@ def prenorm(x) -> np.ndarray:
 
 
 def _axial_pass(f, params: AttentionParams, axis: str, counter: MacCounter | None = None):
-    """Pre-norm residual pass along `axis`; returns the output and its field."""
+    """Pre-norm residual pass along `axis`."""
     f = as_array(f)
-    y, fld = trajectory_pass_1d(prenorm(to_sequence(f, axis)), params, counter=counter)
-    return f + from_sequence(y, axis), fld
+    y = trajectory_pass_1d(prenorm(to_sequence(f, axis)), params, counter=counter)
+    return f + from_sequence(y, axis)
 
 
 def axial_trajectory_h(f, params: AttentionParams, *, counter: MacCounter | None = None):
     """Trajectory pass along the height axis with width as batch, pre-norm residual."""
-    return _axial_pass(f, params, "h", counter)[0]
+    return _axial_pass(f, params, "h", counter)
 
 
 def axial_trajectory_w(f, params: AttentionParams, *, counter: MacCounter | None = None):
     """Trajectory pass along the width axis with height as batch, pre-norm residual."""
-    return _axial_pass(f, params, "w", counter)[0]
+    return _axial_pass(f, params, "w", counter)
 
 
 def full_trajectory_reference(
@@ -269,7 +269,7 @@ def full_trajectory_reference(
             f"reference pass refused: T*H*W = {t * h * w} exceeds cap {cap}"
         )
     x = np.ascontiguousarray(f.transpose(0, 2, 3, 1).reshape(1, t, h * w, d))
-    y, _ = trajectory_pass_1d(prenorm(x), params, counter=counter)
+    y = trajectory_pass_1d(prenorm(x), params, counter=counter)
     return f + y.reshape(t, h, w, d).transpose(0, 3, 1, 2)
 
 

@@ -16,6 +16,7 @@ cannot be read or written (an `OSError`), 2 on an internal error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -107,6 +108,8 @@ def _resolve_config(args: argparse.Namespace) -> ModelConfig:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -132,7 +135,7 @@ def write_report(out_dir: str, data: dict) -> None:
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -152,17 +155,16 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     vpq_shuf = vpq(shuffled, gt)
 
     moving = [v != (0, 0) for v in spec.velocities]
-    block = params.within_blocks[0] if params.within_blocks else None
-    if block is not None:
-        hit_rate = trajectory_hit_rate(
-            video, [t.masks for t in gt.tubes], moving, cfg.t, block.attn_h, block.attn_w
-        )
-        clips = split_into_clips(video, cfg.t)
-        fields_hw = axial_fields(clips[0], block.attn_h, block.attn_w)
+    hit_rate = None  # no within-clip block, no maps to score
+    if params.within_blocks:
+        block = params.within_blocks[0]
+        # Each clip's maps are built once; only clip 0's (dumped) outlive their
+        # clip, since a list of every clip's maps would set the peak memory.
+        maps = (axial_fields(clip, block.attn_h, block.attn_w) for clip in split_into_clips(video, cfg.t))
+        first = next(maps)
         ref = _first_moving_reference(gt, moving)
-        dump_attention_heatmaps(*fields_hw, ref, os.path.join(args.out, "heatmaps"))
-    else:
-        hit_rate = float("nan")
+        dump_attention_heatmaps(*first, ref, os.path.join(args.out, "heatmaps"))
+        hit_rate = trajectory_hit_rate([t.masks for t in gt.tubes], moving, itertools.chain([first], maps))
 
     dump_tube_set(gt.tubes, gt.class_ids, os.path.join(args.out, "gt"))
     dump_tube_set(near, [int(np.argmax(t.class_probs)) for t in near], os.path.join(args.out, "pred_near"))
@@ -223,8 +225,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     sweep: dict = {}
     for t, hw, d in DEFAULT_SWEEP:
-        point = replace(cfg, t=t, h=hw, w=hw, d=d)
-        sweep[f"t{t}_h{hw}_w{hw}_d{d}"] = _mac_dict(count_macs(point))
+        name = f"t{t}_h{hw}_w{hw}_d{d}"
+        try:
+            sweep[name] = _mac_dict(count_macs(replace(cfg, t=t, h=hw, w=hw, d=d)))
+        except AxialtrackError as exc:
+            raise type(exc)(f"sweep point {name}: {exc}") from None
     write_report(args.out, sweep)
     return 0
 
@@ -245,10 +250,8 @@ def _cmd_attn(args: argparse.Namespace) -> int:
     if not params.within_blocks:
         raise ConfigError("attn needs a within-clip block to draw its maps from, got n_w = 0")
     block = params.within_blocks[0]
-    field_h, field_w = axial_fields(clips[clip_idx], block.attn_h, block.attn_w)
-    paths = dump_attention_heatmaps(
-        field_h, field_w, (t_local, ref_h, ref_w), os.path.join(args.out, "heatmaps")
-    )
+    w_h, w_w = axial_fields(clips[clip_idx], block.attn_h, block.attn_w)
+    paths = dump_attention_heatmaps(w_h, w_w, (t_local, ref_h, ref_w), os.path.join(args.out, "heatmaps"))
     write_report(args.out, {
         "config": config_values(cfg),
         "clip_index": clip_idx,

@@ -66,8 +66,7 @@ def query_trajectory_attention(z, params: AttentionParams) -> np.ndarray:
     axis = query index), pre-norm residual; shape preserved."""
     z = as_array(z)
     _validate_query_tensor(z)
-    y, _ = trajectory_pass_1d(prenorm(z[None]), params)
-    return z + y[0]
+    return z + trajectory_pass_1d(prenorm(z[None]), params)[0]
 
 
 def temporal_aspp(z, params: AsppParams) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Trajectory heatmaps: the height and width stage-one attention rows of a
 reference pixel, multiplied into one map per target frame.
 
-A reference point (t, h, w) selects the height-pass weight row at batch
-index w and the width-pass row at batch index h; their outer product at
+`axial_fields` gives a clip's two weight arrays: the height pass's
+stage-one weights, and the width pass's on the height pass's output, with
+no width pass run. A reference point (t, h, w) selects the height row at
+batch index w and the width row at batch index h; their outer product at
 each target frame is the per-frame trajectory map that the dumps write;
 the tracking check takes its argmax from the two rows (`outer_argmax`).
 """
@@ -11,37 +13,35 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Iterable
 
 import numpy as np
 
-from .attention import AttentionParams, TrajectoryField, _axial_pass
+from .attention import AttentionParams, _axial_pass, prenorm, stage_one_weights, to_sequence
 from .errors import DimensionError
 from .pgm import write_pgm
-from .segmenter import split_into_clips
-from .tensor import as_array
 
 
 def axial_fields(
     f, params_h: AttentionParams, params_w: AttentionParams
-) -> tuple[TrajectoryField, TrajectoryField]:
-    """Height-pass field on the features, width-pass field on the height output."""
-    mid, field_h = _axial_pass(f, params_h, "h")
-    _, field_w = _axial_pass(mid, params_w, "w")
-    return field_h, field_w
+) -> tuple[np.ndarray, np.ndarray]:
+    """Head-mean stage-one weights of the height pass on the (T, D, H, W) clip,
+    (W, T, H, T, H), and of the width pass on the height pass's output,
+    (H, T, W, T, W). Runs the height pass only."""
+    mid = _axial_pass(f, params_h, "h")  # first, so w_h is not held beside its product
+    w_h = stage_one_weights(prenorm(to_sequence(f, "h")), params_h)
+    return w_h, stage_one_weights(prenorm(to_sequence(mid, "w")), params_w)
 
 
-def heatmap_frames(
-    field_h: TrajectoryField, field_w: TrajectoryField, reference: tuple[int, int, int]
-) -> np.ndarray:
+def heatmap_frames(w_h: np.ndarray, w_w: np.ndarray, reference: tuple[int, int, int]) -> np.ndarray:
     """(T, H, W): the outer-product map of each target frame for the reference pixel."""
     t, h, w = reference
-    n_frames = field_h.stage1.shape[1]
-    n_h = field_h.stage1.shape[2]
-    n_w = field_w.stage1.shape[2]
+    _, n_frames, n_h = w_h.shape[:3]
+    n_w = w_w.shape[2]
     if not (0 <= t < n_frames and 0 <= h < n_h and 0 <= w < n_w):
         raise DimensionError(f"reference {reference} outside (T={n_frames}, H={n_h}, W={n_w})")
-    rows_h = field_h.stage1[w, t, h]  # (T, H)
-    rows_w = field_w.stage1[h, t, w]  # (T, W)
+    rows_h = w_h[w, t, h]  # (T, H)
+    rows_w = w_w[h, t, w]  # (T, W)
     return rows_h[:, :, None] * rows_w[:, None, :]
 
 
@@ -68,13 +68,10 @@ def normalize_heatmap(frame: np.ndarray) -> np.ndarray:
 
 
 def dump_attention_heatmaps(
-    field_h: TrajectoryField,
-    field_w: TrajectoryField,
-    reference: tuple[int, int, int],
-    out_dir,
+    w_h: np.ndarray, w_w: np.ndarray, reference: tuple[int, int, int], out_dir
 ) -> list[str]:
     """Write one normalized P5 PGM per target frame; returns the paths."""
-    frames = heatmap_frames(field_h, field_w, reference)
+    frames = heatmap_frames(w_h, w_w, reference)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for u, frame in enumerate(frames):
@@ -85,32 +82,25 @@ def dump_attention_heatmaps(
 
 
 def trajectory_hit_rate(
-    video,
-    gt_masks: list[np.ndarray],
-    moving: list[bool],
-    clip_len: int,
-    params_h: AttentionParams,
-    params_w: AttentionParams,
+    gt_masks: list[np.ndarray], moving: list[bool], maps: Iterable[tuple[np.ndarray, np.ndarray]]
 ) -> float:
     """Fraction of (reference, target frame) pairs whose multiplied-map
-    argmax lands inside the reference object's mask at the target frame.
+    argmax lands inside the reference object's (L, H, W) mask at the target
+    frame. `maps` yields the `axial_fields` weights of each clip in order.
 
     References are every on-mask pixel of every moving object at every
     frame; targets are all frames of the reference's clip.
     """
-    video = as_array(video)
-    clips = split_into_clips(video, clip_len)
-    length = video.shape[0]
     hits = 0
     total = 0
-    for k, clip in enumerate(clips):
-        field_h, field_w = axial_fields(clip, params_h, params_w)
-        # Video frame of each clip frame; padding frames repeat the last one.
-        frames = np.minimum(k * clip_len + np.arange(clip.shape[0]), length - 1)
+    for k, (w_h, w_w) in enumerate(maps):
+        clip_len = w_h.shape[1]
         for mask in itertools.compress(gt_masks, moving):
+            # Video frame of each clip frame; padding frames repeat the last one.
+            frames = np.minimum(k * clip_len + np.arange(clip_len), mask.shape[0] - 1)
             ts, ys, xs = np.nonzero(mask[frames])  # every on-mask reference in the clip
             # (n, T, H) height rows and (n, T, W) width rows, one pair per reference
-            by, bx = outer_argmax(field_h.stage1[xs, ts, ys], field_w.stage1[ys, ts, xs])
+            by, bx = outer_argmax(w_h[xs, ts, ys], w_w[ys, ts, xs])
             hits += int(np.count_nonzero(mask[frames, by, bx]))
             total += by.size
     return hits / total if total else 1.0

@@ -29,9 +29,9 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 # "P5", then width, height and maxval as decimal tokens, each after
-# whitespace and `#` comments that run to the end of their line, then one
-# whitespace byte before the pixels.
-_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*(?=\n|\Z))*(\d{1,18})(?!\S)" * 3 + rb"\s?")
+# whitespace and `#` comments that run to the end of their line (at least
+# one right after "P5"), then one whitespace byte before the pixels.
+_PGM_HEADER = re.compile(rb"P5(?=[\s#])" + rb"(?:\s|#[^\n]*(?=\n|\Z))*(\d{1,18})(?!\S)" * 3 + rb"\s?")
 
 
 def read_pgm(path) -> np.ndarray:

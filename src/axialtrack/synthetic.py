@@ -118,6 +118,11 @@ def demo_video_spec(cfg: ModelConfig, n_objects: int = 3) -> SyntheticVideoSpec:
     """
     if n_objects < 1:
         raise ConfigError(f"the demo video needs at least one object, got {n_objects}")
+    if n_objects > cfg.d:
+        raise ConfigError(
+            f"the demo video draws each object in its own channel: {n_objects} objects need "
+            f"d >= {n_objects}, got d = {cfg.d}"
+        )
     thick = max(1, cfg.h // 4)
     long_w = max(2, 3 * cfg.w // 8)
     long_h = max(2, 3 * cfg.h // 8)

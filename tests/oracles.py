@@ -4,9 +4,10 @@ Everything here is written straight from the defining formulas with
 explicit Python loops, plain exp/sum softmaxes (no max shift, no sorted
 reductions), and scalar accumulation. None of it shares code with the
 library kernels it checks. Two take library stages that the oracles above
-check: `naive_hit_rate` takes the attention fields and re-does only the
-per-reference argmax loop, and `naive_near_online_tubes` takes each clip's
-run and association and re-does only the linking, one track at a time.
+check: `naive_hit_rate` takes each clip's stage-one weights and re-does
+only the per-reference argmax loop, and `naive_near_online_tubes` takes
+each clip's run and association and re-does only the linking, one track
+at a time.
 """
 
 from __future__ import annotations
@@ -280,32 +281,27 @@ def brute_hungarian(cost):
     return best[1], best[0]
 
 
-def naive_hit_rate(video, gt_masks, moving, clip_len, params_h, params_w):
+def naive_hit_rate(gt_masks, moving, maps):
     """Trajectory hit rate by brute force: for every on-mask reference,
-    build each target frame's full H x W outer-product map and argmax it."""
-    from axialtrack.heatmaps import axial_fields
-    from axialtrack.segmenter import split_into_clips
-
-    video = np.asarray(video, dtype=np.float64)
-    clips = split_into_clips(video, clip_len)
-    length = video.shape[0]
+    build each target frame's full H x W outer-product map and argmax it.
+    `maps` holds each clip's (height, width) stage-one weight arrays."""
     hits = 0
     total = 0
-    for k, clip in enumerate(clips):
-        field_h, field_w = axial_fields(clip, params_h, params_w)
-        t_extent = clip.shape[0]
+    for k, (w_h, w_w) in enumerate(maps):
+        t_extent = w_h.shape[1]
         for mask, is_moving in zip(gt_masks, moving):
             if not is_moving:
                 continue
+            length = mask.shape[0]
             for t_local in range(t_extent):
-                t_global = min(k * clip_len + t_local, length - 1)
+                t_global = min(k * t_extent + t_local, length - 1)
                 ys, xs = np.nonzero(mask[t_global])
                 for y, x in zip(ys, xs):
-                    rows_h = field_h.stage1[x, t_local, y]
-                    rows_w = field_w.stage1[y, t_local, x]
+                    rows_h = w_h[x, t_local, y]
+                    rows_w = w_w[y, t_local, x]
                     frames = [np.outer(rows_h[u], rows_w[u]) for u in range(t_extent)]
                     for u, frame in enumerate(frames):
-                        u_global = min(k * clip_len + u, length - 1)
+                        u_global = min(k * t_extent + u, length - 1)
                         best = int(np.argmax(frame))
                         by, bx = divmod(best, frame.shape[1])
                         hits += bool(mask[u_global, by, bx])

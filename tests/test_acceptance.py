@@ -12,11 +12,13 @@ import time
 import numpy as np
 
 from axialtrack.attention import (
+    _stage_one,
+    _stage_two,
     attention_params,
     axial_trajectory_h,
     axial_trajectory_w,
     full_trajectory_reference,
-    trajectory_pass_1d,
+    stage_one_weights,
 )
 from axialtrack.assignment import hungarian
 from axialtrack.backward import trajectory_backward
@@ -24,10 +26,11 @@ from axialtrack.cli import cli_main
 from axialtrack.config import ModelConfig
 from axialtrack.crossclip import cross_clip_blocks, cross_clip_forward, query_trajectory_attention
 from axialtrack.deform import build_pyramid, deform_params, msdeform_simplified
-from axialtrack.heatmaps import trajectory_hit_rate
+from axialtrack.heatmaps import axial_fields, trajectory_hit_rate
 from axialtrack.macs import CATEGORIES, count_macs
-from axialtrack.segmenter import ClipQuerySet, decode_clip_queries, decoder_params
+from axialtrack.segmenter import ClipQuerySet, decode_clip_queries, decoder_params, split_into_clips
 from axialtrack.synthetic import build_oracle_params, demo_video_spec, generate_synthetic
+from axialtrack.tensor import softmax_last, sorted_sum
 
 from oracles import (
     brute_hungarian,
@@ -205,9 +208,9 @@ def test_criterion_7_normalization_and_equivariance():
         p = attention_params(d, rng, std=0.3)
 
         x = rng.normal(size=(2, 3, 4, d))
-        _, field = trajectory_pass_1d(x, p)
-        ok &= bool(np.all(np.abs(field.stage1.sum(axis=-1) - 1.0) <= 1e-9))
-        ok &= bool(np.all(np.abs(field.stage2.sum(axis=-1) - 1.0) <= 1e-9))
+        w2 = _stage_two(_stage_one(x, p)[1], p, softmax_last, sorted_sum)["w2"].mean(axis=1)
+        ok &= bool(np.all(np.abs(stage_one_weights(x, p).sum(axis=-1) - 1.0) <= 1e-9))
+        ok &= bool(np.all(np.abs(w2.sum(axis=-1) - 1.0) <= 1e-9))
 
         f = rng.normal(size=(2, d, 4, 3))
         perm_h = rng.permutation(4)
@@ -235,9 +238,8 @@ def test_criterion_8_trajectory_tracking_property():
     params = build_oracle_params(spec, cfg)
     block = params.within_blocks[0]
     moving = [v != (0, 0) for v in spec.velocities]
-    rate = trajectory_hit_rate(
-        video, [t.masks for t in gt.tubes], moving, cfg.t, block.attn_h, block.attn_w
-    )
+    maps = [axial_fields(clip, block.attn_h, block.attn_w) for clip in split_into_clips(video, cfg.t)]
+    rate = trajectory_hit_rate([t.masks for t in gt.tubes], moving, maps)
     _report(8, f"heatmap argmax inside moving object (rate {rate:.4f})",
             rate >= 0.95, time.perf_counter() - start, 30.0)
 

@@ -10,14 +10,18 @@ from axialtrack.attention import (
     axial_trajectory_h,
     axial_trajectory_w,
     STAGE_ONE_BYTES_LIMIT,
-    _axial_pass,
+    _stage_one,
+    _stage_two,
     from_sequence,
     full_trajectory_reference,
     passthrough_attention_params,
+    prenorm,
+    stage_one_weights,
     to_sequence,
     trajectory_pass_1d,
 )
 from axialtrack.errors import DimensionError, NumericError, ResourceGuardError
+from axialtrack.tensor import softmax_last, sorted_sum
 
 from oracles import naive_axial_h, naive_axial_w, naive_full_reference, naive_pass1d
 
@@ -27,54 +31,65 @@ def _params(d, seed, std=0.3, scale=None, heads=1, bias=False):
     return attention_params(d, rng, heads=heads, scale=scale, std=std, bias=bias)
 
 
+def _state(x, p):
+    """The pass's head-mean stage-one weights (B, T, S, U, R), head-mean
+    stage-two weights (B, T, S, U) and trajectory points (B, T, U, S, D)."""
+    _, ytil = _stage_one(x, p)
+    w2 = _stage_two(ytil, p, softmax_last, sorted_sum)["w2"]
+    return stage_one_weights(x, p), w2.mean(axis=1), ytil
+
+
 class TestTrajectoryPass:
     def test_single_frame_degeneracy(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 1, 4, 3))
         p = _params(3, 1)
-        out, field = trajectory_pass_1d(x, p)
-        assert np.array_equal(field.stage2, np.ones_like(field.stage2))
+        out = trajectory_pass_1d(x, p)
+        _, w2, ytil = _state(x, p)
+        assert np.array_equal(w2, np.ones_like(w2))
         # With one frame the output is the re-projected within-frame pooling.
-        expected = np.einsum("btuse,de->btusd", field.values, p.stage2.w_v)[:, 0, 0]
+        expected = np.einsum("btuse,de->btusd", ytil, p.stage2.w_v)[:, 0, 0]
         np.testing.assert_allclose(out[:, 0], expected, atol=1e-12)
 
     def test_single_position_degeneracy(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 1, 4))
         p = _params(4, 3)
-        out, field = trajectory_pass_1d(x, p)
-        assert np.array_equal(field.stage1, np.ones_like(field.stage1))
+        out = trajectory_pass_1d(x, p)
+        w1, _, ytil = _state(x, p)
+        assert np.array_equal(w1, np.ones_like(w1))
         v = np.einsum("btse,de->btsd", x, p.stage1.w_v)
         # Trajectory points collapse to the raw per-frame values.
         for t in range(3):
-            assert np.array_equal(field.values[:, t], v)
+            assert np.array_equal(ytil[:, t], v)
         assert out.shape == x.shape
 
     def test_matches_naive_loop_oracle_unit_scale(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 2, 3, 4))
         p = _params(4, 5, scale=1.0)
-        out, field = trajectory_pass_1d(x, p)
+        out = trajectory_pass_1d(x, p)
+        got_w1, got_w2, got_ytil = _state(x, p)
         want, w1, w2, ytil = naive_pass1d(x, p)
         np.testing.assert_allclose(out, want, atol=1e-10)
-        np.testing.assert_allclose(field.stage1, w1, atol=1e-10)
-        np.testing.assert_allclose(field.stage2, w2, atol=1e-10)
-        np.testing.assert_allclose(field.values, ytil, atol=1e-10)
+        np.testing.assert_allclose(got_w1, w1, atol=1e-10)
+        np.testing.assert_allclose(got_w2, w2, atol=1e-10)
+        np.testing.assert_allclose(got_ytil, ytil, atol=1e-10)
 
     def test_matches_naive_with_default_scale_and_bias(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 3, 2, 4))
         p = _params(4, 7, bias=True)
-        out, _ = trajectory_pass_1d(x, p)
+        out = trajectory_pass_1d(x, p)
         want, _, _, _ = naive_pass1d(x, p)
         np.testing.assert_allclose(out, want, atol=1e-10)
 
     def test_weight_normalization(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 3, 4, 6))
-        _, field = trajectory_pass_1d(x, _params(6, 9))
-        np.testing.assert_allclose(field.stage1.sum(axis=-1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(field.stage2.sum(axis=-1), 1.0, atol=1e-9)
+        w1, w2, _ = _state(x, _params(6, 9))
+        np.testing.assert_allclose(w1.sum(axis=-1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(w2.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_convexity_with_identity_values(self):
         rng = np.random.default_rng(10)
@@ -82,13 +97,13 @@ class TestTrajectoryPass:
         p = _params(4, 11)
         p.stage1.w_v = np.eye(4)
         p.stage1.b_v = None
-        _, field = trajectory_pass_1d(x, p)
+        _, ytil = _stage_one(x, p)
         # Every pooled channel stays inside the attended frame's value range.
         lo = x.min(axis=2, keepdims=True)
         hi = x.max(axis=2, keepdims=True)
         for t in range(2):
             for u in range(2):
-                vals = field.values[:, t, u]  # (B,S,D)
+                vals = ytil[:, t, u]  # (B,S,D)
                 assert np.all(vals >= lo[:, u] - 1e-12)
                 assert np.all(vals <= hi[:, u] + 1e-12)
 
@@ -96,9 +111,9 @@ class TestTrajectoryPass:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 2, 3, 8))
         p = _params(8, 13, heads=2)
-        out, field = trajectory_pass_1d(x, p)
+        out = trajectory_pass_1d(x, p)
         assert out.shape == x.shape
-        np.testing.assert_allclose(field.stage1.sum(axis=-1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(stage_one_weights(x, p).sum(axis=-1), 1.0, atol=1e-9)
 
     def test_dimension_mismatch(self):
         x = np.zeros((1, 2, 2, 4))
@@ -121,9 +136,8 @@ class TestTrajectoryPass:
             scale=p.scale,
             heads=1,
         )
-        _, f1 = trajectory_pass_1d(x, p)
-        _, f2 = trajectory_pass_1d(x, scaled)
-        assert np.array_equal(np.argmax(f1.stage1, axis=-1), np.argmax(f2.stage1, axis=-1))
+        w1, w1_scaled = stage_one_weights(x, p), stage_one_weights(x, scaled)
+        assert np.array_equal(np.argmax(w1, axis=-1), np.argmax(w1_scaled, axis=-1))
 
     def test_scale_invariance_of_stage2_argmax(self):
         rng = np.random.default_rng(18)
@@ -135,10 +149,63 @@ class TestTrajectoryPass:
             scale=p.scale,
             heads=1,
         )
-        _, f1 = trajectory_pass_1d(x, p)
-        _, f2 = trajectory_pass_1d(x, scaled)
-        assert np.array_equal(f1.stage1, f2.stage1)
-        assert np.array_equal(np.argmax(f1.stage2, axis=-1), np.argmax(f2.stage2, axis=-1))
+        w1, w2, _ = _state(x, p)
+        w1_scaled, w2_scaled, _ = _state(x, scaled)
+        assert np.array_equal(w1, w1_scaled)
+        assert np.array_equal(np.argmax(w2, axis=-1), np.argmax(w2_scaled, axis=-1))
+
+
+class TestStageOneWeights:
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_matches_naive_loop_oracle(self, heads):
+        # Head g of the pass equals the single-head oracle with the query and
+        # key channels outside head g projected to zero.
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(2, 3, 4, 4))
+        p = _params(4, 48, heads=heads, bias=True)
+        c = 4 // heads
+        s1 = p.stage1
+        want = np.zeros((2, 3, 4, 3, 4))
+        for g in range(heads):
+            keep = np.zeros(4)
+            keep[g * c:(g + 1) * c] = 1.0
+            head = AttentionParams(
+                stage1=ProjectionWeights(keep[:, None] * s1.w_q, keep[:, None] * s1.w_k, s1.w_v,
+                                         keep * s1.b_q, keep * s1.b_k, s1.b_v),
+                stage2=p.stage2,
+                scale=p.scale,
+            )
+            want += naive_pass1d(x, head)[1]
+        np.testing.assert_allclose(stage_one_weights(x, p), want / heads, atol=1e-10)
+
+    def test_are_the_passes_weights(self):
+        rng = np.random.default_rng(49)
+        x = rng.normal(size=(3, 2, 5, 4))
+        p = _params(4, 50, heads=2)
+        assert np.array_equal(stage_one_weights(x, p), _stage_one(x, p)[0].mean(axis=1))
+
+    def test_validated_like_the_pass(self):
+        with pytest.raises(DimensionError):
+            stage_one_weights(np.zeros((2, 2, 4)), _params(4, 51))
+        with pytest.raises(DimensionError):
+            stage_one_weights(np.zeros((1, 2, 2, 4)), _params(6, 51))
+        x = np.zeros((1, 2, 2, 4))
+        x[0, 1, 1, 2] = np.nan
+        with pytest.raises(NumericError):
+            stage_one_weights(x, _params(4, 51))
+
+    def test_oversized_refused_before_allocating(self):
+        # The weights alone, 8 * B * T^2 * S^2 bytes, would be 2^41 bytes here;
+        # each stage-one projection of the 4 MiB input would be 4 MiB.
+        x = np.zeros((1, 2, 2 ** 18, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError, match="stage-one product"):
+                stage_one_weights(x, _params(1, 52))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 21
 
 
 class TestAxialPasses:
@@ -164,17 +231,16 @@ class TestAxialPasses:
         p = _params(4, 22)
         p.stage1.w_k = np.zeros((4, 4))
         p.stage1.b_k = None
-        _, field = _axial_pass(f, p, "h")
-        np.testing.assert_allclose(field.stage1, 1.0 / 5.0, atol=1e-12)
+        x = prenorm(to_sequence(f, "h"))
+        np.testing.assert_allclose(stage_one_weights(x, p), 1.0 / 5.0, atol=1e-12)
         # Uniform weights pool each target frame to its spatial mean.
-        x = to_sequence(f, "h")
-        from axialtrack.attention import prenorm
-        v = np.einsum("btse,de->btsd", prenorm(x), p.stage1.w_v)
+        _, ytil = _stage_one(x, p)
+        v = np.einsum("btse,de->btsd", x, p.stage1.w_v)
         mean = v.mean(axis=2)  # (B,T,D)
         for t in range(2):
             for u in range(2):
                 np.testing.assert_allclose(
-                    field.values[:, t, u], np.repeat(mean[:, u:u + 1], 5, axis=1), atol=1e-12
+                    ytil[:, t, u], np.repeat(mean[:, u:u + 1], 5, axis=1), atol=1e-12
                 )
 
     def test_batch_axis_equivariance_bitwise(self):
@@ -200,11 +266,13 @@ class TestAxialPasses:
         f = rng.normal(size=(2, 4, 3, 5))
         for heads, bias in ((1, False), (2, False), (1, True), (2, True)):
             p = _params(4, 28, heads=heads, bias=bias)
-            direct, fld = _axial_pass(f, p, "w")
-            via_t, fld_t = _axial_pass(np.swapaxes(f, 2, 3), p, "h")
+            direct = axial_trajectory_w(f, p)
+            via_t = axial_trajectory_h(np.swapaxes(f, 2, 3), p)
             assert np.array_equal(direct, np.swapaxes(via_t, 2, 3))
-            for name in ("values", "stage1", "stage2"):
-                assert np.array_equal(getattr(fld, name), getattr(fld_t, name))
+            state = _state(prenorm(to_sequence(f, "w")), p)
+            state_t = _state(prenorm(to_sequence(np.swapaxes(f, 2, 3), "h")), p)
+            for got, want in zip(state, state_t):
+                assert np.array_equal(got, want)
 
     def test_w_pass_matches_naive(self):
         rng = np.random.default_rng(29)

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,30 @@ class TestDemo:
         assert rc == 0
         assert json.loads(_read(out / "report.json"))["config"]["seed"] == 2 ** 64 - 1
 
+    def test_no_within_clip_block_reports_null_hit_rate(self, tmp_path):
+        out = tmp_path / "demo"
+        assert cli_main(["demo", "--n-w", "0", "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name} in report.json")
+
+        report = json.loads(_read(out / "report.json"), parse_constant=refuse)
+        assert report["traj_argmax_hit_rate"] is None
+        assert "traj_argmax_hit_rate = null\n" in _read(out / "report.txt").decode()
+        assert not (out / "heatmaps").exists()
+
+    def test_report_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_report(str(tmp_path), {"score": float("nan")})
+
+    def test_object_count_above_channels_refused_at_once(self, tmp_path, capsys):
+        start = time.perf_counter()
+        rc = cli_main(["demo", "--objects", "1000000000000", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "1000000000000" in err and "d = 8" in err
+
 
 class TestBench:
     def test_single_config_ratio(self, tmp_path):
@@ -90,6 +115,11 @@ class TestBench:
         err = capsys.readouterr().err
         assert "reference cap" in err and "100000" in err
 
+    def test_sweep_error_names_the_point(self, tmp_path, capsys):
+        rc = cli_main(["bench", "--heads", "8", "--out", str(tmp_path / "sweep")])
+        assert rc == 1
+        assert "sweep point t2_h2_w2_d4: heads (8) must divide d (4)" in capsys.readouterr().err
+
 
 class TestAttn:
     def test_dump(self, tmp_path):
@@ -110,6 +140,14 @@ class TestAttn:
         assert rc == 1
         err = capsys.readouterr().err
         assert "stage-one product" in err and str(8 * 512 * 2 * 2 * 512 * 512 * 8) in err
+
+    def test_oversized_width_weights_refused(self, tmp_path, capsys):
+        # The H pass at T=2, 8 rows, 4096 columns, D=8 needs 67 MB; the W
+        # weights are taken on a 4096-long axis, a 34 GB stage-one product.
+        rc = cli_main(["attn", "--l", "2", "--h", "8", "--w", "4096", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stage-one product" in err and str(8 * 8 * 2 * 2 * 4096 * 4096 * 8) in err
 
 
 class TestEval:
@@ -187,6 +225,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(frame_path) in err
         assert "(4, 6)" in err and "(4, 4)" in err
+
+    def test_pgm_without_separator_after_magic_is_validation_error(self, tmp_path, capsys):
+        masks = np.zeros((1, 3, 12))
+        tubes = [Tube(masks, np.array([0.0, 1.0]), track_id=0)]
+        dump_tube_set(tubes, [1], tmp_path / "gt")
+        dump_tube_set(tubes, [1], tmp_path / "pred")
+        frame_path = tmp_path / "pred" / "tube_000" / "t0000.pgm"
+        frame_path.write_bytes(b"P512 3 255\n" + bytes(36))
+        rc = cli_main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        assert str(frame_path) in capsys.readouterr().err
 
     def test_missing_frame_names_file(self, tmp_path, capsys):
         masks = np.zeros((3, 4, 4))

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from axialtrack.attention import LN_EPS, attention_params, prenorm, trajectory_pass_1d
+from axialtrack.attention import (
+    LN_EPS,
+    _stage_one,
+    _stage_two,
+    attention_params,
+    prenorm,
+    stage_one_weights,
+)
 from axialtrack.config import ModelConfig
 from axialtrack.crossclip import (
     AsppParams,
@@ -18,7 +25,7 @@ from axialtrack.crossclip import (
 from axialtrack.errors import ConfigError
 from axialtrack.segmenter import near_online_inference
 from axialtrack.synthetic import build_oracle_params, demo_video_spec, generate_synthetic
-from axialtrack.tensor import layer_norm, softmax_last
+from axialtrack.tensor import layer_norm, softmax_last, sorted_sum
 
 from oracles import naive_query_attention
 
@@ -33,8 +40,9 @@ class TestQueryTrajectoryAttention:
         z = rng.normal(size=(1, 4, 6))
         p = _attn(6, 1)
         out = query_trajectory_attention(z, p)
-        _, field = trajectory_pass_1d(prenorm(z[None]), p)
-        assert np.array_equal(field.stage2, np.ones_like(field.stage2))
+        _, ytil = _stage_one(prenorm(z[None]), p)
+        w2 = _stage_two(ytil, p, softmax_last, sorted_sum)["w2"].mean(axis=1)
+        assert np.array_equal(w2, np.ones_like(w2))
         assert out.shape == z.shape
 
     def test_zero_keys_uniform_stage1(self):
@@ -42,8 +50,7 @@ class TestQueryTrajectoryAttention:
         z = rng.normal(size=(3, 5, 4))
         p = _attn(4, 3)
         p.stage1.w_k = np.zeros((4, 4))
-        _, field = trajectory_pass_1d(prenorm(z[None]), p)
-        np.testing.assert_allclose(field.stage1, 1.0 / 5.0, atol=1e-12)
+        np.testing.assert_allclose(stage_one_weights(prenorm(z[None]), p), 1.0 / 5.0, atol=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(4)

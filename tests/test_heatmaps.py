@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from axialtrack.config import ModelConfig
-from axialtrack.heatmaps import outer_argmax, trajectory_hit_rate
+from axialtrack.heatmaps import axial_fields, outer_argmax, trajectory_hit_rate
+from axialtrack.segmenter import split_into_clips
 from axialtrack.synthetic import (
     build_oracle_params,
     demo_video_spec,
@@ -29,8 +30,8 @@ class TestHitRate:
         else:
             bundle = random_pipeline_params(cfg)
         block = bundle.within_blocks[0]
-        args = (video, [t.masks for t in gt.tubes], [v != (0, 0) for v in spec.velocities],
-                cfg.t, block.attn_h, block.attn_w)
+        maps = [axial_fields(clip, block.attn_h, block.attn_w) for clip in split_into_clips(video, cfg.t)]
+        args = ([t.masks for t in gt.tubes], [v != (0, 0) for v in spec.velocities], maps)
         assert trajectory_hit_rate(*args) == naive_hit_rate(*args)
 
 

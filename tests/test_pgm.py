@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from axialtrack.attention import TrajectoryField, passthrough_attention_params
+from axialtrack.attention import passthrough_attention_params
 from axialtrack.errors import DimensionError
 from axialtrack.heatmaps import (
     axial_fields,
@@ -40,6 +40,7 @@ class TestPgmRoundTrip:
         b"P5\n4 x\n255\n\x00",        # non-integer token
         b"P5\n4 4",                      # missing maxval
         b"P5\n-1 -1\n255\n\x00",      # negative size
+        b"P512 3 255\n" + bytes(36),   # no separator after the magic number
     ])
     def test_bad_header_names_file(self, tmp_path, data):
         path = tmp_path / "h.pgm"
@@ -77,10 +78,7 @@ class TestTubeDumps:
 
 class TestHeatmaps:
     def _uniform_field(self, b, t, s):
-        stage1 = np.full((b, t, s, t, s), 1.0 / s)
-        stage2 = np.full((b, t, s, t), 1.0 / t)
-        values = np.zeros((b, t, t, s, 1))
-        return TrajectoryField(values, stage1, stage2)
+        return np.full((b, t, s, t, s), 1.0 / s)
 
     def test_uniform_weights_constant_gray(self, tmp_path):
         fh = self._uniform_field(4, 2, 3)
@@ -104,8 +102,8 @@ class TestHeatmaps:
         rng = np.random.default_rng(2)
         f = rng.normal(size=(2, 4, 4, 4))
         p = passthrough_attention_params(4)
-        field_h, field_w = axial_fields(f, p, p)
-        paths = dump_attention_heatmaps(field_h, field_w, (0, 1, 2), tmp_path / "maps")
+        w_h, w_w = axial_fields(f, p, p)
+        paths = dump_attention_heatmaps(w_h, w_w, (0, 1, 2), tmp_path / "maps")
         assert len(paths) == 2
         for path in paths:
             img = read_pgm(path)
