@@ -15,16 +15,21 @@ pure batch axis, inside a pre-norm residual: out = x + pass(norm(x)).
 Attention reductions (softmax denominators and weighted sums) run in
 ascending value order, so outputs are bitwise-equivariant under
 permutations of the attended axis, the batch axis, and the frame axis.
-The weighted sums sort their products in place (`tensor.sorted_sum`), so
-a pass holds one (B, G, T, S, U, R, C) stage-one product at a time, the
-8*B*T^2*S^2*D bytes that `STAGE_ONE_BYTES_LIMIT` bounds. The projections
-and stage two are shared with the backward (`axialtrack.backward`), which
-recomputes stage one in matrix form instead of in sorted order.
+Scores are taken from C-contiguous head-major copies of the queries and
+keys, so the weights come out C-contiguous. Stage one's weighted sums are
+one (B, G, T, S, U, C, R) product, sorted in place along r, its last
+axis, and summed pairwise row by row (`tensor.sorted_sum`): a pass holds
+one such product at a time, the 8*B*T^2*S^2*D bytes that
+`STAGE_ONE_BYTES_LIMIT` bounds. The projections and stage two are shared
+with the backward (`axialtrack.backward`), which recomputes stage one in
+matrix form instead of in sorted order.
 
 Every pass returns one array, its output. `stage_one_weights`, the only
 attention state exported, gives a sequence's head-mean stage-one weights
 (all that a trajectory map needs) without the product or stage two; it
-shares `_stage_one_weights`, their one producer, with the pass.
+shares `_stage_one_weights`, their one producer, with the pass. `_pass`
+returns a pass's per-head weights beside its output, for callers that
+need both.
 
 There are no positional encodings anywhere in this module.
 """
@@ -110,12 +115,12 @@ def check_stage_one(shape: tuple[int, int, int, int]) -> None:
 
 
 def _stage_one_heads(x: np.ndarray, params: AttentionParams) -> tuple:
-    """Stage-one query, key and value projections as (B, T, S, G, C) heads."""
+    """Stage-one query, key and value projections as C-contiguous head-major
+    (B, G, T, S, C) arrays."""
     s1 = params.stage1
-    return tuple(
-        _split_heads(_project(x, w, bias), params.heads)
-        for w, bias in ((s1.w_q, s1.b_q), (s1.w_k, s1.b_k), (s1.w_v, s1.b_v))
-    )
+    heads = (_split_heads(_project(x, w, bias), params.heads)
+             for w, bias in ((s1.w_q, s1.b_q), (s1.w_k, s1.b_k), (s1.w_v, s1.b_v)))
+    return tuple(np.ascontiguousarray(h.transpose(0, 3, 1, 2, 4)) for h in heads)
 
 
 def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total) -> dict:
@@ -131,7 +136,10 @@ def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total) -> dic
     qth = _split_heads(_project(ydiag, s2.w_q, s2.b_q), g)  # (B,T,S,G,C)
     kth = _split_heads(_project(ytil, s2.w_k, s2.b_k), g)  # (B,T,U,S,G,C)
     vth = _split_heads(_project(ytil, s2.w_v, s2.b_v), g)
-    w2 = softmax(scale * np.einsum("btsgc,btusgc->bgtsu", qth, kth, optimize=False))
+    # Head-major copies, so the (B,G,T,S,U) scores come out C-contiguous.
+    q2 = np.ascontiguousarray(qth.transpose(0, 3, 1, 2, 4))  # (B,G,T,S,C)
+    k2 = np.ascontiguousarray(kth.transpose(0, 4, 1, 3, 2, 5))  # (B,G,T,S,U,C)
+    w2 = softmax(scale * np.einsum("bgtsc,bgtsuc->bgtsu", q2, k2, optimize=False))
     prod2 = w2[..., None] * vth.transpose(0, 4, 1, 3, 2, 5)  # (B,G,T,S,U,C)
     yh = total(prod2, axis=-2)  # (B,G,T,S,C)
     out = yh.transpose(0, 2, 3, 1, 4).reshape(b, t, s, d)
@@ -139,8 +147,9 @@ def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total) -> dic
 
 
 def _stage_one_weights(qh: np.ndarray, kh: np.ndarray, scale: float) -> np.ndarray:
-    """(B, G, T, S, U, R) stage-one weights from (B, T, S, G, C) query and key heads."""
-    return softmax_last(scale * np.einsum("btsgc,burgc->bgtsur", qh, kh, optimize=False))
+    """C-contiguous (B, G, T, S, U, R) stage-one weights from (B, G, T, S, C)
+    query and key heads."""
+    return softmax_last(scale * np.einsum("bgtsc,bgurc->bgtsur", qh, kh, optimize=False))
 
 
 def _stage_one(x: np.ndarray, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
@@ -150,13 +159,14 @@ def _stage_one(x: np.ndarray, params: AttentionParams) -> tuple[np.ndarray, np.n
     c = d // params.heads
     qh, kh, vh = _stage_one_heads(x, params)
     # Per target frame u, attend over positions r. The product is the
-    # largest array of the pass; it is built in one C-order buffer that
-    # `sorted_sum` sorts in place, and is freed once summed.
+    # largest array of the pass; it is built in one C-order buffer with r
+    # last, which `sorted_sum` sorts in place row by row and sums pairwise,
+    # and is freed once summed.
     w1 = _stage_one_weights(qh, kh, params.scale)
-    vh_t = vh.transpose(0, 3, 1, 2, 4)  # (B,G,U,R,C)
-    prod1 = np.empty(w1.shape + (c,))  # (B,G,T,S,U,R,C)
-    np.multiply(w1[..., None], vh_t[:, :, None, None, :, :, :], out=prod1)
-    yt = sorted_sum(prod1, axis=-2)  # (B,G,T,S,U,C)
+    vt = np.ascontiguousarray(vh.swapaxes(-1, -2))  # (B,G,U,C,R)
+    prod1 = np.empty(w1.shape[:-1] + (c, s))  # (B,G,T,S,U,C,R)
+    np.multiply(w1[..., None, :], vt[:, :, None, None], out=prod1)
+    yt = sorted_sum(prod1, axis=-1)  # (B,G,T,S,U,C)
     del prod1
     return w1, yt.transpose(0, 2, 4, 3, 1, 5).reshape(b, t, t, s, d)
 
@@ -171,9 +181,9 @@ def _validate_sequence(seq, params: AttentionParams) -> np.ndarray:
     return seq
 
 
-def trajectory_pass_1d(seq, params: AttentionParams, counter: MacCounter | None = None) -> np.ndarray:
-    """Two-stage trajectory attention over a (B, T, S, D) sequence; returns
-    the updated sequence (same shape)."""
+def _pass(seq, params: AttentionParams, counter: MacCounter | None = None) -> tuple:
+    """The pass over a (B, T, S, D) sequence: its per-head stage-one weights
+    w1, (B, G, T, S, U, R), and its output, (B, T, S, D)."""
     x = _validate_sequence(seq, params)
     d = x.shape[-1]
     c = d // params.heads
@@ -186,7 +196,13 @@ def trajectory_pass_1d(seq, params: AttentionParams, counter: MacCounter | None 
         counter.add("stage2_values", st2["w2"].size * c)
         counter.add("proj_stage1", 3 * x.size * d)
         counter.add("proj_stage2", (x.size + 2 * ytil.size) * d)
-    return st2["out"]
+    return w1, st2["out"]
+
+
+def trajectory_pass_1d(seq, params: AttentionParams, counter: MacCounter | None = None) -> np.ndarray:
+    """Two-stage trajectory attention over a (B, T, S, D) sequence; returns
+    the updated sequence (same shape)."""
+    return _pass(seq, params, counter)[1]
 
 
 def stage_one_weights(seq, params: AttentionParams) -> np.ndarray:

@@ -9,7 +9,7 @@ are verified against central finite differences in the test suite.
 Each pass's state is recomputed with the forward's projections and stage
 two, but with stage one as batched matrix products (`_recompute`), and
 the stage-one gradients are matrix products in the same layout. Nothing
-here sorts or builds the forward's (B, G, T, S, U, R, C) product; every
+here sorts or builds the forward's (B, G, T, S, U, C, R) product; every
 contraction is a c_einsum in a fixed order, free of BLAS and thread count.
 """
 
@@ -105,19 +105,19 @@ def _recompute(x: np.ndarray, params: AttentionParams) -> dict:
     """The state of one pass, with stage one in matrix form.
 
     Per head and target frame u, the scores are a (T*S x C)(C x R) product
-    and the pooling a (T*S x R)(R x C) one, so the weights w1 live in one
-    (B, G, U, T*S, R) layout and no (B, G, T, S, U, R, C) product is
+    of the forward's head-major queries and transposed keys, and the
+    pooling a (T*S x R)(R x C) one, so the weights w1 live in one
+    (B, G, U, T*S, R) layout and no (B, G, T, S, U, C, R) product is
     built. Reductions run in index order: the forward's sorted order only
     serves its permutation equivariance, which no gradient needs.
     """
     b, t, s, d = x.shape
     g = params.heads
     c = d // g
-    qh, kh, vh = _stage_one_heads(x, params)  # (B,T,S,G,C)
-    q = np.ascontiguousarray(qh.transpose(0, 3, 1, 2, 4)).reshape(b, g, 1, t * s, c)
+    qh, kh, vh = _stage_one_heads(x, params)  # (B,G,T,S,C)
+    q = qh.reshape(b, g, 1, t * s, c)
     # (B,G,U,C,R): the frame axis of keys and values is the target frame u.
-    kt = np.ascontiguousarray(kh.transpose(0, 3, 1, 4, 2))
-    vt = np.ascontiguousarray(vh.transpose(0, 3, 1, 4, 2))
+    kt, vt = _t(kh), _t(vh)
     w1 = _mm(q, kt)  # (B,G,U,TS,R)
     w1 *= params.scale
     _softmax(w1)

@@ -1,7 +1,7 @@
 """Trajectory heatmaps: the height and width stage-one attention rows of a
 reference pixel, multiplied into one map per target frame.
 
-`axial_fields` gives a clip's two weight arrays: the height pass's
+`axial_fields` gives a clip's two weight arrays: the height pass's own
 stage-one weights, and the width pass's on the height pass's output, with
 no width pass run. A reference point (t, h, w) selects the height row at
 batch index w and the width row at batch index h; their outer product at
@@ -17,9 +17,10 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .attention import AttentionParams, _axial_pass, prenorm, stage_one_weights, to_sequence
+from .attention import AttentionParams, _pass, from_sequence, prenorm, stage_one_weights, to_sequence
 from .errors import DimensionError
 from .pgm import write_pgm
+from .tensor import as_array
 
 
 def axial_fields(
@@ -27,9 +28,12 @@ def axial_fields(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Head-mean stage-one weights of the height pass on the (T, D, H, W) clip,
     (W, T, H, T, H), and of the width pass on the height pass's output,
-    (H, T, W, T, W). Runs the height pass only."""
-    mid = _axial_pass(f, params_h, "h")  # first, so w_h is not held beside its product
-    w_h = stage_one_weights(prenorm(to_sequence(f, "h")), params_h)
+    (H, T, W, T, W). Runs the height pass only, and takes its weights from it."""
+    f = as_array(f)
+    w1, y = _pass(prenorm(to_sequence(f, "h")), params_h)
+    w_h = w1.mean(axis=1)
+    del w1
+    mid = f + from_sequence(y, "h")
     return w_h, stage_one_weights(prenorm(to_sequence(mid, "w")), params_w)
 
 

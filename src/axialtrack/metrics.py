@@ -58,12 +58,14 @@ def vpq(preds: list[Tube], gts: GroundTruthSet, iou_thresh: float = 0.5) -> floa
 
     Per class: sum(IoU of true positives) / (TP + FP/2 + FN/2), where a
     prediction whose binarized mask is empty is ignored entirely (never a
-    false positive). The result averages over classes present in the
-    ground truth or among the kept predictions.
+    false positive). Every prediction must pass `Tube.validate`. The result
+    averages over classes present in the ground truth or among the kept
+    predictions.
     """
     gts.validate()
     kept: list[tuple[int, Tube]] = []
     for tube in preds:
+        tube.validate()
         if np.count_nonzero(tube.binarized(iou_thresh)) == 0:
             continue
         kept.append((int(np.argmax(tube.class_probs)), tube))

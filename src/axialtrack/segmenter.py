@@ -45,6 +45,8 @@ class Tube:
     def validate(self) -> None:
         if self.masks.ndim != 3:
             raise DimensionError(f"tube masks must be (span, H, W), got {self.masks.shape}")
+        require_finite(self.masks, "tube masks")
+        require_finite(self.class_probs, "tube class probabilities")
         if np.any(self.masks < 0) or np.any(self.masks > 1):
             raise DimensionError("tube mask values must lie in [0, 1]")
         if abs(float(self.class_probs.sum()) - 1.0) > 1e-9:

@@ -32,7 +32,8 @@ def sorted_sum(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndar
     The summand order depends only on the multiset of values, so the
     result is unchanged, bit for bit, when the reduced axis is permuted.
     The sum runs over a C-contiguous array; summation blocking would
-    otherwise depend on the strides of the operand.
+    otherwise depend on the strides of the operand. Along the last axis,
+    each ascending row is summed with numpy's pairwise sum.
 
     A writeable C-contiguous float64 ndarray `x` is sorted in place and
     is left sorted along `axis`, so no second buffer of its size is

@@ -341,18 +341,83 @@ class TestStageOneGuard:
 
     def test_pass_holds_one_stage_one_buffer(self):
         # The product is sorted in place; a second, sorted copy of it would
-        # put the traced peak at about twice its size.
-        b, t, s, d = 16, 4, 24, 16
+        # put the traced peak at about twice its size. Beside the product the
+        # pass holds its weights w1 and a few arrays no larger than them.
+        b, t, s, d, heads = 16, 4, 24, 16, 2
         rng = np.random.default_rng(45)
         x = rng.normal(size=(b, t, s, d))
-        p = _params(d, 46, heads=2)
+        p = _params(d, 46, heads=heads)
         tracemalloc.start()
         try:
             trajectory_pass_1d(x, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * (8 * b * t * t * s * s * d)
+        w1_bytes = 8 * b * heads * t * t * s * s
+        assert peak < 8 * b * t * t * s * s * d + 3 * w1_bytes
+
+
+class TestStageOneProduct:
+    """The stage-one product: one C-contiguous (B, G, T, S, U, C, R) buffer,
+    sorted in place along r and summed pairwise along its last axis."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        from axialtrack import attention
+        calls = []
+
+        def recording_sorted_sum(x, axis=-1, keepdims=False):
+            out = sorted_sum(x, axis=axis, keepdims=keepdims)
+            calls.append((x, axis, out))
+            return out
+
+        monkeypatch.setattr(attention, "sorted_sum", recording_sorted_sum)
+        return calls
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_one_contiguous_product_summed_on_last_axis(self, monkeypatch, heads):
+        b, t, s, d = 3, 2, 7, 4
+        calls = self._record(monkeypatch)
+        x = np.random.default_rng(60).normal(size=(b, t, s, d))
+        trajectory_pass_1d(x, _params(d, 61, heads=heads))
+        size = 8 * b * t * t * s * s * d
+        assert [x.nbytes for x, _, _ in calls].count(size) == 1
+        prod, axis, summed = max(calls, key=lambda call: call[0].nbytes)
+        assert prod.nbytes == size and prod.shape == (b, heads, t, s, t, d // heads, s)
+        assert prod.dtype == np.float64 and prod.flags.c_contiguous
+        assert axis in (-1, prod.ndim - 1)
+        # Sorted in place: the operand itself is left ascending along r, and
+        # the result is the plain (pairwise) sum of those ascending rows.
+        assert np.all(prod[..., 1:] >= prod[..., :-1])
+        assert np.array_equal(summed, prod.sum(axis=-1))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("s", [9, 17, 40, 130])
+    def test_equivariance_on_tied_and_signed_zero_rows(self, monkeypatch, s, heads):
+        # S = 9 and 17 take numpy's 8-accumulator pairwise sum with a tail,
+        # 130 its split above 128 terms. A large score scale drives many
+        # weights to exact zeros, whose products with negative values are
+        # -0.0 beside +0.0 ones; the last value channel is exactly zero.
+        b, t, d = 3, 3, 4
+        rng = np.random.default_rng(64 + s)
+        x = rng.normal(size=(b, t, s, d))
+        x[:, :, 1::3] = x[:, :, :1]  # tied rows
+        x[:, :, 2::4, 0] = -0.0
+        p = _params(d, 65, scale=700.0, heads=heads)
+        p.stage1.w_v[-1] = 0.0
+        calls = self._record(monkeypatch)
+        out = trajectory_pass_1d(x, p)
+        prod = max(calls, key=lambda call: call[0].nbytes)[0]
+        monkeypatch.undo()
+        zeros = prod == 0.0
+        assert np.any(zeros & np.signbit(prod)) and np.any(zeros & ~np.signbit(prod))
+        del calls, prod, zeros
+        for axis in (0, 1, 2):  # B, T, S
+            perm = rng.permutation(x.shape[axis])
+            got = trajectory_pass_1d(np.take(x, perm, axis=axis), p)
+            want = np.take(out, perm, axis=axis)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestPassthroughParams:

@@ -161,7 +161,7 @@ class TestTrajectoryBackward:
 
     def test_peak_below_one_stage_one_product(self):
         # Stage one runs as matrix products on (B, G, U, T*S, R) weights; one
-        # (B, G, T, S, U, R, C) product of the larger pass alone fills the bound.
+        # (B, G, T, S, U, C, R) product of the larger pass alone fills the bound.
         t, d, h, w = 4, 16, 24, 24
         rng = np.random.default_rng(26)
         f = rng.normal(size=(t, d, h, w))

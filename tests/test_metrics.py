@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from axialtrack.errors import DimensionError
+from axialtrack.errors import DimensionError, NumericError
 from axialtrack.metrics import GroundTruthSet, tube_iou, vpq
 from axialtrack.segmenter import Tube
 
@@ -112,6 +112,17 @@ class TestVpq:
         bad = _tube(np.full((1, 2, 2), 0.5))
         with pytest.raises(DimensionError):
             vpq([], _gt((bad, 0)))
+
+    def test_non_finite_prediction_refused(self):
+        # Comparisons with NaN are false, so range checks alone let it through
+        # and the tube would score as a miss.
+        gt = _gt((_tube(np.ones((1, 2, 2))), 0))
+        assert vpq([Tube(np.ones((1, 2, 2)), np.array([1.0, 0.0]), 0)], gt) == 1.0
+        bad_probs = Tube(np.ones((1, 2, 2)), np.array([np.nan, 0.5]), 0)
+        bad_mask = Tube(np.full((1, 2, 2), np.nan), np.array([1.0, 0.0]), 0)
+        for bad in (bad_probs, bad_mask):
+            with pytest.raises(NumericError):
+                vpq([bad], gt)
 
     def test_score_stays_in_unit_interval(self):
         rng = np.random.default_rng(2)

@@ -3,7 +3,7 @@ import pytest
 
 from axialtrack.attention import ProjectionWeights
 from axialtrack.config import ModelConfig
-from axialtrack.errors import ConfigError, DimensionError
+from axialtrack.errors import ConfigError, DimensionError, NumericError
 from axialtrack.segmenter import (
     ClipQuerySet,
     DecoderLayerParams,
@@ -267,3 +267,12 @@ class TestTube:
             Tube(np.full((1, 2, 2), 1.5), np.array([1.0]), 0).validate()
         with pytest.raises(DimensionError):
             Tube(np.zeros((1, 2, 2)), np.array([0.4, 0.4]), 0).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_refused(self, value):
+        masks = np.zeros((1, 2, 2))
+        masks[0, 1, 0] = value
+        with pytest.raises(NumericError, match="tube masks"):
+            Tube(masks, np.array([1.0]), 0).validate()
+        with pytest.raises(NumericError, match="class probabilities"):
+            Tube(np.zeros((1, 2, 2)), np.array([value, 0.5]), 0).validate()
