@@ -63,7 +63,6 @@ from .tensor import (
     MacCounter,
     atrous_conv1d,
     bilinear_sample,
-    layer_norm,
     softmax_last,
 )
 

@@ -10,7 +10,10 @@ The core pass runs two attention stages over a (B, T, S, D) sequence:
 
 Axial wrappers run the pass along the height or width axis of a
 (T, D, H, W) feature volume, with the other spatial axis acting as a
-pure batch axis, inside a pre-norm residual: out = x + pass(norm(x)).
+pure batch axis, inside a pre-norm residual: out = x + pass(norm(x)),
+where `prenorm` is a layer norm with no gain or shift. Queries and values
+may carry a bias; keys carry none, since a key bias shifts every score of
+a softmax row by the same amount and changes no weight.
 
 Attention reductions (softmax denominators and weighted sums) run in
 ascending value order, so outputs are bitwise-equivariant under
@@ -41,13 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ResourceGuardError
-from .tensor import MacCounter, as_array, layer_norm, require_finite, softmax_last, sorted_sum
+from .tensor import MacCounter, as_array, require_finite, softmax_last, sorted_sum
 
 LN_EPS = 1e-5
 
-# Default size guard for the undecomposed reference pass, expressed as a
-# bound on T*H*W (its weight tensor grows with the square of that).
-DEFAULT_REFERENCE_CAP = 4096
+# Size guard for the undecomposed reference pass, expressed as a bound on
+# T*H*W (its weight tensor grows with the square of that).
+REFERENCE_CAP = 4096
 
 # Largest float64 stage-one product, 8*B*T^2*S^2*D bytes, that a pass may
 # materialise; larger inputs are refused before anything is allocated.
@@ -56,13 +59,16 @@ STAGE_ONE_BYTES_LIMIT = 2 ** 30
 
 @dataclass
 class ProjectionWeights:
-    """Square query/key/value projections with optional biases."""
+    """Square query/key/value projections with optional query and value biases.
+
+    Keys carry no bias: it would add the same q . b_k to every score of a
+    softmax row, which changes no weight.
+    """
 
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
     b_q: np.ndarray | None = None
-    b_k: np.ndarray | None = None
     b_v: np.ndarray | None = None
 
     def validate(self, d: int) -> None:
@@ -70,7 +76,7 @@ class ProjectionWeights:
             w = getattr(self, name)
             if w.shape != (d, d):
                 raise DimensionError(f"{name} must be ({d}, {d}), got {w.shape}")
-        for name in ("b_q", "b_k", "b_v"):
+        for name in ("b_q", "b_v"):
             b = getattr(self, name)
             if b is not None and b.shape != (d,):
                 raise DimensionError(f"{name} must have shape ({d},), got {b.shape}")
@@ -119,7 +125,7 @@ def _stage_one_heads(x: np.ndarray, params: AttentionParams) -> tuple:
     (B, G, T, S, C) arrays."""
     s1 = params.stage1
     heads = (_split_heads(_project(x, w, bias), params.heads)
-             for w, bias in ((s1.w_q, s1.b_q), (s1.w_k, s1.b_k), (s1.w_v, s1.b_v)))
+             for w, bias in ((s1.w_q, s1.b_q), (s1.w_k, None), (s1.w_v, s1.b_v)))
     return tuple(np.ascontiguousarray(h.transpose(0, 3, 1, 2, 4)) for h in heads)
 
 
@@ -134,7 +140,7 @@ def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total) -> dic
     idx = np.arange(t)
     ydiag = ytil[:, idx, idx]  # (B,T,S,D)
     qth = _split_heads(_project(ydiag, s2.w_q, s2.b_q), g)  # (B,T,S,G,C)
-    kth = _split_heads(_project(ytil, s2.w_k, s2.b_k), g)  # (B,T,U,S,G,C)
+    kth = _split_heads(_project(ytil, s2.w_k, None), g)  # (B,T,U,S,G,C)
     vth = _split_heads(_project(ytil, s2.w_v, s2.b_v), g)
     # Head-major copies, so the (B,G,T,S,U) scores come out C-contiguous.
     q2 = np.ascontiguousarray(qth.transpose(0, 3, 1, 2, 4))  # (B,G,T,S,C)
@@ -243,9 +249,15 @@ def from_sequence(x, axis: str) -> np.ndarray:
 
 
 def prenorm(x) -> np.ndarray:
-    """Parameter-free layer norm over the channel axis (the residual pre-norm)."""
-    d = x.shape[-1]
-    return layer_norm(x, np.ones(d), np.zeros(d), LN_EPS)
+    """Parameter-free layer norm over the trailing (channel) axis, with the
+    population variance: (x - mean) / sqrt(var + LN_EPS). It is the residual
+    pre-norm of every attention block and the norm of the temporal pyramid."""
+    x = as_array(x)
+    if x.ndim == 0 or x.shape[-1] < 1:
+        raise DimensionError(f"layer norm needs a non-empty trailing axis, got shape {x.shape}")
+    mean = x.mean(axis=-1, keepdims=True)
+    var = np.square(x - mean).mean(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + LN_EPS)
 
 
 def _axial_pass(f, params: AttentionParams, axis: str, counter: MacCounter | None = None):
@@ -266,23 +278,20 @@ def axial_trajectory_w(f, params: AttentionParams, *, counter: MacCounter | None
 
 
 def full_trajectory_reference(
-    f,
-    params: AttentionParams,
-    *,
-    cap: int = DEFAULT_REFERENCE_CAP,
-    counter: MacCounter | None = None,
+    f, params: AttentionParams, *, counter: MacCounter | None = None
 ) -> np.ndarray:
     """Undecomposed trajectory attention over the joint H*W axis.
 
     Stage one attends over all H*W positions of each target frame, so the
-    cost grows with (T*H*W)^2; inputs with T*H*W above `cap` are refused.
+    cost grows with (T*H*W)^2; inputs with T*H*W above `REFERENCE_CAP` are
+    refused.
     """
     f = as_array(f)
     _validate_clip(f)
     t, d, h, w = f.shape
-    if t * h * w > cap:
+    if t * h * w > REFERENCE_CAP:
         raise ResourceGuardError(
-            f"reference pass refused: T*H*W = {t * h * w} exceeds cap {cap}"
+            f"reference pass refused: T*H*W = {t * h * w} exceeds cap {REFERENCE_CAP}"
         )
     x = np.ascontiguousarray(f.transpose(0, 2, 3, 1).reshape(1, t, h * w, d))
     y = trajectory_pass_1d(prenorm(x), params, counter=counter)
@@ -292,14 +301,14 @@ def full_trajectory_reference(
 def projection_weights(
     d: int, rng: np.random.Generator, std: float = 0.02, bias: bool = False
 ) -> ProjectionWeights:
-    """Gaussian-initialized projections (bias vectors optional)."""
+    """Gaussian-initialized projections (query and value biases optional)."""
     def mat() -> np.ndarray:
         return rng.normal(0.0, std, size=(d, d))
 
     def vec() -> np.ndarray | None:
         return rng.normal(0.0, std, size=d) if bias else None
 
-    return ProjectionWeights(mat(), mat(), mat(), vec(), vec(), vec())
+    return ProjectionWeights(mat(), mat(), mat(), vec(), vec())
 
 
 def attention_params(

@@ -38,7 +38,6 @@ class ProjectionGrads:
     w_k: np.ndarray
     w_v: np.ndarray
     b_q: np.ndarray | None = None
-    b_k: np.ndarray | None = None
     b_v: np.ndarray | None = None
 
 
@@ -157,7 +156,6 @@ def _stage_two_backward(
     d_uk = np.einsum("btusd,btuse->de", dkt, ytil, optimize=False)
     d_uv = np.einsum("btusd,btuse->de", dvt, ytil, optimize=False)
     db_q2 = dqt.sum(axis=(0, 1, 2)) if s2.b_q is not None else None
-    db_k2 = dkt.sum(axis=(0, 1, 2, 3)) if s2.b_k is not None else None
     db_v2 = dvt.sum(axis=(0, 1, 2, 3)) if s2.b_v is not None else None
 
     dydiag = np.einsum("btsd,de->btse", dqt, s2.w_q, optimize=False)
@@ -166,7 +164,7 @@ def _stage_two_backward(
     idx = np.arange(t)
     dytil[:, idx, idx] += dydiag
     dyt = dytil.reshape(b, t, u, s, g, c).transpose(0, 4, 2, 1, 3, 5)  # (B,G,U,T,S,C)
-    grads = ProjectionGrads(d_uq, d_uk, d_uv, db_q2, db_k2, db_v2)
+    grads = ProjectionGrads(d_uq, d_uk, d_uv, db_q2, db_v2)
     return np.ascontiguousarray(dyt).reshape(b, g, u, t * s, c), grads
 
 
@@ -198,14 +196,13 @@ def _pass_backward(
     d_wk = np.einsum("btsd,btse->de", dk, x, optimize=False)
     d_wv = np.einsum("btsd,btse->de", dv, x, optimize=False)
     db_q1 = dq.sum(axis=(0, 1, 2)) if s1.b_q is not None else None
-    db_k1 = dk.sum(axis=(0, 1, 2)) if s1.b_k is not None else None
     db_v1 = dv.sum(axis=(0, 1, 2)) if s1.b_v is not None else None
 
     dx = np.einsum("btsd,de->btse", dq, s1.w_q, optimize=False)
     dx += np.einsum("btsd,de->btse", dk, s1.w_k, optimize=False)
     dx += np.einsum("btsd,de->btse", dv, s1.w_v, optimize=False)
 
-    grads1 = ProjectionGrads(d_wq, d_wk, d_wv, db_q1, db_k1, db_v1)
+    grads1 = ProjectionGrads(d_wq, d_wk, d_wv, db_q1, db_v1)
     return dx, AttentionParamGrads(stage1=grads1, stage2=grads2)
 
 

@@ -16,6 +16,8 @@ SCALE_ONE = "one"
 # Bound on the finest-level deformable sampler's (T, H*W*K, D) samples plus
 # (T, H*W, 3K) weights, which one gather per level holds for a whole clip.
 SAMPLER_BYTES_LIMIT = 2 ** 30
+# Bound on the float64 bytes of the whole parameter bundle the pipeline builds.
+PARAMS_BYTES_LIMIT = 2 ** 30
 
 _INT_KEYS = ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "heads", "k_sample", "seed")
 
@@ -58,11 +60,12 @@ class ModelConfig:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
     def validate_pipeline(self) -> None:
-        """`validate`, plus the frame-size and sampler-size rules of the pipeline.
+        """`validate`, plus the frame-size and memory rules of the pipeline.
 
         MAC accounting runs the attention alone at any extents; the
-        pipeline's feature pyramid halves H and W twice, and its
-        deformable sampler must fit `SAMPLER_BYTES_LIMIT`.
+        pipeline's feature pyramid halves H and W twice, its deformable
+        sampler must fit `SAMPLER_BYTES_LIMIT`, and its parameters
+        `PARAMS_BYTES_LIMIT`.
         """
         self.validate()
         for key in ("h", "w"):
@@ -75,6 +78,27 @@ class ModelConfig:
                 f"k_sample={self.k_sample}, d={self.d} need {sampler} bytes of finest-level "
                 f"samples and weights, above the limit of {SAMPLER_BYTES_LIMIT} bytes"
             )
+        params = self.param_bytes()
+        if params > PARAMS_BYTES_LIMIT:
+            raise ResourceGuardError(
+                f"parameters refused: n={self.n}, c={self.c}, d={self.d}, n_w={self.n_w}, "
+                f"n_c={self.n_c}, k_sample={self.k_sample} need {params} bytes of float64 "
+                f"parameters, above the limit of {PARAMS_BYTES_LIMIT} bytes"
+            )
+
+    def param_bytes(self) -> int:
+        """Float64 bytes of the pipeline's parameter bundle.
+
+        Queries (N, D) and class head (D, C); three decoder layers of 14 D^2
+        each (two attentions of 3 D^2, a 4D-wide feed-forward); per
+        within-clip block, deformable sampling of 3 (2 D^2 + 5 K D) and two
+        axial attentions of 6 D^2; per cross-clip block, an attention of
+        6 D^2 and a temporal pyramid of 10 D^2.
+        """
+        d = self.d
+        within = 3 * (2 * d * d + 5 * self.k_sample * d) + 12 * d * d
+        cross = 16 * d * d
+        return 8 * (self.n * d + d * self.c + 42 * d * d + self.n_w * within + self.n_c * cross)
 
     def scale(self) -> float:
         if self.scale_mode == SCALE_ONE:

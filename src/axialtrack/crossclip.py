@@ -2,8 +2,9 @@
 
 The (K, N, D) query tensor is refined by blocks of trajectory attention
 (clip index as the frame axis, query index as the attended axis) and a
-temporal pyramid of dilated convolutions; a temporally smoothed class
-head and whole-video mask multiplication produce the offline prediction.
+temporal pyramid of dilated convolutions with a parameter-free layer
+norm; a clip-mean class head and whole-video mask multiplication produce
+the offline prediction.
 """
 
 from __future__ import annotations
@@ -12,17 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import LN_EPS, AttentionParams, attention_params, prenorm, trajectory_pass_1d
+from .attention import AttentionParams, attention_params, prenorm, trajectory_pass_1d
 from .errors import ConfigError, DimensionError
 from .segmenter import PipelineParams, Tube, link_video, stacked_tubes
-from .tensor import (
-    as_array,
-    atrous_conv1d,
-    layer_norm,
-    logistic,
-    require_finite,
-    softmax_last,
-)
+from .tensor import as_array, atrous_conv1d, logistic, require_finite, softmax_last
 
 
 def _validate_query_tensor(z: np.ndarray) -> None:
@@ -33,13 +27,12 @@ def _validate_query_tensor(z: np.ndarray) -> None:
 
 @dataclass
 class AsppParams:
-    """Three dilated temporal branches, a fusing projection, and a layer norm."""
+    """Three dilated temporal branches and a fusing projection (the layer
+    norm after it has no parameters)."""
 
     kernels: list[np.ndarray]      # three (taps, D, D) stacks
     rates: tuple[int, int, int]
     fuse: np.ndarray               # (D, D)
-    ln_gamma: np.ndarray           # (D,)
-    ln_beta: np.ndarray            # (D,)
 
     def validate(self, d: int) -> None:
         if len(self.kernels) != 3 or len(self.rates) != 3:
@@ -51,8 +44,6 @@ class AsppParams:
                 raise DimensionError(f"branch kernels must be (taps, {d}, {d}), got {kern.shape}")
         if self.fuse.shape != (d, d):
             raise DimensionError(f"fusion projection must be ({d}, {d}), got {self.fuse.shape}")
-        if self.ln_gamma.shape != (d,) or self.ln_beta.shape != (d,):
-            raise DimensionError("layer-norm parameters must have length D")
 
 
 @dataclass
@@ -79,7 +70,7 @@ def temporal_aspp(z, params: AsppParams) -> np.ndarray:
     branch_sum += atrous_conv1d(z, params.kernels[1], params.rates[1])
     branch_sum += atrous_conv1d(z, params.kernels[2], params.rates[2])
     fused = np.einsum("kne,de->knd", branch_sum, params.fuse, optimize=False)
-    return z + layer_norm(fused, params.ln_gamma, params.ln_beta, LN_EPS)
+    return z + prenorm(fused)
 
 
 def cross_clip_forward(z, blocks: list[CrossClipBlock]) -> np.ndarray:
@@ -92,27 +83,17 @@ def cross_clip_forward(z, blocks: list[CrossClipBlock]) -> np.ndarray:
     return z
 
 
-def temporal_class_head(z, class_head, kernel) -> np.ndarray:
-    """Per-clip class logits smoothed over the clip axis (zero padded),
-    averaged across clips, and softmaxed per track. Returns (N, C)."""
+def temporal_class_head(z, class_head) -> np.ndarray:
+    """Per-clip class logits averaged across clips and softmaxed per track.
+    Returns (N, C)."""
     z = as_array(z)
     class_head = as_array(class_head)
-    kernel = as_array(kernel)
     _validate_query_tensor(z)
     if class_head.shape[0] != z.shape[2]:
         raise DimensionError(
             f"class head rows {class_head.shape[0]} != query channels {z.shape[2]}"
         )
-    if kernel.shape != (3,):
-        raise DimensionError(f"smoothing kernel must have 3 taps, got {kernel.shape}")
-    logits = np.einsum("knd,dc->knc", z, class_head, optimize=False)
-    k = logits.shape[0]
-    padded = np.zeros((k + 2,) + logits.shape[1:])
-    padded[1:k + 1] = logits
-    smoothed = (
-        kernel[0] * padded[0:k] + kernel[1] * padded[1:k + 1] + kernel[2] * padded[2:k + 2]
-    )
-    return softmax_last(smoothed.mean(axis=0))
+    return softmax_last(np.einsum("knd,dc->knc", z, class_head, optimize=False).mean(axis=0))
 
 
 def offline_inference(video, params: PipelineParams) -> list[Tube]:
@@ -121,39 +102,30 @@ def offline_inference(video, params: PipelineParams) -> list[Tube]:
     The near-online chain supplies aligned queries and per-clip features;
     after refinement, each clip's queries multiply that clip's features,
     and the per-clip masks concatenate into span-L tubes (padding frames
-    drop off). Classes come from the temporally smoothed head.
+    drop off). Classes come from the clip-mean class head.
     """
     linked = link_video(video, params)
     z = cross_clip_forward(linked.aligned_queries, params.cross_blocks)
-    probs = temporal_class_head(z, params.class_head, params.class_kernel)
+    probs = temporal_class_head(z, params.class_head)
     logits = np.einsum("knd,ktdhw->nkthw", z, linked.clip_features, optimize=False)
     return stacked_tubes(logistic(logits), probs, linked.length)
 
 
-def aspp_params(
-    d: int,
-    rng: np.random.Generator,
-    rates: tuple[int, int, int] = (1, 2, 3),
-    taps: int = 3,
-    std: float = 0.02,
-) -> AsppParams:
+def aspp_params(d: int, rng: np.random.Generator, rates: tuple[int, int, int] = (1, 2, 3)) -> AsppParams:
+    """Random three-tap branch kernels and fusion projection (std 0.02)."""
     return AsppParams(
-        kernels=[rng.normal(0.0, std, size=(taps, d, d)) for _ in range(3)],
+        kernels=[rng.normal(0.0, 0.02, size=(3, d, d)) for _ in range(3)],
         rates=rates,
-        fuse=rng.normal(0.0, std, size=(d, d)),
-        ln_gamma=np.ones(d),
-        ln_beta=np.zeros(d),
+        fuse=rng.normal(0.0, 0.02, size=(d, d)),
     )
 
 
 def identity_aspp_params(d: int, rates: tuple[int, int, int] = (1, 2, 3)) -> AsppParams:
-    """Zero fusion and zero shift make the block an exact identity."""
+    """Zero fusion makes the block an exact identity: the norm of a zero row is zero."""
     return AsppParams(
         kernels=[np.zeros((3, d, d)) for _ in range(3)],
         rates=rates,
         fuse=np.zeros((d, d)),
-        ln_gamma=np.ones(d),
-        ln_beta=np.zeros(d),
     )
 
 

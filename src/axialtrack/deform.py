@@ -157,15 +157,15 @@ def build_pyramid(f) -> FeaturePyramid:
     return FeaturePyramid([quarter, half, f])
 
 
-def deform_params(d: int, k: int, rng: np.random.Generator, std: float = 0.02) -> DeformParams:
-    """Random query/output projections; offset and weight predictors start at
-    zero, so the untrained module is a well-defined local average."""
+def deform_params(d: int, k: int, rng: np.random.Generator) -> DeformParams:
+    """Random query/output projections (std 0.02); offset and weight predictors
+    start at zero, so the untrained module is a well-defined local average."""
     levels = [
         LevelDeformParams(
-            w_query=rng.normal(0.0, std, size=(d, d)),
+            w_query=rng.normal(0.0, 0.02, size=(d, d)),
             w_offset=np.zeros((2 * k, d)),
             w_weight=np.zeros((3 * k, d)),
-            w_out=rng.normal(0.0, std, size=(d, d)),
+            w_out=rng.normal(0.0, 0.02, size=(d, d)),
         )
         for _ in range(3)
     ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import (
-    DEFAULT_REFERENCE_CAP,
+    REFERENCE_CAP,
     attention_params,
     axial_trajectory_h,
     axial_trajectory_w,
@@ -97,7 +97,7 @@ class MacReport:
         return self.full_measured == self.full_analytic and self.axial_measured == self.axial_analytic
 
 
-def count_macs(cfg: ModelConfig, cap: int = DEFAULT_REFERENCE_CAP) -> MacReport:
+def count_macs(cfg: ModelConfig) -> MacReport:
     """Run both schemes on seeded random features and compare counts.
 
     Shapes above the reference cap or the stage-one limit are refused
@@ -105,10 +105,10 @@ def count_macs(cfg: ModelConfig, cap: int = DEFAULT_REFERENCE_CAP) -> MacReport:
     """
     cfg.validate()
     t, h, w = cfg.t, cfg.h, cfg.w
-    if t * h * w > cap:
+    if t * h * w > REFERENCE_CAP:
         raise ResourceGuardError(
             f"bench refused: (T, D, H, W) = {(t, cfg.d, h, w)} has T*H*W = {t * h * w}, "
-            f"above the reference cap {cap}"
+            f"above the reference cap {REFERENCE_CAP}"
         )
     # The reference pass's stage-one product bounds those of both axial passes.
     check_stage_one((1, t, h * w, cfg.d))
@@ -121,7 +121,7 @@ def count_macs(cfg: ModelConfig, cap: int = DEFAULT_REFERENCE_CAP) -> MacReport:
     axial_trajectory_w(mid, params, counter=axial_counter)
 
     full_counter = MacCounter()
-    full_trajectory_reference(feats, params, cap=cap, counter=full_counter)
+    full_trajectory_reference(feats, params, counter=full_counter)
 
     return MacReport(
         t=cfg.t,

@@ -2,9 +2,9 @@
 
 Quality is computed per class over the whole video window: predictions
 and ground truth of equal class are matched by minimum-cost assignment
-on negative IoU, a match counts as a true positive only above the IoU
-threshold, and the per-class scores average over every class present on
-either side.
+on negative IoU, a match counts as a true positive only above
+`MATCH_IOU`, and the per-class scores average over every class present
+on either side. Masks are binarized at `segmenter.MASK_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 from .assignment import hungarian
 from .errors import DimensionError
 from .segmenter import Tube
+
+MATCH_IOU = 0.5  # a matched pair is a true positive only above this IoU
 _FORBIDDEN = 1e9  # cost of a pair that may not match
 
 
@@ -37,15 +39,15 @@ class GroundTruthSet:
                 raise DimensionError("ground-truth tubes must share their span and extent")
 
 
-def tube_iou(a: Tube, b: Tube, threshold: float = 0.5) -> float:
-    """Voxel IoU of two tubes after binarizing both at `threshold`.
+def tube_iou(a: Tube, b: Tube) -> float:
+    """Voxel IoU of two binarized tubes.
 
     An empty union counts as IoU 1 when both tubes are empty.
     """
     if a.masks.shape != b.masks.shape:
         raise DimensionError(f"tube spans/extents differ: {a.masks.shape} vs {b.masks.shape}")
-    am = a.binarized(threshold)
-    bm = b.binarized(threshold)
+    am = a.binarized()
+    bm = b.binarized()
     inter = int(np.count_nonzero(am & bm))
     union = int(np.count_nonzero(am | bm))
     if union == 0:
@@ -53,7 +55,7 @@ def tube_iou(a: Tube, b: Tube, threshold: float = 0.5) -> float:
     return inter / union
 
 
-def vpq(preds: list[Tube], gts: GroundTruthSet, iou_thresh: float = 0.5) -> float:
+def vpq(preds: list[Tube], gts: GroundTruthSet) -> float:
     """Class-averaged video panoptic quality.
 
     Per class: sum(IoU of true positives) / (TP + FP/2 + FN/2), where a
@@ -66,7 +68,7 @@ def vpq(preds: list[Tube], gts: GroundTruthSet, iou_thresh: float = 0.5) -> floa
     kept: list[tuple[int, Tube]] = []
     for tube in preds:
         tube.validate()
-        if np.count_nonzero(tube.binarized(iou_thresh)) == 0:
+        if np.count_nonzero(tube.binarized()) == 0:
             continue
         kept.append((int(np.argmax(tube.class_probs)), tube))
 
@@ -81,10 +83,10 @@ def vpq(preds: list[Tube], gts: GroundTruthSet, iou_thresh: float = 0.5) -> floa
         tp = 0
         iou_sum = 0.0
         if p_tubes and g_tubes:
-            ious = np.array([[tube_iou(p, g, iou_thresh) for g in g_tubes] for p in p_tubes])
-            cost = np.where(ious > iou_thresh, -ious, _FORBIDDEN)
+            ious = np.array([[tube_iou(p, g) for g in g_tubes] for p in p_tubes])
+            cost = np.where(ious > MATCH_IOU, -ious, _FORBIDDEN)
             for i, j in hungarian(cost).pairs:
-                if ious[i, j] > iou_thresh:
+                if ious[i, j] > MATCH_IOU:
                     tp += 1
                     iou_sum += ious[i, j]
         fp = len(p_tubes) - tp

@@ -20,6 +20,11 @@ from .deform import WithinClipBlock, build_pyramid, within_clip_forward
 from .errors import ConfigError, DimensionError
 from .tensor import as_array, logistic, require_finite, softmax_last
 
+# A mask value counts as foreground when it exceeds this.
+MASK_THRESHOLD = 0.5
+# Layers of every decoder stack the pipeline builds.
+DECODER_LAYERS = 3
+
 
 @dataclass
 class ClipQuerySet:
@@ -52,8 +57,8 @@ class Tube:
         if abs(float(self.class_probs.sum()) - 1.0) > 1e-9:
             raise DimensionError("class probabilities must sum to 1")
 
-    def binarized(self, threshold: float = 0.5) -> np.ndarray:
-        return self.masks > threshold
+    def binarized(self) -> np.ndarray:
+        return self.masks > MASK_THRESHOLD
 
 
 def split_into_clips(video, t: int) -> list[np.ndarray]:
@@ -92,7 +97,7 @@ class DecoderParams:
 
 def _attend(q: np.ndarray, keys: np.ndarray, proj: ProjectionWeights, scale: float) -> np.ndarray:
     qq = _project(q, proj.w_q, proj.b_q)
-    kk = _project(keys, proj.w_k, proj.b_k)
+    kk = _project(keys, proj.w_k, None)
     vv = _project(keys, proj.w_v, proj.b_v)
     weights = softmax_last(scale * np.einsum("nd,pd->np", qq, kk, optimize=False))
     return np.einsum("np,pd->nd", weights, vv, optimize=False)
@@ -164,7 +169,6 @@ class PipelineParams:
     decoder: DecoderParams
     within_blocks: list[WithinClipBlock]
     cross_blocks: list = field(default_factory=list)
-    class_kernel: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
 
 
 @dataclass
@@ -253,22 +257,19 @@ def near_online_inference(video, params: PipelineParams, *, shuffle_rng=None) ->
 def decoder_params(
     d: int,
     rng: np.random.Generator,
-    n_layers: int = 3,
-    hidden: int | None = None,
+    n_layers: int = DECODER_LAYERS,
     scale: float | None = None,
     std: float = 0.02,
 ) -> DecoderParams:
-    """Randomly initialized decoder stack (hidden defaults to 4 * D)."""
-    if hidden is None:
-        hidden = 4 * d
+    """Randomly initialized decoder stack with a 4 * D feed-forward hidden width."""
     if scale is None:
         scale = 1.0 / np.sqrt(d)
     layers = [
         DecoderLayerParams(
             cross=projection_weights(d, rng, std),
             self_attn=projection_weights(d, rng, std),
-            ffn_w1=rng.normal(0.0, std, size=(hidden, d)),
-            ffn_w2=rng.normal(0.0, std, size=(d, hidden)),
+            ffn_w1=rng.normal(0.0, std, size=(4 * d, d)),
+            ffn_w2=rng.normal(0.0, std, size=(d, 4 * d)),
             scale=float(scale),
         )
         for _ in range(n_layers)
@@ -276,7 +277,7 @@ def decoder_params(
     return DecoderParams(layers)
 
 
-def identity_decoder_params(d: int, n_layers: int = 3, scale: float | None = None) -> DecoderParams:
+def identity_decoder_params(d: int, scale: float | None = None) -> DecoderParams:
     """Layers whose value/output paths are zero: queries pass through unchanged."""
     if scale is None:
         scale = 1.0 / np.sqrt(d)
@@ -289,6 +290,6 @@ def identity_decoder_params(d: int, n_layers: int = 3, scale: float | None = Non
             ffn_w2=np.zeros((d, 4 * d)),
             scale=float(scale),
         )
-        for _ in range(n_layers)
+        for _ in range(DECODER_LAYERS)
     ]
     return DecoderParams(layers)

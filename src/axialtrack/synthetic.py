@@ -197,11 +197,10 @@ def build_oracle_params(spec: SyntheticVideoSpec, cfg: ModelConfig) -> PipelineP
         decoder=identity_decoder_params(cfg.d, scale=scale),
         within_blocks=within,
         cross_blocks=cross,
-        class_kernel=np.array([0.0, 1.0, 0.0]),
     )
 
 
-def random_pipeline_params(cfg: ModelConfig, decoder_layers: int = 3) -> PipelineParams:
+def random_pipeline_params(cfg: ModelConfig) -> PipelineParams:
     """Seeded random initialization of the whole parameter bundle."""
     rng = np.random.default_rng(cfg.seed)
     scale = cfg.scale()
@@ -209,8 +208,7 @@ def random_pipeline_params(cfg: ModelConfig, decoder_layers: int = 3) -> Pipelin
         clip_len=cfg.t,
         init_queries=rng.normal(0.0, 0.02, size=(cfg.n, cfg.d)),
         class_head=rng.normal(0.0, 0.02, size=(cfg.d, cfg.c)),
-        decoder=decoder_params(cfg.d, rng, n_layers=decoder_layers, scale=scale),
+        decoder=decoder_params(cfg.d, rng, scale=scale),
         within_blocks=within_clip_blocks(cfg.d, cfg.k_sample, cfg.n_w, rng, cfg.heads, scale),
         cross_blocks=cross_clip_blocks(cfg.d, cfg.n_c, rng, cfg.atrous_rates, cfg.heads, scale),
-        class_kernel=np.array([0.0, 1.0, 0.0]),
     )

@@ -66,30 +66,15 @@ def softmax_last(x) -> np.ndarray:
     return ex / sorted_sum(ex.copy(), axis=-1, keepdims=True)
 
 
-def layer_norm(x, gamma, beta, eps: float) -> np.ndarray:
-    """Normalize the trailing axis (population variance), then scale/shift."""
-    x = as_array(x)
-    gamma = as_array(gamma)
-    beta = as_array(beta)
-    if x.ndim == 0 or x.shape[-1] < 1:
-        raise DimensionError(f"layer_norm needs a non-empty trailing axis, got shape {x.shape}")
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise DimensionError(
-            f"gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
-        )
-    mean = x.mean(axis=-1, keepdims=True)
-    var = np.square(x - mean).mean(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
-
-
 def atrous_conv1d(x, kernel, rate: int) -> np.ndarray:
     """Dilated 1-D convolution over a (length, ..., channels) sequence.
 
     Axes between the first and the last are batch axes. `kernel` has
-    shape (taps, out_channels, in_channels) with an odd tap count; the
-    input is zero padded so the output keeps its length, and taps are
-    accumulated in index order.
+    shape (taps, out_channels, in_channels) with an odd tap count. The
+    output keeps the input's length, as if the input were zero padded:
+    each tap adds its product over the output rows whose shifted input row
+    exists, so no padded copy is built and a tap whose offset reaches past
+    the sequence adds nothing. Taps are accumulated in index order.
     """
     x = as_array(x)
     kernel = as_array(kernel)
@@ -105,13 +90,13 @@ def atrous_conv1d(x, kernel, rate: int) -> np.ndarray:
     if din != x.shape[-1]:
         raise DimensionError(f"kernel input channels {din} != sequence channels {x.shape[-1]}")
     length = x.shape[0]
-    pad = (taps - 1) // 2 * rate
-    padded = np.zeros((length + 2 * pad,) + x.shape[1:])
-    padded[pad:pad + length] = x
     out = np.zeros(x.shape[:-1] + (dout,))
     for j in range(taps):
-        window = padded[j * rate:j * rate + length]
-        out += np.einsum("l...e,de->l...d", window, kernel[j], optimize=False)
+        off = (j - (taps - 1) // 2) * rate  # output row l reads input row l + off
+        if abs(off) >= length:
+            continue
+        lo, hi = max(0, -off), min(length, length - off)
+        out[lo:hi] += np.einsum("l...e,de->l...d", x[lo + off:hi + off], kernel[j], optimize=False)
     return out
 
 

@@ -20,22 +20,18 @@ import numpy as np
 LN_EPS = 1e-5
 
 
-def naive_layer_norm(x, gamma, beta, eps):
+def naive_prenorm(x):
+    """Parameter-free layer norm over the trailing axis (population variance)."""
     flat = x.reshape(-1, x.shape[-1])
     out = np.zeros_like(flat)
     d = flat.shape[1]
     for i in range(flat.shape[0]):
         mean = sum(float(v) for v in flat[i]) / d
         var = sum((float(v) - mean) ** 2 for v in flat[i]) / d
-        denom = math.sqrt(var + eps)
+        denom = math.sqrt(var + LN_EPS)
         for j in range(d):
-            out[i, j] = (float(flat[i, j]) - mean) / denom * float(gamma[j]) + float(beta[j])
+            out[i, j] = (float(flat[i, j]) - mean) / denom
     return out.reshape(x.shape)
-
-
-def naive_prenorm(x):
-    d = x.shape[-1]
-    return naive_layer_norm(x, np.ones(d), np.zeros(d), LN_EPS)
 
 
 def naive_atrous_conv1d(x, kernel, rate):
@@ -103,7 +99,7 @@ def naive_pass1d(x, params):
         for t in range(nt):
             for s in range(ns):
                 q[b, t, s] = _proj_vec(x[b, t, s], s1.w_q, s1.b_q)
-                k[b, t, s] = _proj_vec(x[b, t, s], s1.w_k, s1.b_k)
+                k[b, t, s] = _proj_vec(x[b, t, s], s1.w_k, None)
                 v[b, t, s] = _proj_vec(x[b, t, s], s1.w_v, s1.b_v)
 
     ytil = np.zeros((nb, nt, nt, ns, nd))
@@ -125,7 +121,7 @@ def naive_pass1d(x, params):
         for t in range(nt):
             for s in range(ns):
                 qt = _proj_vec(ytil[b, t, t, s], s2.w_q, s2.b_q)
-                kts = [_proj_vec(ytil[b, t, u, s], s2.w_k, s2.b_k) for u in range(nt)]
+                kts = [_proj_vec(ytil[b, t, u, s], s2.w_k, None) for u in range(nt)]
                 vts = [_proj_vec(ytil[b, t, u, s], s2.w_v, s2.b_v) for u in range(nt)]
                 logits = [sc * _dot(qt, kts[u]) for u in range(nt)]
                 den = sum(math.exp(val) for val in logits)
@@ -229,7 +225,7 @@ def naive_msdeform(levels, params):
 def naive_attend(q_rows, keys, proj, scale):
     n, d = q_rows.shape
     out = np.zeros((n, d))
-    kk = [_proj_vec(key, proj.w_k, proj.b_k) for key in keys]
+    kk = [_proj_vec(key, proj.w_k, None) for key in keys]
     vv = [_proj_vec(key, proj.w_v, proj.b_v) for key in keys]
     for i in range(n):
         qq = _proj_vec(q_rows[i], proj.w_q, proj.b_q)

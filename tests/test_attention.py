@@ -171,7 +171,7 @@ class TestStageOneWeights:
             keep[g * c:(g + 1) * c] = 1.0
             head = AttentionParams(
                 stage1=ProjectionWeights(keep[:, None] * s1.w_q, keep[:, None] * s1.w_k, s1.w_v,
-                                         keep * s1.b_q, keep * s1.b_k, s1.b_v),
+                                         keep * s1.b_q, s1.b_v),
                 stage2=p.stage2,
                 scale=p.scale,
             )
@@ -230,7 +230,6 @@ class TestAxialPasses:
         f = rng.normal(size=(2, 4, 5, 3))
         p = _params(4, 22)
         p.stage1.w_k = np.zeros((4, 4))
-        p.stage1.b_k = None
         x = prenorm(to_sequence(f, "h"))
         np.testing.assert_allclose(stage_one_weights(x, p), 1.0 / 5.0, atol=1e-12)
         # Uniform weights pool each target frame to its spatial mean.
@@ -313,9 +312,10 @@ class TestFullReference:
         )
 
     def test_size_guard(self):
-        f = np.zeros((2, 2, 8, 8))
-        with pytest.raises(ResourceGuardError):
-            full_trajectory_reference(f, _params(2, 39), cap=100)
+        # T*H*W = 4160, just above the fixed cap of 4096.
+        f = np.zeros((1, 2, 64, 65))
+        with pytest.raises(ResourceGuardError, match="T\\*H\\*W = 4160 exceeds cap 4096"):
+            full_trajectory_reference(f, _params(2, 39))
 
 
 class TestStageOneGuard:

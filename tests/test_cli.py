@@ -84,6 +84,14 @@ class TestDemo:
         err = capsys.readouterr().err
         assert "1000000000000" in err and "d = 8" in err
 
+    def test_huge_atrous_rate_accepted(self, tmp_path):
+        # Every non-centre tap of the top branch reaches past the four clips.
+        out = tmp_path / "demo"
+        assert cli_main(["demo", "--atrous-rates", "1,2,10000000000000", "--out", str(out)]) == 0
+        report = json.loads(_read(out / "report.json"))
+        assert report["vpq_offline"] == 1.0
+        assert report["vpq_near_online"] == 1.0
+
 
 class TestBench:
     def test_single_config_ratio(self, tmp_path):
@@ -329,6 +337,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "deformable sampling refused" in err
         assert f"k_sample={k}" in err and str(8 * 2 * 32 * 32 * k * (8 + 3)) in err
+
+    @pytest.mark.parametrize("command", ["demo", "attn"])
+    @pytest.mark.parametrize("flags", [
+        ["--n", "10000000000000"],
+        ["--c", "10000000000000"],
+        # Passes the sampler guard; the decoder alone would take 298 GiB.
+        ["--d", "200000", "--h", "4", "--w", "4", "--k-sample", "1", "--l", "2"],
+        ["--n-w", "1000000000000"],
+        ["--n-c", "1000000000000"],
+    ], ids=["n", "c", "d", "n_w", "n_c"])
+    def test_huge_parameter_bundle_refused(self, tmp_path, capsys, monkeypatch, command, flags):
+        def no_build(*args, **kwargs):
+            raise AssertionError("parameters built before the parameter size check")
+
+        monkeypatch.setattr(cli, "build_oracle_params", no_build)
+        rc = cli_main([command, *flags, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "parameters refused" in err and flags[1] in err
+        assert "above the limit of 1073741824 bytes" in err
 
     def test_internal_value_error_exits_two(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):

@@ -49,6 +49,17 @@ class TestModelConfig:
         for part in ("t=3", "h=8", "w=12", "k_sample=5", "d=6", str(need)):
             assert part in str(err.value)
 
+    def test_pipeline_param_bytes_bounded(self, monkeypatch):
+        cfg = ModelConfig(n=5, c=3, d=6, n_w=2, n_c=1, k_sample=2)
+        need = cfg.param_bytes()
+        monkeypatch.setattr(config, "PARAMS_BYTES_LIMIT", need)
+        cfg.validate_pipeline()
+        monkeypatch.setattr(config, "PARAMS_BYTES_LIMIT", need - 1)
+        with pytest.raises(ResourceGuardError) as err:
+            cfg.validate_pipeline()
+        for part in ("n=5", "c=3", "d=6", "n_w=2", "n_c=1", "k_sample=2", str(need)):
+            assert part in str(err.value)
+
 
 class TestConfigText:
     def test_format_parse_round_trip(self):

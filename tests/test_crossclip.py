@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from axialtrack.attention import (
-    LN_EPS,
     _stage_one,
     _stage_two,
     attention_params,
@@ -25,7 +24,7 @@ from axialtrack.crossclip import (
 from axialtrack.errors import ConfigError
 from axialtrack.segmenter import near_online_inference
 from axialtrack.synthetic import build_oracle_params, demo_video_spec, generate_synthetic
-from axialtrack.tensor import layer_norm, softmax_last, sorted_sum
+from axialtrack.tensor import softmax_last, sorted_sum
 
 from oracles import naive_query_attention
 
@@ -83,11 +82,9 @@ class TestTemporalAspp:
             kernels=kernels,
             rates=(1, 2, 3),
             fuse=np.eye(d),
-            ln_gamma=np.ones(d),
-            ln_beta=np.zeros(d),
         )
         out = temporal_aspp(z, params)
-        want = z + layer_norm(3.0 * z, np.ones(d), np.zeros(d), LN_EPS)
+        want = z + prenorm(3.0 * z)
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_single_clip_padding_degeneracy(self):
@@ -100,7 +97,7 @@ class TestTemporalAspp:
             np.einsum("ne,de->nd", z[0], kern[1], optimize=False) for kern in params.kernels
         )
         fused = np.einsum("ne,de->nd", center, params.fuse, optimize=False)
-        want = z[0] + layer_norm(fused, params.ln_gamma, params.ln_beta, LN_EPS)
+        want = z[0] + prenorm(fused)
         np.testing.assert_allclose(out[0], want, atol=1e-12)
 
     def test_track_independence(self):
@@ -155,23 +152,31 @@ class TestTemporalClassHead:
         rng = np.random.default_rng(20)
         q = rng.normal(size=(3, 4))
         head = rng.normal(size=(4, 5))
-        kernel = np.array([0.0, 1.0, 0.0])
-        many = temporal_class_head(np.stack([q] * 6), head, kernel)
-        single = temporal_class_head(q[None], head, kernel)
+        many = temporal_class_head(np.stack([q] * 6), head)
+        single = temporal_class_head(q[None], head)
         np.testing.assert_allclose(many, single, atol=1e-12)
 
     def test_single_clip_center_tap_exact(self):
         rng = np.random.default_rng(21)
         q = rng.normal(size=(3, 4))
         head = rng.normal(size=(4, 5))
-        out = temporal_class_head(q[None], head, np.array([0.0, 1.0, 0.0]))
+        out = temporal_class_head(q[None], head)
         want = softmax_last(np.einsum("nd,dc->nc", q, head, optimize=False))
         assert np.array_equal(out, want)
+
+    def test_clip_mean_of_logits(self):
+        # Each clip's logits count equally; no neighbouring clip is mixed in.
+        rng = np.random.default_rng(23)
+        z = rng.normal(size=(5, 3, 4))
+        head = rng.normal(size=(4, 6))
+        per_clip = [np.einsum("nd,dc->nc", zk, head, optimize=False) for zk in z]
+        want = softmax_last(sum(per_clip) / len(per_clip))
+        np.testing.assert_allclose(temporal_class_head(z, head), want, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(22)
         z = rng.normal(size=(4, 6, 5))
-        out = temporal_class_head(z, rng.normal(size=(5, 7)), rng.normal(size=3))
+        out = temporal_class_head(z, rng.normal(size=(5, 7)))
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
 

@@ -52,8 +52,9 @@ class TestCountMacs:
         assert dominant(full) == 2 * t * t * h * h * w * w * d
 
     def test_reference_guard_propagates(self):
-        with pytest.raises(ResourceGuardError):
-            count_macs(ModelConfig(t=2, h=64, w=64, d=4), cap=1000)
+        # T*H*W = 4160, just above the fixed reference cap of 4096.
+        with pytest.raises(ResourceGuardError, match="T\\*H\\*W = 4160, above the reference cap 4096"):
+            count_macs(ModelConfig(t=2, h=32, w=65, d=4))
 
     @pytest.mark.parametrize("cfg, words", [
         (ModelConfig(t=2, h=100000, w=100000, d=8), "(2, 8, 100000, 100000)"),

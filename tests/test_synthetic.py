@@ -144,3 +144,25 @@ class TestRandomParams:
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.masks, tb.masks)
             ta.validate()
+
+
+def _nbytes(value) -> int:
+    """Bytes of every array reachable through dataclass fields and lists."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (list, tuple)):
+        return sum(_nbytes(v) for v in value)
+    if hasattr(value, "__dataclass_fields__"):
+        return sum(_nbytes(getattr(value, name)) for name in value.__dataclass_fields__)
+    return 0
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(),
+    ModelConfig(n=5, c=6, d=6, n_w=2, n_c=3, k_sample=3, heads=2),
+    ModelConfig(n=3, c=3, d=3, n_w=0, n_c=0, k_sample=1),
+])
+def test_param_bytes_is_the_bundle_size(cfg):
+    spec = demo_video_spec(cfg, n_objects=min(3, cfg.d, cfg.n, cfg.c))
+    assert _nbytes(build_oracle_params(spec, cfg)) == cfg.param_bytes()
+    assert _nbytes(random_pipeline_params(cfg)) == cfg.param_bytes()

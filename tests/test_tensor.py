@@ -1,18 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from axialtrack.attention import LN_EPS, prenorm
 from axialtrack.errors import ConfigError, DimensionError
 from axialtrack.tensor import (
     atrous_conv1d,
     bilinear_sample,
-    layer_norm,
     softmax_last,
     sorted_sum,
 )
 
-from oracles import naive_atrous_conv1d, naive_bilinear_point, naive_layer_norm
+from oracles import naive_atrous_conv1d, naive_bilinear_point, naive_prenorm
 
 
 class TestSoftmax:
@@ -56,27 +57,29 @@ class TestSoftmax:
 
 
 class TestLayerNorm:
+    """`attention.prenorm`, the one (parameter-free) layer norm."""
+
     def test_constant_slice_collapses_to_beta(self):
+        # With no shift parameter, a constant slice normalizes to zero.
         x = np.full((4, 5), 3.7)
-        out = layer_norm(x, np.ones(5), np.zeros(5), 1e-5)
+        out = prenorm(x)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_already_normalized(self):
-        out = layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2), 0.0)
-        assert np.array_equal(out, [1.0, -1.0])
+        # Zero mean and unit variance: only the fixed epsilon remains.
+        out = prenorm(np.array([1.0, -1.0]))
+        assert LN_EPS == 1e-5
+        assert np.array_equal(out, np.array([1.0, -1.0]) / np.sqrt(1.0 + LN_EPS))
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 8))
-        gamma = rng.normal(size=8)
-        beta = rng.normal(size=8)
-        got = layer_norm(x, gamma, beta, 1e-5)
-        want = naive_layer_norm(x, gamma, beta, 1e-5)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(prenorm(x), naive_prenorm(x), atol=1e-12)
 
-    def test_param_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            layer_norm(np.zeros((2, 4)), np.ones(3), np.zeros(4), 1e-5)
+    def test_empty_trailing_axis_rejected(self):
+        for shape in ((), (3, 0)):
+            with pytest.raises(DimensionError, match="non-empty trailing axis"):
+                prenorm(np.zeros(shape))
 
 
 class TestAtrousConv:
@@ -101,6 +104,32 @@ class TestAtrousConv:
         kernel = rng.normal(size=(3, 4, 4))
         got = atrous_conv1d(x, kernel, 2)
         np.testing.assert_allclose(got, naive_atrous_conv1d(x, kernel, 2), atol=1e-12)
+
+    @pytest.mark.parametrize("rate", [3, 4, 5, 9, 10 ** 13])
+    def test_taps_past_the_ends_match_naive(self, rate):
+        # Five taps over nine rows: from rate 3 the outer taps, and from
+        # rate 9 every tap but the centre, reach past the sequence for some
+        # output rows or all of them.
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(9, 4))
+        kernel = rng.normal(size=(5, 4, 4))
+        got = atrous_conv1d(x, kernel, rate)
+        np.testing.assert_allclose(got, naive_atrous_conv1d(x, kernel, rate), atol=1e-12)
+
+    def test_huge_rate_allocates_no_padding(self):
+        # A zero-padded copy at rate 10^13 would need 8 * 4 * 10^13 bytes per
+        # channel; the output and one tap's product are all that is held.
+        x = np.random.default_rng(9).normal(size=(256, 3, 4))
+        kernel = np.random.default_rng(10).normal(size=(5, 4, 4))
+        tracemalloc.start()
+        try:
+            got = atrous_conv1d(x, kernel, 10 ** 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes
+        centre = np.einsum("l...e,de->l...d", x, kernel[2], optimize=False)
+        assert np.array_equal(got, np.zeros_like(got) + centre)
 
     @pytest.mark.parametrize("batch", [(5,), (1,), (3, 4)])
     def test_batch_axes_equal_per_slice_calls(self, batch):
