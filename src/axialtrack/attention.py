@@ -23,9 +23,12 @@ keys, so the weights come out C-contiguous. Stage one's weighted sums are
 one (B, G, T, S, U, C, R) product, sorted in place along r, its last
 axis, and summed pairwise row by row (`tensor.sorted_sum`): a pass holds
 one such product at a time, the 8*B*T^2*S^2*D bytes that
-`STAGE_ONE_BYTES_LIMIT` bounds. The projections and stage two are shared
-with the backward (`axialtrack.backward`), which recomputes stage one in
-matrix form instead of in sorted order.
+`STAGE_ONE_BYTES_LIMIT` bounds. The scores and the product are built in
+pieces of (b, g) rows on every CPU (`tensor.split_rows`); no sum crosses
+a (b, g) row, so the bits do not depend on the number of pieces, and the
+whole product still goes to one `sorted_sum` call. The projections and
+stage two are shared with the backward (`axialtrack.backward`), which
+recomputes stage one in matrix form instead of in sorted order.
 
 Every pass returns one array, its output. `stage_one_weights`, the only
 attention state exported, gives a sequence's head-mean stage-one weights
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ResourceGuardError
-from .tensor import MacCounter, as_array, require_finite, softmax_last, sorted_sum
+from .tensor import MacCounter, as_array, require_finite, softmax_last, sorted_sum, split_rows
 
 LN_EPS = 1e-5
 
@@ -154,25 +157,40 @@ def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total) -> dic
 
 def _stage_one_weights(qh: np.ndarray, kh: np.ndarray, scale: float) -> np.ndarray:
     """C-contiguous (B, G, T, S, U, R) stage-one weights from (B, G, T, S, C)
-    query and key heads."""
-    return softmax_last(scale * np.einsum("bgtsc,bgurc->bgtsur", qh, kh, optimize=False))
+    query and key heads. The scores are built in pieces of (b, g) rows."""
+    b, g, t, s, c = qh.shape
+    q, k = qh.reshape(b * g, t, s, c), kh.reshape(b * g, t, s, c)
+    scores = np.empty((b * g, t, s, t, s))
+
+    def piece(lo: int, hi: int) -> None:
+        np.einsum("ntsc,nurc->ntsur", q[lo:hi], k[lo:hi], out=scores[lo:hi], optimize=False)
+        scores[lo:hi] *= scale
+
+    split_rows(piece, b * g, scores.nbytes)
+    return softmax_last(scores.reshape(b, g, t, s, t, s))
 
 
 def _stage_one(x: np.ndarray, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
     """Stage one in sorted order: the per-head weights w1 and the (B, T, U, S, D)
     trajectory points, indexed by (reference frame, target frame, position)."""
     b, t, s, d = x.shape
-    c = d // params.heads
+    g = params.heads
+    c = d // g
     qh, kh, vh = _stage_one_heads(x, params)
     # Per target frame u, attend over positions r. The product is the
-    # largest array of the pass; it is built in one C-order buffer with r
-    # last, which `sorted_sum` sorts in place row by row and sums pairwise,
-    # and is freed once summed.
+    # largest array of the pass; it is built in pieces of (b, g) rows into
+    # one C-order buffer with r last, which `sorted_sum` sorts in place row
+    # by row and sums pairwise, and is freed once summed.
     w1 = _stage_one_weights(qh, kh, params.scale)
-    vt = np.ascontiguousarray(vh.swapaxes(-1, -2))  # (B,G,U,C,R)
-    prod1 = np.empty(w1.shape[:-1] + (c, s))  # (B,G,T,S,U,C,R)
-    np.multiply(w1[..., None, :], vt[:, :, None, None], out=prod1)
-    yt = sorted_sum(prod1, axis=-1)  # (B,G,T,S,U,C)
+    w = w1.reshape(b * g, t, s, t, 1, s)
+    vt = vh.swapaxes(-1, -2).reshape(b * g, 1, 1, t, c, s)  # (B*G,1,1,U,C,R), a copy
+    prod1 = np.empty((b * g, t, s, t, c, s))  # (B*G,T,S,U,C,R)
+
+    def piece(lo: int, hi: int) -> None:
+        np.multiply(w[lo:hi], vt[lo:hi], out=prod1[lo:hi])
+
+    split_rows(piece, b * g, prod1.nbytes)
+    yt = sorted_sum(prod1.reshape(b, g, t, s, t, c, s), axis=-1)  # (B,G,T,S,U,C)
     del prod1
     return w1, yt.transpose(0, 2, 4, 3, 1, 5).reshape(b, t, t, s, d)
 

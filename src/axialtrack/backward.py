@@ -10,7 +10,10 @@ Each pass's state is recomputed with the forward's projections and stage
 two, but with stage one as batched matrix products (`_recompute`), and
 the stage-one gradients are matrix products in the same layout. Nothing
 here sorts or builds the forward's (B, G, T, S, U, C, R) product; every
-contraction is a c_einsum in a fixed order, free of BLAS and thread count.
+contraction is a c_einsum in a fixed order, free of BLAS. The batched
+stage-one products run in pieces of their leading (batch) axis on every
+CPU (`tensor.split_rows`); each piece sums only within its own batch
+rows, so the gradients do not depend on the number of pieces.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .attention import (
     to_sequence,
 )
 from .errors import DimensionError
-from .tensor import as_array, require_finite
+from .tensor import as_array, require_finite, split_rows
 
 
 @dataclass
@@ -61,12 +64,24 @@ class AxialPairGrads:
 # axis (R or T*S) is contiguous in both operands and runs as a dot product.
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b."""
-    return np.einsum("...ik,...kj->...ij", a, b, optimize=False)
+    return _batched("...ik,...kj->...ij", a, b, b.shape[-1])
 
 
 def _mm_t(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
     """a @ bt^T."""
-    return np.einsum("...ik,...jk->...ij", a, bt, optimize=False)
+    return _batched("...ik,...jk->...ij", a, bt, bt.shape[-2])
+
+
+def _batched(spec: str, a: np.ndarray, b: np.ndarray, cols: int) -> np.ndarray:
+    """The einsum `spec` of a and b into a new C-contiguous array, in pieces
+    of the first (batch) axis, whose length a and b share."""
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], cols))
+
+    def piece(lo: int, hi: int) -> None:
+        np.einsum(spec, a[lo:hi], b[lo:hi], out=out[lo:hi], optimize=False)
+
+    split_rows(piece, out.shape[0], a.nbytes + b.nbytes + out.nbytes)
+    return out
 
 
 def _t(a: np.ndarray) -> np.ndarray:

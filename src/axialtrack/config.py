@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .attention import check_stage_one
 from .errors import ConfigError, ResourceGuardError
 
 SCALE_RSQRT_D = "rsqrt_d"
@@ -16,6 +17,9 @@ SCALE_ONE = "one"
 # Bound on the finest-level deformable sampler's (T, H*W*K, D) samples plus
 # (T, H*W, 3K) weights, which one gather per level holds for a whole clip.
 SAMPLER_BYTES_LIMIT = 2 ** 30
+# Bound on the decoder's float64 attention scores for one clip: (N, T*H*W)
+# for the cross-attention to the finest level, (N, N) for self-attention.
+DECODER_BYTES_LIMIT = 2 ** 30
 # Bound on the float64 bytes of the whole parameter bundle the pipeline builds.
 PARAMS_BYTES_LIMIT = 2 ** 30
 
@@ -64,8 +68,11 @@ class ModelConfig:
 
         MAC accounting runs the attention alone at any extents; the
         pipeline's feature pyramid halves H and W twice, its deformable
-        sampler must fit `SAMPLER_BYTES_LIMIT`, and its parameters
-        `PARAMS_BYTES_LIMIT`.
+        sampler must fit `SAMPLER_BYTES_LIMIT`, its parameters
+        `PARAMS_BYTES_LIMIT`, its query decoder `DECODER_BYTES_LIMIT`, and
+        its cross-clip pass over ceil(l / t) clips of n queries the
+        stage-one limit of every trajectory pass, so that none of them is
+        refused only after the clips have run.
         """
         self.validate()
         for key in ("h", "w"):
@@ -85,6 +92,15 @@ class ModelConfig:
                 f"n_c={self.n_c}, k_sample={self.k_sample} need {params} bytes of float64 "
                 f"parameters, above the limit of {PARAMS_BYTES_LIMIT} bytes"
             )
+        scores = 8 * self.n * max(self.n, self.t * self.h * self.w)
+        if scores > DECODER_BYTES_LIMIT:
+            raise ResourceGuardError(
+                f"query decoding refused: n={self.n}, t={self.t}, h={self.h}, w={self.w} need "
+                f"{scores} bytes of decoder attention scores, above the limit of "
+                f"{DECODER_BYTES_LIMIT} bytes"
+            )
+        if self.n_c:
+            check_stage_one((1, -(-self.l // self.t), self.n, self.d))
 
     def param_bytes(self) -> int:
         """Float64 bytes of the pipeline's parameter bundle.

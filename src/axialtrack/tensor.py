@@ -5,15 +5,95 @@ inputs are bitwise identical regardless of thread count. Reductions that
 feed attention normalizations sum their terms in ascending value order
 (`sorted_sum`), which additionally makes them bitwise-invariant under
 permutations of the reduced axis. `sorted_sum` sorts a writeable
-C-contiguous float64 operand in place, so callers that still need the
-original order pass a copy; every other operation leaves its inputs alone.
+C-contiguous float64 operand of three or more terms in place, so callers
+that still need the original order pass a copy; every other operation
+leaves its inputs alone.
+
+`split_rows` runs the large row-wise kernels (`sorted_sum`,
+`softmax_last`, and attention's and the backward's batched products) in
+contiguous pieces of whole leading-axis rows, one piece per CPU. No
+reduction crosses a piece, and each piece runs numpy alone and writes
+into buffers its caller allocated, so the bits of every result are the
+same for any number of pieces.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import threading
+from functools import partial
+
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
+
+# Smallest piece, in bytes of the job's operands, worth handing to a
+# thread: a smaller one costs more to hand over than it saves.
+MIN_PIECE_BYTES = 2 ** 20
+
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_IN_PIECE = threading.local()
+# The first split creates the pool, so importing this module starts no
+# thread and does not load `concurrent.futures` (and `logging`).
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="axialtrack-rows")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads; it makes a new pool."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def split_rows(fn, n: int, nbytes: int) -> None:
+    """Run `fn(lo, hi)` over contiguous pieces [lo, hi) that cover range(n).
+
+    There is one piece per worker of the module pool (one per CPU in the
+    process affinity), but no piece under `MIN_PIECE_BYTES` of the job's
+    `nbytes`; with one piece, `fn(0, n)` runs on the calling thread. The
+    calling thread runs the first piece while the pool runs the others, and
+    the call returns once every piece is done.
+
+    `fn` must treat each index as a whole row: no reduction may cross
+    rows, so the result does not depend on where the pieces are cut. It
+    must run numpy only (no traced or instrumented function) and write only
+    into buffers its caller allocated. A call made from inside a piece runs
+    serially, so pieces never nest.
+    """
+    pieces = min(_WORKERS, n, nbytes // MIN_PIECE_BYTES)
+    if pieces < 2 or getattr(_IN_PIECE, "active", False):
+        fn(0, n)
+        return
+    bounds = [n * i // pieces for i in range(pieces + 1)]
+    pool = _pool()
+    futures = [pool.submit(_piece, fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        _piece(fn, bounds[0], bounds[1])
+    finally:
+        for future in futures:  # wait for all, so no piece outlives its buffers
+            future.result()
+
+
+def _piece(fn, lo: int, hi: int) -> None:
+    _IN_PIECE.active = True
+    try:
+        fn(lo, hi)
+    finally:
+        _IN_PIECE.active = False
 
 
 def as_array(x) -> np.ndarray:
@@ -33,37 +113,78 @@ def sorted_sum(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndar
     result is unchanged, bit for bit, when the reduced axis is permuted.
     The sum runs over a C-contiguous array; summation blocking would
     otherwise depend on the strides of the operand. Along the last axis,
-    each ascending row is summed with numpy's pairwise sum.
+    each ascending row is summed with numpy's pairwise sum. An axis of at
+    most two terms is summed unsorted: IEEE addition commutes.
 
-    A writeable C-contiguous float64 ndarray `x` is sorted in place and
-    is left sorted along `axis`, so no second buffer of its size is
-    allocated. Any other input (strided, read-only, another dtype, not an
-    ndarray) is left unchanged and one contiguous copy of it is sorted.
+    A writeable C-contiguous float64 ndarray `x` of three or more terms is
+    sorted in place and is left sorted along `axis`, so no second buffer
+    of its size is allocated. Any other input (strided, read-only, another
+    dtype, not an ndarray) is left unchanged and one contiguous copy of it
+    is sorted. The leading axes before `axis` are split into pieces
+    (`split_rows`).
     """
     if (isinstance(x, np.ndarray) and x.dtype == np.float64
             and x.flags.c_contiguous and x.flags.writeable):
         ordered = x
     else:
         ordered = np.array(x, order="C")
-    ordered.sort(axis=axis)
-    return ordered.sum(axis=axis, keepdims=keepdims)
+    shape = ordered.shape
+    if not -len(shape) <= axis < len(shape):
+        raise DimensionError(f"axis {axis} is out of range for shape {shape}")
+    axis %= len(shape)
+    rows, after = math.prod(shape[:axis]), shape[axis + 1:]
+    # (rows, terms) for the last axis, where a 2-D sort is the fastest;
+    # (rows, terms, the rest) for any other.
+    blocks = ordered.reshape((rows, shape[axis]) + ((math.prod(after),) if after else ()))
+    # The output has the dtype numpy's sum gives (int64 for an int32 input).
+    out = np.empty(blocks.shape[:1] + blocks.shape[2:], dtype=ordered[:0].sum().dtype)
+    split_rows(partial(_sorted_sums, blocks, blocks, out), rows, blocks.nbytes)
+    return out.reshape(shape[:axis] + ((1,) if keepdims else ()) + after)
+
+
+def _sorted_sums(src: np.ndarray, work: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+    """out[lo:hi] = the sums of src[lo:hi] over axis 1 in ascending order.
+
+    Rows of three or more terms are first sorted in `work`, into which
+    they are copied unless it is `src`.
+    """
+    rows = src[lo:hi]
+    if rows.shape[1] > 2:
+        if work is not src:
+            work[lo:hi] = rows
+        rows = work[lo:hi]
+        rows.sort(axis=1)
+    np.add.reduce(rows, axis=1, out=out[lo:hi])
 
 
 def softmax_last(x) -> np.ndarray:
     """Softmax over the trailing axis, max-shifted for stability.
 
     Each trailing slice of the result is a probability vector; the
-    denominator is a `sorted_sum` of a copy of the exponentials (the
-    numerator needs them unsorted), so the op is equivariant under
-    permutations of the trailing axis.
+    denominator sums a sorted copy of the exponentials (the numerator needs
+    them unsorted), as `sorted_sum` does, so the op is equivariant under
+    permutations of the trailing axis. Rows are split into pieces
+    (`split_rows`).
     """
     x = as_array(x)
     if x.ndim == 0 or x.shape[-1] < 1:
         raise DimensionError(f"softmax needs a non-empty trailing axis, got shape {x.shape}")
     require_finite(x, "softmax input")
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / sorted_sum(ex.copy(), axis=-1, keepdims=True)
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty(rows.shape)
+    work = np.empty(rows.shape) if rows.shape[1] > 2 else None
+    per_row = np.empty(rows.shape[0])
+    split_rows(partial(_softmax_rows, rows, out, work, per_row), rows.shape[0], out.nbytes)
+    return out.reshape(x.shape)
+
+
+def _softmax_rows(x, out, work, per_row, lo: int, hi: int) -> None:
+    ex, row = out[lo:hi], per_row[lo:hi, None]
+    np.maximum.reduce(x[lo:hi], axis=1, out=per_row[lo:hi])
+    np.subtract(x[lo:hi], row, out=ex)
+    np.exp(ex, out=ex)
+    _sorted_sums(out, work, per_row, lo, hi)  # `row` now holds the denominators
+    ex /= row
 
 
 def atrous_conv1d(x, kernel, rate: int) -> np.ndarray:

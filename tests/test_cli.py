@@ -358,6 +358,23 @@ class TestErrors:
         assert "parameters refused" in err and flags[1] in err
         assert "above the limit of 1073741824 bytes" in err
 
+    @pytest.mark.parametrize("command", ["demo", "attn"])
+    @pytest.mark.parametrize("flags, cause", [
+        (["--n", "100000"], "query decoding refused"),  # (N, N) scores of 74.5 GiB
+        (["--l", "4000"], "(1, 2000, 4, 8)"),  # the cross-clip pass over 2000 clips
+    ], ids=["decoder", "cross_clip"])
+    def test_oversized_pipeline_refused_before_parameters(
+        self, tmp_path, capsys, monkeypatch, command, flags, cause
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("parameters built before the pipeline size checks")
+
+        monkeypatch.setattr(cli, "build_oracle_params", no_build)
+        rc = cli_main([command, *flags, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert cause in err and "above the limit of 1073741824 bytes" in err
+
     def test_internal_value_error_exits_two(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):
             raise ValueError("broken invariant")

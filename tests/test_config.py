@@ -60,6 +60,31 @@ class TestModelConfig:
         for part in ("n=5", "c=3", "d=6", "n_w=2", "n_c=1", "k_sample=2", str(need)):
             assert part in str(err.value)
 
+    @pytest.mark.parametrize("n, t, h, w", [(6, 2, 4, 8), (90, 2, 4, 8)], ids=["pixels", "queries"])
+    def test_pipeline_decoder_bytes_bounded(self, monkeypatch, n, t, h, w):
+        # Cross-attention scores (N, T*H*W) against self-attention ones (N, N).
+        cfg = ModelConfig(n=n, t=t, h=h, w=w)
+        need = 8 * n * max(n, t * h * w)
+        monkeypatch.setattr(config, "DECODER_BYTES_LIMIT", need)
+        cfg.validate_pipeline()
+        monkeypatch.setattr(config, "DECODER_BYTES_LIMIT", need - 1)
+        with pytest.raises(ResourceGuardError) as err:
+            cfg.validate_pipeline()
+        for part in ("query decoding refused", f"n={n}", f"t={t}", f"h={h}", f"w={w}", str(need)):
+            assert part in str(err.value)
+
+    def test_pipeline_cross_clip_pass_bounded(self, monkeypatch):
+        from axialtrack import attention
+        # Five frames in clips of two: the cross-clip pass is (1, 3, N, D).
+        cfg = ModelConfig(l=5, t=2, n=7, d=4, n_c=1)
+        need = 8 * 3 * 3 * 7 * 7 * 4
+        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", need)
+        cfg.validate_pipeline()
+        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", need - 1)
+        with pytest.raises(ResourceGuardError, match=r"\(1, 3, 7, 4\)"):
+            cfg.validate_pipeline()
+        ModelConfig(l=5, t=2, n=7, d=4, n_c=0).validate_pipeline()  # no cross-clip pass
+
 
 class TestConfigText:
     def test_format_parse_round_trip(self):

@@ -221,6 +221,21 @@ class TestSortedSum:
         want = np.sort(x, axis=axis).sum(axis=axis)
         assert np.array_equal(sorted_sum(x, axis=axis), want)
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_short_axis_matches_sorted_path(self, axis):
+        # One or two terms are summed unsorted; IEEE addition commutes, so
+        # the bits and the sign of zero match the sorted sum.
+        values = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e308, -1e308,
+                  5e-324, -5e-324, 0.1, -0.3]
+        pairs = np.array([(a, b) for a in values for b in values])  # (144, 2)
+        for x in (pairs, pairs[:, :1]):
+            x = np.ascontiguousarray(x if axis == 1 else x.T)
+            with np.errstate(over="ignore"):  # 1e308 + 1e308
+                want = np.sort(x, axis=axis).sum(axis=axis)
+                got = sorted_sum(x.copy(), axis=axis)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_contiguous_input_left_sorted(self):
         x = np.random.default_rng(14).normal(size=(4, 9, 6))
         want = np.sort(x, axis=-2)
