@@ -11,9 +11,8 @@ The core pass runs two attention stages over a (B, T, S, D) sequence:
 Axial wrappers run the pass along the height or width axis of a
 (T, D, H, W) feature volume, with the other spatial axis acting as a
 pure batch axis, inside a pre-norm residual: out = x + pass(norm(x)),
-where `prenorm` is a layer norm with no gain or shift. Queries and values
-may carry a bias; keys carry none, since a key bias shifts every score of
-a softmax row by the same amount and changes no weight.
+where `prenorm` is a layer norm with no gain or shift. The query, key
+and value projections are plain matrices with no bias.
 
 Attention reductions (softmax denominators and weighted sums) run in
 ascending value order, so outputs are bitwise-equivariant under
@@ -62,27 +61,18 @@ STAGE_ONE_BYTES_LIMIT = 2 ** 30
 
 @dataclass
 class ProjectionWeights:
-    """Square query/key/value projections with optional query and value biases.
-
-    Keys carry no bias: it would add the same q . b_k to every score of a
-    softmax row, which changes no weight.
-    """
+    """Square query, key and value projections, with no bias. A projection's
+    gradient has the same three fields."""
 
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
-    b_q: np.ndarray | None = None
-    b_v: np.ndarray | None = None
 
     def validate(self, d: int) -> None:
         for name in ("w_q", "w_k", "w_v"):
             w = getattr(self, name)
             if w.shape != (d, d):
                 raise DimensionError(f"{name} must be ({d}, {d}), got {w.shape}")
-        for name in ("b_q", "b_v"):
-            b = getattr(self, name)
-            if b is not None and b.shape != (d,):
-                raise DimensionError(f"{name} must have shape ({d},), got {b.shape}")
 
 
 @dataclass
@@ -101,11 +91,8 @@ class AttentionParams:
         self.stage2.validate(d)
 
 
-def _project(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    out = np.einsum("...e,de->...d", x, w, optimize=False)
-    if b is not None:
-        out = out + b
-    return out
+def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.einsum("...e,de->...d", x, w, optimize=False)
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -127,8 +114,7 @@ def _stage_one_heads(x: np.ndarray, params: AttentionParams) -> tuple:
     """Stage-one query, key and value projections as C-contiguous head-major
     (B, G, T, S, C) arrays."""
     s1 = params.stage1
-    heads = (_split_heads(_project(x, w, bias), params.heads)
-             for w, bias in ((s1.w_q, s1.b_q), (s1.w_k, None), (s1.w_v, s1.b_v)))
+    heads = (_split_heads(_project(x, w), params.heads) for w in (s1.w_q, s1.w_k, s1.w_v))
     return tuple(np.ascontiguousarray(h.transpose(0, 3, 1, 2, 4)) for h in heads)
 
 
@@ -142,9 +128,9 @@ def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total) -> dic
     s2, scale = params.stage2, params.scale
     idx = np.arange(t)
     ydiag = ytil[:, idx, idx]  # (B,T,S,D)
-    qth = _split_heads(_project(ydiag, s2.w_q, s2.b_q), g)  # (B,T,S,G,C)
-    kth = _split_heads(_project(ytil, s2.w_k, None), g)  # (B,T,U,S,G,C)
-    vth = _split_heads(_project(ytil, s2.w_v, s2.b_v), g)
+    qth = _split_heads(_project(ydiag, s2.w_q), g)  # (B,T,S,G,C)
+    kth = _split_heads(_project(ytil, s2.w_k), g)  # (B,T,U,S,G,C)
+    vth = _split_heads(_project(ytil, s2.w_v), g)
     # Head-major copies, so the (B,G,T,S,U) scores come out C-contiguous.
     q2 = np.ascontiguousarray(qth.transpose(0, 3, 1, 2, 4))  # (B,G,T,S,C)
     k2 = np.ascontiguousarray(kth.transpose(0, 4, 1, 3, 2, 5))  # (B,G,T,S,U,C)
@@ -316,17 +302,9 @@ def full_trajectory_reference(
     return f + y.reshape(t, h, w, d).transpose(0, 3, 1, 2)
 
 
-def projection_weights(
-    d: int, rng: np.random.Generator, std: float = 0.02, bias: bool = False
-) -> ProjectionWeights:
-    """Gaussian-initialized projections (query and value biases optional)."""
-    def mat() -> np.ndarray:
-        return rng.normal(0.0, std, size=(d, d))
-
-    def vec() -> np.ndarray | None:
-        return rng.normal(0.0, std, size=d) if bias else None
-
-    return ProjectionWeights(mat(), mat(), mat(), vec(), vec())
+def projection_weights(d: int, rng: np.random.Generator, std: float = 0.02) -> ProjectionWeights:
+    """Gaussian-initialized projections, drawn in query, key, value order."""
+    return ProjectionWeights(*(rng.normal(0.0, std, size=(d, d)) for _ in range(3)))
 
 
 def attention_params(
@@ -335,14 +313,13 @@ def attention_params(
     heads: int = 1,
     scale: float | None = None,
     std: float = 0.02,
-    bias: bool = False,
 ) -> AttentionParams:
     """Random attention parameters; scale defaults to 1/sqrt(D)."""
     if scale is None:
         scale = 1.0 / np.sqrt(d)
     return AttentionParams(
-        stage1=projection_weights(d, rng, std, bias),
-        stage2=projection_weights(d, rng, std, bias),
+        stage1=projection_weights(d, rng, std),
+        stage2=projection_weights(d, rng, std),
         scale=float(scale),
         heads=heads,
     )

@@ -25,6 +25,7 @@ import numpy as np
 from .attention import (
     LN_EPS,
     AttentionParams,
+    ProjectionWeights,
     _stage_one_heads,
     _stage_two,
     from_sequence,
@@ -36,18 +37,9 @@ from .tensor import as_array, require_finite, split_rows
 
 
 @dataclass
-class ProjectionGrads:
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    b_q: np.ndarray | None = None
-    b_v: np.ndarray | None = None
-
-
-@dataclass
 class AttentionParamGrads:
-    stage1: ProjectionGrads
-    stage2: ProjectionGrads
+    stage1: ProjectionWeights
+    stage2: ProjectionWeights
 
 
 @dataclass
@@ -143,7 +135,7 @@ def _recompute(x: np.ndarray, params: AttentionParams) -> dict:
 
 def _stage_two_backward(
     st: dict, params: AttentionParams, d_out: np.ndarray
-) -> tuple[np.ndarray, ProjectionGrads]:
+) -> tuple[np.ndarray, ProjectionWeights]:
     """Stage-two projection grads and the cotangent of the pooled points,
     laid out as stage one's (B, G, U, T*S, C) products."""
     b, t, u, s, d = st["ytil"].shape
@@ -170,8 +162,6 @@ def _stage_two_backward(
     d_uq = np.einsum("btsd,btse->de", dqt, ydiag, optimize=False)
     d_uk = np.einsum("btusd,btuse->de", dkt, ytil, optimize=False)
     d_uv = np.einsum("btusd,btuse->de", dvt, ytil, optimize=False)
-    db_q2 = dqt.sum(axis=(0, 1, 2)) if s2.b_q is not None else None
-    db_v2 = dvt.sum(axis=(0, 1, 2, 3)) if s2.b_v is not None else None
 
     dydiag = np.einsum("btsd,de->btse", dqt, s2.w_q, optimize=False)
     dytil = np.einsum("btusd,de->btuse", dkt, s2.w_k, optimize=False)
@@ -179,7 +169,7 @@ def _stage_two_backward(
     idx = np.arange(t)
     dytil[:, idx, idx] += dydiag
     dyt = dytil.reshape(b, t, u, s, g, c).transpose(0, 4, 2, 1, 3, 5)  # (B,G,U,T,S,C)
-    grads = ProjectionGrads(d_uq, d_uk, d_uv, db_q2, db_v2)
+    grads = ProjectionWeights(d_uq, d_uk, d_uv)
     return np.ascontiguousarray(dyt).reshape(b, g, u, t * s, c), grads
 
 
@@ -210,14 +200,12 @@ def _pass_backward(
     d_wq = np.einsum("btsd,btse->de", dq, x, optimize=False)
     d_wk = np.einsum("btsd,btse->de", dk, x, optimize=False)
     d_wv = np.einsum("btsd,btse->de", dv, x, optimize=False)
-    db_q1 = dq.sum(axis=(0, 1, 2)) if s1.b_q is not None else None
-    db_v1 = dv.sum(axis=(0, 1, 2)) if s1.b_v is not None else None
 
     dx = np.einsum("btsd,de->btse", dq, s1.w_q, optimize=False)
     dx += np.einsum("btsd,de->btse", dk, s1.w_k, optimize=False)
     dx += np.einsum("btsd,de->btse", dv, s1.w_v, optimize=False)
 
-    grads1 = ProjectionGrads(d_wq, d_wk, d_wv, db_q1, db_v1)
+    grads1 = ProjectionWeights(d_wq, d_wk, d_wv)
     return dx, AttentionParamGrads(stage1=grads1, stage2=grads2)
 
 

@@ -24,7 +24,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import ModelConfig, config_values, format_config, load_config, parse_value
+from .config import ModelConfig, config_values, format_config, parse_value, read_config_updates
 from .crossclip import offline_inference
 from .errors import AxialtrackError, ConfigError, DimensionError
 from .heatmaps import axial_fields, dump_attention_heatmaps, trajectory_hit_rate
@@ -90,21 +90,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> ModelConfig:
-    cfg = ModelConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    overrides = {}
+def _resolve_config(args: argparse.Namespace) -> tuple[ModelConfig, set[str]]:
+    """The defaults, updated by the --config file and then by the flags, and
+    the keys that the file or a flag set."""
+    updates = read_config_updates(args.config) if getattr(args, "config", None) else {}
+    replace(ModelConfig(), **updates).validate()  # the file alone is a valid config
     for key in _CONFIG_FLAGS:
         value = getattr(args, key, None)
         if value is None:
             continue
         if key == "atrous_rates":
             value = parse_value(key, value)
-        overrides[key] = value
-    cfg = replace(cfg, **overrides)
+        updates[key] = value
+    cfg = replace(ModelConfig(), **updates)
     cfg.validate()
-    return cfg
+    return cfg, set(updates)
 
 
 def _fmt(value) -> str:
@@ -140,7 +140,7 @@ def write_report(out_dir: str, data: dict) -> None:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg, _ = _resolve_config(args)
     cfg.validate_pipeline()
     spec = demo_video_spec(cfg, args.objects)
     video, gt = generate_synthetic(spec)
@@ -217,9 +217,8 @@ DEFAULT_SWEEP = tuple(
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    single = any(getattr(args, key) is not None for key in ("t", "h", "w", "d"))
-    cfg = _resolve_config(args)
-    if single:
+    cfg, given = _resolve_config(args)
+    if given & {"t", "h", "w", "d"}:
         report = count_macs(cfg)
         write_report(args.out, _mac_dict(report))
         return 0
@@ -235,7 +234,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_attn(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg, _ = _resolve_config(args)
     cfg.validate_pipeline()
     spec = demo_video_spec(cfg)
     video, _ = generate_synthetic(spec)

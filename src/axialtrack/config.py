@@ -22,6 +22,10 @@ SAMPLER_BYTES_LIMIT = 2 ** 30
 DECODER_BYTES_LIMIT = 2 ** 30
 # Bound on the float64 bytes of the whole parameter bundle the pipeline builds.
 PARAMS_BYTES_LIMIT = 2 ** 30
+# Bound on the whole-video float64 arrays a run holds: the (L, D, H, W)
+# video, and the linked (K, T, D, H, W) clip features and (N, K, T, H, W)
+# masks over its K = ceil(L / T) clips.
+VIDEO_BYTES_LIMIT = 2 ** 30
 
 _INT_KEYS = ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "heads", "k_sample", "seed")
 
@@ -69,10 +73,11 @@ class ModelConfig:
         MAC accounting runs the attention alone at any extents; the
         pipeline's feature pyramid halves H and W twice, its deformable
         sampler must fit `SAMPLER_BYTES_LIMIT`, its parameters
-        `PARAMS_BYTES_LIMIT`, its query decoder `DECODER_BYTES_LIMIT`, and
-        its cross-clip pass over ceil(l / t) clips of n queries the
-        stage-one limit of every trajectory pass, so that none of them is
-        refused only after the clips have run.
+        `PARAMS_BYTES_LIMIT`, its query decoder `DECODER_BYTES_LIMIT`, its
+        whole-video arrays `VIDEO_BYTES_LIMIT`, and its cross-clip pass over
+        ceil(l / t) clips of n queries the stage-one limit of every
+        trajectory pass, so that none of them is refused only after the
+        clips have run.
         """
         self.validate()
         for key in ("h", "w"):
@@ -99,8 +104,16 @@ class ModelConfig:
                 f"{scores} bytes of decoder attention scores, above the limit of "
                 f"{DECODER_BYTES_LIMIT} bytes"
             )
+        clips = -(-self.l // self.t)
+        video = 8 * self.h * self.w * (self.l * self.d + clips * self.t * (self.d + self.n))
+        if video > VIDEO_BYTES_LIMIT:
+            raise ResourceGuardError(
+                f"video refused: l={self.l}, t={self.t}, h={self.h}, w={self.w}, d={self.d}, "
+                f"n={self.n} need {video} bytes of float64 video, clip features and masks, "
+                f"above the limit of {VIDEO_BYTES_LIMIT} bytes"
+            )
         if self.n_c:
-            check_stage_one((1, -(-self.l // self.t), self.n, self.d))
+            check_stage_one((1, clips, self.n, self.d))
 
     def param_bytes(self) -> int:
         """Float64 bytes of the pipeline's parameter bundle.
@@ -146,9 +159,8 @@ def parse_value(key: str, text: str):
     return text
 
 
-def parse_config(text: str, base: ModelConfig | None = None) -> ModelConfig:
-    """Parse `key = value` lines on top of `base` (defaults when omitted)."""
-    cfg = base if base is not None else ModelConfig()
+def _parse_updates(text: str) -> dict:
+    """Key -> value of every `key = value` line; ConfigError names a bad line."""
     known = {f.name for f in fields(ModelConfig)}
     updates: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -164,12 +176,24 @@ def parse_config(text: str, base: ModelConfig | None = None) -> ModelConfig:
             updates[key] = parse_value(key, value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    cfg = replace(cfg, **updates)
+    return updates
+
+
+def parse_config(text: str, base: ModelConfig | None = None) -> ModelConfig:
+    """Parse `key = value` lines on top of `base` (defaults when omitted)."""
+    cfg = replace(base if base is not None else ModelConfig(), **_parse_updates(text))
     cfg.validate()
     return cfg
 
 
-def load_config(path, base: ModelConfig | None = None) -> ModelConfig:
+def read_config_updates(path) -> dict:
+    """Key -> value of every line of the config file at `path`."""
     # An undecodable byte reads as U+FFFD, which no key or value accepts.
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_config(fh.read(), base)
+        return _parse_updates(fh.read())
+
+
+def load_config(path, base: ModelConfig | None = None) -> ModelConfig:
+    cfg = replace(base if base is not None else ModelConfig(), **read_config_updates(path))
+    cfg.validate()
+    return cfg

@@ -90,20 +90,15 @@ class DecoderLayerParams:
     scale: float
 
 
-@dataclass
-class DecoderParams:
-    layers: list[DecoderLayerParams]
-
-
 def _attend(q: np.ndarray, keys: np.ndarray, proj: ProjectionWeights, scale: float) -> np.ndarray:
-    qq = _project(q, proj.w_q, proj.b_q)
-    kk = _project(keys, proj.w_k, None)
-    vv = _project(keys, proj.w_v, proj.b_v)
+    qq = _project(q, proj.w_q)
+    kk = _project(keys, proj.w_k)
+    vv = _project(keys, proj.w_v)
     weights = softmax_last(scale * np.einsum("nd,pd->np", qq, kk, optimize=False))
     return np.einsum("np,pd->nd", weights, vv, optimize=False)
 
 
-def decode_clip_queries(f, init: ClipQuerySet, decoder: DecoderParams) -> ClipQuerySet:
+def decode_clip_queries(f, init: ClipQuerySet, decoder: list[DecoderLayerParams]) -> ClipQuerySet:
     """Refine queries with pre-norm cross-attention, self-attention, and a
     two-layer feed-forward per decoder layer; zero layers return the input."""
     f = as_array(f)
@@ -115,7 +110,7 @@ def decode_clip_queries(f, init: ClipQuerySet, decoder: DecoderParams) -> ClipQu
         raise DimensionError(f"feature channels {f.shape[1]} != query channels {d}")
     feats = f.transpose(0, 2, 3, 1).reshape(-1, d)
     q = init.queries
-    for layer in decoder.layers:
+    for layer in decoder:
         q = q + _attend(prenorm(q), feats, layer.cross, layer.scale)
         qn = prenorm(q)
         q = q + _attend(qn, qn, layer.self_attn, layer.scale)
@@ -166,7 +161,7 @@ class PipelineParams:
     clip_len: int
     init_queries: np.ndarray    # (N, D)
     class_head: np.ndarray      # (D, C)
-    decoder: DecoderParams
+    decoder: list[DecoderLayerParams]
     within_blocks: list[WithinClipBlock]
     cross_blocks: list = field(default_factory=list)
 
@@ -260,11 +255,11 @@ def decoder_params(
     n_layers: int = DECODER_LAYERS,
     scale: float | None = None,
     std: float = 0.02,
-) -> DecoderParams:
+) -> list[DecoderLayerParams]:
     """Randomly initialized decoder stack with a 4 * D feed-forward hidden width."""
     if scale is None:
         scale = 1.0 / np.sqrt(d)
-    layers = [
+    return [
         DecoderLayerParams(
             cross=projection_weights(d, rng, std),
             self_attn=projection_weights(d, rng, std),
@@ -274,15 +269,14 @@ def decoder_params(
         )
         for _ in range(n_layers)
     ]
-    return DecoderParams(layers)
 
 
-def identity_decoder_params(d: int, scale: float | None = None) -> DecoderParams:
+def identity_decoder_params(d: int, scale: float | None = None) -> list[DecoderLayerParams]:
     """Layers whose value/output paths are zero: queries pass through unchanged."""
     if scale is None:
         scale = 1.0 / np.sqrt(d)
     eye = np.eye(d)
-    layers = [
+    return [
         DecoderLayerParams(
             cross=ProjectionWeights(eye.copy(), eye.copy(), np.zeros((d, d))),
             self_attn=ProjectionWeights(eye.copy(), eye.copy(), np.zeros((d, d))),
@@ -292,4 +286,3 @@ def identity_decoder_params(d: int, scale: float | None = None) -> DecoderParams
         )
         for _ in range(DECODER_LAYERS)
     ]
-    return DecoderParams(layers)

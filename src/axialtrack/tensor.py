@@ -106,7 +106,7 @@ def require_finite(x: np.ndarray, what: str = "input") -> None:
         raise NumericError(f"{what} contains non-finite values")
 
 
-def sorted_sum(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+def sorted_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum along `axis` in ascending value order.
 
     The summand order depends only on the multiset of values, so the
@@ -139,7 +139,7 @@ def sorted_sum(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndar
     # The output has the dtype numpy's sum gives (int64 for an int32 input).
     out = np.empty(blocks.shape[:1] + blocks.shape[2:], dtype=ordered[:0].sum().dtype)
     split_rows(partial(_sorted_sums, blocks, blocks, out), rows, blocks.nbytes)
-    return out.reshape(shape[:axis] + ((1,) if keepdims else ()) + after)
+    return out.reshape(shape[:axis] + after)
 
 
 def _sorted_sums(src: np.ndarray, work: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:

@@ -70,15 +70,13 @@ def naive_bilinear_point(feat, y, x):
     return out
 
 
-def _proj_vec(vec, w, b):
+def _proj_vec(vec, w):
     d = w.shape[0]
     out = np.zeros(d)
     for i in range(d):
         acc = 0.0
         for e in range(w.shape[1]):
             acc += float(w[i, e]) * float(vec[e])
-        if b is not None:
-            acc += float(b[i])
         out[i] = acc
     return out
 
@@ -98,9 +96,9 @@ def naive_pass1d(x, params):
     for b in range(nb):
         for t in range(nt):
             for s in range(ns):
-                q[b, t, s] = _proj_vec(x[b, t, s], s1.w_q, s1.b_q)
-                k[b, t, s] = _proj_vec(x[b, t, s], s1.w_k, None)
-                v[b, t, s] = _proj_vec(x[b, t, s], s1.w_v, s1.b_v)
+                q[b, t, s] = _proj_vec(x[b, t, s], s1.w_q)
+                k[b, t, s] = _proj_vec(x[b, t, s], s1.w_k)
+                v[b, t, s] = _proj_vec(x[b, t, s], s1.w_v)
 
     ytil = np.zeros((nb, nt, nt, ns, nd))
     w1 = np.zeros((nb, nt, ns, nt, ns))
@@ -120,9 +118,9 @@ def naive_pass1d(x, params):
     for b in range(nb):
         for t in range(nt):
             for s in range(ns):
-                qt = _proj_vec(ytil[b, t, t, s], s2.w_q, s2.b_q)
-                kts = [_proj_vec(ytil[b, t, u, s], s2.w_k, None) for u in range(nt)]
-                vts = [_proj_vec(ytil[b, t, u, s], s2.w_v, s2.b_v) for u in range(nt)]
+                qt = _proj_vec(ytil[b, t, t, s], s2.w_q)
+                kts = [_proj_vec(ytil[b, t, u, s], s2.w_k) for u in range(nt)]
+                vts = [_proj_vec(ytil[b, t, u, s], s2.w_v) for u in range(nt)]
                 logits = [sc * _dot(qt, kts[u]) for u in range(nt)]
                 den = sum(math.exp(val) for val in logits)
                 for u in range(nt):
@@ -203,9 +201,9 @@ def naive_msdeform(levels, params):
             for yy in range(hq):
                 for xx in range(wq):
                     pix = lvl[t, :, yy, xx]
-                    qv = _proj_vec(pix, lp.w_query, None)
-                    offs = _proj_vec(qv, lp.w_offset, None).reshape(k, 2)
-                    logits = _proj_vec(qv, lp.w_weight, None)
+                    qv = _proj_vec(pix, lp.w_query)
+                    offs = _proj_vec(qv, lp.w_offset).reshape(k, 2)
+                    logits = _proj_vec(qv, lp.w_weight)
                     den = sum(math.exp(float(l)) for l in logits)
                     wts = [math.exp(float(l)) / den for l in logits]
                     agg = np.zeros(nd)
@@ -217,7 +215,7 @@ def naive_msdeform(levels, params):
                                 tgt[t], ry + float(offs[kk, 0]), rx + float(offs[kk, 1])
                             )
                             agg += wts[m * k + kk] * sample
-                    out[t, :, yy, xx] = pix + _proj_vec(agg, lp.w_out, None)
+                    out[t, :, yy, xx] = pix + _proj_vec(agg, lp.w_out)
         out_levels.append(out)
     return out_levels
 
@@ -225,10 +223,10 @@ def naive_msdeform(levels, params):
 def naive_attend(q_rows, keys, proj, scale):
     n, d = q_rows.shape
     out = np.zeros((n, d))
-    kk = [_proj_vec(key, proj.w_k, None) for key in keys]
-    vv = [_proj_vec(key, proj.w_v, proj.b_v) for key in keys]
+    kk = [_proj_vec(key, proj.w_k) for key in keys]
+    vv = [_proj_vec(key, proj.w_v) for key in keys]
     for i in range(n):
-        qq = _proj_vec(q_rows[i], proj.w_q, proj.b_q)
+        qq = _proj_vec(q_rows[i], proj.w_q)
         logits = [scale * _dot(qq, kk[p]) for p in range(len(keys))]
         den = sum(math.exp(val) for val in logits)
         for p in range(len(keys)):
@@ -244,15 +242,15 @@ def naive_decode(f, queries, decoder):
             for w in range(nw):
                 keys.append(f[t, :, h, w])
     q = queries.copy()
-    for layer in decoder.layers:
+    for layer in decoder:
         q = q + naive_attend(naive_prenorm(q), keys, layer.cross, layer.scale)
         qn = naive_prenorm(q)
         q = q + naive_attend(qn, qn, layer.self_attn, layer.scale)
         qn = naive_prenorm(q)
         for i in range(q.shape[0]):
-            hidden = _proj_vec(qn[i], layer.ffn_w1, None)
+            hidden = _proj_vec(qn[i], layer.ffn_w1)
             hidden = np.maximum(0.0, hidden)
-            q[i] = q[i] + _proj_vec(hidden, layer.ffn_w2, None)
+            q[i] = q[i] + _proj_vec(hidden, layer.ffn_w2)
     return q
 
 

@@ -26,9 +26,9 @@ from axialtrack.tensor import softmax_last, sorted_sum
 from oracles import naive_axial_h, naive_axial_w, naive_full_reference, naive_pass1d
 
 
-def _params(d, seed, std=0.3, scale=None, heads=1, bias=False):
+def _params(d, seed, std=0.3, scale=None, heads=1):
     rng = np.random.default_rng(seed)
-    return attention_params(d, rng, heads=heads, scale=scale, std=std, bias=bias)
+    return attention_params(d, rng, heads=heads, scale=scale, std=std)
 
 
 def _state(x, p):
@@ -76,10 +76,10 @@ class TestTrajectoryPass:
         np.testing.assert_allclose(got_w2, w2, atol=1e-10)
         np.testing.assert_allclose(got_ytil, ytil, atol=1e-10)
 
-    def test_matches_naive_with_default_scale_and_bias(self):
+    def test_matches_naive_with_default_scale(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 3, 2, 4))
-        p = _params(4, 7, bias=True)
+        p = _params(4, 7)
         out = trajectory_pass_1d(x, p)
         want, _, _, _ = naive_pass1d(x, p)
         np.testing.assert_allclose(out, want, atol=1e-10)
@@ -96,7 +96,6 @@ class TestTrajectoryPass:
         x = rng.normal(size=(2, 2, 5, 4))
         p = _params(4, 11)
         p.stage1.w_v = np.eye(4)
-        p.stage1.b_v = None
         _, ytil = _stage_one(x, p)
         # Every pooled channel stays inside the attended frame's value range.
         lo = x.min(axis=2, keepdims=True)
@@ -162,7 +161,7 @@ class TestStageOneWeights:
         # key channels outside head g projected to zero.
         rng = np.random.default_rng(47)
         x = rng.normal(size=(2, 3, 4, 4))
-        p = _params(4, 48, heads=heads, bias=True)
+        p = _params(4, 48, heads=heads)
         c = 4 // heads
         s1 = p.stage1
         want = np.zeros((2, 3, 4, 3, 4))
@@ -170,8 +169,7 @@ class TestStageOneWeights:
             keep = np.zeros(4)
             keep[g * c:(g + 1) * c] = 1.0
             head = AttentionParams(
-                stage1=ProjectionWeights(keep[:, None] * s1.w_q, keep[:, None] * s1.w_k, s1.w_v,
-                                         keep * s1.b_q, s1.b_v),
+                stage1=ProjectionWeights(keep[:, None] * s1.w_q, keep[:, None] * s1.w_k, s1.w_v),
                 stage2=p.stage2,
                 scale=p.scale,
             )
@@ -263,8 +261,8 @@ class TestAxialPasses:
     def test_w_pass_is_transposed_h_pass(self):
         rng = np.random.default_rng(27)
         f = rng.normal(size=(2, 4, 3, 5))
-        for heads, bias in ((1, False), (2, False), (1, True), (2, True)):
-            p = _params(4, 28, heads=heads, bias=bias)
+        for heads in (1, 2):
+            p = _params(4, 28, heads=heads)
             direct = axial_trajectory_w(f, p)
             via_t = axial_trajectory_h(np.swapaxes(f, 2, 3), p)
             assert np.array_equal(direct, np.swapaxes(via_t, 2, 3))
@@ -366,8 +364,8 @@ class TestStageOneProduct:
         from axialtrack import attention
         calls = []
 
-        def recording_sorted_sum(x, axis=-1, keepdims=False):
-            out = sorted_sum(x, axis=axis, keepdims=keepdims)
+        def recording_sorted_sum(x, axis=-1):
+            out = sorted_sum(x, axis=axis)
             calls.append((x, axis, out))
             return out
 

@@ -1,11 +1,17 @@
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from axialtrack import attention, tensor
-from axialtrack.attention import attention_params, axial_trajectory_h, axial_trajectory_w
+from axialtrack.attention import (
+    ProjectionWeights,
+    attention_params,
+    axial_trajectory_h,
+    axial_trajectory_w,
+)
 from axialtrack.backward import trajectory_backward
 from axialtrack.errors import DimensionError
 
@@ -13,8 +19,8 @@ EPS = 1e-4
 TOL = 1e-5
 
 
-def _params(d, seed, std=0.3, heads=1, bias=False):
-    return attention_params(d, np.random.default_rng(seed), heads=heads, std=std, bias=bias)
+def _params(d, seed, std=0.3, heads=1):
+    return attention_params(d, np.random.default_rng(seed), heads=heads, std=std)
 
 
 def _loss(f, ph, pw, upstream):
@@ -64,6 +70,18 @@ class TestTrajectoryBackward:
                 assert not np.any(stage.w_k)
                 assert not np.any(stage.w_v)
 
+    def test_stage_gradients_are_projection_weights(self):
+        rng = np.random.default_rng(23)
+        f = rng.normal(size=(2, 4, 2, 3))
+        ph, pw = _params(4, 24, heads=2), _params(4, 25)
+        g = trajectory_backward(f, ph, pw, rng.normal(size=f.shape))
+        for params, grads in ((ph, g.params_h), (pw, g.params_w)):
+            for stage in ("stage1", "stage2"):
+                got, want = getattr(grads, stage), getattr(params, stage)
+                assert type(got) is ProjectionWeights
+                for field in dataclasses.fields(ProjectionWeights):
+                    assert getattr(got, field.name).shape == getattr(want, field.name).shape
+
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=(2, 4, 3, 3))
@@ -96,19 +114,6 @@ class TestTrajectoryBackward:
                     analytic = getattr(getattr(grads, stage), name)
                     assert _rel_err(analytic, fd) < TOL, (which, stage, name)
 
-    def test_bias_gradients_match(self):
-        rng = np.random.default_rng(12)
-        f = rng.normal(size=(2, 4, 2, 2))
-        ph = _params(4, 13, bias=True)
-        pw = _params(4, 14, bias=True)
-        upstream = rng.normal(size=f.shape)
-        g = trajectory_backward(f, ph, pw, upstream)
-        for name in ("b_q", "b_v"):
-            fd = _fd_param(f, ph, pw, upstream, "h", "stage1", name)
-            assert _rel_err(getattr(g.params_h.stage1, name), fd) < TOL, name
-            fd2 = _fd_param(f, ph, pw, upstream, "w", "stage2", name)
-            assert _rel_err(getattr(g.params_w.stage2, name), fd2) < TOL, name
-
     def test_multi_head_input_gradient(self):
         rng = np.random.default_rng(15)
         f = rng.normal(size=(2, 4, 3, 3))
@@ -118,16 +123,16 @@ class TestTrajectoryBackward:
         g = trajectory_backward(f, ph, pw, upstream)
         assert _rel_err(g.d_input, _fd_input(f, ph, pw, upstream)) < TOL
 
-    def test_multi_head_projection_and_bias_gradients(self):
+    def test_multi_head_projection_gradients(self):
         rng = np.random.default_rng(20)
         f = rng.normal(size=(2, 4, 2, 3))
-        ph = _params(4, 21, heads=2, bias=True)
-        pw = _params(4, 22, heads=2, bias=True)
+        ph = _params(4, 21, heads=2)
+        pw = _params(4, 22, heads=2)
         upstream = rng.normal(size=f.shape)
         g = trajectory_backward(f, ph, pw, upstream)
         for which, grads in (("h", g.params_h), ("w", g.params_w)):
             for stage in ("stage1", "stage2"):
-                for name in ("w_q", "w_k", "w_v", "b_q", "b_v"):
+                for name in ("w_q", "w_k", "w_v"):
                     fd = _fd_param(f, ph, pw, upstream, which, stage, name)
                     analytic = getattr(getattr(grads, stage), name)
                     assert _rel_err(analytic, fd) < TOL, (which, stage, name)

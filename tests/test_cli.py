@@ -112,6 +112,22 @@ class TestBench:
         for point in report.values():
             assert point["exact_match"] is True
 
+    @pytest.mark.parametrize("text, flags", [
+        ("h = 8\nw = 8\n", ["--h", "8", "--w", "8"]),
+        ("h = 32\n", ["--h", "32"]),  # restates the default
+    ], ids=["shape", "default_h"])
+    def test_config_file_shape_selects_one_report(self, tmp_path, text, flags):
+        # A shape key in the file selects one shape just as the flag does.
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        reports = []
+        for args in (["--config", str(cfg_path)], flags):
+            out = tmp_path / str(len(reports))
+            assert cli_main(["bench", *args, "--out", str(out)]) == 0
+            reports.append(_read(out / "report.json"))
+        assert reports[0] == reports[1]
+        assert "exact_match" in json.loads(reports[0])
+
     def test_huge_frames_refused(self, tmp_path, capsys, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("features drawn before the size checks")
@@ -374,6 +390,20 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert cause in err and "above the limit of 1073741824 bytes" in err
+
+    @pytest.mark.parametrize("command", ["demo", "attn"])
+    def test_oversized_video_refused_before_drawing(self, tmp_path, capsys, monkeypatch, command):
+        # Passes every other guard; the float64 video alone would take 94 GiB.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("video drawn before the video size check")
+
+        monkeypatch.setattr(cli, "generate_synthetic", no_draw)
+        flags = ["--l", "1000", "--h", "2048", "--w", "2048", "--d", "3", "--n", "3", "--c", "3",
+                 "--k-sample", "1", "--n-c", "0"]
+        rc = cli_main([command, *flags, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "video refused" in err and "above the limit of 1073741824 bytes" in err
 
     def test_internal_value_error_exits_two(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):

@@ -73,6 +73,19 @@ class TestModelConfig:
         for part in ("query decoding refused", f"n={n}", f"t={t}", f"h={h}", f"w={w}", str(need)):
             assert part in str(err.value)
 
+    def test_pipeline_video_bytes_bounded(self, monkeypatch):
+        # Five frames in clips of two, padded to six: the (L, D, H, W) video,
+        # (K, T, D, H, W) clip features and (N, K, T, H, W) masks, float64.
+        cfg = ModelConfig(l=5, t=2, h=8, w=12, d=6, n=3)
+        need = 8 * 8 * 12 * (5 * 6 + 6 * (6 + 3))
+        monkeypatch.setattr(config, "VIDEO_BYTES_LIMIT", need)
+        cfg.validate_pipeline()
+        monkeypatch.setattr(config, "VIDEO_BYTES_LIMIT", need - 1)
+        with pytest.raises(ResourceGuardError) as err:
+            cfg.validate_pipeline()
+        for part in ("video refused", "l=5", "h=8", "w=12", "d=6", "n=3", str(need)):
+            assert part in str(err.value)
+
     def test_pipeline_cross_clip_pass_bounded(self, monkeypatch):
         from axialtrack import attention
         # Five frames in clips of two: the cross-clip pass is (1, 3, N, D).

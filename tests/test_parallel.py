@@ -167,7 +167,7 @@ class TestSameBitsForAnyWorkerCount:
         x = rng.normal(size=(b, 3, 9, 4))
         x[:, :, 1::3] = x[:, :, :1]  # tied positions
         x[:, :, 2::4, 0] = -0.0
-        p = attention_params(4, rng, heads=heads, scale=700.0, std=0.5, bias=True)
+        p = attention_params(4, rng, heads=heads, scale=700.0, std=0.5)
         p.stage1.w_v[-1] = 0.0
         outs = _each_worker_count(use_workers, lambda: trajectory_pass_1d(x, p))
         for out in outs[1:]:
@@ -182,14 +182,14 @@ class TestSameBitsForAnyWorkerCount:
         f[:, :, 1::3] = f[:, :, :1]
         f[:, 0, ::2] = -0.0
         up = rng.normal(size=f.shape)
-        ph, pw = (attention_params(4, rng, heads=heads, std=0.5, bias=True) for _ in range(2))
+        ph, pw = (attention_params(4, rng, heads=heads, std=0.5) for _ in range(2))
 
         def grads():
             g = trajectory_backward(f, ph, pw, up)
             arrays = [g.d_input]
             for side in (g.params_h, g.params_w):
                 for stage in (side.stage1, side.stage2):
-                    arrays += [stage.w_q, stage.w_k, stage.w_v, stage.b_q, stage.b_v]
+                    arrays += [stage.w_q, stage.w_k, stage.w_v]
             return arrays
 
         outs = _each_worker_count(use_workers, grads)

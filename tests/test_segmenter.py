@@ -7,7 +7,6 @@ from axialtrack.errors import ConfigError, DimensionError, NumericError
 from axialtrack.segmenter import (
     ClipQuerySet,
     DecoderLayerParams,
-    DecoderParams,
     Tube,
     associate_clips,
     decode_clip_queries,
@@ -81,7 +80,7 @@ class TestDecodeClipQueries:
         rng = np.random.default_rng(0)
         f = rng.normal(size=(2, 4, 2, 2))
         init = ClipQuerySet(rng.normal(size=(3, 4)), 0)
-        out = decode_clip_queries(f, init, DecoderParams([]))
+        out = decode_clip_queries(f, init, [])
         assert np.array_equal(out.queries, init.queries)
 
     def test_zero_key_cross_attention_adds_mean_feature(self):
@@ -97,7 +96,7 @@ class TestDecodeClipQueries:
             ffn_w2=np.zeros((d, 4 * d)),
             scale=1.0,
         )
-        out = decode_clip_queries(f, init, DecoderParams([layer]))
+        out = decode_clip_queries(f, init, [layer])
         mean_feat = f.transpose(0, 2, 3, 1).reshape(-1, d).mean(axis=0)
         np.testing.assert_allclose(out.queries, init.queries + mean_feat, atol=1e-12)
 
@@ -115,7 +114,7 @@ class TestDecodeClipQueries:
             decode_clip_queries(
                 np.zeros((2, 4, 2, 2)),
                 ClipQuerySet(np.zeros((3, 5)), 0),
-                DecoderParams([]),
+                [],
             )
 
 
