@@ -44,12 +44,14 @@ from .macs import MacReport, count_macs
 from .metrics import GroundTruthSet, tube_iou, vpq
 from .segmenter import (
     ClipQuerySet,
+    ClipRuns,
     PipelineParams,
     Tube,
     associate_clips,
     decode_clip_queries,
     near_online_inference,
     predict_clip_tubes,
+    run_clips,
     split_into_clips,
 )
 from .synthetic import (

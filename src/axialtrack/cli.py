@@ -31,7 +31,7 @@ from .heatmaps import axial_fields, dump_attention_heatmaps, trajectory_hit_rate
 from .macs import CATEGORIES, MacReport, count_macs
 from .metrics import GroundTruthSet, vpq
 from .pgm import dump_tube_set, load_tube_set
-from .segmenter import Tube, near_online_inference, split_into_clips
+from .segmenter import Tube, near_online_inference, run_clips, split_into_clips
 from .synthetic import build_oracle_params, demo_video_spec, generate_synthetic
 
 
@@ -146,9 +146,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     video, gt = generate_synthetic(spec)
     params = build_oracle_params(spec, cfg)
 
-    near = near_online_inference(video, params)
-    off = offline_inference(video, params)
-    shuffled = near_online_inference(video, params, shuffle_rng=np.random.default_rng(cfg.seed + 1))
+    runs = run_clips(video, params)  # each clip runs once; all three links read it
+    near = near_online_inference(runs, params)
+    off = offline_inference(runs, params)
+    shuffled = near_online_inference(runs, params, shuffle_rng=np.random.default_rng(cfg.seed + 1))
+    del runs  # the clip runs would otherwise stay alive through the heatmaps below
 
     vpq_near = vpq(near, gt)
     vpq_off = vpq(off, gt)
@@ -236,18 +238,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_attn(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
     cfg.validate_pipeline()
+    if not cfg.n_w:
+        raise ConfigError("attn needs a within-clip block to draw its maps from, got n_w = 0")
+    ref_t = args.ref_t
+    if not 0 <= ref_t < cfg.l:
+        raise DimensionError(f"reference frame {ref_t} outside video of length {cfg.l}")
     spec = demo_video_spec(cfg)
     video, _ = generate_synthetic(spec)
     params = build_oracle_params(spec, cfg)
     clips = split_into_clips(video, cfg.t)
-    ref_t = args.ref_t
-    if not 0 <= ref_t < video.shape[0]:
-        raise DimensionError(f"reference frame {ref_t} outside video of length {video.shape[0]}")
     clip_idx, t_local = divmod(ref_t, cfg.t)
     ref_h = args.ref_h if args.ref_h is not None else cfg.h // 2
     ref_w = args.ref_w if args.ref_w is not None else cfg.w // 2
-    if not params.within_blocks:
-        raise ConfigError("attn needs a within-clip block to draw its maps from, got n_w = 0")
     block = params.within_blocks[0]
     w_h, w_w = axial_fields(clips[clip_idx], block.attn_h, block.attn_w)
     paths = dump_attention_heatmaps(w_h, w_w, (t_local, ref_h, ref_w), os.path.join(args.out, "heatmaps"))

@@ -22,9 +22,12 @@ SAMPLER_BYTES_LIMIT = 2 ** 30
 DECODER_BYTES_LIMIT = 2 ** 30
 # Bound on the float64 bytes of the whole parameter bundle the pipeline builds.
 PARAMS_BYTES_LIMIT = 2 ** 30
-# Bound on the whole-video float64 arrays a run holds: the (L, D, H, W)
-# video, and the linked (K, T, D, H, W) clip features and (N, K, T, H, W)
-# masks over its K = ceil(L / T) clips.
+# Bound on the whole-video float64 arrays `demo` holds at its peak, in the
+# offline mode: the (L, D, H, W) video and at most N (L, H, W) ground-truth
+# tubes; per padded frame of its K = ceil(L / T) clips, the clip runs'
+# features and masks, one linked copy of both, the near-online tubes, the
+# offline mask logits and tubes, and the logistic's working arrays (under
+# 3 N masks).
 VIDEO_BYTES_LIMIT = 2 ** 30
 
 _INT_KEYS = ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "heads", "k_sample", "seed")
@@ -75,9 +78,9 @@ class ModelConfig:
         sampler must fit `SAMPLER_BYTES_LIMIT`, its parameters
         `PARAMS_BYTES_LIMIT`, its query decoder `DECODER_BYTES_LIMIT`, its
         whole-video arrays `VIDEO_BYTES_LIMIT`, and its cross-clip pass over
-        ceil(l / t) clips of n queries the stage-one limit of every
-        trajectory pass, so that none of them is refused only after the
-        clips have run.
+        ceil(l / t) clips of n queries and its within-clip H and W passes
+        at the finest level the stage-one limit of every trajectory pass,
+        so that none of them is refused only after the video is drawn.
         """
         self.validate()
         for key in ("h", "w"):
@@ -105,15 +108,19 @@ class ModelConfig:
                 f"{DECODER_BYTES_LIMIT} bytes"
             )
         clips = -(-self.l // self.t)
-        video = 8 * self.h * self.w * (self.l * self.d + clips * self.t * (self.d + self.n))
+        if self.n_c:
+            check_stage_one((1, clips, self.n, self.d))
+        per_frame = self.l * (self.d + self.n) + clips * self.t * (2 * self.d + 8 * self.n)
+        video = 8 * self.h * self.w * per_frame
         if video > VIDEO_BYTES_LIMIT:
             raise ResourceGuardError(
                 f"video refused: l={self.l}, t={self.t}, h={self.h}, w={self.w}, d={self.d}, "
-                f"n={self.n} need {video} bytes of float64 video, clip features and masks, "
-                f"above the limit of {VIDEO_BYTES_LIMIT} bytes"
+                f"n={self.n} need {video} bytes of float64 video, ground truth, clip runs, "
+                f"linked clips, logits and tubes, above the limit of {VIDEO_BYTES_LIMIT} bytes"
             )
-        if self.n_c:
-            check_stage_one((1, clips, self.n, self.d))
+        if self.n_w:
+            check_stage_one((self.w, self.t, self.h, self.d))
+            check_stage_one((self.h, self.t, self.w, self.d))
 
     def param_bytes(self) -> int:
         """Float64 bytes of the pipeline's parameter bundle.

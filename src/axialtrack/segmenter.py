@@ -3,9 +3,11 @@ near-online (clip-by-clip) inference chain.
 
 A toy transformer decoder refines per-clip object queries against the
 finest pyramid level; each refined query produces one mask tube and one
-class distribution. Consecutive clips are linked by minimum-cost
+class distribution. `run_clips` runs every clip of a video once, and
+`link_video` links consecutive clips of those runs by minimum-cost
 assignment on query cosine similarity, which keeps track ids stable
-across the video.
+across the video. Every link of a video (near-online, offline, shuffled)
+can read the same runs.
 """
 
 from __future__ import annotations
@@ -194,44 +196,50 @@ def run_clip(clip, params: PipelineParams, clip_index: int) -> ClipResult:
     return ClipResult(qs, feats, *predict_clip_tubes(qs, feats, params.class_head))
 
 
-def link_clip_results(results: list[ClipResult], length: int) -> LinkedVideo:
-    """Chain assignments left to right and stack every clip in track order."""
-    orders = [np.arange(results[0].queries.queries.shape[0])]
-    for k in range(1, len(results)):
-        prev = ClipQuerySet(results[k - 1].queries.queries[orders[-1]], k - 1)
-        pairs = associate_clips(prev, results[k].queries).pairs
-        orders.append(np.array([j for _, j in pairs]))
-    ordered = list(zip(results, orders))
-    return LinkedVideo(
-        np.stack([res.queries.queries[order] for res, order in ordered]),
-        np.stack([res.features for res in results]),
-        np.stack([res.masks[order] for res, order in ordered], axis=1),
-        np.stack([res.class_probs[order] for res, order in ordered], axis=1),
-        length,
-    )
+@dataclass
+class ClipRuns:
+    """Every clip's result in clip order; each link of the video reads them."""
+
+    results: list[ClipResult]
+    length: int  # original frame count, before padding
 
 
-def _shuffle_results(
-    results: list[ClipResult], rng: np.random.Generator
-) -> list[ClipResult]:
-    # Re-index every clip after the first; linking must undo the shuffle.
-    out = [results[0]]
-    for res in results[1:]:
-        perm = rng.permutation(res.queries.queries.shape[0])
-        queries = ClipQuerySet(res.queries.queries[perm], res.queries.clip_index)
-        out.append(ClipResult(queries, res.features, res.masks[perm], res.class_probs[perm]))
-    return out
-
-
-def link_video(video, params: PipelineParams, *, shuffle_rng=None) -> LinkedVideo:
-    """Run every clip and chain the results; optionally shuffle each clip's
-    query order first to exercise association invariance."""
+def run_clips(video, params: PipelineParams) -> ClipRuns:
+    """Run every clip of an (L, D, H, W) video once."""
     video = as_array(video)
     clips = split_into_clips(video, params.clip_len)
-    results = [run_clip(clip, params, k) for k, clip in enumerate(clips)]
-    if shuffle_rng is not None:
-        results = _shuffle_results(results, shuffle_rng)
-    return link_clip_results(results, video.shape[0])
+    return ClipRuns([run_clip(clip, params, k) for k, clip in enumerate(clips)], video.shape[0])
+
+
+def as_clip_runs(video, params: PipelineParams) -> ClipRuns:
+    """`video` itself when it is a `ClipRuns` already, else its frames' runs."""
+    return video if isinstance(video, ClipRuns) else run_clips(video, params)
+
+
+def link_video(runs: ClipRuns, *, shuffle_rng=None) -> LinkedVideo:
+    """Chain assignments left to right and stack every clip in track order.
+
+    With `shuffle_rng`, each clip after the first is offered to association
+    in a random query order, which linking must undo; the runs themselves
+    are only read.
+    """
+    results = runs.results
+    n = results[0].queries.queries.shape[0]
+    # rows[k][i] is the row of clip k's results that continues track i.
+    rows = [np.arange(n)]
+    for k in range(1, len(results)):
+        perm = np.arange(n) if shuffle_rng is None else shuffle_rng.permutation(n)
+        prev = ClipQuerySet(results[k - 1].queries.queries[rows[-1]], k - 1)
+        nxt = ClipQuerySet(results[k].queries.queries[perm], k)
+        rows.append(perm[[j for _, j in associate_clips(prev, nxt).pairs]])
+    ordered = list(zip(results, rows))
+    return LinkedVideo(
+        np.stack([res.queries.queries[row] for res, row in ordered]),
+        np.stack([res.features for res in results]),
+        np.stack([res.masks[row] for res, row in ordered], axis=1),
+        np.stack([res.class_probs[row] for res, row in ordered], axis=1),
+        runs.length,
+    )
 
 
 def stacked_tubes(masks: np.ndarray, class_probs: np.ndarray, length: int) -> list[Tube]:
@@ -243,9 +251,10 @@ def stacked_tubes(masks: np.ndarray, class_probs: np.ndarray, length: int) -> li
 
 
 def near_online_inference(video, params: PipelineParams, *, shuffle_rng=None) -> list[Tube]:
-    """Clip-by-clip inference chained by query association; a track's class
-    distribution is the mean of its per-clip ones."""
-    linked = link_video(video, params, shuffle_rng=shuffle_rng)
+    """Clip-by-clip inference chained by query association, from frames or
+    from their `ClipRuns`; a track's class distribution is the mean of its
+    per-clip ones."""
+    linked = link_video(as_clip_runs(video, params), shuffle_rng=shuffle_rng)
     return stacked_tubes(linked.masks, linked.class_probs.mean(axis=1), linked.length)
 
 

@@ -1,12 +1,15 @@
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from axialtrack import cli
+from axialtrack import cli, config, segmenter
 from axialtrack.cli import cli_main
+from axialtrack.config import ModelConfig
+from axialtrack.errors import ResourceGuardError
 from axialtrack.pgm import dump_tube_set, read_pgm, write_pgm
 from axialtrack.segmenter import Tube
 
@@ -71,6 +74,41 @@ class TestDemo:
         assert report["traj_argmax_hit_rate"] is None
         assert "traj_argmax_hit_rate = null\n" in _read(out / "report.txt").decode()
         assert not (out / "heatmaps").exists()
+
+    def test_each_clip_runs_once(self, tmp_path, monkeypatch):
+        # Eight frames in clips of two: the three links read four clip runs.
+        seen = []
+        run_clip = segmenter.run_clip
+
+        def counting_run_clip(clip, params, clip_index):
+            seen.append(clip_index)
+            return run_clip(clip, params, clip_index)
+
+        monkeypatch.setattr(segmenter, "run_clip", counting_run_clip)
+        assert cli_main(["demo", "--seed", "3", "--out", str(tmp_path / "demo")]) == 0
+        assert seen == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("t", [2, 3], ids=["even", "padded"])
+    def test_peak_memory_within_the_video_guard(self, tmp_path, monkeypatch, t):
+        # Whole-video arrays dominate without within-clip or cross-clip blocks.
+        flags = dict(l=16, t=t, h=96, w=96, d=3, n=3, c=3, n_w=0, n_c=0, k_sample=1)
+        clips = -(-16 // t)
+        need = 8 * 96 * 96 * (16 * (3 + 3) + clips * t * (2 * 3 + 8 * 3))
+        cfg = ModelConfig(**flags)
+        monkeypatch.setattr(config, "VIDEO_BYTES_LIMIT", need - 1)
+        with pytest.raises(ResourceGuardError, match="video refused"):
+            cfg.validate_pipeline()
+        monkeypatch.setattr(config, "VIDEO_BYTES_LIMIT", need)  # the guard's own count is `need`
+        argv = ["demo", "--out", str(tmp_path / "demo")]
+        for key, value in flags.items():
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+        tracemalloc.start()
+        try:
+            assert cli_main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
 
     def test_report_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError):
@@ -404,6 +442,34 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "video refused" in err and "above the limit of 1073741824 bytes" in err
+
+    @pytest.mark.parametrize("command", ["demo", "attn"])
+    def test_oversized_within_clip_pass_refused_before_drawing(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # The finest level's H pass (192, 2, 192, 8) needs a 1.8 GB stage-one product.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("video drawn before the within-clip pass check")
+
+        monkeypatch.setattr(cli, "generate_synthetic", no_draw)
+        flags = ["--l", "2", "--h", "192", "--w", "192", "--n-c", "0"]
+        rc = cli_main([command, *flags, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "(192, 2, 192, 8)" in err and str(8 * 192 * 2 * 2 * 192 * 192 * 8) in err
+
+    @pytest.mark.parametrize("flags, cause", [
+        (["--n-w", "0"], "n_w = 0"),
+        (["--ref-t", "8"], "reference frame 8 outside video of length 8"),
+    ], ids=["no_within_clip_block", "reference_past_the_end"])
+    def test_attn_input_refused_before_drawing(self, tmp_path, capsys, monkeypatch, flags, cause):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("video drawn before the attn input checks")
+
+        monkeypatch.setattr(cli, "generate_synthetic", no_draw)
+        rc = cli_main(["attn", *flags, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert cause in capsys.readouterr().err
 
     def test_internal_value_error_exits_two(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import pytest
 
 from axialtrack import config
@@ -74,10 +77,12 @@ class TestModelConfig:
             assert part in str(err.value)
 
     def test_pipeline_video_bytes_bounded(self, monkeypatch):
-        # Five frames in clips of two, padded to six: the (L, D, H, W) video,
-        # (K, T, D, H, W) clip features and (N, K, T, H, W) masks, float64.
+        # Five frames in clips of two, padded to six, float64: the video and
+        # the ground truth, L (D + N) frame planes; per padded frame, two D + N
+        # for the clip runs and one linked copy, and six N for the tubes,
+        # logits and the logistic's working arrays.
         cfg = ModelConfig(l=5, t=2, h=8, w=12, d=6, n=3)
-        need = 8 * 8 * 12 * (5 * 6 + 6 * (6 + 3))
+        need = 8 * 8 * 12 * (5 * (6 + 3) + 6 * (2 * 6 + 8 * 3))
         monkeypatch.setattr(config, "VIDEO_BYTES_LIMIT", need)
         cfg.validate_pipeline()
         monkeypatch.setattr(config, "VIDEO_BYTES_LIMIT", need - 1)
@@ -89,14 +94,30 @@ class TestModelConfig:
     def test_pipeline_cross_clip_pass_bounded(self, monkeypatch):
         from axialtrack import attention
         # Five frames in clips of two: the cross-clip pass is (1, 3, N, D).
-        cfg = ModelConfig(l=5, t=2, n=7, d=4, n_c=1)
+        # No within-clip block, whose passes the same limit bounds.
+        cfg = ModelConfig(l=5, t=2, n=7, d=4, n_w=0, n_c=1)
         need = 8 * 3 * 3 * 7 * 7 * 4
         monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", need)
         cfg.validate_pipeline()
         monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", need - 1)
         with pytest.raises(ResourceGuardError, match=r"\(1, 3, 7, 4\)"):
             cfg.validate_pipeline()
-        ModelConfig(l=5, t=2, n=7, d=4, n_c=0).validate_pipeline()  # no cross-clip pass
+        replace(cfg, n_c=0).validate_pipeline()  # no cross-clip pass
+
+    @pytest.mark.parametrize("h, w, shape", [(12, 8, "(8, 3, 12, 4)"), (8, 12, "(8, 3, 12, 4)")],
+                             ids=["h_pass", "w_pass"])
+    def test_pipeline_within_clip_passes_bounded(self, monkeypatch, h, w, shape):
+        from axialtrack import attention
+        # The finest level's H pass is (W, T, H, D), its W pass (H, T, W, D);
+        # the longer axis sets the larger stage-one product.
+        cfg = ModelConfig(t=3, h=h, w=w, d=4, n_w=1, n_c=0)
+        need = 8 * 8 * 3 * 3 * 12 * 12 * 4
+        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", need)
+        cfg.validate_pipeline()
+        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", need - 1)
+        with pytest.raises(ResourceGuardError, match=re.escape(shape)):
+            cfg.validate_pipeline()
+        replace(cfg, n_w=0).validate_pipeline()  # no within-clip pass
 
 
 class TestConfigText:

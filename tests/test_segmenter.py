@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from axialtrack import segmenter
+from axialtrack.assignment import hungarian
 from axialtrack.attention import ProjectionWeights
 from axialtrack.config import ModelConfig
 from axialtrack.errors import ConfigError, DimensionError, NumericError
@@ -14,6 +16,7 @@ from axialtrack.segmenter import (
     near_online_inference,
     predict_clip_tubes,
     run_clip,
+    run_clips,
     split_into_clips,
 )
 from axialtrack.crossclip import offline_inference
@@ -258,6 +261,63 @@ class TestNearOnlineInference:
         _, video, _, params = self._setup(seed=5)
         for tube in near_online_inference(video, params):
             tube.validate()
+
+
+def _all_modes(video, params):
+    """Near-online, shuffled near-online and offline tubes, in that order."""
+    return (
+        near_online_inference(video, params)
+        + near_online_inference(video, params, shuffle_rng=np.random.default_rng(5))
+        + offline_inference(video, params)
+    )
+
+
+_SEAM_INPUTS = [
+    # The golden random-parameter config: five frames in clips of two.
+    pytest.param(lambda: _random_video(l=5, t=2, h=8, w=8, d=8, n=5, c=3, n_w=1, n_c=2, heads=2,
+                                       atrous_rates=(1, 2, 4), seed=5), id="random-padded"),
+    pytest.param(lambda: _oracle_video(seed=0), id="oracle-demo"),
+]
+
+
+class TestClipRuns:
+    @pytest.mark.parametrize("inputs", _SEAM_INPUTS)
+    def test_runs_give_the_frames_tubes_bitwise(self, inputs):
+        video, params = inputs()
+        got, want = _all_modes(run_clips(video, params), params), _all_modes(video, params)
+        _assert_same_tubes(got, want)
+        for a, b in zip(got, want):
+            assert np.array_equal(np.signbit(a.masks), np.signbit(b.masks))
+            assert np.array_equal(np.signbit(a.class_probs), np.signbit(b.class_probs))
+
+    @pytest.mark.parametrize("inputs", _SEAM_INPUTS)
+    def test_links_leave_the_runs_unchanged(self, inputs):
+        video, params = inputs()
+        runs = run_clips(video, params)
+        before = [
+            (res.queries.queries.copy(), res.features.copy(), res.masks.copy(), res.class_probs.copy())
+            for res in runs.results
+        ]
+        _all_modes(runs, params)
+        assert runs.length == video.shape[0]
+        for res, arrays in zip(runs.results, before):
+            now = (res.queries.queries, res.features, res.masks, res.class_probs)
+            for got, want in zip(now, arrays):
+                assert got.tobytes() == want.tobytes()
+
+    def test_frames_link_once_per_mode(self, monkeypatch):
+        # Frames still run and link in each mode: 2 (K - 1) association solves.
+        video, params = _random_video(l=7, t=2, h=8, w=8, n=5, n_w=1, n_c=1, seed=3)
+        solves = []
+
+        def counting_hungarian(cost):
+            solves.append(cost.shape)
+            return hungarian(cost)
+
+        monkeypatch.setattr(segmenter, "hungarian", counting_hungarian)
+        near_online_inference(video, params)
+        offline_inference(video, params)
+        assert solves == [(5, 5)] * 2 * (4 - 1)
 
 
 class TestTube:
