@@ -45,10 +45,12 @@ from .metrics import GroundTruthSet, tube_iou, vpq
 from .segmenter import (
     ClipQuerySet,
     ClipRuns,
+    LinkedVideo,
     PipelineParams,
     Tube,
     associate_clips,
     decode_clip_queries,
+    link_video,
     near_online_inference,
     predict_clip_tubes,
     run_clips,

@@ -31,7 +31,7 @@ from .heatmaps import axial_fields, dump_attention_heatmaps, trajectory_hit_rate
 from .macs import CATEGORIES, MacReport, count_macs
 from .metrics import GroundTruthSet, vpq
 from .pgm import dump_tube_set, load_tube_set
-from .segmenter import Tube, near_online_inference, run_clips, split_into_clips
+from .segmenter import Tube, link_video, near_online_inference, run_clips, split_into_clips
 from .synthetic import build_oracle_params, demo_video_spec, generate_synthetic
 
 
@@ -146,11 +146,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     video, gt = generate_synthetic(spec)
     params = build_oracle_params(spec, cfg)
 
-    runs = run_clips(video, params)  # each clip runs once; all three links read it
-    near = near_online_inference(runs, params)
-    off = offline_inference(runs, params)
-    shuffled = near_online_inference(runs, params, shuffle_rng=np.random.default_rng(cfg.seed + 1))
-    del runs  # the clip runs would otherwise stay alive through the heatmaps below
+    runs = run_clips(video, params)  # each clip runs once; both links read it
+    linked = link_video(runs)  # one link serves both modes
+    near = near_online_inference(linked, params)
+    off = offline_inference(linked, params)
+    linked = link_video(runs, shuffle_rng=np.random.default_rng(cfg.seed + 1))
+    shuffled = near_online_inference(linked, params)
+    del runs, linked  # the clip runs would otherwise stay alive through the heatmaps below
 
     vpq_near = vpq(near, gt)
     vpq_off = vpq(off, gt)

@@ -25,9 +25,9 @@ PARAMS_BYTES_LIMIT = 2 ** 30
 # Bound on the whole-video float64 arrays `demo` holds at its peak, in the
 # offline mode: the (L, D, H, W) video and at most N (L, H, W) ground-truth
 # tubes; per padded frame of its K = ceil(L / T) clips, the clip runs'
-# features and masks, one linked copy of both, the near-online tubes, the
-# offline mask logits and tubes, and the logistic's working arrays (under
-# 3 N masks).
+# features and masks, one gathered copy of both, the near-online tubes, the
+# offline mask logits and tubes, and the logistic's working array and two
+# boolean masks (5 N / 4 masks, counted as 3 N).
 VIDEO_BYTES_LIMIT = 2 ** 30
 
 _INT_KEYS = ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "heads", "k_sample", "seed")

@@ -4,9 +4,9 @@ The (K, N, D) query tensor is refined by blocks of trajectory attention
 (clip index as the frame axis, query index as the attended axis) and a
 temporal pyramid of dilated convolutions with a parameter-free layer
 norm; a clip-mean class head and whole-video mask multiplication produce
-the offline prediction. The aligned queries come from linking the
-near-online clip runs, which the offline mode can share with the
-near-online one.
+the offline prediction. The aligned queries are each clip's queries
+gathered in track order by the rows of a `LinkedVideo`, the same link
+that the near-online mode reads.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import AttentionParams, attention_params, prenorm, trajectory_pass_1d
 from .errors import ConfigError, DimensionError
-from .segmenter import PipelineParams, Tube, as_clip_runs, link_video, stacked_tubes
+from .segmenter import PipelineParams, Tube, as_linked, stacked_tubes
 from .tensor import as_array, atrous_conv1d, logistic, require_finite, softmax_last
 
 
@@ -100,19 +100,21 @@ def temporal_class_head(z, class_head) -> np.ndarray:
 
 def offline_inference(video, params: PipelineParams) -> list[Tube]:
     """Whole-video inference from cross-clip-refined queries, from frames or
-    from their `ClipRuns`.
+    from their `LinkedVideo`.
 
-    Linking the clip runs as the near-online chain does supplies aligned
-    queries and per-clip features; after refinement, each clip's queries
-    multiply that clip's features, and the per-clip masks concatenate into
-    span-L tubes (padding frames drop off). Classes come from the
-    clip-mean class head.
+    The link's rows put each clip's queries in track order; after
+    refinement, each clip's queries multiply that clip's features, and the
+    per-clip masks concatenate into span-L tubes (padding frames drop off).
+    Classes come from the clip-mean class head.
     """
-    linked = link_video(as_clip_runs(video, params))
-    z = cross_clip_forward(linked.aligned_queries, params.cross_blocks)
+    linked = as_linked(video, params)
+    results = linked.runs.results
+    queries = np.stack([res.queries.queries[row] for res, row in zip(results, linked.rows)])
+    z = cross_clip_forward(queries, params.cross_blocks)
     probs = temporal_class_head(z, params.class_head)
-    logits = np.einsum("knd,ktdhw->nkthw", z, linked.clip_features, optimize=False)
-    return stacked_tubes(logistic(logits), probs, linked.length)
+    features = np.stack([res.features for res in results])
+    logits = np.einsum("knd,ktdhw->nkthw", z, features, optimize=False)
+    return stacked_tubes(logistic(logits), probs, linked.runs.length)
 
 
 def aspp_params(d: int, rng: np.random.Generator, rates: tuple[int, int, int] = (1, 2, 3)) -> AsppParams:

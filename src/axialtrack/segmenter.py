@@ -6,8 +6,9 @@ finest pyramid level; each refined query produces one mask tube and one
 class distribution. `run_clips` runs every clip of a video once, and
 `link_video` links consecutive clips of those runs by minimum-cost
 assignment on query cosine similarity, which keeps track ids stable
-across the video. Every link of a video (near-online, offline, shuffled)
-can read the same runs.
+across the video. A link holds only the runs and each clip's track rows,
+so one link serves both the near-online and the offline mode, and each
+mode gathers by those rows only the arrays it reads.
 """
 
 from __future__ import annotations
@@ -176,17 +177,6 @@ class ClipResult:
     class_probs: np.ndarray  # (N, C)
 
 
-@dataclass
-class LinkedVideo:
-    """Clip results stacked in track order: row n is track n in every clip."""
-
-    aligned_queries: np.ndarray  # (K, N, D)
-    clip_features: np.ndarray    # (K, T, D, H, W)
-    masks: np.ndarray            # (N, K, T, H, W)
-    class_probs: np.ndarray      # (N, K, C)
-    length: int                  # original frame count, before padding
-
-
 def run_clip(clip, params: PipelineParams, clip_index: int) -> ClipResult:
     """Within-clip mixing, query decoding, and tube prediction for one clip."""
     pyr = build_pyramid(clip)
@@ -211,13 +201,17 @@ def run_clips(video, params: PipelineParams) -> ClipRuns:
     return ClipRuns([run_clip(clip, params, k) for k, clip in enumerate(clips)], video.shape[0])
 
 
-def as_clip_runs(video, params: PipelineParams) -> ClipRuns:
-    """`video` itself when it is a `ClipRuns` already, else its frames' runs."""
-    return video if isinstance(video, ClipRuns) else run_clips(video, params)
+@dataclass
+class LinkedVideo:
+    """Clip runs plus the track order that linking chose for them."""
+
+    runs: ClipRuns
+    rows: np.ndarray  # (K, N) int: rows[k, i] is the row of clip k's results that continues track i
 
 
 def link_video(runs: ClipRuns, *, shuffle_rng=None) -> LinkedVideo:
-    """Chain assignments left to right and stack every clip in track order.
+    """Chain assignments left to right; each mode gathers what it reads by
+    the returned rows.
 
     With `shuffle_rng`, each clip after the first is offered to association
     in a random query order, which linking must undo; the runs themselves
@@ -225,21 +219,18 @@ def link_video(runs: ClipRuns, *, shuffle_rng=None) -> LinkedVideo:
     """
     results = runs.results
     n = results[0].queries.queries.shape[0]
-    # rows[k][i] is the row of clip k's results that continues track i.
     rows = [np.arange(n)]
     for k in range(1, len(results)):
         perm = np.arange(n) if shuffle_rng is None else shuffle_rng.permutation(n)
         prev = ClipQuerySet(results[k - 1].queries.queries[rows[-1]], k - 1)
         nxt = ClipQuerySet(results[k].queries.queries[perm], k)
         rows.append(perm[[j for _, j in associate_clips(prev, nxt).pairs]])
-    ordered = list(zip(results, rows))
-    return LinkedVideo(
-        np.stack([res.queries.queries[row] for res, row in ordered]),
-        np.stack([res.features for res in results]),
-        np.stack([res.masks[row] for res, row in ordered], axis=1),
-        np.stack([res.class_probs[row] for res, row in ordered], axis=1),
-        runs.length,
-    )
+    return LinkedVideo(runs, np.stack(rows))
+
+
+def as_linked(video, params: PipelineParams) -> LinkedVideo:
+    """`video` itself when it is a `LinkedVideo` already, else its frames' link."""
+    return video if isinstance(video, LinkedVideo) else link_video(run_clips(video, params))
 
 
 def stacked_tubes(masks: np.ndarray, class_probs: np.ndarray, length: int) -> list[Tube]:
@@ -250,12 +241,15 @@ def stacked_tubes(masks: np.ndarray, class_probs: np.ndarray, length: int) -> li
     return [Tube(spans[i], class_probs[i], track_id=i) for i in range(n)]
 
 
-def near_online_inference(video, params: PipelineParams, *, shuffle_rng=None) -> list[Tube]:
+def near_online_inference(video, params: PipelineParams) -> list[Tube]:
     """Clip-by-clip inference chained by query association, from frames or
-    from their `ClipRuns`; a track's class distribution is the mean of its
+    from their `LinkedVideo`; a track's class distribution is the mean of its
     per-clip ones."""
-    linked = link_video(as_clip_runs(video, params), shuffle_rng=shuffle_rng)
-    return stacked_tubes(linked.masks, linked.class_probs.mean(axis=1), linked.length)
+    linked = as_linked(video, params)
+    ordered = list(zip(linked.runs.results, linked.rows))
+    masks = np.stack([res.masks[row] for res, row in ordered], axis=1)
+    probs = np.stack([res.class_probs[row] for res, row in ordered], axis=1)
+    return stacked_tubes(masks, probs.mean(axis=1), linked.runs.length)
 
 
 def decoder_params(

@@ -69,8 +69,10 @@ def generate_synthetic(spec: SyntheticVideoSpec) -> tuple[np.ndarray, GroundTrut
         ylo, yhi = _start_range(spec.height, sh, dy, spec.length)
         xlo, xhi = _start_range(spec.width, sw, dx, spec.length)
         if ylo > yhi or xlo > xhi:
+            sweep = (sh + (spec.length - 1) * abs(dy), sw + (spec.length - 1) * abs(dx))
             raise GenerationError(
-                f"object of size ({sh}, {sw}) with velocity ({dy}, {dx}) cannot stay in bounds"
+                f"object of size ({sh}, {sw}) with velocity ({dy}, {dx}) sweeps {sweep} over "
+                f"l={spec.length} frames, which does not fit the {spec.height}x{spec.width} frame"
             )
         ranges.append((ylo, yhi, xlo, xhi))
 

@@ -260,13 +260,15 @@ def bilinear_sample(feature, points) -> np.ndarray:
 
 
 def logistic(x) -> np.ndarray:
-    """Numerically safe elementwise logistic function."""
+    """Numerically safe elementwise logistic function: with e = exp(-|x|),
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, in one working array."""
     x = as_array(x)
-    out = np.empty_like(x)
+    e = np.abs(x, out=np.empty_like(x))
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.add(1.0, e, out=np.empty_like(x))
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    np.divide(1.0, out, out=out, where=pos)
+    np.divide(e, out, out=out, where=~pos)
     return out
 
 

@@ -20,6 +20,18 @@ import numpy as np
 LN_EPS = 1e-5
 
 
+def masked_logistic(x):
+    """Logistic by branch: 1 / (1 + exp(-x)) on the entries with x >= 0,
+    exp(x) / (1 + exp(x)) on the rest, each branch on its own gathered copy."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def naive_prenorm(x):
     """Parameter-free layer norm over the trailing axis (population variance)."""
     flat = x.reshape(-1, x.shape[-1])

@@ -76,7 +76,7 @@ class TestDemo:
         assert not (out / "heatmaps").exists()
 
     def test_each_clip_runs_once(self, tmp_path, monkeypatch):
-        # Eight frames in clips of two: the three links read four clip runs.
+        # Eight frames in clips of two: both links read four clip runs.
         seen = []
         run_clip = segmenter.run_clip
 
@@ -87,6 +87,27 @@ class TestDemo:
         monkeypatch.setattr(segmenter, "run_clip", counting_run_clip)
         assert cli_main(["demo", "--seed", "3", "--out", str(tmp_path / "demo")]) == 0
         assert seen == [0, 1, 2, 3]
+
+    def test_one_link_serves_both_modes(self, tmp_path, monkeypatch):
+        # Four clips: the shared link and the shuffled one solve 3 + 3 associations.
+        calls = []
+        associate = segmenter.associate_clips
+
+        def counting_associate(prev, nxt):
+            calls.append(nxt.clip_index)
+            return associate(prev, nxt)
+
+        monkeypatch.setattr(segmenter, "associate_clips", counting_associate)
+        assert cli_main(["demo", "--seed", "3", "--out", str(tmp_path / "demo")]) == 0
+        assert calls == [1, 2, 3] * 2
+
+    def test_long_video_names_frames_and_extent(self, tmp_path, capsys):
+        # The second object moves one column a frame: 24 + 63 columns > 64.
+        rc = cli_main(["demo", "--l", "64", "--h", "64", "--w", "64", "--n-c", "0",
+                       "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "sweeps (16, 87) over l=64 frames" in err and "64x64 frame" in err
 
     @pytest.mark.parametrize("t", [2, 3], ids=["even", "padded"])
     def test_peak_memory_within_the_video_guard(self, tmp_path, monkeypatch, t):
@@ -210,6 +231,7 @@ class TestAttn:
         assert rc == 1
         err = capsys.readouterr().err
         assert "stage-one product" in err and str(8 * 8 * 2 * 2 * 4096 * 4096 * 8) in err
+
 
 
 class TestEval:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from axialtrack.segmenter import (
     associate_clips,
     decode_clip_queries,
     decoder_params,
+    link_video,
     near_online_inference,
     predict_clip_tubes,
     run_clip,
@@ -42,6 +45,11 @@ def _random_video(**kwargs):
     cfg = ModelConfig(**kwargs)
     video = np.random.default_rng((cfg.seed, 1)).normal(size=(cfg.l, cfg.d, cfg.h, cfg.w))
     return video, random_pipeline_params(cfg)
+
+
+def _shuffled_link(video, params, seed):
+    """The link of `video`'s clip runs with queries offered in a seeded random order."""
+    return link_video(run_clips(video, params), shuffle_rng=np.random.default_rng(seed))
 
 
 def _assert_same_tubes(got, want):
@@ -230,7 +238,7 @@ class TestNearOnlineInference:
         _, video, _, params = self._setup()
         for video, params in ((video, params), _random_video(l=7, t=3, h=16, w=16, seed=8)):
             base = near_online_inference(video, params)
-            shuffled = near_online_inference(video, params, shuffle_rng=np.random.default_rng(99))
+            shuffled = near_online_inference(_shuffled_link(video, params, 99), params)
             for a, b in zip(base, shuffled):
                 assert a.track_id == b.track_id
                 assert np.array_equal(a.masks, b.masks)
@@ -246,7 +254,7 @@ class TestNearOnlineInference:
         video, params = inputs()
         _assert_same_tubes(near_online_inference(video, params), naive_near_online_tubes(video, params))
         _assert_same_tubes(
-            near_online_inference(video, params, shuffle_rng=np.random.default_rng(5)),
+            near_online_inference(_shuffled_link(video, params, 5), params),
             naive_near_online_tubes(video, params, shuffle_rng=np.random.default_rng(5)),
         )
 
@@ -263,15 +271,6 @@ class TestNearOnlineInference:
             tube.validate()
 
 
-def _all_modes(video, params):
-    """Near-online, shuffled near-online and offline tubes, in that order."""
-    return (
-        near_online_inference(video, params)
-        + near_online_inference(video, params, shuffle_rng=np.random.default_rng(5))
-        + offline_inference(video, params)
-    )
-
-
 _SEAM_INPUTS = [
     # The golden random-parameter config: five frames in clips of two.
     pytest.param(lambda: _random_video(l=5, t=2, h=8, w=8, d=8, n=5, c=3, n_w=1, n_c=2, heads=2,
@@ -280,11 +279,28 @@ _SEAM_INPUTS = [
 ]
 
 
+def _linked_modes(runs, params):
+    """Near-online and offline tubes from one link of `runs`, then the
+    near-online tubes of a shuffled link of the same runs."""
+    linked = link_video(runs)
+    shuffled = link_video(runs, shuffle_rng=np.random.default_rng(5))
+    return (
+        near_online_inference(linked, params)
+        + offline_inference(linked, params)
+        + near_online_inference(shuffled, params)
+    )
+
+
 class TestClipRuns:
     @pytest.mark.parametrize("inputs", _SEAM_INPUTS)
     def test_runs_give_the_frames_tubes_bitwise(self, inputs):
         video, params = inputs()
-        got, want = _all_modes(run_clips(video, params), params), _all_modes(video, params)
+        got = _linked_modes(run_clips(video, params), params)
+        want = (
+            near_online_inference(video, params)
+            + offline_inference(video, params)
+            + naive_near_online_tubes(video, params, shuffle_rng=np.random.default_rng(5))
+        )
         _assert_same_tubes(got, want)
         for a, b in zip(got, want):
             assert np.array_equal(np.signbit(a.masks), np.signbit(b.masks))
@@ -298,12 +314,36 @@ class TestClipRuns:
             (res.queries.queries.copy(), res.features.copy(), res.masks.copy(), res.class_probs.copy())
             for res in runs.results
         ]
-        _all_modes(runs, params)
+        _linked_modes(runs, params)
         assert runs.length == video.shape[0]
         for res, arrays in zip(runs.results, before):
             now = (res.queries.queries, res.features, res.masks, res.class_probs)
             for got, want in zip(now, arrays):
                 assert got.tobytes() == want.tobytes()
+
+    def test_link_holds_runs_and_track_rows_only(self):
+        video, params = _random_video(l=7, t=2, h=8, w=8, n=5, n_w=1, n_c=1, seed=3)
+        runs = run_clips(video, params)
+        linked = link_video(runs)
+        assert linked.runs is runs
+        assert linked.rows.shape == (4, 5) and linked.rows.dtype.kind == "i"
+        assert np.array_equal(linked.rows[0], np.arange(5))
+        for row in linked.rows:
+            assert sorted(row) == list(range(5))
+
+    def test_near_online_holds_no_feature_stack(self):
+        # D >> N: a (K, T, D, H, W) feature stack would be 8 times the masks.
+        video, params = _random_video(l=8, t=2, h=32, w=32, d=16, n=2, n_w=0, n_c=0, seed=2)
+        linked = link_video(run_clips(video, params))
+        mask_bytes = 8 * 2 * 8 * 32 * 32  # (N, K, T, H, W) float64
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            near_online_inference(linked, params)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * mask_bytes + 64 * 1024
 
     def test_frames_link_once_per_mode(self, monkeypatch):
         # Frames still run and link in each mode: 2 (K - 1) association solves.

@@ -9,11 +9,12 @@ from axialtrack.errors import ConfigError, DimensionError
 from axialtrack.tensor import (
     atrous_conv1d,
     bilinear_sample,
+    logistic,
     softmax_last,
     sorted_sum,
 )
 
-from oracles import naive_atrous_conv1d, naive_bilinear_point, naive_prenorm
+from oracles import masked_logistic, naive_atrous_conv1d, naive_bilinear_point, naive_prenorm
 
 
 class TestSoftmax:
@@ -54,6 +55,32 @@ class TestSoftmax:
         got = softmax_last(x)
         assert np.array_equal(got, want)
         assert np.array_equal(np.argsort(got, axis=-1), np.argsort(x, axis=-1))
+
+
+class TestLogistic:
+    EDGES = [0.0, -0.0, 1e-320, -1e-320, 709.0, -709.0, 745.2, -745.2, 800.0, -800.0]
+
+    def test_matches_the_masked_branches_bitwise(self):
+        rng = np.random.default_rng(16)
+        inputs = [np.array(self.EDGES), np.array(-0.0), np.array(3.0)]
+        inputs += [rng.normal(scale=s, size=(9, 31)) for s in (0.1, 1.0, 10.0, 100.0, 1000.0)]
+        for x in inputs:
+            got, want = logistic(x), masked_logistic(x)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_one_working_array(self):
+        # The oracle's +10 and 0 mask logits: every entry takes the x >= 0 branch.
+        x = np.where(np.random.default_rng(17).random(1 << 20) < 0.5, 10.0, 0.0)
+        tracemalloc.start()
+        try:
+            logistic(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The output, exp(-|x|) and the two boolean masks.
+        assert peak <= 2 * x.nbytes + 2 * x.size + 64 * 1024
 
 
 class TestLayerNorm:
