@@ -21,13 +21,14 @@ Scores are taken from C-contiguous head-major copies of the queries and
 keys, so the weights come out C-contiguous. Stage one's weighted sums are
 one (B, G, T, S, U, C, R) product, sorted in place along r, its last
 axis, and summed pairwise row by row (`tensor.sorted_sum`): a pass holds
-one such product at a time, the 8*B*T^2*S^2*D bytes that
-`STAGE_ONE_BYTES_LIMIT` bounds. The scores and the product are built in
-pieces of (b, g) rows on every CPU (`tensor.split_rows`); no sum crosses
-a (b, g) row, so the bits do not depend on the number of pieces, and the
-whole product still goes to one `sorted_sum` call. The projections and
-stage two are shared with the backward (`axialtrack.backward`), which
-recomputes stage one in matrix form instead of in sorted order.
+one such product at a time, the 8*B*T^2*S^2*D bytes of `stage_one_bytes`,
+and refuses an input whose product exceeds `errors.MEMORY_LIMIT`. The
+scores and the product are built in pieces of (b, g) rows on every CPU
+(`tensor.split_rows`); no sum crosses a (b, g) row, so the bits do not
+depend on the number of pieces, and the whole product still goes to one
+`sorted_sum` call. The projections and stage two are shared with the
+backward (`axialtrack.backward`), which recomputes stage one in matrix form
+instead of in sorted order.
 
 Every pass returns one array, its output. `stage_one_weights`, the only
 attention state exported, gives a sequence's head-mean stage-one weights
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ResourceGuardError
+from .errors import DimensionError, ResourceGuardError, check_memory
 from .tensor import MacCounter, as_array, require_finite, softmax_last, sorted_sum, split_rows
 
 LN_EPS = 1e-5
@@ -53,10 +54,6 @@ LN_EPS = 1e-5
 # Size guard for the undecomposed reference pass, expressed as a bound on
 # T*H*W (its weight tensor grows with the square of that).
 REFERENCE_CAP = 4096
-
-# Largest float64 stage-one product, 8*B*T^2*S^2*D bytes, that a pass may
-# materialise; larger inputs are refused before anything is allocated.
-STAGE_ONE_BYTES_LIMIT = 2 ** 30
 
 
 @dataclass
@@ -99,15 +96,16 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
 
 
-def check_stage_one(shape: tuple[int, int, int, int]) -> None:
-    """Refuse a (B, T, S, D) pass whose stage-one product exceeds the limit."""
+def stage_one_bytes(shape: tuple[int, int, int, int]) -> int:
+    """Float64 bytes of a (B, T, S, D) pass's stage-one product, 8*B*T^2*S^2*D."""
     b, t, s, d = shape
-    stage_one = 8 * b * t * t * s * s * d
-    if stage_one > STAGE_ONE_BYTES_LIMIT:
-        raise ResourceGuardError(
-            f"trajectory pass refused: (B, T, S, D) = {tuple(shape)} needs a stage-one product "
-            f"of {stage_one} bytes, above the limit of {STAGE_ONE_BYTES_LIMIT} bytes"
-        )
+    return 8 * b * t * t * s * s * d
+
+
+def check_stage_one(shape: tuple[int, int, int, int]) -> None:
+    """Refuse a (B, T, S, D) pass whose stage-one product exceeds the memory limit."""
+    shape = tuple(shape)
+    check_memory("trajectory pass", f"(B, T, S, D) = {shape}", stage_one_bytes(shape), "stage-one product")
 
 
 def _stage_one_heads(x: np.ndarray, params: AttentionParams) -> tuple:

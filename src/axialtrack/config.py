@@ -9,26 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .attention import check_stage_one
-from .errors import ConfigError, ResourceGuardError
+from .attention import stage_one_bytes
+from .errors import ConfigError, check_memory
 
 SCALE_RSQRT_D = "rsqrt_d"
 SCALE_ONE = "one"
-# Bound on the finest-level deformable sampler's (T, H*W*K, D) samples plus
-# (T, H*W, 3K) weights, which one gather per level holds for a whole clip.
-SAMPLER_BYTES_LIMIT = 2 ** 30
-# Bound on the decoder's float64 attention scores for one clip: (N, T*H*W)
-# for the cross-attention to the finest level, (N, N) for self-attention.
-DECODER_BYTES_LIMIT = 2 ** 30
-# Bound on the float64 bytes of the whole parameter bundle the pipeline builds.
-PARAMS_BYTES_LIMIT = 2 ** 30
-# Bound on the whole-video float64 arrays `demo` holds at its peak, in the
-# offline mode: the (L, D, H, W) video and at most N (L, H, W) ground-truth
-# tubes; per padded frame of its K = ceil(L / T) clips, the clip runs'
-# features and masks, one gathered copy of both, the near-online tubes, the
-# offline mask logits and tubes, and the logistic's working array and two
-# boolean masks (5 N / 4 masks, counted as 3 N).
-VIDEO_BYTES_LIMIT = 2 ** 30
+# A stage's bytes beside its arrays: numpy's 8192-element ufunc buffer and
+# small Python objects.
+SMALL_BYTES = 2 ** 17
 
 _INT_KEYS = ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "heads", "k_sample", "seed")
 
@@ -71,75 +59,84 @@ class ModelConfig:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
     def validate_pipeline(self) -> None:
-        """`validate`, plus the frame-size and memory rules of the pipeline.
-
-        MAC accounting runs the attention alone at any extents; the
-        pipeline's feature pyramid halves H and W twice, its deformable
-        sampler must fit `SAMPLER_BYTES_LIMIT`, its parameters
-        `PARAMS_BYTES_LIMIT`, its query decoder `DECODER_BYTES_LIMIT`, its
-        whole-video arrays `VIDEO_BYTES_LIMIT`, and its cross-clip pass over
-        ceil(l / t) clips of n queries and its within-clip H and W passes
-        at the finest level the stage-one limit of every trajectory pass,
-        so that none of them is refused only after the video is drawn.
-        """
+        """`validate`, plus the pipeline's rules. MAC accounting runs the
+        attention alone at any extents; the pipeline's pyramid halves H and W
+        twice, and every `stage_bytes` entry must fit `errors.MEMORY_LIMIT`
+        before the video is drawn or the parameters are built."""
         self.validate()
         for key in ("h", "w"):
             if getattr(self, key) % 4:
                 raise ConfigError(f"{key} must be divisible by 4, got {getattr(self, key)}")
-        sampler = 8 * self.t * self.h * self.w * self.k_sample * (self.d + 3)
-        if sampler > SAMPLER_BYTES_LIMIT:
-            raise ResourceGuardError(
-                f"deformable sampling refused: t={self.t}, h={self.h}, w={self.w}, "
-                f"k_sample={self.k_sample}, d={self.d} need {sampler} bytes of finest-level "
-                f"samples and weights, above the limit of {SAMPLER_BYTES_LIMIT} bytes"
-            )
-        params = self.param_bytes()
-        if params > PARAMS_BYTES_LIMIT:
-            raise ResourceGuardError(
-                f"parameters refused: n={self.n}, c={self.c}, d={self.d}, n_w={self.n_w}, "
-                f"n_c={self.n_c}, k_sample={self.k_sample} need {params} bytes of float64 "
-                f"parameters, above the limit of {PARAMS_BYTES_LIMIT} bytes"
-            )
-        scores = 8 * self.n * max(self.n, self.t * self.h * self.w)
-        if scores > DECODER_BYTES_LIMIT:
-            raise ResourceGuardError(
-                f"query decoding refused: n={self.n}, t={self.t}, h={self.h}, w={self.w} need "
-                f"{scores} bytes of decoder attention scores, above the limit of "
-                f"{DECODER_BYTES_LIMIT} bytes"
-            )
-        clips = -(-self.l // self.t)
-        if self.n_c:
-            check_stage_one((1, clips, self.n, self.d))
-        per_frame = self.l * (self.d + self.n) + clips * self.t * (2 * self.d + 8 * self.n)
-        video = 8 * self.h * self.w * per_frame
-        if video > VIDEO_BYTES_LIMIT:
-            raise ResourceGuardError(
-                f"video refused: l={self.l}, t={self.t}, h={self.h}, w={self.w}, d={self.d}, "
-                f"n={self.n} need {video} bytes of float64 video, ground truth, clip runs, "
-                f"linked clips, logits and tubes, above the limit of {VIDEO_BYTES_LIMIT} bytes"
-            )
-        if self.n_w:
-            check_stage_one((self.w, self.t, self.h, self.d))
-            check_stage_one((self.h, self.t, self.w, self.d))
-
-    def param_bytes(self) -> int:
-        """Float64 bytes of the pipeline's parameter bundle.
-
-        Queries (N, D) and class head (D, C); three decoder layers of 14 D^2
-        each (two attentions of 3 D^2, a 4D-wide feed-forward); per
-        within-clip block, deformable sampling of 3 (2 D^2 + 5 K D) and two
-        axial attentions of 6 D^2; per cross-clip block, an attention of
-        6 D^2 and a temporal pyramid of 10 D^2.
-        """
-        d = self.d
-        within = 3 * (2 * d * d + 5 * self.k_sample * d) + 12 * d * d
-        cross = 16 * d * d
-        return 8 * (self.n * d + d * self.c + 42 * d * d + self.n_w * within + self.n_c * cross)
+        for stage, values, n, what in _stages(self):
+            check_memory(stage, values, n, what)
 
     def scale(self) -> float:
         if self.scale_mode == SCALE_ONE:
             return 1.0
         return 1.0 / math.sqrt(self.d)
+
+
+def stage_bytes(cfg: ModelConfig) -> dict[str, int]:
+    """Stage -> the bytes it holds at its peak, in `validate_pipeline`'s check order."""
+    return {stage: n for stage, _, n, _ in _stages(cfg)}
+
+
+def _stages(cfg: ModelConfig) -> list[tuple[str, str, int, str]]:
+    """(stage, the values its count reads, its bytes, what they hold), in check order."""
+    l, t, h, w, d, n, k = cfg.l, cfg.t, cfg.h, cfg.w, cfg.d, cfg.n, cfg.k_sample
+    px, frames = h * w, -(-l // t) * t  # frames padded to whole clips
+
+    def named(*keys: str) -> str:
+        return ", ".join(f"{key}={getattr(cfg, key)}" for key in keys)
+
+    def trajectory_pass(name: str, shape: tuple[int, int, int, int]) -> tuple:
+        return (f"{name} trajectory pass", f"(B, T, S, D) = {shape}", stage_one_bytes(shape),
+                "stage-one product")
+
+    stages = []
+    if cfg.n_w:  # only a within-clip block samples
+        # The finest query level's gather from the finest level: per frame,
+        # that level's (H+2, W+2, D) bordered copy; per pixel, the queries and
+        # the running sum beside at most D of coarser outputs (3 D); per
+        # sampling point, the previous level's samples, the samples, one
+        # corner's gather and its weighted copy (4 D), the offsets, points and
+        # their integer and fractional parts (8), the 3 weights, 4 corner
+        # weights and 3 gather indices (10); and the (H*W, 2) grid.
+        stages.append(("deformable sampling", named("t", "h", "w", "k_sample", "d"),
+                       8 * (t * ((h + 2) * (w + 2) * d + px * (3 * d + 4 * k * d + 18 * k)) + 2 * px)
+                       + SMALL_BYTES, "finest-level sampling arrays"))
+    stages += [
+        # Queries (N, D) and class head (D, C); three decoder layers of 14 D^2
+        # (two attentions of 3 D^2, a 4D-wide feed-forward); per within-clip
+        # block, deformable sampling of 3 (2 D^2 + 5 K D) and two axial
+        # attentions of 6 D^2; per cross-clip block, an attention of 6 D^2
+        # and a temporal pyramid of 10 D^2.
+        ("parameters", named("n", "c", "d", "n_w", "n_c", "k_sample"),
+         8 * (n * d + d * cfg.c + 42 * d * d + cfg.n_w * (18 * d * d + 15 * k * d) + cfg.n_c * 16 * d * d),
+         "float64 parameters"),
+        # A decoder layer's cross- or self-attention softmax: the (T*H*W, D)
+        # features and, in cross-attention, their keys and values; the scaled
+        # scores, the softmax output and its sort buffer, 3 (N, T*H*W) or
+        # 3 (N, N), and N denominators; the queries, their norms and
+        # projections and the previous layer's (N, 4D) hidden, 9 (N, D).
+        ("query decoding", named("n", "t", "h", "w", "d"),
+         8 * (3 * t * px * d + 3 * n * max(n, t * px) + 9 * n * d + n) + SMALL_BYTES,
+         "decoder features and attention scores"),
+    ]
+    if cfg.n_c:
+        stages.append(trajectory_pass("cross-clip", (1, frames // t, n, d)))
+    # `demo`'s offline logistic, in float64 (H, W) planes: the (L, D) video
+    # and at most N ground-truth tubes; per padded frame, the clip features
+    # and their offline stack (2 D), the clip masks, near-online tubes,
+    # offline logits, the logistic's working array and its output (5 N), and
+    # its two boolean masks (N / 4); beside twice SMALL_BYTES, 1 MiB for what a
+    # process's first run imports lazily (numpy.random, numpy.ma, locale: 0.9 MB).
+    stages.append(("video", named("l", "t", "h", "w", "d", "n"),
+                   px * (8 * l * (d + n) + frames * (16 * d + 42 * n)) + 2 * SMALL_BYTES + 2 ** 20,
+                   "float64 video, ground truth, clip runs, tubes and logits"))
+    if cfg.n_w:
+        stages += [trajectory_pass("H", (w, t, h, d)), trajectory_pass("W", (h, t, w, d))]
+    return stages
 
 
 def config_values(cfg: ModelConfig) -> dict:

@@ -1,4 +1,8 @@
-"""Exception types shared across the library; the CLI exits 1 on an `AxialtrackError`."""
+"""Exception types shared across the library, and the one memory limit of
+every guarded stage; the CLI exits 1 on an `AxialtrackError`."""
+
+# Most bytes that any guarded stage may hold at its peak.
+MEMORY_LIMIT = 2 ** 30
 
 
 class AxialtrackError(Exception):
@@ -23,3 +27,13 @@ class ResourceGuardError(AxialtrackError, RuntimeError):
 
 class GenerationError(AxialtrackError, RuntimeError):
     """Synthetic data generation could not satisfy its constraints."""
+
+
+def check_memory(stage: str, values: str, n: int, what: str) -> None:
+    """Refuse `stage` before it runs when the `n` bytes of `what` that
+    `values` need exceed `MEMORY_LIMIT`."""
+    if n > MEMORY_LIMIT:
+        raise ResourceGuardError(
+            f"{stage} refused: {values} need {n} bytes of {what}, "
+            f"above the limit of {MEMORY_LIMIT} bytes"
+        )

@@ -100,8 +100,9 @@ class MacReport:
 def count_macs(cfg: ModelConfig) -> MacReport:
     """Run both schemes on seeded random features and compare counts.
 
-    Shapes above the reference cap or the stage-one limit are refused
-    before the features are drawn.
+    Shapes above the reference cap, or whose reference pass's stage-one
+    product (`attention.stage_one_bytes`) exceeds `errors.MEMORY_LIMIT`, are
+    refused before the features are drawn.
     """
     cfg.validate()
     t, h, w = cfg.t, cfg.h, cfg.w

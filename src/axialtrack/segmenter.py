@@ -246,9 +246,14 @@ def near_online_inference(video, params: PipelineParams) -> list[Tube]:
     from their `LinkedVideo`; a track's class distribution is the mean of its
     per-clip ones."""
     linked = as_linked(video, params)
-    ordered = list(zip(linked.runs.results, linked.rows))
-    masks = np.stack([res.masks[row] for res, row in ordered], axis=1)
-    probs = np.stack([res.class_probs[row] for res, row in ordered], axis=1)
+    results = linked.runs.results
+    # Each clip is gathered straight into one C-order (N, K, ...) array; the
+    # class mean's summation order follows that layout.
+    masks = np.empty((linked.rows.shape[1], len(results)) + results[0].masks.shape[1:])
+    probs = np.empty(masks.shape[:2] + results[0].class_probs.shape[1:])
+    for k, (res, row) in enumerate(zip(results, linked.rows)):
+        masks[:, k] = res.masks[row]
+        probs[:, k] = res.class_probs[row]
     return stacked_tubes(masks, probs.mean(axis=1), linked.runs.length)
 
 

@@ -9,7 +9,6 @@ from axialtrack.attention import (
     attention_params,
     axial_trajectory_h,
     axial_trajectory_w,
-    STAGE_ONE_BYTES_LIMIT,
     _stage_one,
     _stage_two,
     from_sequence,
@@ -20,7 +19,7 @@ from axialtrack.attention import (
     to_sequence,
     trajectory_pass_1d,
 )
-from axialtrack.errors import DimensionError, NumericError, ResourceGuardError
+from axialtrack.errors import MEMORY_LIMIT, DimensionError, NumericError, ResourceGuardError
 from axialtrack.tensor import softmax_last, sorted_sum
 
 from oracles import naive_axial_h, naive_axial_w, naive_full_reference, naive_pass1d
@@ -326,14 +325,14 @@ class TestStageOneGuard:
             trajectory_pass_1d(x, _params(1, 43))
         msg = str(exc.value)
         assert "(1, 2, 262144, 1)" in msg
-        assert str(2 ** 41) in msg and str(STAGE_ONE_BYTES_LIMIT) in msg
+        assert str(2 ** 41) in msg and str(MEMORY_LIMIT) in msg
 
     def test_limit_is_inclusive(self, monkeypatch):
-        from axialtrack import attention
+        from axialtrack import errors
         x = np.ones((1, 2, 4, 4))  # stage-one product 8 * 1 * 4 * 16 * 4 = 2048 bytes
-        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", 2048)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 2048)
         trajectory_pass_1d(x, _params(4, 44))
-        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", 2047)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 2047)
         with pytest.raises(ResourceGuardError):
             trajectory_pass_1d(x, _params(4, 44))
 

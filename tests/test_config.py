@@ -1,11 +1,15 @@
-import re
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from axialtrack import config
-from axialtrack.config import ModelConfig, format_config, load_config, parse_config
+from axialtrack import errors
+from axialtrack.cli import cli_main
+from axialtrack.config import ModelConfig, format_config, load_config, parse_config, stage_bytes
+from axialtrack.deform import build_pyramid, deform_params, msdeform_simplified
 from axialtrack.errors import ConfigError, ResourceGuardError
+from axialtrack.segmenter import ClipQuerySet, decode_clip_queries, decoder_params
 
 
 class TestModelConfig:
@@ -40,84 +44,146 @@ class TestModelConfig:
             with pytest.raises(ConfigError, match=f"{key} must be divisible by 4"):
                 bad.validate_pipeline()
 
+    # Each boundary config makes its stage the largest one checked so far,
+    # so a limit one byte below the count refuses that stage.
+
     def test_pipeline_sampler_bytes_bounded(self, monkeypatch):
-        # Finest-level samples (T, H*W*K, D) plus weights (T, H*W, 3K), float64.
-        cfg = ModelConfig(t=3, h=8, w=12, k_sample=5, d=6)
-        need = 8 * 3 * 8 * 12 * 5 * (6 + 3)
-        monkeypatch.setattr(config, "SAMPLER_BYTES_LIMIT", need)
-        cfg.validate_pipeline()
-        monkeypatch.setattr(config, "SAMPLER_BYTES_LIMIT", need - 1)
-        with pytest.raises(ResourceGuardError) as err:
-            cfg.validate_pipeline()
-        for part in ("t=3", "h=8", "w=12", "k_sample=5", "d=6", str(need)):
-            assert part in str(err.value)
+        # Finest query level of 8 x 12 pixels and K = 20 points, D = 6, T = 3:
+        # a (10, 14, D) bordered copy per frame, 3 D + 4 K D + 18 K per pixel
+        # and a (96, 2) grid, plus the small-object allowance.
+        cfg = ModelConfig(t=3, h=8, w=12, k_sample=20, d=6)
+        need = 8 * (3 * (10 * 14 * 6 + 96 * (3 * 6 + 4 * 20 * 6 + 18 * 20)) + 2 * 96) + 2 ** 17
+        _check_boundary(monkeypatch, cfg, need,
+                        ["deformable sampling refused", "t=3", "h=8", "w=12", "k_sample=20", "d=6"])
+        replace(cfg, n_w=0).validate_pipeline()  # nothing samples without a within-clip block
 
     def test_pipeline_param_bytes_bounded(self, monkeypatch):
-        cfg = ModelConfig(n=5, c=3, d=6, n_w=2, n_c=1, k_sample=2)
-        need = cfg.param_bytes()
-        monkeypatch.setattr(config, "PARAMS_BYTES_LIMIT", need)
-        cfg.validate_pipeline()
-        monkeypatch.setattr(config, "PARAMS_BYTES_LIMIT", need - 1)
-        with pytest.raises(ResourceGuardError) as err:
-            cfg.validate_pipeline()
-        for part in ("n=5", "c=3", "d=6", "n_w=2", "n_c=1", "k_sample=2", str(need)):
-            assert part in str(err.value)
+        # Queries, class head, three decoder layers, two within-clip blocks
+        # and one cross-clip block at D = 24, K = 2.
+        cfg = ModelConfig(l=2, h=4, w=4, n=5, c=3, d=24, n_w=2, n_c=1, k_sample=2)
+        need = 8 * (5 * 24 + 24 * 3 + 42 * 24 * 24 + 2 * (3 * (2 * 24 * 24 + 5 * 2 * 24) + 12 * 24 * 24)
+                    + 16 * 24 * 24)
+        _check_boundary(monkeypatch, cfg, need,
+                        ["parameters refused", "n=5", "c=3", "d=24", "n_w=2", "n_c=1", "k_sample=2"])
 
-    @pytest.mark.parametrize("n, t, h, w", [(6, 2, 4, 8), (90, 2, 4, 8)], ids=["pixels", "queries"])
-    def test_pipeline_decoder_bytes_bounded(self, monkeypatch, n, t, h, w):
-        # Cross-attention scores (N, T*H*W) against self-attention ones (N, N).
-        cfg = ModelConfig(n=n, t=t, h=h, w=w)
-        need = 8 * n * max(n, t * h * w)
-        monkeypatch.setattr(config, "DECODER_BYTES_LIMIT", need)
-        cfg.validate_pipeline()
-        monkeypatch.setattr(config, "DECODER_BYTES_LIMIT", need - 1)
-        with pytest.raises(ResourceGuardError) as err:
-            cfg.validate_pipeline()
-        for part in ("query decoding refused", f"n={n}", f"t={t}", f"h={h}", f"w={w}", str(need)):
-            assert part in str(err.value)
+    @pytest.mark.parametrize("cfg, need, values", [
+        # Cross-attention to T*H*W = 128 pixels sets the (N, T*H*W) scores;
+        # the video, checked later, is larger still.
+        (ModelConfig(l=2, h=8, w=8, n=16, d=4, k_sample=1),
+         8 * (3 * 128 * 4 + 3 * 16 * 128 + 9 * 16 * 4 + 16) + 2 ** 17, ["n=16", "h=8", "w=8", "d=4"]),
+        # Self-attention among N = 300 queries sets the (N, N) scores.
+        (ModelConfig(l=2, h=4, w=8, n=300, n_c=0, k_sample=1),
+         8 * (3 * 64 * 8 + 3 * 300 * 300 + 9 * 300 * 8 + 300) + 2 ** 17, ["n=300", "h=4", "w=8", "d=8"]),
+    ], ids=["pixels", "queries"])
+    def test_pipeline_decoder_bytes_bounded(self, monkeypatch, cfg, need, values):
+        _check_boundary(monkeypatch, cfg, need, ["query decoding refused", "t=2", *values])
 
     def test_pipeline_video_bytes_bounded(self, monkeypatch):
-        # Five frames in clips of two, padded to six, float64: the video and
-        # the ground truth, L (D + N) frame planes; per padded frame, two D + N
-        # for the clip runs and one linked copy, and six N for the tubes,
-        # logits and the logistic's working arrays.
-        cfg = ModelConfig(l=5, t=2, h=8, w=12, d=6, n=3)
-        need = 8 * 8 * 12 * (5 * (6 + 3) + 6 * (2 * 6 + 8 * 3))
-        monkeypatch.setattr(config, "VIDEO_BYTES_LIMIT", need)
-        cfg.validate_pipeline()
-        monkeypatch.setattr(config, "VIDEO_BYTES_LIMIT", need - 1)
-        with pytest.raises(ResourceGuardError) as err:
-            cfg.validate_pipeline()
-        for part in ("video refused", "l=5", "h=8", "w=12", "d=6", "n=3", str(need)):
-            assert part in str(err.value)
+        # Nine frames in clips of two, padded to ten, in 8 x 12 planes: L (D + N)
+        # for the video and the ground truth, 16 D + 42 N per padded frame,
+        # plus a whole run's small objects and lazy imports.
+        cfg = ModelConfig(l=9, h=8, w=12, d=6, n=3, k_sample=1)
+        need = 8 * 12 * (8 * 9 * (6 + 3) + 10 * (16 * 6 + 42 * 3)) + 2 ** 18 + 2 ** 20
+        _check_boundary(monkeypatch, cfg, need,
+                        ["video refused", "l=9", "t=2", "h=8", "w=12", "d=6", "n=3"])
 
     def test_pipeline_cross_clip_pass_bounded(self, monkeypatch):
-        from axialtrack import attention
-        # Five frames in clips of two: the cross-clip pass is (1, 3, N, D).
-        # No within-clip block, whose passes the same limit bounds.
-        cfg = ModelConfig(l=5, t=2, n=7, d=4, n_w=0, n_c=1)
-        need = 8 * 3 * 3 * 7 * 7 * 4
-        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", need)
-        cfg.validate_pipeline()
-        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", need - 1)
-        with pytest.raises(ResourceGuardError, match=r"\(1, 3, 7, 4\)"):
-            cfg.validate_pipeline()
+        # 64 frames in clips of two: the cross-clip pass is (1, 32, N, D).
+        cfg = ModelConfig(l=64, h=4, w=4, n=8, d=4, n_w=0, n_c=1, k_sample=1)
+        _check_boundary(monkeypatch, cfg, 8 * 32 * 32 * 8 * 8 * 4,
+                        ["cross-clip trajectory pass refused", "(1, 32, 8, 4)", "stage-one product"])
         replace(cfg, n_c=0).validate_pipeline()  # no cross-clip pass
 
-    @pytest.mark.parametrize("h, w, shape", [(12, 8, "(8, 3, 12, 4)"), (8, 12, "(8, 3, 12, 4)")],
-                             ids=["h_pass", "w_pass"])
-    def test_pipeline_within_clip_passes_bounded(self, monkeypatch, h, w, shape):
-        from axialtrack import attention
+    @pytest.mark.parametrize("axis, h, w", [("H", 20, 8), ("W", 8, 20)], ids=["h_pass", "w_pass"])
+    def test_pipeline_within_clip_passes_bounded(self, monkeypatch, axis, h, w):
         # The finest level's H pass is (W, T, H, D), its W pass (H, T, W, D);
         # the longer axis sets the larger stage-one product.
-        cfg = ModelConfig(t=3, h=h, w=w, d=4, n_w=1, n_c=0)
-        need = 8 * 8 * 3 * 3 * 12 * 12 * 4
-        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", need)
-        cfg.validate_pipeline()
-        monkeypatch.setattr(attention, "STAGE_ONE_BYTES_LIMIT", need - 1)
-        with pytest.raises(ResourceGuardError, match=re.escape(shape)):
-            cfg.validate_pipeline()
+        cfg = ModelConfig(l=3, t=3, h=h, w=w, n_w=1, n_c=0, k_sample=1)
+        _check_boundary(monkeypatch, cfg, 8 * 8 * 3 * 3 * 20 * 20 * 8,
+                        [f"{axis} trajectory pass refused", "(8, 3, 20, 8)", "stage-one product"])
         replace(cfg, n_w=0).validate_pipeline()  # no within-clip pass
+
+
+def _check_boundary(monkeypatch, cfg, need, words):
+    """A limit of `need` bytes lets the stage through; one byte less refuses
+    it, with a message naming the stage, every value the count reads and the
+    count. `words[0]` is the stage's refusal."""
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", need)
+    try:
+        cfg.validate_pipeline()
+    except ResourceGuardError as exc:  # only a later, larger stage may refuse
+        assert words[0] not in str(exc)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", need - 1)
+    with pytest.raises(ResourceGuardError) as err:
+        cfg.validate_pipeline()
+    msg = str(err.value)
+    assert msg.startswith(words[0])
+    for part in (*words, f"need {need} bytes", f"limit of {need - 1} bytes"):
+        assert part in msg
+
+
+def _peak(fn, *args) -> int:
+    """Traced bytes that `fn(*args)` holds at its peak above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _sampler_peak(cfg, tmp_path) -> int:
+    rng = np.random.default_rng(0)
+    params = deform_params(cfg.d, cfg.k_sample, rng)
+    for level in params.levels:  # points off the grid, so every corner weight is live
+        level.w_offset[:] = rng.normal(0.0, 1.0, level.w_offset.shape)
+        level.w_weight[:] = rng.normal(0.0, 1.0, level.w_weight.shape)
+    pyr = build_pyramid(rng.normal(0.0, 1.0, (cfg.t, cfg.d, cfg.h, cfg.w)))
+    msdeform_simplified(pyr, params)  # one-time set-up is no array of the stage
+    return _peak(msdeform_simplified, pyr, params)
+
+
+def _decoder_peak(cfg, tmp_path) -> int:
+    rng = np.random.default_rng(0)
+    feats = rng.normal(0.0, 1.0, (cfg.t, cfg.d, cfg.h, cfg.w))
+    queries = ClipQuerySet(rng.normal(0.0, 1.0, (cfg.n, cfg.d)))
+    params = decoder_params(cfg.d, rng)
+    decode_clip_queries(feats, queries, params)  # one-time set-up is no array of the stage
+    return _peak(decode_clip_queries, feats, queries, params)
+
+
+def _video_peak(cfg, tmp_path) -> int:
+    # A whole `demo` run, traced with no warm-up run, so a first run's lazy imports count.
+    argv = ["demo", "--out", str(tmp_path / "demo")]
+    for key in ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "k_sample"):
+        argv += [f"--{key.replace('_', '-')}", str(getattr(cfg, key))]
+    return _peak(cli_main, argv)
+
+
+# Stage, its measure, the values that vary and their shapes, and fixed values.
+_PEAK_CASES = [
+    ("deformable sampling", _sampler_peak, ("t", "h", "w", "k_sample", "d"),
+     [(3, 32, 48, 5, 6), (2, 64, 64, 4, 8), (4, 32, 32, 1, 16)], {}),
+    ("query decoding", _decoder_peak, ("n", "t", "h", "w", "d"),
+     [(300, 2, 4, 8, 8), (6, 2, 32, 32, 8), (24, 4, 32, 32, 16)], {}),
+    # Whole-video arrays set `demo`'s peak without within-clip or cross-clip
+    # blocks; `test_cli.py::TestDemo::test_peak_memory_within_the_video_guard`
+    # measures two more shapes, 16 frames of 96 x 96 in clips of 2 and of 3.
+    ("video", _video_peak, ("l", "t", "h", "w", "d", "n"), [(12, 4, 64, 128, 4, 3)],
+     dict(c=3, n_w=0, n_c=0, k_sample=1)),
+]
+
+
+@pytest.mark.parametrize("stage, measure, cfg", [
+    pytest.param(stage, measure, ModelConfig(**dict(zip(keys, shape)), **fixed),
+                 id="-".join(f"{key}{value}" for key, value in zip(keys, shape)))
+    for stage, measure, keys, shapes, fixed in _PEAK_CASES for shape in shapes
+])
+def test_stage_bytes_bound_the_measured_peak(tmp_path, stage, measure, cfg):
+    # Each entry is at least its stage's traced peak, and at most a quarter above it.
+    peak = measure(cfg, tmp_path)
+    assert peak <= stage_bytes(cfg)[stage] <= 1.25 * peak
 
 
 class TestConfigText:

@@ -343,7 +343,7 @@ class TestClipRuns:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * mask_bytes + 64 * 1024
+        assert peak <= mask_bytes + 64 * 1024
 
     def test_frames_link_once_per_mode(self, monkeypatch):
         # Frames still run and link in each mode: 2 (K - 1) association solves.
