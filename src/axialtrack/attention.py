@@ -9,8 +9,9 @@ The core pass runs two attention stages over a (B, T, S, D) sequence:
   frame axis, taking the query from the same-frame point.
 
 Axial wrappers run the pass along the height or width axis of a
-(T, D, H, W) feature volume, with the other spatial axis acting as a
-pure batch axis, inside a pre-norm residual: out = x + pass(norm(x)),
+(..., T, D, H, W) feature volume, with the other spatial axis and any
+leading axes (a stack of clips) folded into one pure batch axis, inside a
+pre-norm residual: out = x + pass(norm(x)),
 where `prenorm` is a layer norm with no gain or shift. The query, key
 and value projections are plain matrices with no bias.
 
@@ -224,30 +225,37 @@ def stage_one_weights(seq, params: AttentionParams) -> np.ndarray:
 
 
 def _validate_clip(f: np.ndarray) -> None:
-    if f.ndim != 4:
-        raise DimensionError(f"expected (T, D, H, W) clip features, got shape {f.shape}")
+    if f.ndim < 4:
+        raise DimensionError(f"expected (..., T, D, H, W) clip features, got shape {f.shape}")
     if min(f.shape) < 1:
         raise DimensionError(f"all clip extents must be >= 1, got {f.shape}")
 
 
-# Axis -> (clip-to-sequence, sequence-to-clip) transposes. The (B, T, S, D)
-# sequence attends along S, the named axis; the other spatial axis is B.
+# Axis -> (clip-to-sequence, sequence-to-clip) transposes of the last four
+# axes. The (B, T, S, D) sequence attends along S, the named axis; the other
+# spatial axis is B.
 _AXES = {
     "h": ((3, 0, 2, 1), (1, 3, 2, 0)),  # (W, T, H, D)
     "w": ((2, 0, 3, 1), (1, 3, 0, 2)),  # (H, T, W, D)
 }
 
 
+def _transpose_last4(x: np.ndarray, perm: tuple) -> np.ndarray:
+    lead = x.ndim - 4
+    return np.ascontiguousarray(x.transpose(tuple(range(lead)) + tuple(lead + a for a in perm)))
+
+
 def to_sequence(f, axis: str) -> np.ndarray:
-    """Lay a (T, D, H, W) clip out as the (B, T, S, D) sequence along `axis`."""
+    """Lay a (..., T, D, H, W) clip out as the (..., B, T, S, D) sequence
+    along `axis`; leading axes stay in front."""
     f = as_array(f)
     _validate_clip(f)
-    return np.ascontiguousarray(f.transpose(_AXES[axis][0]))
+    return _transpose_last4(f, _AXES[axis][0])
 
 
 def from_sequence(x, axis: str) -> np.ndarray:
     """Inverse of `to_sequence` (lossless round trip)."""
-    return np.ascontiguousarray(as_array(x).transpose(_AXES[axis][1]))
+    return _transpose_last4(as_array(x), _AXES[axis][1])
 
 
 def prenorm(x) -> np.ndarray:
@@ -263,19 +271,22 @@ def prenorm(x) -> np.ndarray:
 
 
 def _axial_pass(f, params: AttentionParams, axis: str, counter: MacCounter | None = None):
-    """Pre-norm residual pass along `axis`."""
+    """Pre-norm residual pass along `axis`, leading axes folded into B."""
     f = as_array(f)
-    y = trajectory_pass_1d(prenorm(to_sequence(f, axis)), params, counter=counter)
-    return f + from_sequence(y, axis)
+    x = prenorm(to_sequence(f, axis))
+    y = trajectory_pass_1d(x.reshape((-1,) + x.shape[-3:]), params, counter=counter)
+    return f + from_sequence(y.reshape(x.shape), axis)
 
 
 def axial_trajectory_h(f, params: AttentionParams, *, counter: MacCounter | None = None):
-    """Trajectory pass along the height axis with width as batch, pre-norm residual."""
+    """Trajectory pass along the height axis of (..., T, D, H, W) features,
+    with width and the leading axes as batch, pre-norm residual."""
     return _axial_pass(f, params, "h", counter)
 
 
 def axial_trajectory_w(f, params: AttentionParams, *, counter: MacCounter | None = None):
-    """Trajectory pass along the width axis with height as batch, pre-norm residual."""
+    """Trajectory pass along the width axis of (..., T, D, H, W) features,
+    with height and the leading axes as batch, pre-norm residual."""
     return _axial_pass(f, params, "w", counter)
 
 
@@ -289,6 +300,8 @@ def full_trajectory_reference(
     refused.
     """
     f = as_array(f)
+    if f.ndim != 4:
+        raise DimensionError(f"expected (T, D, H, W) clip features, got shape {f.shape}")
     _validate_clip(f)
     t, d, h, w = f.shape
     if t * h * w > REFERENCE_CAP:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from . import errors
 from .attention import stage_one_bytes
 from .errors import ConfigError, check_memory
 
@@ -76,13 +77,40 @@ class ModelConfig:
         return 1.0 / math.sqrt(self.d)
 
 
+# The stages that run once per group of clips (`clip_group`).
+WITHIN_CLIP = ("deformable sampling", "H trajectory pass", "W trajectory pass")
+
+
 def stage_bytes(cfg: ModelConfig) -> dict[str, int]:
-    """Stage -> the bytes it holds at its peak, in `validate_pipeline`'s check order."""
+    """Stage -> the bytes it holds at its peak, in `validate_pipeline`'s check
+    order; the within-clip stages hold `clip_group(cfg)` clips."""
     return {stage: n for stage, _, n, _ in _stages(cfg)}
 
 
-def _stages(cfg: ModelConfig) -> list[tuple[str, str, int, str]]:
-    """(stage, the values its count reads, its bytes, what they hold), in check order."""
+def clip_group(cfg: ModelConfig) -> int:
+    """Clips per within-clip call: the most, at most the clip count, for
+    which every within-clip entry stays at or below the largest entry of
+    the one-clip table, so grouping never raises the declared peak. Nor
+    does it lift an entry above `errors.MEMORY_LIMIT`, so a refusal names
+    the stage that one clip would already overflow."""
+    bound = min(max(n for _, _, n, _ in _stages(cfg, 1)), errors.MEMORY_LIMIT)
+
+    def fits(g: int) -> bool:
+        return all(n <= bound for stage, _, n, _ in _stages(cfg, g) if stage in WITHIN_CLIP)
+
+    lo, hi = 1, -(-cfg.l // cfg.t)  # every entry grows with g: bisect
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid - 1)
+    return lo
+
+
+def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int, str]]:
+    """(stage, the values its count reads, its bytes, what they hold), in
+    check order, with `g` clips (`clip_group(cfg)` when omitted) per
+    within-clip call."""
+    if g is None:
+        g = clip_group(cfg)
     l, t, h, w, d, n, k = cfg.l, cfg.t, cfg.h, cfg.w, cfg.d, cfg.n, cfg.k_sample
     px, frames = h * w, -(-l // t) * t  # frames padded to whole clips
 
@@ -95,15 +123,15 @@ def _stages(cfg: ModelConfig) -> list[tuple[str, str, int, str]]:
 
     stages = []
     if cfg.n_w:  # only a within-clip block samples
-        # The finest query level's gather from the finest level: per frame,
-        # that level's (H+2, W+2, D) bordered copy; per pixel, the queries and
-        # the running sum beside at most D of coarser outputs (3 D); per
-        # sampling point, the previous level's samples, the samples, one
-        # corner's gather and its weighted copy (4 D), the offsets, points and
+        # The finest query level's gather from the finest level, over the g t
+        # frames of a group: per frame, that level's (H+2, W+2, D) bordered
+        # copy; per pixel, the queries and the running sum beside at most D of
+        # coarser outputs (3 D); per sampling point, the samples and one
+        # corner's gather, weighted in place (2 D), the offsets, points and
         # their integer and fractional parts (8), the 3 weights, 4 corner
         # weights and 3 gather indices (10); and the (H*W, 2) grid.
         stages.append(("deformable sampling", named("t", "h", "w", "k_sample", "d"),
-                       8 * (t * ((h + 2) * (w + 2) * d + px * (3 * d + 4 * k * d + 18 * k)) + 2 * px)
+                       8 * (g * t * ((h + 2) * (w + 2) * d + px * (3 * d + 2 * k * d + 18 * k)) + 2 * px)
                        + SMALL_BYTES, "finest-level sampling arrays"))
     stages += [
         # Queries (N, D) and class head (D, C); three decoder layers of 14 D^2
@@ -126,16 +154,18 @@ def _stages(cfg: ModelConfig) -> list[tuple[str, str, int, str]]:
     if cfg.n_c:
         stages.append(trajectory_pass("cross-clip", (1, frames // t, n, d)))
     # `demo`'s offline logistic, in float64 (H, W) planes: the (L, D) video
-    # and at most N ground-truth tubes; per padded frame, the clip features
-    # and their offline stack (2 D), the clip masks, near-online tubes,
+    # and at most N ground-truth tubes; per padded frame, the offline feature
+    # stack (D) and the clip features (D) unless they are views of the video
+    # (no within-clip block, no padding), the clip masks, near-online tubes,
     # offline logits, the logistic's working array and its output (5 N), and
     # its two boolean masks (N / 4); beside twice SMALL_BYTES, 1 MiB for what a
     # process's first run imports lazily (numpy.random, numpy.ma, locale: 0.9 MB).
+    features = 2 if cfg.n_w or frames != l else 1
     stages.append(("video", named("l", "t", "h", "w", "d", "n"),
-                   px * (8 * l * (d + n) + frames * (16 * d + 42 * n)) + 2 * SMALL_BYTES + 2 ** 20,
+                   px * (8 * l * (d + n) + frames * (8 * features * d + 42 * n)) + 2 * SMALL_BYTES + 2 ** 20,
                    "float64 video, ground truth, clip runs, tubes and logits"))
     if cfg.n_w:
-        stages += [trajectory_pass("H", (w, t, h, d)), trajectory_pass("W", (h, t, w, d))]
+        stages += [trajectory_pass("H", (g * w, t, h, d)), trajectory_pass("W", (g * h, t, w, d))]
     return stages
 
 

@@ -4,6 +4,12 @@ Each block applies multi-scale deformable sampling (spatial mixing, no
 temporal exchange; one gather per level serves every frame) followed by
 axial-trajectory attention along the height and then the width axis of
 every level (temporal mixing, no cross-level exchange).
+
+Every stage takes (..., T, D, H, W) levels: axes before T are batch axes,
+as in `tensor.bilinear_sample`. The pyramid and the sampler fold them into
+frames, and the axial passes into their batch axis. Sampling never mixes
+frames and attention never mixes the batch axes, so a stack of clips gives
+each clip the bits it gets on its own.
 """
 
 from __future__ import annotations
@@ -19,21 +25,24 @@ from .tensor import as_array, bilinear_sample, softmax_last
 
 @dataclass
 class FeaturePyramid:
-    """Three (T, D, H, W) levels ordered coarse to fine; extents double level to level."""
+    """Three (..., T, D, H, W) levels ordered coarse to fine; extents double
+    level to level. Leading axes are batch axes and must match."""
 
     levels: list[np.ndarray]
 
     def validate(self) -> None:
         if len(self.levels) != 3:
             raise DimensionError(f"pyramid must have exactly 3 levels, got {len(self.levels)}")
-        t, d = self.levels[0].shape[:2]
         for lvl in self.levels:
-            if lvl.ndim != 4:
-                raise DimensionError(f"each level must be (T, D, H, W), got {lvl.shape}")
-            if lvl.shape[0] != t or lvl.shape[1] != d:
-                raise DimensionError("pyramid levels must share T and D")
+            if lvl.ndim < 4:
+                raise DimensionError(f"each level must be (..., T, D, H, W), got {lvl.shape}")
+            if lvl.shape[:-2] != self.levels[0].shape[:-2]:
+                raise DimensionError(
+                    f"pyramid levels must share their leading axes, T and D, got "
+                    f"{[lvl.shape for lvl in self.levels]}"
+                )
         for coarse, fine in zip(self.levels, self.levels[1:]):
-            if fine.shape[2] != 2 * coarse.shape[2] or fine.shape[3] != 2 * coarse.shape[3]:
+            if fine.shape[-2] != 2 * coarse.shape[-2] or fine.shape[-1] != 2 * coarse.shape[-1]:
                 raise DimensionError(
                     f"spatial extents must double level to level, got {coarse.shape} -> {fine.shape}"
                 )
@@ -87,22 +96,25 @@ def msdeform_simplified(pyr: FeaturePyramid, params: DeformParams) -> FeaturePyr
     For every query pixel: predict K offsets and 3K softmax weights from
     the projected query feature, bilinear-sample each level at the mapped
     reference plus offset, blend, project, and add to the input. Each
-    query level runs once over the whole clip; frames never mix.
+    query level runs once over all frames, leading axes folded into them;
+    frames never mix.
     """
     pyr.validate()
-    t, d = pyr.levels[0].shape[:2]
+    lead, d = pyr.levels[0].shape[:-3], pyr.levels[0].shape[-3]
     params.validate(d)
     k = params.points
+    frames = [lvl.reshape((-1,) + lvl.shape[-3:]) for lvl in pyr.levels]  # (T, D, H, W)
+    t = frames[0].shape[0]
 
     out_levels = []
-    for lp, lvl in zip(params.levels, pyr.levels):
+    for lp, lvl in zip(params.levels, frames):
         hq, wq = lvl.shape[2:]
         pix = lvl.transpose(0, 2, 3, 1).reshape(t, -1, d)  # (T, P, D)
         q = np.einsum("tpe,de->tpd", pix, lp.w_query, optimize=False)
         off = np.einsum("tpe,oe->tpo", q, lp.w_offset, optimize=False).reshape(t, -1, k, 2)
         wts = softmax_last(np.einsum("tpe,oe->tpo", q, lp.w_weight, optimize=False))
         agg = np.zeros_like(pix)
-        for m, tgt in enumerate(pyr.levels):
+        for m, tgt in enumerate(frames):
             ys = _axis_refs(hq, tgt.shape[2])
             xs = _axis_refs(wq, tgt.shape[3])
             grid = np.stack(np.meshgrid(ys, xs, indexing="ij"), axis=-1).reshape(-1, 1, 2)
@@ -110,9 +122,11 @@ def msdeform_simplified(pyr: FeaturePyramid, params: DeformParams) -> FeaturePyr
             smp = bilinear_sample(tgt, pts).reshape(t, -1, k, d)
             for kk in range(k):
                 agg += wts[..., m * k + kk, None] * smp[:, :, kk]
+            del smp  # freed before the next level's samples are drawn
         outp = pix + np.einsum("tpe,de->tpd", agg, lp.w_out, optimize=False)
         # C order, since downstream einsums may sum in a stride-dependent order.
-        out_levels.append(np.ascontiguousarray(outp.reshape(t, hq, wq, d).transpose(0, 3, 1, 2)))
+        out = np.ascontiguousarray(outp.reshape(t, hq, wq, d).transpose(0, 3, 1, 2))
+        out_levels.append(out.reshape(lead + out.shape[1:]))
     return FeaturePyramid(out_levels)
 
 
@@ -126,7 +140,8 @@ class WithinClipBlock:
 def within_clip_forward(
     pyr: FeaturePyramid, blocks: list[WithinClipBlock]
 ) -> FeaturePyramid:
-    """Stack deformable sampling and per-level H/W axial passes; shapes preserved."""
+    """Stack deformable sampling and per-level H/W axial passes over
+    (..., T, D, H, W) levels; shapes preserved."""
     pyr.validate()
     for blk in blocks:
         pyr = msdeform_simplified(pyr, blk.deform)
@@ -145,16 +160,17 @@ def _pool2(f: np.ndarray) -> np.ndarray:
 
 
 def build_pyramid(f) -> FeaturePyramid:
-    """Average-pool (T, D, H, W) features into the coarse-to-fine pyramid.
+    """Average-pool (..., T, D, H, W) features into the coarse-to-fine pyramid.
 
     The input acts as the finest level; H and W must be divisible by 4.
+    Leading axes are pooled as frames and kept on every level.
     """
     f = as_array(f)
-    if f.ndim != 4 or f.shape[2] % 4 or f.shape[3] % 4:
-        raise DimensionError(f"pyramid needs (T, D, H, W) with H, W divisible by 4, got {f.shape}")
-    half = _pool2(f)
+    if f.ndim < 4 or f.shape[-2] % 4 or f.shape[-1] % 4:
+        raise DimensionError(f"pyramid needs (..., T, D, H, W) with H, W divisible by 4, got {f.shape}")
+    half = _pool2(f.reshape((-1,) + f.shape[-3:]))
     quarter = _pool2(half)
-    return FeaturePyramid([quarter, half, f])
+    return FeaturePyramid([lvl.reshape(f.shape[:-2] + lvl.shape[-2:]) for lvl in (quarter, half)] + [f])
 
 
 def deform_params(d: int, k: int, rng: np.random.Generator) -> DeformParams:

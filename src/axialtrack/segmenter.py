@@ -3,7 +3,11 @@ near-online (clip-by-clip) inference chain.
 
 A toy transformer decoder refines per-clip object queries against the
 finest pyramid level; each refined query produces one mask tube and one
-class distribution. `run_clips` runs every clip of a video once, and
+class distribution. `run_clips` runs every clip of a video once: the
+pyramid and the within-clip blocks run once per group of consecutive
+clips, a `(g, T, D, H, W)` view of the (padded) video with g from
+`config.clip_group`, and `run_clip` then decodes each clip from its mixed
+features. No sum crosses a clip, so the group size never changes a bit.
 `link_video` links consecutive clips of those runs by minimum-cost
 assignment on query cosine similarity, which keeps track ids stable
 across the video. A link holds only the runs and each clip's track rows,
@@ -19,6 +23,7 @@ import numpy as np
 
 from .assignment import Assignment, hungarian
 from .attention import ProjectionWeights, _project, prenorm, projection_weights
+from .config import ModelConfig, clip_group
 from .deform import WithinClipBlock, build_pyramid, within_clip_forward
 from .errors import ConfigError, DimensionError
 from .tensor import as_array, logistic, require_finite, softmax_last
@@ -64,12 +69,10 @@ class Tube:
         return self.masks > MASK_THRESHOLD
 
 
-def split_into_clips(video, t: int) -> list[np.ndarray]:
-    """Split (L, D, H, W) frames into ceil(L / t) non-overlapping clips.
-
-    When t does not divide L the last frame is duplicated to fill the
-    final clip. Clip length must be at least 2.
-    """
+def _clip_stack(video, t: int) -> np.ndarray:
+    """(L, D, H, W) frames as a (K, t, D, H, W) view of themselves, or of one
+    padded copy when t does not divide L: the last frame is duplicated to
+    fill the final clip. Clip length must be at least 2."""
     video = as_array(video)
     if video.ndim != 4 or video.shape[0] < 1:
         raise DimensionError(f"video must be (L, D, H, W) with L >= 1, got {video.shape}")
@@ -81,7 +84,16 @@ def split_into_clips(video, t: int) -> list[np.ndarray]:
     if n_clips * t != length:
         tail = np.repeat(video[-1:], n_clips * t - length, axis=0)
         padded = np.concatenate([video, tail], axis=0)
-    return [padded[i * t:(i + 1) * t] for i in range(n_clips)]
+    return padded.reshape((n_clips, t) + video.shape[1:])
+
+
+def split_into_clips(video, t: int) -> list[np.ndarray]:
+    """Split (L, D, H, W) frames into ceil(L / t) non-overlapping clips.
+
+    When t does not divide L the last frame is duplicated to fill the
+    final clip. Clip length must be at least 2.
+    """
+    return list(_clip_stack(video, t))
 
 
 @dataclass
@@ -177,13 +189,11 @@ class ClipResult:
     class_probs: np.ndarray  # (N, C)
 
 
-def run_clip(clip, params: PipelineParams, clip_index: int) -> ClipResult:
-    """Within-clip mixing, query decoding, and tube prediction for one clip."""
-    pyr = build_pyramid(clip)
-    pyr = within_clip_forward(pyr, params.within_blocks)
-    feats = pyr.levels[-1]
-    qs = decode_clip_queries(feats, ClipQuerySet(params.init_queries, clip_index), params.decoder)
-    return ClipResult(qs, feats, *predict_clip_tubes(qs, feats, params.class_head))
+def run_clip(features, params: PipelineParams, clip_index: int) -> ClipResult:
+    """Query decoding and tube prediction for one clip's finest-level
+    (T, D, H, W) features after within-clip mixing."""
+    qs = decode_clip_queries(features, ClipQuerySet(params.init_queries, clip_index), params.decoder)
+    return ClipResult(qs, features, *predict_clip_tubes(qs, features, params.class_head))
 
 
 @dataclass
@@ -194,11 +204,30 @@ class ClipRuns:
     length: int  # original frame count, before padding
 
 
+def _group_size(video: np.ndarray, params: PipelineParams) -> int:
+    """`config.clip_group` of the config that the (L, D, H, W) video's shape
+    and the parameters' arrays describe."""
+    l, d, h, w = video.shape
+    blocks = params.within_blocks
+    cfg = ModelConfig(
+        l=l, t=params.clip_len, h=h, w=w, d=d, n=params.init_queries.shape[0],
+        c=params.class_head.shape[1], n_w=len(blocks), n_c=len(params.cross_blocks),
+        k_sample=blocks[0].deform.points if blocks else 1,
+    )
+    return clip_group(cfg)
+
+
 def run_clips(video, params: PipelineParams) -> ClipRuns:
-    """Run every clip of an (L, D, H, W) video once."""
+    """Run every clip of an (L, D, H, W) video once: within-clip mixing per
+    group of consecutive clips, then each clip's decoding and tubes."""
     video = as_array(video)
-    clips = split_into_clips(video, params.clip_len)
-    return ClipRuns([run_clip(clip, params, k) for k, clip in enumerate(clips)], video.shape[0])
+    clips = _clip_stack(video, params.clip_len)
+    g = _group_size(video, params)
+    results = []
+    for lo in range(0, len(clips), g):
+        feats = within_clip_forward(build_pyramid(clips[lo:lo + g]), params.within_blocks).levels[-1]
+        results += [run_clip(f, params, lo + i) for i, f in enumerate(feats)]
+    return ClipRuns(results, video.shape[0])
 
 
 @dataclass

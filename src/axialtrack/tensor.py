@@ -255,7 +255,13 @@ def bilinear_sample(feature, points) -> np.ndarray:
     for oy, ox, wt in corners:
         yi = np.clip(low[..., 0] + oy, -1, h) + 1
         xi = np.clip(low[..., 1] + ox, -1, w) + 1
-        out += wt[..., None] * rows[map_start + yi * (w + 2) + xi]
+        # Weighted in place and freed before the next gather, so one corner
+        # is the only (..., N, channels) array beside the output (IEEE
+        # multiplication commutes).
+        corner = rows[map_start + yi * (w + 2) + xi]
+        corner *= wt[..., None]
+        out += corner
+        del corner
     return out
 
 

@@ -316,9 +316,11 @@ def naive_hit_rate(gt_masks, moving, maps):
 
 
 def naive_near_online_tubes(video, params, shuffle_rng=None):
-    """Near-online tubes by per-clip tube lists: each clip's tubes are
-    re-linked through its association mapping, then every track's masks
-    are concatenated and its class distributions averaged as lists."""
+    """Near-online tubes by per-clip tube lists: each clip runs the
+    within-clip blocks on its own, its tubes are re-linked through its
+    association mapping, then every track's masks are concatenated and its
+    class distributions averaged as lists."""
+    from axialtrack.deform import build_pyramid, within_clip_forward
     from axialtrack.segmenter import (
         ClipQuerySet,
         Tube,
@@ -331,7 +333,8 @@ def naive_near_online_tubes(video, params, shuffle_rng=None):
     clip_tubes = []
     prev = None
     for k, clip in enumerate(split_into_clips(video, params.clip_len)):
-        res = run_clip(clip, params, k)
+        feats = within_clip_forward(build_pyramid(clip), params.within_blocks).levels[-1]
+        res = run_clip(feats, params, k)
         queries = res.queries.queries
         n = queries.shape[0]
         tubes = [Tube(res.masks[j], res.class_probs[j], track_id=j) for j in range(n)]

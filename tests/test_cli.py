@@ -114,9 +114,12 @@ class TestDemo:
         # Whole-video arrays dominate without within-clip or cross-clip blocks.
         # The guard's count is at least a whole run's traced peak, the lazy
         # imports of a first run included, and at most a quarter above it.
+        # Unpadded clips are views of the video: only the offline feature
+        # stack is a D-plane copy of its own.
         flags = dict(l=16, t=t, h=96, w=96, d=3, n=3, c=3, n_w=0, n_c=0, k_sample=1)
         frames = -(-16 // t) * t
-        need = 96 * 96 * (8 * 16 * (3 + 3) + frames * (16 * 3 + 42 * 3)) + 2 ** 18 + 2 ** 20
+        features = 1 if frames == 16 else 2
+        need = 96 * 96 * (8 * 16 * (3 + 3) + frames * (8 * features * 3 + 42 * 3)) + 2 ** 18 + 2 ** 20
         cfg = ModelConfig(**flags)
         monkeypatch.setattr(errors, "MEMORY_LIMIT", need - 1)
         with pytest.raises(ResourceGuardError, match="video refused"):
@@ -409,7 +412,7 @@ class TestErrors:
     def test_huge_k_sample_refused(self, tmp_path, capsys, monkeypatch, command):
         # 32 x 32 frames, D = 8, K = 10^12 sampling points.
         k = 10 ** 12
-        need = 8 * (2 * (34 * 34 * 8 + 1024 * (3 * 8 + 4 * k * 8 + 18 * k)) + 2 * 1024) + 2 ** 17
+        need = 8 * (2 * (34 * 34 * 8 + 1024 * (3 * 8 + 2 * k * 8 + 18 * k)) + 2 * 1024) + 2 ** 17
         _check_refused(tmp_path, capsys, monkeypatch, [command, "--k-sample", str(k)],
                        (np.random, "default_rng"), ["deformable sampling refused", f"k_sample={k}", str(need)])
 

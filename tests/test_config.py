@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -6,7 +7,16 @@ import pytest
 
 from axialtrack import errors
 from axialtrack.cli import cli_main
-from axialtrack.config import ModelConfig, format_config, load_config, parse_config, stage_bytes
+from axialtrack.config import (
+    WITHIN_CLIP,
+    ModelConfig,
+    _stages,
+    clip_group,
+    format_config,
+    load_config,
+    parse_config,
+    stage_bytes,
+)
 from axialtrack.deform import build_pyramid, deform_params, msdeform_simplified
 from axialtrack.errors import ConfigError, ResourceGuardError
 from axialtrack.segmenter import ClipQuerySet, decode_clip_queries, decoder_params
@@ -48,13 +58,15 @@ class TestModelConfig:
     # so a limit one byte below the count refuses that stage.
 
     def test_pipeline_sampler_bytes_bounded(self, monkeypatch):
-        # Finest query level of 8 x 12 pixels and K = 20 points, D = 6, T = 3:
-        # a (10, 14, D) bordered copy per frame, 3 D + 4 K D + 18 K per pixel
-        # and a (96, 2) grid, plus the small-object allowance.
-        cfg = ModelConfig(t=3, h=8, w=12, k_sample=20, d=6)
-        need = 8 * (3 * (10 * 14 * 6 + 96 * (3 * 6 + 4 * 20 * 6 + 18 * 20)) + 2 * 96) + 2 ** 17
+        # Finest query level of 8 x 12 pixels and K = 30 points, D = 6, T = 3,
+        # one clip per group: a (10, 14, D) bordered copy per frame,
+        # 3 D + 2 K D + 18 K per pixel and a (96, 2) grid, plus the
+        # small-object allowance.
+        cfg = ModelConfig(t=3, h=8, w=12, k_sample=30, d=6)
+        assert clip_group(cfg) == 1
+        need = 8 * (3 * (10 * 14 * 6 + 96 * (3 * 6 + 2 * 30 * 6 + 18 * 30)) + 2 * 96) + 2 ** 17
         _check_boundary(monkeypatch, cfg, need,
-                        ["deformable sampling refused", "t=3", "h=8", "w=12", "k_sample=20", "d=6"])
+                        ["deformable sampling refused", "t=3", "h=8", "w=12", "k_sample=30", "d=6"])
         replace(cfg, n_w=0).validate_pipeline()  # nothing samples without a within-clip block
 
     def test_pipeline_param_bytes_bounded(self, monkeypatch):
@@ -134,12 +146,13 @@ def _peak(fn, *args) -> int:
 
 
 def _sampler_peak(cfg, tmp_path) -> int:
+    # One group of clips, as `run_clips` samples them.
     rng = np.random.default_rng(0)
     params = deform_params(cfg.d, cfg.k_sample, rng)
     for level in params.levels:  # points off the grid, so every corner weight is live
         level.w_offset[:] = rng.normal(0.0, 1.0, level.w_offset.shape)
         level.w_weight[:] = rng.normal(0.0, 1.0, level.w_weight.shape)
-    pyr = build_pyramid(rng.normal(0.0, 1.0, (cfg.t, cfg.d, cfg.h, cfg.w)))
+    pyr = build_pyramid(rng.normal(0.0, 1.0, (clip_group(cfg), cfg.t, cfg.d, cfg.h, cfg.w)))
     msdeform_simplified(pyr, params)  # one-time set-up is no array of the stage
     return _peak(msdeform_simplified, pyr, params)
 
@@ -165,6 +178,9 @@ def _video_peak(cfg, tmp_path) -> int:
 _PEAK_CASES = [
     ("deformable sampling", _sampler_peak, ("t", "h", "w", "k_sample", "d"),
      [(3, 32, 48, 5, 6), (2, 64, 64, 4, 8), (4, 32, 32, 1, 16)], {}),
+    # The 16 clips of `track_many` in one group: the cross-clip pass sets the peak.
+    ("deformable sampling", _sampler_peak, ("l", "t", "h", "w", "k_sample", "d", "n"),
+     [(32, 2, 8, 8, 4, 16, 24)], {}),
     ("query decoding", _decoder_peak, ("n", "t", "h", "w", "d"),
      [(300, 2, 4, 8, 8), (6, 2, 32, 32, 8), (24, 4, 32, 32, 16)], {}),
     # Whole-video arrays set `demo`'s peak without within-clip or cross-clip
@@ -232,3 +248,22 @@ class TestConfigText:
         path.write_bytes(b"t = 2\n\xff\n")
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+
+def test_clip_group_keeps_the_one_clip_peak():
+    # Over a grid of configs, grouping g clips never raises the declared
+    # peak, and g is the most clips (at most K) whose within-clip entries
+    # stay within it; with no within-clip block, one group holds every clip.
+    grid = itertools.product(((2, 2), (5, 2), (9, 3), (32, 2)), ((8, 8), (16, 32)),
+                             ((8, 4), (16, 24)), ((0, 0), (1, 0), (2, 4)), (1, 4))
+    for (l, t), (h, w), (d, n), (n_w, n_c), k in grid:
+        cfg = ModelConfig(l=l, t=t, h=h, w=w, d=d, n=n, n_w=n_w, n_c=n_c, k_sample=k)
+        g, clips = clip_group(cfg), -(-l // t)
+        one_clip = max(size for _, _, size, _ in _stages(cfg, 1))
+        assert max(stage_bytes(cfg).values()) == one_clip, cfg
+        assert 1 <= g <= clips, cfg
+        if g < clips:
+            grown = [size for stage, _, size, _ in _stages(cfg, g + 1) if stage in WITHIN_CLIP]
+            assert max(grown) > one_clip, cfg
+        if not n_w:
+            assert g == clips, cfg

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from axialtrack.attention import attention_params
+from axialtrack.attention import attention_params, axial_trajectory_h, axial_trajectory_w
 from axialtrack.deform import (
     DeformParams,
     FeaturePyramid,
@@ -173,3 +173,50 @@ class TestWithinClipForward:
             for lvl_a, lvl_b in zip(out.levels, pyr.levels):
                 assert lvl_a.shape == lvl_b.shape
                 assert np.all(np.isfinite(lvl_a))
+
+
+def _assert_stacked(got, per_clip):
+    """`got` equals the per-clip results stacked on a leading axis, bit for bit."""
+    want = np.stack(per_clip)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestLeadingAxes:
+    """A (K, T, D, H, W) stack of clips gives each clip its own bits."""
+
+    @staticmethod
+    def _stack():
+        rng = np.random.default_rng(21)
+        stack = rng.normal(size=(3, 2, 4, 8, 12))
+        stack[1, 1] = stack[0, 1]                 # a frame tied across clips
+        stack[2, :, :, 5] = stack[2, :, :, 3]     # tied rows within a clip
+        stack[2, :, :, 6:8, 4:8] = -0.0           # signed-zero rows, pooled to -0.0
+        stack[0, 0, 1] = -0.0                     # a signed-zero channel
+        return stack
+
+    def test_stack_matches_per_clip_calls_bitwise(self):
+        stack = self._stack()
+        pyr = build_pyramid(stack)
+        clips = [build_pyramid(clip) for clip in stack]
+        for m, lvl in enumerate(pyr.levels):
+            _assert_stacked(lvl, [c.levels[m] for c in clips])
+        params = _randomized_params(4, 2, 22)
+        out = msdeform_simplified(pyr, params)
+        outs = [msdeform_simplified(c, params) for c in clips]
+        for m, lvl in enumerate(out.levels):
+            _assert_stacked(lvl, [o.levels[m] for o in outs])
+        rng = np.random.default_rng(23)
+        for heads in (1, 2):
+            for axial in (axial_trajectory_h, axial_trajectory_w):
+                p = attention_params(4, rng, heads=heads, std=0.3)
+                _assert_stacked(axial(stack, p), [axial(clip, p) for clip in stack])
+
+    def test_mismatched_leading_axes_rejected(self):
+        pyr = build_pyramid(self._stack())
+        levels = [pyr.levels[0], pyr.levels[1][:2], pyr.levels[2]]
+        with pytest.raises(DimensionError, match="leading axes"):
+            msdeform_simplified(FeaturePyramid(levels), _randomized_params(4, 2, 22))
+        with pytest.raises(DimensionError, match="leading axes"):
+            within_clip_forward(FeaturePyramid(levels), [])

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from axialtrack import segmenter
 from axialtrack.assignment import hungarian
 from axialtrack.attention import ProjectionWeights
-from axialtrack.config import ModelConfig
+from axialtrack.config import ModelConfig, clip_group
+from axialtrack.deform import build_pyramid, within_clip_forward
 from axialtrack.errors import ConfigError, DimensionError, NumericError
 from axialtrack.segmenter import (
     ClipQuerySet,
@@ -45,6 +47,29 @@ def _random_video(**kwargs):
     cfg = ModelConfig(**kwargs)
     video = np.random.default_rng((cfg.seed, 1)).normal(size=(cfg.l, cfg.d, cfg.h, cfg.w))
     return video, random_pipeline_params(cfg)
+
+
+# Random-parameter configs, by the clips per within-clip group that each one runs.
+_GROUPINGS = {
+    1: dict(l=7, t=3, h=16, w=16, seed=8),  # three groups of one clip
+    # A group of two clips, then a short group of the padded last clip.
+    2: dict(l=5, t=2, h=8, w=16, d=8, n=3, n_w=1, n_c=1, k_sample=2, seed=6),
+    # The golden random-parameter config: one group of all three clips, the last padded.
+    3: dict(l=5, t=2, h=8, w=8, d=8, n=5, c=3, n_w=1, n_c=2, atrous_rates=(1, 2, 4), seed=5),
+}
+
+
+def _grouped_video(g, heads):
+    """A random video and parameters whose clips run `g` per within-clip group."""
+    cfg = ModelConfig(**_GROUPINGS[g], heads=heads)
+    assert clip_group(cfg) == g
+    return _random_video(**_GROUPINGS[g], heads=heads)
+
+
+_GROUPED_INPUTS = [
+    pytest.param(functools.partial(_grouped_video, g, heads), id=f"g{g}-heads{heads}")
+    for g in _GROUPINGS for heads in (1, 2)
+]
 
 
 def _shuffled_link(video, params, seed):
@@ -220,7 +245,8 @@ class TestNearOnlineInference:
         assert [t.track_id for t in tubes] == list(range(cfg.n))
         assert all(t.masks.shape[0] == 2 for t in tubes)
         # A single-clip video's tubes are exactly the clip's masks and classes.
-        clip = run_clip(video, params, 0)
+        feats = within_clip_forward(build_pyramid(video), params.within_blocks).levels[-1]
+        clip = run_clip(feats, params, 0)
         for i, video_tube in enumerate(tubes):
             assert np.array_equal(video_tube.masks, clip.masks[i])
             assert np.array_equal(video_tube.class_probs, clip.class_probs[i])
@@ -249,6 +275,7 @@ class TestNearOnlineInference:
         pytest.param(lambda: _oracle_video(l=7, t=3, seed=4), id="oracle-padding"),
         pytest.param(lambda: _oracle_video(l=2, seed=3), id="oracle-one-clip"),
         pytest.param(lambda: _random_video(n=6, heads=2, h=16, w=16, seed=9), id="random-n6-heads2"),
+        *_GROUPED_INPUTS,
     ])
     def test_matches_naive_relinking_bitwise(self, inputs):
         video, params = inputs()
@@ -273,9 +300,9 @@ class TestNearOnlineInference:
 
 _SEAM_INPUTS = [
     # The golden random-parameter config: five frames in clips of two.
-    pytest.param(lambda: _random_video(l=5, t=2, h=8, w=8, d=8, n=5, c=3, n_w=1, n_c=2, heads=2,
-                                       atrous_rates=(1, 2, 4), seed=5), id="random-padded"),
+    pytest.param(lambda: _grouped_video(3, 2), id="random-padded"),
     pytest.param(lambda: _oracle_video(seed=0), id="oracle-demo"),
+    *(case for case in _GROUPED_INPUTS if case.id != "g3-heads2"),
 ]
 
 
@@ -320,6 +347,37 @@ class TestClipRuns:
             now = (res.queries.queries, res.features, res.masks, res.class_probs)
             for got, want in zip(now, arrays):
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("g, heads", [(1, 1), (2, 2), (3, 1)])
+    def test_within_clip_runs_once_per_group(self, monkeypatch, g, heads):
+        # Consecutive clips go through the within-clip blocks g at a time, as
+        # (g, T, D, H, W) views of the padded video; the last group may be short.
+        video, params = _grouped_video(g, heads)
+        groups = []
+        forward = segmenter.within_clip_forward
+
+        def recording_forward(pyr, blocks):
+            groups.append(pyr.levels[-1])
+            return forward(pyr, blocks)
+
+        monkeypatch.setattr(segmenter, "within_clip_forward", recording_forward)
+        runs = run_clips(video, params)
+        t, clips = params.clip_len, len(runs.results)
+        assert [grp.shape[0] for grp in groups] == [min(g, clips - lo) for lo in range(0, clips, g)]
+        padded = groups[0].base  # the one padded copy of the video
+        assert padded.shape == (clips * t,) + video.shape[1:]
+        for lo, grp in zip(range(0, clips, g), groups):
+            assert grp.shape[1:] == (t,) + video.shape[1:]
+            assert grp.base is padded
+            assert np.array_equal(grp.reshape((-1,) + video.shape[1:])[:video.shape[0] - lo * t],
+                                  video[lo * t:(lo + len(grp)) * t])
+
+    def test_unmixed_clip_features_are_views_of_the_video(self):
+        # No within-clip block and no padding: every clip's features are the video's frames.
+        video, params = _random_video(l=8, t=2, h=8, w=8, n_w=0, n_c=1, seed=4)
+        for k, res in enumerate(run_clips(video, params).results):
+            assert np.shares_memory(res.features, video)
+            assert np.array_equal(res.features, video[2 * k:2 * k + 2])
 
     def test_link_holds_runs_and_track_rows_only(self):
         video, params = _random_video(l=7, t=2, h=8, w=8, n=5, n_w=1, n_c=1, seed=3)
