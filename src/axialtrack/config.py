@@ -77,32 +77,57 @@ class ModelConfig:
         return 1.0 / math.sqrt(self.d)
 
 
-# The stages that run once per group of clips (`clip_group`).
-WITHIN_CLIP = ("deformable sampling", "H trajectory pass", "W trajectory pass")
-
-
 def stage_bytes(cfg: ModelConfig) -> dict[str, int]:
     """Stage -> the bytes it holds at its peak, in `validate_pipeline`'s check
-    order; the within-clip stages hold `clip_group(cfg)` clips."""
+    order; the sampler and the H and W passes hold `clip_group(cfg)` clips."""
     return {stage: n for stage, _, n, _ in _stages(cfg)}
 
 
 def clip_group(cfg: ModelConfig) -> int:
-    """Clips per within-clip call: the most, at most the clip count, for
-    which every within-clip entry stays at or below the largest entry of
-    the one-clip table, so grouping never raises the declared peak. Nor
-    does it lift an entry above `errors.MEMORY_LIMIT`, so a refusal names
-    the stage that one clip would already overflow."""
-    bound = min(max(n for _, _, n, _ in _stages(cfg, 1)), errors.MEMORY_LIMIT)
-
-    def fits(g: int) -> bool:
-        return all(n <= bound for stage, _, n, _ in _stages(cfg, g) if stage in WITHIN_CLIP)
-
-    lo, hi = 1, -(-cfg.l // cfg.t)  # every entry grows with g: bisect
+    """Clips per within-clip call. A group of one clip always runs; one of
+    more runs only if `group_bytes` fits beside the video entry, which
+    bounds what a run holds while its clips run, within the largest entry
+    of the one-clip table and `errors.MEMORY_LIMIT`. So grouping never
+    raises the declared peak, nor a grouped run's peak above it, and a
+    refusal names the stage that one clip would already overflow. Without
+    a within-clip block, all clips form one group: it builds only its
+    pyramid's coarse levels, 5/16 of its frames, beside no offline stack
+    yet (a plane per frame of the video entry)."""
+    clips = -(-cfg.l // cfg.t)
+    if not cfg.n_w:
+        return clips
+    one_clip = {stage: n for stage, _, n, _ in _stages(cfg, 1)}
+    room = min(max(one_clip.values()), errors.MEMORY_LIMIT) - one_clip["video"]
+    lo, hi = 1, clips  # the group's bytes grow with g: bisect
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid - 1)
+        lo, hi = (mid, hi) if group_bytes(cfg, mid) <= room else (lo, mid - 1)
     return lo
+
+
+def group_bytes(cfg: ModelConfig, g: int) -> int:
+    """Bytes that `deform.within_clip_forward` holds at its peak on a group
+    of g clips (n_w >= 1), beside the video it views, in (g T, D, H, W)
+    float64 planes P at the finest level. While sampling: its entry, beside
+    the input pyramid's coarse levels and its own output (2 P). In a finest
+    H or W pass, those two pyramids and the level outputs so far (3 P) and
+    SMALL_BYTES, beside the largest of the pass's three moments, where w1,
+    the stage-one weights, are G/D of the product: the product beside w1,
+    the input, its three projections, the value copy and the (T P) sum; the
+    scores' softmax, 3 w1 and a row maximum per row of S, beside the input
+    and its projections (4 P); or stage two, w1 beside the input, the
+    queries and their projection (3 P) and five (T P) point arrays."""
+    t, h, w, d = cfg.t, cfg.h, cfg.w, cfg.d
+    plane = 8 * g * t * h * w * d
+
+    def moments(shape: tuple[int, int, int, int]) -> int:
+        s, product = shape[2], stage_one_bytes(shape)
+        w1 = product * cfg.heads // d
+        return max(product + w1 + (5 + t) * plane, 3 * w1 + w1 // s + 4 * plane, w1 + (5 * t + 4) * plane)
+
+    passes = 3 * plane + SMALL_BYTES + max(moments((g * w, t, h, d)), moments((g * h, t, w, d)))
+    sampler = next(n for stage, _, n, _ in _stages(cfg, g) if stage == "deformable sampling")
+    return max(sampler + 2 * plane, passes)
 
 
 def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int, str]]:

@@ -206,13 +206,14 @@ class ClipRuns:
 
 def _group_size(video: np.ndarray, params: PipelineParams) -> int:
     """`config.clip_group` of the config that the (L, D, H, W) video's shape
-    and the parameters' arrays describe."""
+    and the parameters' arrays describe (the most heads of any axial pass)."""
     l, d, h, w = video.shape
     blocks = params.within_blocks
     cfg = ModelConfig(
         l=l, t=params.clip_len, h=h, w=w, d=d, n=params.init_queries.shape[0],
         c=params.class_head.shape[1], n_w=len(blocks), n_c=len(params.cross_blocks),
         k_sample=blocks[0].deform.points if blocks else 1,
+        heads=max((attn.heads for blk in blocks for attn in (blk.attn_h, blk.attn_w)), default=1),
     )
     return clip_group(cfg)
 

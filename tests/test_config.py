@@ -8,18 +8,19 @@ import pytest
 from axialtrack import errors
 from axialtrack.cli import cli_main
 from axialtrack.config import (
-    WITHIN_CLIP,
     ModelConfig,
     _stages,
     clip_group,
     format_config,
+    group_bytes,
     load_config,
     parse_config,
     stage_bytes,
 )
-from axialtrack.deform import build_pyramid, deform_params, msdeform_simplified
+from axialtrack.deform import build_pyramid, deform_params, msdeform_simplified, within_clip_forward
 from axialtrack.errors import ConfigError, ResourceGuardError
-from axialtrack.segmenter import ClipQuerySet, decode_clip_queries, decoder_params
+from axialtrack.segmenter import ClipQuerySet, decode_clip_queries, decoder_params, run_clips
+from axialtrack.synthetic import random_pipeline_params
 
 
 class TestModelConfig:
@@ -251,19 +252,85 @@ class TestConfigText:
 
 
 def test_clip_group_keeps_the_one_clip_peak():
-    # Over a grid of configs, grouping g clips never raises the declared
-    # peak, and g is the most clips (at most K) whose within-clip entries
-    # stay within it; with no within-clip block, one group holds every clip.
-    grid = itertools.product(((2, 2), (5, 2), (9, 3), (32, 2)), ((8, 8), (16, 32)),
-                             ((8, 4), (16, 24)), ((0, 0), (1, 0), (2, 4)), (1, 4))
-    for (l, t), (h, w), (d, n), (n_w, n_c), k in grid:
-        cfg = ModelConfig(l=l, t=t, h=h, w=w, d=d, n=n, n_w=n_w, n_c=n_c, k_sample=k)
+    # Over a grid of configs, grouping never raises the declared peak, and g
+    # is the most clips (at most K) whose group fits beside the video entry
+    # within it and the memory limit; a one-clip group always runs, and with no
+    # within-clip block one group holds every clip. At 40000 frames the video
+    # entry is the largest, so nothing fits beside it: one clip per group.
+    grid = itertools.product(((2, 2), (5, 2), (9, 3), (32, 2), (40000, 2)), ((8, 8), (16, 32)),
+                             ((8, 4), (16, 24)), ((0, 0), (1, 0), (2, 4)), (1, 4), (1, 2))
+    for (l, t), (h, w), (d, n), (n_w, n_c), k, heads in grid:
+        cfg = ModelConfig(l=l, t=t, h=h, w=w, d=d, n=n, n_w=n_w, n_c=n_c, k_sample=k, heads=heads)
         g, clips = clip_group(cfg), -(-l // t)
-        one_clip = max(size for _, _, size, _ in _stages(cfg, 1))
-        assert max(stage_bytes(cfg).values()) == one_clip, cfg
+        one_clip = {stage: size for stage, _, size, _ in _stages(cfg, 1)}
+        room = min(max(one_clip.values()), errors.MEMORY_LIMIT) - one_clip["video"]
+        assert max(stage_bytes(cfg).values()) == max(one_clip.values()), cfg
         assert 1 <= g <= clips, cfg
-        if g < clips:
-            grown = [size for stage, _, size, _ in _stages(cfg, g + 1) if stage in WITHIN_CLIP]
-            assert max(grown) > one_clip, cfg
         if not n_w:
             assert g == clips, cfg
+            continue
+        if g > 1:
+            assert group_bytes(cfg, g) <= room, cfg
+        if g < clips:
+            assert group_bytes(cfg, g + 1) > room, cfg
+
+
+def _group_peak(cfg, g) -> int:
+    """Traced peak of the within-clip blocks on one group of g clips, as
+    `run_clips` runs them."""
+    params = random_pipeline_params(cfg)
+    group = np.random.default_rng(1).normal(0.0, 1.0, (g, cfg.t, cfg.d, cfg.h, cfg.w))
+
+    def run():
+        within_clip_forward(build_pyramid(group), params.within_blocks)
+
+    run()  # one-time set-up is no array of the group
+    return _peak(run)
+
+
+# Clips per group, then the values that vary; n_w = 1 throughout.
+_GROUP_KEYS = ("t", "h", "w", "d", "heads", "k_sample")
+_GROUP_CASES = [
+    (16, (2, 8, 8, 16, 1, 4)),  # `track_many`'s 16-clip group, at one and two heads
+    (16, (2, 8, 8, 16, 2, 4)),
+    (4, (2, 8, 8, 8, 8, 1)),  # one head per channel: the softmax's three w1 count
+    (2, (2, 8, 8, 64, 1, 1)),  # D = 64: the sequence-sized arrays beside the product
+    (4, (3, 16, 16, 8, 1, 2)),
+    (3, (2, 8, 16, 8, 1, 2)),  # the W pass is the larger
+    (1, (2, 32, 32, 8, 1, 4)),  # one clip of the default `demo`
+]
+
+
+@pytest.mark.parametrize("g, cfg", [
+    pytest.param(g, ModelConfig(**dict(zip(_GROUP_KEYS, shape)), l=g * shape[0], n_w=1),
+                 id=f"g{g}-" + "-".join(f"{key}{value}" for key, value in zip(_GROUP_KEYS, shape)))
+    for g, shape in _GROUP_CASES
+])
+def test_group_bytes_bound_the_measured_peak(g, cfg):
+    # A group's count is at least its traced peak, and at most a quarter above it.
+    peak = _group_peak(cfg, g)
+    assert peak <= group_bytes(cfg, g) <= 1.25 * peak
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(ModelConfig(l=32, t=2, h=8, w=8, d=16, n=24, c=4, n_w=1, n_c=4, heads=heads),
+                 id=f"track_many-heads{heads}") for heads in (1, 2)
+] + [
+    # The cross-clip pass is the largest entry; the group fills the room
+    # beside the video, and the last group is short and ends padded.
+    pytest.param(ModelConfig(l=31, t=2, h=8, w=16, d=8, n=24, c=3, n_w=n_w, n_c=1, k_sample=2),
+                 id=f"room-for-three-n_w{n_w}") for n_w in (1, 2)
+])
+def test_grouped_run_stays_within_the_declared_peak(cfg):
+    # A whole `run_clips`, the video drawn inside the trace: its peak is at
+    # most the video entry beside the group's count, which `clip_group`
+    # keeps at or below the table's largest entry.
+    g, sizes = clip_group(cfg), stage_bytes(cfg)
+    assert 1 < g
+    params = random_pipeline_params(cfg)
+
+    def run():
+        run_clips(np.random.default_rng(1).normal(0.0, 1.0, (cfg.l, cfg.d, cfg.h, cfg.w)), params)
+
+    run()  # one-time set-up is no array of the run
+    assert _peak(run) <= sizes["video"] + group_bytes(cfg, g) <= max(sizes.values())
