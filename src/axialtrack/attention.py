@@ -23,20 +23,24 @@ keys, so the weights come out C-contiguous. Stage one's weighted sums are
 one (B, G, T, S, U, C, R) product, sorted in place along r, its last
 axis, and summed pairwise row by row (`tensor.sorted_sum`): a pass holds
 one such product at a time, the 8*B*T^2*S^2*D bytes of `stage_one_bytes`,
-and refuses an input whose product exceeds `errors.MEMORY_LIMIT`. The
-scores and the product are built in pieces of (b, g) rows on every CPU
-(`tensor.split_rows`); no sum crosses a (b, g) row, so the bits do not
-depend on the number of pieces, and the whole product still goes to one
+and refuses an input whose product exceeds `errors.MEMORY_LIMIT`.
+
+Stage one's weights are never held whole. Pieces of b rows run on every
+CPU (`tensor.split_rows`) and walk their (b, g) rows in blocks that fit a
+small scratch shared among them (`_stage_one_blocks`): each block's scores
+are built, scaled, checked finite and normalized there by the row kernel
+of `softmax_last`, then multiplied into the block's rows of the product.
+No sum crosses a (b, g) row, so the bits depend neither on the number of
+pieces nor on the block size, and the whole product still goes to one
 `sorted_sum` call. The projections and stage two are shared with the
 backward (`axialtrack.backward`), which recomputes stage one in matrix form
 instead of in sorted order.
 
 Every pass returns one array, its output. `stage_one_weights`, the only
 attention state exported, gives a sequence's head-mean stage-one weights
-(all that a trajectory map needs) without the product or stage two; it
-shares `_stage_one_weights`, their one producer, with the pass. `_pass`
-returns a pass's per-head weights beside its output, for callers that
-need both.
+(all that a trajectory map needs) without the product or stage two: the
+pass's block producer feeds it, and it head-means each block into its
+output, so the weights equal the pass's by construction.
 
 There are no positional encodings anywhere in this module.
 """
@@ -48,7 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ResourceGuardError, check_memory
-from .tensor import MacCounter, as_array, require_finite, softmax_last, sorted_sum, split_rows
+from .tensor import (
+    MacCounter, _softmax_rows, as_array, require_finite, scratch_rows, softmax_last, sorted_sum, split_rows,
+)
 
 LN_EPS = 1e-5
 
@@ -103,6 +109,25 @@ def stage_one_bytes(shape: tuple[int, int, int, int]) -> int:
     return 8 * b * t * t * s * s * d
 
 
+def stage_one_scratch_bytes(shape: tuple[int, int, int, int], heads: int) -> int:
+    """Float64 bytes of the scratch that a (B, T, S, D) pass's stage one
+    shares among its pieces (`_stage_one_blocks`)."""
+    b, t, s, d = shape
+    rows, row = _stage_one_scratch(b * heads, t, s, d // heads)
+    return 8 * rows * row
+
+
+def _stage_one_scratch(rows: int, t: int, s: int, c: int) -> tuple[int, int]:
+    """(rows, values per row) of stage one's scratch for `rows` (b, g) rows:
+    `tensor.scratch_rows` of at most half of them, so that a small pass,
+    whose one block would hold all its weights twice (with their sort
+    buffer), holds no more than its whole weights. A row holds its
+    (T, S, U, R) weights, their sort buffer, at least a (U, C, R) slab, and
+    their T*S*U softmax denominators."""
+    row = t * s * t * s + max(t * s * t * s, t * c * s) + t * s * t
+    return scratch_rows(-(-rows // 2), row), row
+
+
 def check_stage_one(shape: tuple[int, int, int, int]) -> None:
     """Refuse a (B, T, S, D) pass whose stage-one product exceeds the memory limit."""
     shape = tuple(shape)
@@ -140,44 +165,81 @@ def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total) -> dic
     return {"ydiag": ydiag, "qth": qth, "kth": kth, "vth": vth, "w2": w2, "out": out}
 
 
-def _stage_one_weights(qh: np.ndarray, kh: np.ndarray, scale: float) -> np.ndarray:
-    """C-contiguous (B, G, T, S, U, R) stage-one weights from (B, G, T, S, C)
-    query and key heads. The scores are built in pieces of (b, g) rows."""
+def _stage_one_blocks(qh: np.ndarray, kh: np.ndarray, scale: float, nbytes: int, consume) -> None:
+    """Stage one's weights from (B, G, T, S, C) query and key heads, a block
+    of (b, g) rows at a time: `consume(lo, hi, w, room)` gets the
+    C-contiguous (hi - lo, T, S, U, R) weights of rows lo..hi-1 of the B*G
+    rows, and `room`, scratch free for its own use that holds at least
+    hi - lo (U, C, R) slabs.
+
+    Pieces of whole b rows (`split_rows` of a job of `nbytes`) each walk
+    their (b, g) rows in blocks that fill their share of one scratch. There
+    a block's scores are built with one einsum, scaled, checked finite and
+    normalized in place by the row kernel of `softmax_last`, whose sort
+    buffer (the room, once the block is normalized) and denominators share
+    the scratch. No (B, G, T, S, U, R) array is made. `consume` runs inside
+    the pieces, in row order within each.
+    """
     b, g, t, s, c = qh.shape
     q, k = qh.reshape(b * g, t, s, c), kh.reshape(b * g, t, s, c)
-    scores = np.empty((b * g, t, s, t, s))
+    scratch = np.empty(_stage_one_scratch(b * g, t, s, c))
+    size, rows = t * s * t * s, t * s * t  # weights and softmax rows per (b, g) row
+    room = scratch.shape[1] - size - rows  # sort buffer per (b, g) row
 
-    def piece(lo: int, hi: int) -> None:
-        np.einsum("ntsc,nurc->ntsur", q[lo:hi], k[lo:hi], out=scores[lo:hi], optimize=False)
-        scores[lo:hi] *= scale
+    def piece(share: np.ndarray, lo: int, hi: int) -> None:
+        flat = share.reshape(-1)
+        for first in range(lo * g, hi * g, len(share)):
+            last = min(hi * g, first + len(share))
+            n = last - first
+            w, free = flat[:n * size].reshape(n, t, s, t, s), flat[n * size:n * (size + room)]
+            np.einsum("ntsc,nurc->ntsur", q[first:last], k[first:last], out=w, optimize=False)
+            w *= scale
+            require_finite(w, "stage-one scores")
+            x = w.reshape(-1, s)
+            _softmax_rows(x, x, free[:n * size].reshape(-1, s), flat[n * (size + room):][:n * rows])
+            consume(first, last, w, free)
 
-    split_rows(piece, b * g, scores.nbytes)
-    return softmax_last(scores.reshape(b, g, t, s, t, s))
+    split_rows(piece, b, nbytes, scratch)
 
 
-def _stage_one(x: np.ndarray, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
-    """Stage one in sorted order: the per-head weights w1 and the (B, T, U, S, D)
-    trajectory points, indexed by (reference frame, target frame, position)."""
+def _stage_one(x: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Stage one in sorted order: the (B, T, U, S, D) trajectory points,
+    indexed by (reference frame, target frame, position)."""
     b, t, s, d = x.shape
     g = params.heads
     c = d // g
     qh, kh, vh = _stage_one_heads(x, params)
     # Per target frame u, attend over positions r. The product is the
-    # largest array of the pass; it is built in pieces of (b, g) rows into
-    # one C-order buffer with r last, which `sorted_sum` sorts in place row
-    # by row and sums pairwise, and is freed once summed.
-    w1 = _stage_one_weights(qh, kh, params.scale)
-    w = w1.reshape(b * g, t, s, t, 1, s)
-    vt = vh.swapaxes(-1, -2).reshape(b * g, 1, 1, t, c, s)  # (B*G,1,1,U,C,R), a copy
-    prod1 = np.empty((b * g, t, s, t, c, s))  # (B*G,T,S,U,C,R)
+    # largest array of the pass: one C-order buffer with r last, into which
+    # each block of weights is multiplied, and which `sorted_sum` sorts in
+    # place row by row and sums pairwise. It is freed once summed.
+    vt = vh.swapaxes(-1, -2).reshape(b * g, t, c, s)  # (B*G,U,C,R), a view
+    prod1 = np.empty((b * g, t * s, t, c, s))  # (B*G,T*S,U,C,R)
 
-    def piece(lo: int, hi: int) -> None:
-        np.multiply(w[lo:hi], vt[lo:hi], out=prod1[lo:hi])
+    def multiply(lo: int, hi: int, w: np.ndarray, room: np.ndarray) -> None:
+        # A ufunc that broadcasts gets a numpy buffer in every piece at once.
+        # So copies spread the weights over c and the values over (t, s) in
+        # the room, whole rows at a time where they fit, and the products
+        # multiply equal shapes (IEEE products commute).
+        slabs = len(room) // (t * c * s)  # (U, C, R) slabs of values that fit
+        step = min(slabs, t * s)  # slabs per product chunk
+        rows = max(1, slabs // (t * s))  # (b, g) rows per product chunk
+        v = room[:rows * step * t * c * s].reshape(rows, step, t, c, s)
+        w = w.reshape(hi - lo, t * s, t, 1, s)
+        for j in range(lo, hi, rows):
+            out = prod1[j:min(hi, j + rows)]
+            n = len(out)
+            np.copyto(v[:n], vt[j:j + n, None])
+            for a in range(0, t * s, step):
+                chunk = out[:, a:a + step]
+                np.copyto(chunk, w[j - lo:j - lo + n, a:a + step])
+                np.multiply(chunk, v[:n, :chunk.shape[1]], out=chunk)
 
-    split_rows(piece, b * g, prod1.nbytes)
+    _stage_one_blocks(qh, kh, params.scale, prod1.nbytes, multiply)
+    del qh, kh, vh, vt
     yt = sorted_sum(prod1.reshape(b, g, t, s, t, c, s), axis=-1)  # (B,G,T,S,U,C)
     del prod1
-    return w1, yt.transpose(0, 2, 4, 3, 1, 5).reshape(b, t, t, s, d)
+    return yt.transpose(0, 2, 4, 3, 1, 5).reshape(b, t, t, s, d)
 
 
 def _validate_sequence(seq, params: AttentionParams) -> np.ndarray:
@@ -190,38 +252,51 @@ def _validate_sequence(seq, params: AttentionParams) -> np.ndarray:
     return seq
 
 
-def _pass(seq, params: AttentionParams, counter: MacCounter | None = None) -> tuple:
-    """The pass over a (B, T, S, D) sequence: its per-head stage-one weights
-    w1, (B, G, T, S, U, R), and its output, (B, T, S, D)."""
+def trajectory_pass_1d(seq, params: AttentionParams, counter: MacCounter | None = None) -> np.ndarray:
+    """Two-stage trajectory attention over a (B, T, S, D) sequence; returns
+    the updated sequence (same shape)."""
     x = _validate_sequence(seq, params)
-    d = x.shape[-1]
-    c = d // params.heads
-    w1, ytil = _stage_one(x, params)
+    ytil = _stage_one(x, params)
     st2 = _stage_two(ytil, params, softmax_last, sorted_sum)
     if counter is not None:
-        counter.add("stage1_scores", w1.size * c)
-        counter.add("stage1_values", w1.size * c)
+        b, t, s, d = x.shape
+        c = d // params.heads
+        weights = b * params.heads * t * s * t * s  # stage one's, over all heads
+        counter.add("stage1_scores", weights * c)
+        counter.add("stage1_values", weights * c)
         counter.add("stage2_scores", st2["w2"].size * c)
         counter.add("stage2_values", st2["w2"].size * c)
         counter.add("proj_stage1", 3 * x.size * d)
         counter.add("proj_stage2", (x.size + 2 * ytil.size) * d)
-    return w1, st2["out"]
-
-
-def trajectory_pass_1d(seq, params: AttentionParams, counter: MacCounter | None = None) -> np.ndarray:
-    """Two-stage trajectory attention over a (B, T, S, D) sequence; returns
-    the updated sequence (same shape)."""
-    return _pass(seq, params, counter)[1]
+    return st2["out"]
 
 
 def stage_one_weights(seq, params: AttentionParams) -> np.ndarray:
     """The (B, T, S, U, R) stage-one weights of the pass over a (B, T, S, D)
     sequence, averaged over heads: for reference (t, s), the softmax over
-    positions r of target frame u. Nothing of stage one's product or of
-    stage two is computed."""
+    positions r of target frame u. They come from the pass's own block
+    producer, each block head-meaned into the output as it is made; nothing
+    of stage one's product or of stage two is computed."""
     x = _validate_sequence(seq, params)
+    b, t, s, _ = x.shape
+    g = params.heads
     qh, kh, _ = _stage_one_heads(x, params)
-    return _stage_one_weights(qh, kh, params.scale).mean(axis=1)
+    out = np.empty((b, t, s, t, s))
+
+    def head_mean(lo: int, hi: int, w: np.ndarray, _room: np.ndarray) -> None:
+        # Heads in index order, then one division: what `mean(axis=1)` gives.
+        # A piece holds whole b rows, so no other piece touches out[row].
+        for j, wj in zip(range(lo, hi), w):
+            row, head = divmod(j, g)
+            if head == 0:
+                out[row] = wj
+            else:
+                out[row] += wj
+            if head == g - 1:
+                out[row] /= g
+
+    _stage_one_blocks(qh, kh, params.scale, 8 * g * out.size, head_mean)
+    return out
 
 
 def _validate_clip(f: np.ndarray) -> None:

@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from . import errors
-from .attention import stage_one_bytes
+from .attention import stage_one_bytes, stage_one_scratch_bytes
+from .tensor import scratch_rows
 from .errors import ConfigError, check_memory
 
 SCALE_RSQRT_D = "rsqrt_d"
@@ -90,9 +91,7 @@ def clip_group(cfg: ModelConfig) -> int:
     of the one-clip table and `errors.MEMORY_LIMIT`. So grouping never
     raises the declared peak, nor a grouped run's peak above it, and a
     refusal names the stage that one clip would already overflow. Without
-    a within-clip block, all clips form one group: it builds only its
-    pyramid's coarse levels, 5/16 of its frames, beside no offline stack
-    yet (a plane per frame of the video entry)."""
+    a within-clip block nothing runs per group, and g is the clip count."""
     clips = -(-cfg.l // cfg.t)
     if not cfg.n_w:
         return clips
@@ -111,19 +110,19 @@ def group_bytes(cfg: ModelConfig, g: int) -> int:
     float64 planes P at the finest level. While sampling: its entry, beside
     the input pyramid's coarse levels and its own output (2 P). In a finest
     H or W pass, those two pyramids and the level outputs so far (3 P) and
-    SMALL_BYTES, beside the largest of the pass's three moments, where w1,
-    the stage-one weights, are G/D of the product: the product beside w1,
-    the input, its three projections, the value copy and the (T P) sum; the
-    scores' softmax, 3 w1 and a row maximum per row of S, beside the input
-    and its projections (4 P); or stage two, w1 beside the input, the
-    queries and their projection (3 P) and five (T P) point arrays."""
+    SMALL_BYTES, beside the largest of the pass's three moments: while
+    stage one fills its product, the product beside the input, its three
+    projections (4 P) and the blocks' scratch (`stage_one_scratch_bytes`);
+    while the product is summed, it beside the input and the (T P) sum; or
+    stage two, the input, the queries and their projection (3 P) and five
+    (T P) point arrays."""
     t, h, w, d = cfg.t, cfg.h, cfg.w, cfg.d
     plane = 8 * g * t * h * w * d
 
     def moments(shape: tuple[int, int, int, int]) -> int:
-        s, product = shape[2], stage_one_bytes(shape)
-        w1 = product * cfg.heads // d
-        return max(product + w1 + (5 + t) * plane, 3 * w1 + w1 // s + 4 * plane, w1 + (5 * t + 4) * plane)
+        product = stage_one_bytes(shape)
+        scratch = stage_one_scratch_bytes(shape, cfg.heads)
+        return max(product + max(4 * plane + scratch, (1 + t) * plane), (5 * t + 4) * plane)
 
     passes = 3 * plane + SMALL_BYTES + max(moments((g * w, t, h, d)), moments((g * h, t, w, d)))
     sampler = next(n for stage, _, n, _ in _stages(cfg, g) if stage == "deformable sampling")
@@ -138,6 +137,7 @@ def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int,
         g = clip_group(cfg)
     l, t, h, w, d, n, k = cfg.l, cfg.t, cfg.h, cfg.w, cfg.d, cfg.n, cfg.k_sample
     px, frames = h * w, -(-l // t) * t  # frames padded to whole clips
+    keys = max(n, t * px)  # the longer of the decoder's two softmax rows
 
     def named(*keys: str) -> str:
         return ", ".join(f"{key}={getattr(cfg, key)}" for key in keys)
@@ -169,23 +169,24 @@ def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int,
          "float64 parameters"),
         # A decoder layer's cross- or self-attention softmax: the (T*H*W, D)
         # features and, in cross-attention, their keys and values; the scaled
-        # scores, the softmax output and its sort buffer, 3 (N, T*H*W) or
-        # 3 (N, N), and N denominators; the queries, their norms and
-        # projections and the previous layer's (N, 4D) hidden, 9 (N, D).
+        # scores and the softmax output, 2 (N, T*H*W) or 2 (N, N), the
+        # softmax's sort scratch of rows of either, and N denominators; the
+        # queries, their norms and projections and the previous layer's
+        # (N, 4D) hidden, 9 (N, D).
         ("query decoding", named("n", "t", "h", "w", "d"),
-         8 * (3 * t * px * d + 3 * n * max(n, t * px) + 9 * n * d + n) + SMALL_BYTES,
+         8 * (3 * t * px * d + (2 * n + scratch_rows(n, keys)) * keys + 9 * n * d + n) + SMALL_BYTES,
          "decoder features and attention scores"),
     ]
     if cfg.n_c:
         stages.append(trajectory_pass("cross-clip", (1, frames // t, n, d)))
     # `demo`'s offline logistic, in float64 (H, W) planes: the (L, D) video
-    # and at most N ground-truth tubes; per padded frame, the offline feature
-    # stack (D) and the clip features (D) unless they are views of the video
-    # (no within-clip block, no padding), the clip masks, near-online tubes,
-    # offline logits, the logistic's working array and its output (5 N), and
-    # its two boolean masks (N / 4); beside twice SMALL_BYTES, 1 MiB for what a
-    # process's first run imports lazily (numpy.random, numpy.ma, locale: 0.9 MB).
-    features = 2 if cfg.n_w or frames != l else 1
+    # and at most N ground-truth tubes; per padded frame, the clip features
+    # (D) unless they are views of the video (no within-clip block, no
+    # padding), the clip masks, near-online tubes, offline logits, the
+    # logistic's working array and its output (5 N), and its two boolean
+    # masks (N / 4); beside twice SMALL_BYTES, 1 MiB for what a process's
+    # first run imports lazily (numpy.random, numpy.ma, locale: 0.9 MB).
+    features = 1 if cfg.n_w or frames != l else 0
     stages.append(("video", named("l", "t", "h", "w", "d", "n"),
                    px * (8 * l * (d + n) + frames * (8 * features * d + 42 * n)) + 2 * SMALL_BYTES + 2 ** 20,
                    "float64 video, ground truth, clip runs, tubes and logits"))

@@ -112,8 +112,7 @@ def offline_inference(video, params: PipelineParams) -> list[Tube]:
     queries = np.stack([res.queries.queries[row] for res, row in zip(results, linked.rows)])
     z = cross_clip_forward(queries, params.cross_blocks)
     probs = temporal_class_head(z, params.class_head)
-    features = np.stack([res.features for res in results])
-    logits = np.einsum("knd,ktdhw->nkthw", z, features, optimize=False)
+    logits = np.einsum("knd,ktdhw->nkthw", z, linked.runs.features, optimize=False)
     return stacked_tubes(logistic(logits), probs, linked.runs.length)
 
 

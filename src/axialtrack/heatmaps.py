@@ -1,7 +1,7 @@
 """Trajectory heatmaps: the height and width stage-one attention rows of a
 reference pixel, multiplied into one map per target frame.
 
-`axial_fields` gives a clip's two weight arrays: the height pass's own
+`axial_fields` gives a clip's two weight arrays: the height pass's
 stage-one weights, and the width pass's on the height pass's output, with
 no width pass run. A reference point (t, h, w) selects the height row at
 batch index w and the width row at batch index h; their outer product at
@@ -17,7 +17,9 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .attention import AttentionParams, _pass, from_sequence, prenorm, stage_one_weights, to_sequence
+from .attention import (
+    AttentionParams, from_sequence, prenorm, stage_one_weights, to_sequence, trajectory_pass_1d,
+)
 from .errors import DimensionError
 from .pgm import write_pgm
 from .tensor import as_array
@@ -28,12 +30,14 @@ def axial_fields(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Head-mean stage-one weights of the height pass on the (T, D, H, W) clip,
     (W, T, H, T, H), and of the width pass on the height pass's output,
-    (H, T, W, T, W). Runs the height pass only, and takes its weights from it."""
+    (H, T, W, T, W). Runs the height pass only; `stage_one_weights` gives
+    each field, the height one after the pass, so it is never held beside
+    the pass's product."""
     f = as_array(f)
-    w1, y = _pass(prenorm(to_sequence(f, "h")), params_h)
-    w_h = w1.mean(axis=1)
-    del w1
-    mid = f + from_sequence(y, "h")
+    x = prenorm(to_sequence(f, "h"))
+    mid = f + from_sequence(trajectory_pass_1d(x, params_h), "h")
+    w_h = stage_one_weights(x, params_h)
+    del x
     return w_h, stage_one_weights(prenorm(to_sequence(mid, "w")), params_w)
 
 

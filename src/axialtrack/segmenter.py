@@ -6,8 +6,10 @@ finest pyramid level; each refined query produces one mask tube and one
 class distribution. `run_clips` runs every clip of a video once: the
 pyramid and the within-clip blocks run once per group of consecutive
 clips, a `(g, T, D, H, W)` view of the (padded) video with g from
-`config.clip_group`, and `run_clip` then decodes each clip from its mixed
-features. No sum crosses a clip, so the group size never changes a bit.
+`config.clip_group`, into one `(K, T, D, H, W)` features array, and
+`run_clip` then decodes each clip from its slice. No sum crosses a clip,
+so the group size never changes a bit. With no within-clip block nothing
+mixes and no pyramid is built: the features are the clip stack itself.
 `link_video` links consecutive clips of those runs by minimum-cost
 assignment on query cosine similarity, which keeps track ids stable
 across the video. A link holds only the runs and each clip's track rows,
@@ -202,6 +204,7 @@ class ClipRuns:
 
     results: list[ClipResult]
     length: int  # original frame count, before padding
+    features: np.ndarray  # (K, T, D, H, W); each result's features are a slice of it
 
 
 def _group_size(video: np.ndarray, params: PipelineParams) -> int:
@@ -220,15 +223,25 @@ def _group_size(video: np.ndarray, params: PipelineParams) -> int:
 
 def run_clips(video, params: PipelineParams) -> ClipRuns:
     """Run every clip of an (L, D, H, W) video once: within-clip mixing per
-    group of consecutive clips, then each clip's decoding and tubes."""
+    group of consecutive clips into one features array, then each clip's
+    decoding and tubes."""
     video = as_array(video)
     clips = _clip_stack(video, params.clip_len)
-    g = _group_size(video, params)
-    results = []
-    for lo in range(0, len(clips), g):
-        feats = within_clip_forward(build_pyramid(clips[lo:lo + g]), params.within_blocks).levels[-1]
-        results += [run_clip(f, params, lo + i) for i, f in enumerate(feats)]
-    return ClipRuns(results, video.shape[0])
+    features = clips  # with no within-clip block, the clip stack itself
+
+    def mixed(group: np.ndarray) -> np.ndarray:
+        return within_clip_forward(build_pyramid(group), params.within_blocks).levels[-1]
+
+    if params.within_blocks:
+        g = _group_size(video, params)
+        if g >= len(clips):
+            features = mixed(clips)
+        else:
+            features = np.empty(clips.shape)
+            for lo in range(0, len(clips), g):
+                features[lo:lo + g] = mixed(clips[lo:lo + g])
+    results = [run_clip(f, params, k) for k, f in enumerate(features)]
+    return ClipRuns(results, video.shape[0], features)
 
 
 @dataclass

@@ -14,7 +14,14 @@ leaves its inputs alone.
 contiguous pieces of whole leading-axis rows, one piece per CPU. No
 reduction crosses a piece, and each piece runs numpy alone and writes
 into buffers its caller allocated, so the bits of every result are the
-same for any number of pieces.
+same for any number of pieces. A job's scratch (`scratch_rows`, at most
+`SCRATCH_BYTES` unless two of its rows need more) is shared out among its
+pieces, so what they hold does not grow with the worker count.
+
+`_softmax_rows` is the one row-softmax kernel: `softmax_last` runs it on
+its pieces, and attention's stage one on each block of its scores. It
+sorts the rows for their denominators a block at a time in a scratch, so
+no sorted copy of the whole input is made.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ from .errors import ConfigError, DimensionError, NumericError
 # Smallest piece, in bytes of the job's operands, worth handing to a
 # thread: a smaller one costs more to hand over than it saves.
 MIN_PIECE_BYTES = 2 ** 20
+# Bytes of scratch that a job's pieces share: blocks of rows this small
+# stay in cache, and the pieces still split any job of two rows or more.
+SCRATCH_BYTES = 2 ** 19
 
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _IN_PIECE = threading.local()
@@ -59,14 +69,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def split_rows(fn, n: int, nbytes: int) -> None:
+def split_rows(fn, n: int, nbytes: int, scratch: np.ndarray | None = None) -> None:
     """Run `fn(lo, hi)` over contiguous pieces [lo, hi) that cover range(n).
 
     There is one piece per worker of the module pool (one per CPU in the
     process affinity), but no piece under `MIN_PIECE_BYTES` of the job's
     `nbytes`; with one piece, `fn(0, n)` runs on the calling thread. The
     calling thread runs the first piece while the pool runs the others, and
-    the call returns once every piece is done.
+    the call returns once every piece is done; then an error that a piece
+    raised is raised.
+
+    With `scratch`, each piece also gets its own share of it,
+    `fn(share, lo, hi)`: the pieces cut its first axis as evenly as they
+    cut range(n), and there are no more pieces than it has rows, so each
+    share holds at least one.
 
     `fn` must treat each index as a whole row: no reduction may cross
     rows, so the result does not depend on where the pieces are cut. It
@@ -75,17 +91,27 @@ def split_rows(fn, n: int, nbytes: int) -> None:
     serially, so pieces never nest.
     """
     pieces = min(_WORKERS, n, nbytes // MIN_PIECE_BYTES)
+    if scratch is not None:
+        pieces = min(pieces, len(scratch))
     if pieces < 2 or getattr(_IN_PIECE, "active", False):
-        fn(0, n)
-        return
+        pieces = 1
     bounds = [n * i // pieces for i in range(pieces + 1)]
+    fns = [fn] * pieces
+    if scratch is not None:
+        cuts = [len(scratch) * i // pieces for i in range(pieces + 1)]
+        fns = [partial(fn, scratch[a:b]) for a, b in zip(cuts, cuts[1:])]
+    if pieces == 1:
+        fns[0](0, n)
+        return
     pool = _pool()
-    futures = [pool.submit(_piece, fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    futures = [pool.submit(_piece, f, lo, hi) for f, lo, hi in zip(fns[1:], bounds[1:-1], bounds[2:])]
     try:
-        _piece(fn, bounds[0], bounds[1])
+        _piece(fns[0], bounds[0], bounds[1])
     finally:
         for future in futures:  # wait for all, so no piece outlives its buffers
-            future.result()
+            future.exception()
+    for future in futures:
+        future.result()
 
 
 def _piece(fn, lo: int, hi: int) -> None:
@@ -94,6 +120,13 @@ def _piece(fn, lo: int, hi: int) -> None:
         fn(lo, hi)
     finally:
         _IN_PIECE.active = False
+
+
+def scratch_rows(n: int, row_size: int) -> int:
+    """Rows of `row_size` float64 values in a scratch of at most n rows for a
+    `split_rows` job: as many as `SCRATCH_BYTES` holds, but at least two, so
+    that the job still splits."""
+    return min(n, max(2, SCRATCH_BYTES // (8 * row_size)))
 
 
 def as_array(x) -> np.ndarray:
@@ -138,33 +171,37 @@ def sorted_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     blocks = ordered.reshape((rows, shape[axis]) + ((math.prod(after),) if after else ()))
     # The output has the dtype numpy's sum gives (int64 for an int32 input).
     out = np.empty(blocks.shape[:1] + blocks.shape[2:], dtype=ordered[:0].sum().dtype)
-    split_rows(partial(_sorted_sums, blocks, blocks, out), rows, blocks.nbytes)
+
+    def piece(lo: int, hi: int) -> None:
+        _sorted_sums(blocks[lo:hi], out[lo:hi], None)
+
+    split_rows(piece, rows, blocks.nbytes)
     return out.reshape(shape[:axis] + after)
 
 
-def _sorted_sums(src: np.ndarray, work: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    """out[lo:hi] = the sums of src[lo:hi] over axis 1 in ascending order.
+def _sorted_sums(rows: np.ndarray, out: np.ndarray, work: np.ndarray | None) -> None:
+    """out = the sums of `rows` over axis 1 in ascending order.
 
-    Rows of three or more terms are first sorted in `work`, into which
-    they are copied unless it is `src`.
+    Rows of three or more terms are sorted first: in place when `work` is
+    None, else copied into the leading rows of `work` and sorted there.
     """
-    rows = src[lo:hi]
     if rows.shape[1] > 2:
-        if work is not src:
-            work[lo:hi] = rows
-        rows = work[lo:hi]
+        if work is not None:
+            work = work[:len(rows)]
+            work[...] = rows
+            rows = work
         rows.sort(axis=1)
-    np.add.reduce(rows, axis=1, out=out[lo:hi])
+    np.add.reduce(rows, axis=1, out=out)
 
 
 def softmax_last(x) -> np.ndarray:
     """Softmax over the trailing axis, max-shifted for stability.
 
     Each trailing slice of the result is a probability vector; the
-    denominator sums a sorted copy of the exponentials (the numerator needs
-    them unsorted), as `sorted_sum` does, so the op is equivariant under
-    permutations of the trailing axis. Rows are split into pieces
-    (`split_rows`).
+    denominator sums the exponentials in ascending order, as `sorted_sum`
+    does, so the op is equivariant under permutations of the trailing axis.
+    Rows are split into pieces (`split_rows`), which share one sort
+    scratch (`scratch_rows`).
     """
     x = as_array(x)
     if x.ndim == 0 or x.shape[-1] < 1:
@@ -172,19 +209,34 @@ def softmax_last(x) -> np.ndarray:
     require_finite(x, "softmax input")
     rows = x.reshape(-1, x.shape[-1])
     out = np.empty(rows.shape)
-    work = np.empty(rows.shape) if rows.shape[1] > 2 else None
     per_row = np.empty(rows.shape[0])
-    split_rows(partial(_softmax_rows, rows, out, work, per_row), rows.shape[0], out.nbytes)
+
+    def piece(work: np.ndarray, lo: int, hi: int) -> None:
+        _softmax_rows(rows[lo:hi], out[lo:hi], work, per_row[lo:hi])
+
+    work = np.empty((scratch_rows(*rows.shape), rows.shape[1]))
+    split_rows(piece, rows.shape[0], out.nbytes, work)
     return out.reshape(x.shape)
 
 
-def _softmax_rows(x, out, work, per_row, lo: int, hi: int) -> None:
-    ex, row = out[lo:hi], per_row[lo:hi, None]
-    np.maximum.reduce(x[lo:hi], axis=1, out=per_row[lo:hi])
-    np.subtract(x[lo:hi], row, out=ex)
-    np.exp(ex, out=ex)
-    _sorted_sums(out, work, per_row, lo, hi)  # `row` now holds the denominators
-    ex /= row
+def _softmax_rows(x: np.ndarray, out: np.ndarray, work: np.ndarray, per_row: np.ndarray) -> None:
+    """out = the softmax of each row of the 2-D `x` (`out` may be `x`
+    itself), a block of `work`'s rows at a time. Each denominator, in
+    `per_row`, is summed in ascending order after a sort in `work`. The
+    row maxima and denominators are spread over `work` before they are
+    applied, so no operation broadcasts: numpy then makes no buffer of its
+    own, and the kernel allocates nothing."""
+    step = len(work)
+    for lo in range(0, len(x), step):
+        rows, ex, row = x[lo:lo + step], out[lo:lo + step], per_row[lo:lo + step]
+        spread = work[:len(rows)]
+        np.maximum.reduce(rows, axis=1, out=row)
+        np.copyto(spread, row[:, None])
+        np.subtract(rows, spread, out=ex)
+        np.exp(ex, out=ex)
+        _sorted_sums(ex, row, spread)
+        np.copyto(spread, row[:, None])
+        np.divide(ex, spread, out=ex)
 
 
 def atrous_conv1d(x, kernel, rate: int) -> np.ndarray:

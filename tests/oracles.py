@@ -7,7 +7,9 @@ library kernels it checks. Two take library stages that the oracles above
 check: `naive_hit_rate` takes each clip's stage-one weights and re-does
 only the per-reference argmax loop, and `naive_near_online_tubes` takes
 each clip's run and association and re-does only the linking, one track
-at a time.
+at a time. `whole_stage_one_weights` is no loop oracle but the whole-array
+form of the blocked stage one: every score of every (b, g) row at once, then
+one `softmax_last`, which the block producer must match bit for bit.
 """
 
 from __future__ import annotations
@@ -357,3 +359,14 @@ def naive_near_online_tubes(video, params, shuffle_rng=None):
         probs = np.mean([ct[i].class_probs for ct in clip_tubes], axis=0)
         out.append(Tube(masks[: video.shape[0]], probs, track_id=i))
     return out
+
+
+def whole_stage_one_weights(qh, kh, scale):
+    """(B, G, T, S, U, R) stage-one weights of (B, G, T, S, C) query and key
+    heads, as one array: the scaled scores of all rows, then one softmax."""
+    from axialtrack.tensor import softmax_last
+
+    b, g, t, s, c = qh.shape
+    q, k = qh.reshape(b * g, t, s, c), kh.reshape(b * g, t, s, c)
+    scores = scale * np.einsum("ntsc,nurc->ntsur", q, k, optimize=False)
+    return softmax_last(scores).reshape(b, g, t, s, t, s)

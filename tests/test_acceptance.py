@@ -208,7 +208,7 @@ def test_criterion_7_normalization_and_equivariance():
         p = attention_params(d, rng, std=0.3)
 
         x = rng.normal(size=(2, 3, 4, d))
-        w2 = _stage_two(_stage_one(x, p)[1], p, softmax_last, sorted_sum)["w2"].mean(axis=1)
+        w2 = _stage_two(_stage_one(x, p), p, softmax_last, sorted_sum)["w2"].mean(axis=1)
         ok &= bool(np.all(np.abs(stage_one_weights(x, p).sum(axis=-1) - 1.0) <= 1e-9))
         ok &= bool(np.all(np.abs(w2.sum(axis=-1) - 1.0) <= 1e-9))
 

@@ -114,11 +114,11 @@ class TestDemo:
         # Whole-video arrays dominate without within-clip or cross-clip blocks.
         # The guard's count is at least a whole run's traced peak, the lazy
         # imports of a first run included, and at most a quarter above it.
-        # Unpadded clips are views of the video: only the offline feature
-        # stack is a D-plane copy of its own.
+        # Unpadded clips are views of the video, and the offline mode reads
+        # their stack itself: only padded clips are a D-plane copy.
         flags = dict(l=16, t=t, h=96, w=96, d=3, n=3, c=3, n_w=0, n_c=0, k_sample=1)
         frames = -(-16 // t) * t
-        features = 1 if frames == 16 else 2
+        features = 0 if frames == 16 else 1
         need = 96 * 96 * (8 * 16 * (3 + 3) + frames * (8 * features * 3 + 42 * 3)) + 2 ** 18 + 2 ** 20
         cfg = ModelConfig(**flags)
         monkeypatch.setattr(errors, "MEMORY_LIMIT", need - 1)

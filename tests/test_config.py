@@ -84,19 +84,21 @@ class TestModelConfig:
         # the video, checked later, is larger still.
         (ModelConfig(l=2, h=8, w=8, n=16, d=4, k_sample=1),
          8 * (3 * 128 * 4 + 3 * 16 * 128 + 9 * 16 * 4 + 16) + 2 ** 17, ["n=16", "h=8", "w=8", "d=4"]),
-        # Self-attention among N = 300 queries sets the (N, N) scores.
+        # Self-attention among N = 300 queries sets the (N, N) scores; its
+        # softmax sorts them in a scratch of the 218 rows that 2^19 bytes hold.
         (ModelConfig(l=2, h=4, w=8, n=300, n_c=0, k_sample=1),
-         8 * (3 * 64 * 8 + 3 * 300 * 300 + 9 * 300 * 8 + 300) + 2 ** 17, ["n=300", "h=4", "w=8", "d=8"]),
+         8 * (3 * 64 * 8 + (2 * 300 + 218) * 300 + 9 * 300 * 8 + 300) + 2 ** 17,
+         ["n=300", "h=4", "w=8", "d=8"]),
     ], ids=["pixels", "queries"])
     def test_pipeline_decoder_bytes_bounded(self, monkeypatch, cfg, need, values):
         _check_boundary(monkeypatch, cfg, need, ["query decoding refused", "t=2", *values])
 
     def test_pipeline_video_bytes_bounded(self, monkeypatch):
         # Nine frames in clips of two, padded to ten, in 8 x 12 planes: L (D + N)
-        # for the video and the ground truth, 16 D + 42 N per padded frame,
+        # for the video and the ground truth, 8 D + 42 N per padded frame,
         # plus a whole run's small objects and lazy imports.
         cfg = ModelConfig(l=9, h=8, w=12, d=6, n=3, k_sample=1)
-        need = 8 * 12 * (8 * 9 * (6 + 3) + 10 * (16 * 6 + 42 * 3)) + 2 ** 18 + 2 ** 20
+        need = 8 * 12 * (8 * 9 * (6 + 3) + 10 * (8 * 6 + 42 * 3)) + 2 ** 18 + 2 ** 20
         _check_boundary(monkeypatch, cfg, need,
                         ["video refused", "l=9", "t=2", "h=8", "w=12", "d=6", "n=3"])
 
@@ -293,7 +295,7 @@ _GROUP_KEYS = ("t", "h", "w", "d", "heads", "k_sample")
 _GROUP_CASES = [
     (16, (2, 8, 8, 16, 1, 4)),  # `track_many`'s 16-clip group, at one and two heads
     (16, (2, 8, 8, 16, 2, 4)),
-    (4, (2, 8, 8, 8, 8, 1)),  # one head per channel: the softmax's three w1 count
+    (4, (2, 8, 8, 8, 8, 1)),  # one head per channel: the largest stage-one scratch rows
     (2, (2, 8, 8, 64, 1, 1)),  # D = 64: the sequence-sized arrays beside the product
     (4, (3, 16, 16, 8, 1, 2)),
     (3, (2, 8, 16, 8, 1, 2)),  # the W pass is the larger

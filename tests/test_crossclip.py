@@ -39,7 +39,7 @@ class TestQueryTrajectoryAttention:
         z = rng.normal(size=(1, 4, 6))
         p = _attn(6, 1)
         out = query_trajectory_attention(z, p)
-        _, ytil = _stage_one(prenorm(z[None]), p)
+        ytil = _stage_one(prenorm(z[None]), p)
         w2 = _stage_two(ytil, p, softmax_last, sorted_sum)["w2"].mean(axis=1)
         assert np.array_equal(w2, np.ones_like(w2))
         assert out.shape == z.shape

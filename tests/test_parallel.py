@@ -12,17 +12,21 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from axialtrack import tensor
+from axialtrack import attention, tensor
 from axialtrack.attention import attention_params, trajectory_pass_1d
 from axialtrack.backward import trajectory_backward
 from axialtrack.cli import cli_main
+from axialtrack.errors import NumericError
 from axialtrack.tensor import softmax_last, sorted_sum, split_rows
+
+from oracles import whole_stage_one_weights
 
 BATCHES = [1, 2, 3, 40]
 BOOKKEEPING_BYTES = 2 ** 16
@@ -221,14 +225,15 @@ def test_split_pass_peak_memory_not_above_serial(use_workers):
 
 @pytest.mark.parametrize("kernel", ["softmax_last", "sorted_sum"])
 def test_pieces_allocate_only_the_callers_buffers(use_workers, kernel):
-    # softmax_last allocates its output, the sorted copy and one value per
-    # row; sorted_sum sorts in place and allocates only its output. Beyond
-    # those, each of the two pieces may hold one fixed-size ufunc buffer
-    # (for the broadcast row values). A piece with temporaries of its own
-    # would add at least half the 1.1 MB operand.
+    # softmax_last allocates its output, one value per row and one sort
+    # scratch that its pieces share (the 1638 rows that 2^19 bytes hold, not
+    # a sorted copy of the whole input); sorted_sum sorts in place and
+    # allocates only its output. Neither broadcasts, so numpy adds no ufunc
+    # buffer. A piece with temporaries of its own would add at least half
+    # the 1.1 MB operand.
     x = np.random.default_rng(31).normal(size=(512, 7, 40))
-    allowed = {"softmax_last": 2 * x.nbytes, "sorted_sum": 0}[kernel] + x.size // 40 * 8
-    allowed += 2 * 8 * np.getbufsize()
+    scratch = 8 * 40 * tensor.scratch_rows(x.size // 40, 40)
+    allowed = {"softmax_last": x.nbytes + scratch, "sorted_sum": 0}[kernel] + x.size // 40 * 8
     use_workers(2)
     fn = getattr(tensor, kernel)
     fn(x.copy())  # starts the pool's threads outside the trace
@@ -240,6 +245,67 @@ def test_pieces_allocate_only_the_callers_buffers(use_workers, kernel):
     finally:
         tracemalloc.stop()
     assert peak <= allowed + BOOKKEEPING_BYTES
+
+
+def _stage_one_heads(rng, b, heads, t, s, c):
+    """(B, G, T, S, C) query and key heads with tied positions and exact
+    +-0.0 entries."""
+    qh, kh = rng.normal(size=(2, b, heads, t, s, c))
+    qh[:, :, :, 1::3] = qh[:, :, :, :1]
+    kh[:, :, :, 2::3] = kh[:, :, :, :1]
+    qh[..., ::4, 0] = 0.0
+    kh[..., 1::4, 0] = -0.0
+    return qh, kh
+
+
+class TestStageOneBlocks:
+    """The blocked stage one equals the whole-array softmax bit for bit, for
+    any block size and number of pieces."""
+
+    @pytest.mark.parametrize("block", [1, 2, "all"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("s", [9, 17, 40, 130])
+    def test_blocks_are_the_whole_array_softmax(self, use_workers, monkeypatch, block, heads, s):
+        # S = 9 and 17 take numpy's 8-accumulator pairwise sum with a tail,
+        # 130 its split above 128 terms. A large score scale makes exact
+        # zero weights.
+        b, t = 3, 2
+        qh, kh = _stage_one_heads(np.random.default_rng(40 + s + heads), b, heads, t, s, 2)
+        want = whole_stage_one_weights(qh, kh, 700.0).reshape(b * heads, t, s, t, s)
+        assert np.any(want == 0.0)
+        rows = b * heads if block == "all" else block
+        scratch = attention._stage_one_scratch
+        monkeypatch.setattr(attention, "_stage_one_scratch", lambda *shape: (rows, scratch(*shape)[1]))
+        for n in (1, 2, 3):
+            use_workers(n)
+            got = np.full(want.shape, np.nan)
+            sizes = []
+
+            def consume(lo, hi, w, room):
+                got[lo:hi] = w
+                sizes.append(hi - lo)
+
+            attention._stage_one_blocks(qh, kh, 700.0, want.nbytes, consume)
+            _assert_bitwise_equal(got, want)
+            assert sum(sizes) == b * heads and max(sizes) <= rows
+
+    def test_non_finite_scores_raise_after_all_pieces_finish(self, use_workers):
+        # Three pieces of two b rows each: the middle one's scores overflow to
+        # inf at once, while the last one is still consuming its blocks.
+        use_workers(3)
+        heads = 2
+        qh, kh = np.ones((2, 6, heads, 2, 5, 2))
+        qh[2] = kh[2] = 1e200
+        done = []
+
+        def consume(lo, hi, w, room):
+            if lo >= 4 * heads:
+                time.sleep(0.1)
+            done.extend(range(lo, hi))
+
+        with pytest.raises(NumericError, match="stage-one scores"):
+            attention._stage_one_blocks(qh, kh, 1.0, 6, consume)
+        assert sorted(done) == [0, 1, 2, 3, 8, 9, 10, 11]
 
 
 def _perfbench_span_names():

@@ -55,7 +55,7 @@ def _random_video(**kwargs):
 _GROUPINGS = {
     1: dict(l=7, t=3, h=16, w=16, seed=8),  # three groups of one clip
     # Two groups of six clips, then a short group of three ending in the padded clip.
-    6: dict(l=29, t=2, h=4, w=4, d=8, n=12, c=3, n_w=1, n_c=1, k_sample=2, seed=6),
+    6: dict(l=29, t=2, h=4, w=4, d=8, n=12, c=3, n_w=1, n_c=1, k_sample=3, seed=6),
     # One group of all twelve clips, the last padded.
     12: dict(l=23, t=2, h=4, w=4, d=8, n=16, c=3, n_w=1, n_c=1, k_sample=2, seed=5),
 }
@@ -381,6 +381,51 @@ class TestClipRuns:
         for k, res in enumerate(run_clips(video, params).results):
             assert np.shares_memory(res.features, video)
             assert np.array_equal(res.features, video[2 * k:2 * k + 2])
+
+    @pytest.mark.parametrize("inputs", [
+        *_GROUPED_INPUTS,
+        pytest.param(lambda: _random_video(l=8, t=2, h=8, w=8, n_w=0, n_c=1, seed=4), id="unmixed"),
+        pytest.param(lambda: _random_video(l=7, t=2, h=8, w=8, n_w=0, n_c=1, seed=4), id="unmixed-padded"),
+    ])
+    def test_clip_features_are_slices_of_one_array(self, inputs):
+        # Every clip's finest-level features are a slice of one (K, T, D, H, W)
+        # array; with no within-clip block it is the clip stack itself.
+        video, params = inputs()
+        runs = run_clips(video, params)
+        t, (_, d, h, w) = params.clip_len, video.shape
+        assert runs.features.shape == (len(runs.results), t, d, h, w)
+        assert runs.features.flags.c_contiguous
+        for k, res in enumerate(runs.results):
+            assert res.features.__array_interface__ == runs.features[k].__array_interface__
+        if not params.within_blocks:
+            frames = runs.features.reshape((-1,) + video.shape[1:])
+            assert np.array_equal(frames[:len(video)], video)
+            assert np.shares_memory(runs.features, video) == (len(frames) == len(video))
+
+    @pytest.mark.parametrize("n_w", [0, 1])
+    def test_pyramid_only_for_within_clip_blocks(self, monkeypatch, n_w):
+        # Nothing reads a pyramid's coarse levels without a within-clip block.
+        built = []
+        monkeypatch.setattr(segmenter, "build_pyramid", lambda f: built.append(f) or build_pyramid(f))
+        values = dict(l=7, t=2, h=8, w=8, n_w=n_w, n_c=1, seed=4)
+        video, params = _random_video(**values)
+        run_clips(video, params)
+        assert len(built) == (-(-4 // clip_group(ModelConfig(**values))) if n_w else 0)  # 4 clips
+
+    def test_offline_holds_no_feature_stack(self):
+        # D >> N: a copy of the (K, T, D, H, W) features would be 8 times the
+        # (N, K, T, H, W) masks; the offline mode reads the runs' array itself.
+        video, params = _random_video(l=8, t=2, h=32, w=32, d=16, n=2, n_w=1, n_c=1, seed=2)
+        linked = link_video(run_clips(video, params))
+        mask_bytes = 8 * 2 * 8 * 32 * 32  # (N, K, T, H, W) float64
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            offline_inference(linked, params)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * mask_bytes
 
     def test_link_holds_runs_and_track_rows_only(self):
         video, params = _random_video(l=7, t=2, h=8, w=8, n=5, n_w=1, n_c=1, seed=3)
