@@ -43,7 +43,6 @@ from .errors import (
 from .macs import MacReport, count_macs
 from .metrics import GroundTruthSet, tube_iou, vpq
 from .segmenter import (
-    ClipQuerySet,
     ClipRuns,
     LinkedVideo,
     PipelineParams,

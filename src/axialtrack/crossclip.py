@@ -108,12 +108,11 @@ def offline_inference(video, params: PipelineParams) -> list[Tube]:
     Classes come from the clip-mean class head.
     """
     linked = as_linked(video, params)
-    results = linked.runs.results
-    queries = np.stack([res.queries.queries[row] for res, row in zip(results, linked.rows)])
-    z = cross_clip_forward(queries, params.cross_blocks)
+    runs, rows = linked.runs, linked.rows
+    z = cross_clip_forward(runs.queries[np.arange(len(rows))[:, None], rows], params.cross_blocks)
     probs = temporal_class_head(z, params.class_head)
-    logits = np.einsum("knd,ktdhw->nkthw", z, linked.runs.features, optimize=False)
-    return stacked_tubes(logistic(logits), probs, linked.runs.length)
+    logits = np.einsum("knd,ktdhw->nkthw", z, runs.features, optimize=False)
+    return stacked_tubes(logistic(logits), probs, runs.length)
 
 
 def aspp_params(d: int, rng: np.random.Generator, rates: tuple[int, int, int] = (1, 2, 3)) -> AsppParams:

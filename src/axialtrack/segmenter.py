@@ -7,14 +7,15 @@ class distribution. `run_clips` runs every clip of a video once: the
 pyramid and the within-clip blocks run once per group of consecutive
 clips, a `(g, T, D, H, W)` view of the (padded) video with g from
 `config.clip_group`, into one `(K, T, D, H, W)` features array, and
-`run_clip` then decodes each clip from its slice. No sum crosses a clip,
+`run_clip` then decodes each clip from its slice into row k of stacked
+`(K, N, ...)` query, mask and class arrays. No sum crosses a clip,
 so the group size never changes a bit. With no within-clip block nothing
 mixes and no pyramid is built: the features are the clip stack itself.
 `link_video` links consecutive clips of those runs by minimum-cost
 assignment on query cosine similarity, which keeps track ids stable
 across the video. A link holds only the runs and each clip's track rows,
 so one link serves both the near-online and the offline mode, and each
-mode gathers by those rows only the arrays it reads.
+mode gathers the arrays it reads by those rows with one index.
 """
 
 from __future__ import annotations
@@ -34,19 +35,6 @@ from .tensor import as_array, logistic, require_finite, softmax_last
 MASK_THRESHOLD = 0.5
 # Layers of every decoder stack the pipeline builds.
 DECODER_LAYERS = 3
-
-
-@dataclass
-class ClipQuerySet:
-    """N object queries of one clip."""
-
-    queries: np.ndarray  # (N, D)
-    clip_index: int = 0
-
-    def validate(self) -> None:
-        if self.queries.ndim != 2 or self.queries.shape[0] < 1:
-            raise DimensionError(f"queries must be (N, D) with N >= 1, got {self.queries.shape}")
-        require_finite(self.queries, "clip queries")
 
 
 @dataclass
@@ -71,10 +59,11 @@ class Tube:
         return self.masks > MASK_THRESHOLD
 
 
-def _clip_stack(video, t: int) -> np.ndarray:
-    """(L, D, H, W) frames as a (K, t, D, H, W) view of themselves, or of one
-    padded copy when t does not divide L: the last frame is duplicated to
-    fill the final clip. Clip length must be at least 2."""
+def split_into_clips(video, t: int) -> np.ndarray:
+    """Split (L, D, H, W) frames into ceil(L / t) non-overlapping clips: a
+    (K, t, D, H, W) view of the frames, or of one padded copy when t does
+    not divide L, where the last frame is duplicated to fill the final
+    clip. Clip length must be at least 2."""
     video = as_array(video)
     if video.ndim != 4 or video.shape[0] < 1:
         raise DimensionError(f"video must be (L, D, H, W) with L >= 1, got {video.shape}")
@@ -87,15 +76,6 @@ def _clip_stack(video, t: int) -> np.ndarray:
         tail = np.repeat(video[-1:], n_clips * t - length, axis=0)
         padded = np.concatenate([video, tail], axis=0)
     return padded.reshape((n_clips, t) + video.shape[1:])
-
-
-def split_into_clips(video, t: int) -> list[np.ndarray]:
-    """Split (L, D, H, W) frames into ceil(L / t) non-overlapping clips.
-
-    When t does not divide L the last frame is duplicated to fill the
-    final clip. Clip length must be at least 2.
-    """
-    return list(_clip_stack(video, t))
 
 
 @dataclass
@@ -115,52 +95,60 @@ def _attend(q: np.ndarray, keys: np.ndarray, proj: ProjectionWeights, scale: flo
     return np.einsum("np,pd->nd", weights, vv, optimize=False)
 
 
-def decode_clip_queries(f, init: ClipQuerySet, decoder: list[DecoderLayerParams]) -> ClipQuerySet:
-    """Refine queries with pre-norm cross-attention, self-attention, and a
-    two-layer feed-forward per decoder layer; zero layers return the input."""
-    f = as_array(f)
+def _check_queries(queries) -> np.ndarray:
+    """`queries` as an (N, D) array with N >= 1 and finite values."""
+    queries = as_array(queries)
+    if queries.ndim != 2 or queries.shape[0] < 1:
+        raise DimensionError(f"queries must be (N, D) with N >= 1, got {queries.shape}")
+    require_finite(queries, "clip queries")
+    return queries
+
+
+def _check_clip(queries, f) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (N, D) queries and (T, D, H, W) clip features of equal D."""
+    q, f = _check_queries(queries), as_array(f)
     if f.ndim != 4:
         raise DimensionError(f"clip features must be (T, D, H, W), got {f.shape}")
-    init.validate()
-    d = init.queries.shape[1]
-    if f.shape[1] != d:
-        raise DimensionError(f"feature channels {f.shape[1]} != query channels {d}")
-    feats = f.transpose(0, 2, 3, 1).reshape(-1, d)
-    q = init.queries
+    if f.shape[1] != q.shape[1]:
+        raise DimensionError(f"feature channels {f.shape[1]} != query channels {q.shape[1]}")
+    return q, f
+
+
+def decode_clip_queries(f, init, decoder: list[DecoderLayerParams]) -> np.ndarray:
+    """Refine (N, D) queries with pre-norm cross-attention, self-attention,
+    and a two-layer feed-forward per decoder layer; zero layers return the
+    input."""
+    q, f = _check_clip(init, f)
+    feats = f.transpose(0, 2, 3, 1).reshape(-1, q.shape[1])
     for layer in decoder:
         q = q + _attend(prenorm(q), feats, layer.cross, layer.scale)
         qn = prenorm(q)
         q = q + _attend(qn, qn, layer.self_attn, layer.scale)
         hidden = np.maximum(0.0, np.einsum("ne,he->nh", prenorm(q), layer.ffn_w1, optimize=False))
         q = q + np.einsum("nh,dh->nd", hidden, layer.ffn_w2, optimize=False)
-    return ClipQuerySet(q, init.clip_index)
+    return q
 
 
-def predict_clip_tubes(queries: ClipQuerySet, f, class_head) -> tuple[np.ndarray, np.ndarray]:
-    """(N, T, H, W) masks and (N, C) class distributions, one row per query:
-    per-pixel dot-product mask logits through a logistic, class logits
-    through the (D, C) head and a softmax."""
-    f = as_array(f)
+def predict_clip_tubes(queries, f, class_head) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T, H, W) masks and (N, C) class distributions, one row per (N, D)
+    query: per-pixel dot-product mask logits through a logistic, class
+    logits through the (D, C) head and a softmax."""
+    q, f = _check_clip(queries, f)
     class_head = as_array(class_head)
-    queries.validate()
-    q = queries.queries
-    if f.shape[1] != q.shape[1] or class_head.shape[0] != q.shape[1]:
-        raise DimensionError(
-            f"channel mismatch: queries {q.shape}, features {f.shape}, head {class_head.shape}"
-        )
+    if class_head.ndim != 2 or class_head.shape[0] != q.shape[1]:
+        raise DimensionError(f"class head must be (D, C) with D = {q.shape[1]}, got {class_head.shape}")
     logits = np.einsum("nd,tdhw->nthw", q, f, optimize=False)
     probs = softmax_last(np.einsum("nd,dc->nc", q, class_head, optimize=False))
     return logistic(logits), probs
 
 
-def associate_clips(prev: ClipQuerySet, nxt: ClipQuerySet) -> Assignment:
-    """Match queries of consecutive clips by maximal cosine similarity.
+def associate_clips(prev, nxt) -> Assignment:
+    """Match the (N, D) queries of consecutive clips by maximal cosine
+    similarity.
 
     A zero-norm query is treated as orthogonal to everything (cosine 0).
     """
-    prev.validate()
-    nxt.validate()
-    a, b = prev.queries, nxt.queries
+    a, b = _check_queries(prev), _check_queries(nxt)
     if a.shape != b.shape:
         raise DimensionError(f"query sets must match, got {a.shape} and {b.shape}")
     dots = np.einsum("nd,md->nm", a, b, optimize=False)
@@ -183,28 +171,24 @@ class PipelineParams:
     cross_blocks: list = field(default_factory=list)
 
 
-@dataclass
-class ClipResult:
-    queries: ClipQuerySet
-    features: np.ndarray     # finest-level (T, D, H, W) after within-clip mixing
-    masks: np.ndarray        # (N, T, H, W)
-    class_probs: np.ndarray  # (N, C)
-
-
-def run_clip(features, params: PipelineParams, clip_index: int) -> ClipResult:
-    """Query decoding and tube prediction for one clip's finest-level
-    (T, D, H, W) features after within-clip mixing."""
-    qs = decode_clip_queries(features, ClipQuerySet(params.init_queries, clip_index), params.decoder)
-    return ClipResult(qs, features, *predict_clip_tubes(qs, features, params.class_head))
+def run_clip(features, params: PipelineParams, clip_index: int) -> tuple[np.ndarray, ...]:
+    """(N, D) decoded queries, (N, T, H, W) masks and (N, C) class
+    distributions of clip `clip_index`, from the (K, T, D, H, W) finest-level
+    features after within-clip mixing."""
+    f = features[clip_index]
+    queries = decode_clip_queries(f, params.init_queries, params.decoder)
+    return (queries, *predict_clip_tubes(queries, f, params.class_head))
 
 
 @dataclass
 class ClipRuns:
-    """Every clip's result in clip order; each link of the video reads them."""
+    """Every clip's outputs stacked in clip order; each link of the video reads them."""
 
-    results: list[ClipResult]
+    queries: np.ndarray      # (K, N, D)
+    masks: np.ndarray        # (K, N, T, H, W)
+    class_probs: np.ndarray  # (K, N, C)
+    features: np.ndarray     # (K, T, D, H, W) finest level after within-clip mixing
     length: int  # original frame count, before padding
-    features: np.ndarray  # (K, T, D, H, W); each result's features are a slice of it
 
 
 def _group_size(video: np.ndarray, params: PipelineParams) -> int:
@@ -226,7 +210,7 @@ def run_clips(video, params: PipelineParams) -> ClipRuns:
     group of consecutive clips into one features array, then each clip's
     decoding and tubes."""
     video = as_array(video)
-    clips = _clip_stack(video, params.clip_len)
+    clips = split_into_clips(video, params.clip_len)
     features = clips  # with no within-clip block, the clip stack itself
 
     def mixed(group: np.ndarray) -> np.ndarray:
@@ -240,8 +224,13 @@ def run_clips(video, params: PipelineParams) -> ClipRuns:
             features = np.empty(clips.shape)
             for lo in range(0, len(clips), g):
                 features[lo:lo + g] = mixed(clips[lo:lo + g])
-    results = [run_clip(f, params, k) for k, f in enumerate(features)]
-    return ClipRuns(results, video.shape[0], features)
+    k_clips, t, _, h, w = features.shape
+    n, d = params.init_queries.shape
+    queries, masks = np.empty((k_clips, n, d)), np.empty((k_clips, n, t, h, w))
+    class_probs = np.empty((k_clips, n, params.class_head.shape[1]))
+    for k in range(k_clips):
+        queries[k], masks[k], class_probs[k] = run_clip(features, params, k)
+    return ClipRuns(queries, masks, class_probs, features, video.shape[0])
 
 
 @dataclass
@@ -249,7 +238,7 @@ class LinkedVideo:
     """Clip runs plus the track order that linking chose for them."""
 
     runs: ClipRuns
-    rows: np.ndarray  # (K, N) int: rows[k, i] is the row of clip k's results that continues track i
+    rows: np.ndarray  # (K, N) int: rows[k, i] is the row of clip k's runs that continues track i
 
 
 def link_video(runs: ClipRuns, *, shuffle_rng=None) -> LinkedVideo:
@@ -260,14 +249,13 @@ def link_video(runs: ClipRuns, *, shuffle_rng=None) -> LinkedVideo:
     in a random query order, which linking must undo; the runs themselves
     are only read.
     """
-    results = runs.results
-    n = results[0].queries.queries.shape[0]
+    queries = runs.queries
+    n = queries.shape[1]
     rows = [np.arange(n)]
-    for k in range(1, len(results)):
+    for k in range(1, len(queries)):
         perm = np.arange(n) if shuffle_rng is None else shuffle_rng.permutation(n)
-        prev = ClipQuerySet(results[k - 1].queries.queries[rows[-1]], k - 1)
-        nxt = ClipQuerySet(results[k].queries.queries[perm], k)
-        rows.append(perm[[j for _, j in associate_clips(prev, nxt).pairs]])
+        assign = associate_clips(queries[k - 1][rows[-1]], queries[k][perm])
+        rows.append(perm[[j for _, j in assign.pairs]])
     return LinkedVideo(runs, np.stack(rows))
 
 
@@ -289,15 +277,12 @@ def near_online_inference(video, params: PipelineParams) -> list[Tube]:
     from their `LinkedVideo`; a track's class distribution is the mean of its
     per-clip ones."""
     linked = as_linked(video, params)
-    results = linked.runs.results
-    # Each clip is gathered straight into one C-order (N, K, ...) array; the
+    runs, rows = linked.runs, linked.rows
+    # One gather puts each track's clips into a C-order (N, K, ...) array; the
     # class mean's summation order follows that layout.
-    masks = np.empty((linked.rows.shape[1], len(results)) + results[0].masks.shape[1:])
-    probs = np.empty(masks.shape[:2] + results[0].class_probs.shape[1:])
-    for k, (res, row) in enumerate(zip(results, linked.rows)):
-        masks[:, k] = res.masks[row]
-        probs[:, k] = res.class_probs[row]
-    return stacked_tubes(masks, probs.mean(axis=1), linked.runs.length)
+    clips = np.arange(len(rows))
+    return stacked_tubes(runs.masks[clips, rows.T], runs.class_probs[clips, rows.T].mean(axis=1),
+                         runs.length)
 
 
 def decoder_params(

@@ -324,10 +324,10 @@ def naive_near_online_tubes(video, params, shuffle_rng=None):
     class distributions averaged as lists."""
     from axialtrack.deform import build_pyramid, within_clip_forward
     from axialtrack.segmenter import (
-        ClipQuerySet,
         Tube,
         associate_clips,
-        run_clip,
+        decode_clip_queries,
+        predict_clip_tubes,
         split_into_clips,
     )
 
@@ -336,10 +336,10 @@ def naive_near_online_tubes(video, params, shuffle_rng=None):
     prev = None
     for k, clip in enumerate(split_into_clips(video, params.clip_len)):
         feats = within_clip_forward(build_pyramid(clip), params.within_blocks).levels[-1]
-        res = run_clip(feats, params, k)
-        queries = res.queries.queries
+        queries = decode_clip_queries(feats, params.init_queries, params.decoder)
+        masks, class_probs = predict_clip_tubes(queries, feats, params.class_head)
         n = queries.shape[0]
-        tubes = [Tube(res.masks[j], res.class_probs[j], track_id=j) for j in range(n)]
+        tubes = [Tube(masks[j], class_probs[j], track_id=j) for j in range(n)]
         if shuffle_rng is not None and k > 0:
             perm = shuffle_rng.permutation(n)
             queries = queries[perm]
@@ -347,12 +347,12 @@ def naive_near_online_tubes(video, params, shuffle_rng=None):
         if prev is None:
             order = list(range(n))
         else:
-            mapping = dict(associate_clips(prev, ClipQuerySet(queries, k)).pairs)
+            mapping = dict(associate_clips(prev, queries).pairs)
             order = [mapping[i] for i in range(n)]
         clip_tubes.append(
             [Tube(tubes[j].masks, tubes[j].class_probs, track_id=i) for i, j in enumerate(order)]
         )
-        prev = ClipQuerySet(queries[order], k)
+        prev = queries[order]
     out = []
     for i in range(len(clip_tubes[0])):
         masks = np.concatenate([ct[i].masks for ct in clip_tubes], axis=0)

@@ -28,7 +28,7 @@ from axialtrack.crossclip import cross_clip_blocks, cross_clip_forward, query_tr
 from axialtrack.deform import build_pyramid, deform_params, msdeform_simplified
 from axialtrack.heatmaps import axial_fields, trajectory_hit_rate
 from axialtrack.macs import CATEGORIES, count_macs
-from axialtrack.segmenter import ClipQuerySet, decode_clip_queries, decoder_params, split_into_clips
+from axialtrack.segmenter import decode_clip_queries, decoder_params, split_into_clips
 from axialtrack.synthetic import build_oracle_params, demo_video_spec, generate_synthetic
 from axialtrack.tensor import softmax_last, sorted_sum
 
@@ -118,7 +118,7 @@ def test_criterion_3_equation_fidelity():
         feats = rng.normal(size=(2, 4, 2, 2))
         queries = rng.normal(size=(3, 4))
         dec = decoder_params(4, rng, n_layers=2, std=0.3)
-        got_q = decode_clip_queries(feats, ClipQuerySet(queries, 0), dec).queries
+        got_q = decode_clip_queries(feats, queries, dec)
         worst = max(worst, np.abs(got_q - naive_decode(feats, queries, dec)).max())
     _report(3, f"equation fidelity vs naive oracles (max abs {worst:.2e})",
             worst <= 1e-10, time.perf_counter() - start, 30.0)

@@ -80,9 +80,9 @@ class TestDemo:
         seen = []
         run_clip = segmenter.run_clip
 
-        def counting_run_clip(clip, params, clip_index):
+        def counting_run_clip(features, params, clip_index):
             seen.append(clip_index)
-            return run_clip(clip, params, clip_index)
+            return run_clip(features, params, clip_index)
 
         monkeypatch.setattr(segmenter, "run_clip", counting_run_clip)
         assert cli_main(["demo", "--seed", "3", "--out", str(tmp_path / "demo")]) == 0
@@ -90,16 +90,21 @@ class TestDemo:
 
     def test_one_link_serves_both_modes(self, tmp_path, monkeypatch):
         # Four clips: the shared link and the shuffled one solve 3 + 3 associations.
-        calls = []
-        associate = segmenter.associate_clips
+        solves = []  # association solves per link
+        link, associate = cli.link_video, segmenter.associate_clips
+
+        def counting_link(runs, **kwargs):
+            solves.append(0)
+            return link(runs, **kwargs)
 
         def counting_associate(prev, nxt):
-            calls.append(nxt.clip_index)
+            solves[-1] += 1
             return associate(prev, nxt)
 
+        monkeypatch.setattr(cli, "link_video", counting_link)
         monkeypatch.setattr(segmenter, "associate_clips", counting_associate)
         assert cli_main(["demo", "--seed", "3", "--out", str(tmp_path / "demo")]) == 0
-        assert calls == [1, 2, 3] * 2
+        assert solves == [3, 3]
 
     def test_long_video_names_frames_and_extent(self, tmp_path, capsys):
         # The second object moves one column a frame: 24 + 63 columns > 64.

@@ -19,7 +19,7 @@ from axialtrack.config import (
 )
 from axialtrack.deform import build_pyramid, deform_params, msdeform_simplified, within_clip_forward
 from axialtrack.errors import ConfigError, ResourceGuardError
-from axialtrack.segmenter import ClipQuerySet, decode_clip_queries, decoder_params, run_clips
+from axialtrack.segmenter import decode_clip_queries, decoder_params, run_clips
 from axialtrack.synthetic import random_pipeline_params
 
 
@@ -163,7 +163,7 @@ def _sampler_peak(cfg, tmp_path) -> int:
 def _decoder_peak(cfg, tmp_path) -> int:
     rng = np.random.default_rng(0)
     feats = rng.normal(0.0, 1.0, (cfg.t, cfg.d, cfg.h, cfg.w))
-    queries = ClipQuerySet(rng.normal(0.0, 1.0, (cfg.n, cfg.d)))
+    queries = rng.normal(0.0, 1.0, (cfg.n, cfg.d))
     params = decoder_params(cfg.d, rng)
     decode_clip_queries(feats, queries, params)  # one-time set-up is no array of the stage
     return _peak(decode_clip_queries, feats, queries, params)

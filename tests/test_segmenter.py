@@ -11,7 +11,6 @@ from axialtrack.config import ModelConfig, clip_group
 from axialtrack.deform import build_pyramid, within_clip_forward
 from axialtrack.errors import ConfigError, DimensionError, NumericError
 from axialtrack.segmenter import (
-    ClipQuerySet,
     DecoderLayerParams,
     Tube,
     associate_clips,
@@ -117,15 +116,15 @@ class TestDecodeClipQueries:
     def test_zero_layers_unchanged(self):
         rng = np.random.default_rng(0)
         f = rng.normal(size=(2, 4, 2, 2))
-        init = ClipQuerySet(rng.normal(size=(3, 4)), 0)
+        init = rng.normal(size=(3, 4))
         out = decode_clip_queries(f, init, [])
-        assert np.array_equal(out.queries, init.queries)
+        assert np.array_equal(out, init)
 
     def test_zero_key_cross_attention_adds_mean_feature(self):
         rng = np.random.default_rng(1)
         d = 4
         f = rng.normal(size=(2, d, 2, 2))
-        init = ClipQuerySet(rng.normal(size=(3, d)), 0)
+        init = rng.normal(size=(3, d))
         eye = np.eye(d)
         layer = DecoderLayerParams(
             cross=ProjectionWeights(eye.copy(), np.zeros((d, d)), eye.copy()),
@@ -136,31 +135,27 @@ class TestDecodeClipQueries:
         )
         out = decode_clip_queries(f, init, [layer])
         mean_feat = f.transpose(0, 2, 3, 1).reshape(-1, d).mean(axis=0)
-        np.testing.assert_allclose(out.queries, init.queries + mean_feat, atol=1e-12)
+        np.testing.assert_allclose(out, init + mean_feat, atol=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(2)
         f = rng.normal(size=(2, 4, 2, 2))
-        init = ClipQuerySet(rng.normal(size=(3, 4)), 0)
+        init = rng.normal(size=(3, 4))
         decoder = decoder_params(4, np.random.default_rng(3), n_layers=2, std=0.3)
         out = decode_clip_queries(f, init, decoder)
-        want = naive_decode(f, init.queries, decoder)
-        np.testing.assert_allclose(out.queries, want, atol=1e-10)
+        want = naive_decode(f, init, decoder)
+        np.testing.assert_allclose(out, want, atol=1e-10)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            decode_clip_queries(
-                np.zeros((2, 4, 2, 2)),
-                ClipQuerySet(np.zeros((3, 5)), 0),
-                [],
-            )
+            decode_clip_queries(np.zeros((2, 4, 2, 2)), np.zeros((3, 5)), [])
 
 
 class TestPredictClipTubes:
     def test_orthogonal_query_gives_half_masks(self):
         f = np.zeros((2, 4, 3, 3))
         f[:, 0] = 1.0
-        queries = ClipQuerySet(np.array([[0.0, 0.0, 0.0, 7.0]]), 0)
+        queries = np.array([[0.0, 0.0, 0.0, 7.0]])
         masks, _ = predict_clip_tubes(queries, f, np.eye(4))
         np.testing.assert_allclose(masks[0], 0.5, atol=0)
 
@@ -175,7 +170,7 @@ class TestPredictClipTubes:
         q = np.zeros((1, d))
         q[0, 0] = 10.0
         q[0, 1] = -10.0
-        masks, _ = predict_clip_tubes(ClipQuerySet(q, 0), f, np.eye(d))
+        masks, _ = predict_clip_tubes(q, f, np.eye(d))
         on = masks[0, :, 1:3, 1:3]
         off = masks[0, :, 0, :]
         hi = float(logistic(np.array(10.0)))
@@ -187,7 +182,7 @@ class TestPredictClipTubes:
     def test_class_probs_normalized(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=(2, 4, 2, 2))
-        queries = ClipQuerySet(rng.normal(size=(5, 4)), 0)
+        queries = rng.normal(size=(5, 4))
         masks, probs = predict_clip_tubes(queries, f, rng.normal(size=(4, 6)))
         assert masks.shape == (5, 2, 2, 2) and probs.shape == (5, 6)
         for i in range(5):
@@ -195,18 +190,29 @@ class TestPredictClipTubes:
             np.testing.assert_allclose(probs[i].sum(), 1.0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("f, head, match", [
+        pytest.param(np.ones((2, 4, 3)), np.eye(4), r"clip features must be \(T, D, H, W\)",
+                     id="3d-features"),
+        pytest.param(np.ones((2, 4, 3, 3)), np.ones((4, 4, 1)), r"class head must be \(D, C\)",
+                     id="3d-head"),
+    ])
+    def test_malformed_features_or_head_rejected(self, f, head, match):
+        with pytest.raises(DimensionError, match=match):
+            predict_clip_tubes(np.ones((2, 4)), f, head)
+
+
 class TestAssociateClips:
     def test_identical_sets_give_identity(self):
         rng = np.random.default_rng(5)
         q = rng.normal(size=(4, 8))
-        out = associate_clips(ClipQuerySet(q, 0), ClipQuerySet(q.copy(), 1))
+        out = associate_clips(q, q.copy())
         assert out.pairs == tuple((i, i) for i in range(4))
 
     def test_recovers_permutation(self):
         rng = np.random.default_rng(6)
         q = rng.normal(size=(5, 8))
         perm = rng.permutation(5)
-        out = associate_clips(ClipQuerySet(q, 0), ClipQuerySet(q[perm], 1))
+        out = associate_clips(q, q[perm])
         mapping = dict(out.pairs)
         for i in range(5):
             assert perm[mapping[i]] == i
@@ -216,18 +222,47 @@ class TestAssociateClips:
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         noise = rng.normal(size=q.shape)
         noise *= 0.009 / np.linalg.norm(noise)
-        out = associate_clips(ClipQuerySet(q, 0), ClipQuerySet(q + noise, 1))
+        out = associate_clips(q, q + noise)
         assert out.pairs == tuple((i, i) for i in range(6))
 
     def test_zero_norm_query_is_orthogonal(self):
-        prev = ClipQuerySet(np.eye(3), 0)
-        nxt = ClipQuerySet(np.vstack([np.zeros(3), np.eye(3)[1:]]), 1)
+        prev = np.eye(3)
+        nxt = np.vstack([np.zeros(3), np.eye(3)[1:]])
         out = associate_clips(prev, nxt)
         assert out.pairs == ((0, 0), (1, 1), (2, 2))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            associate_clips(ClipQuerySet(np.eye(3), 0), ClipQuerySet(np.eye(4), 1))
+            associate_clips(np.eye(3), np.eye(4))
+
+
+def _queries_with(value):
+    """(3, 4) queries with one entry set to `value`."""
+    q = np.ones((3, 4))
+    q[1, 2] = value
+    return q
+
+
+# Each entry point that takes (N, D) queries, with the queries in one argument.
+_QUERY_ENTRY_POINTS = [
+    pytest.param(lambda q: decode_clip_queries(np.ones((2, 4, 2, 2)), q, []), id="decode"),
+    pytest.param(lambda q: predict_clip_tubes(q, np.ones((2, 4, 2, 2)), np.eye(4)), id="predict"),
+    pytest.param(lambda q: associate_clips(q, np.ones((3, 4))), id="associate-prev"),
+    pytest.param(lambda q: associate_clips(np.ones((3, 4)), q), id="associate-next"),
+]
+
+
+@pytest.mark.parametrize("entry", _QUERY_ENTRY_POINTS)
+@pytest.mark.parametrize("queries, error, match", [
+    pytest.param(np.ones(4), DimensionError, r"\(N, D\) with N >= 1", id="1d"),
+    pytest.param(np.ones((0, 4)), DimensionError, r"\(N, D\) with N >= 1", id="empty"),
+    pytest.param(_queries_with(np.nan), NumericError, "clip queries", id="nan"),
+    pytest.param(_queries_with(np.inf), NumericError, "clip queries", id="inf"),
+    pytest.param(_queries_with(-np.inf), NumericError, "clip queries", id="-inf"),
+])
+def test_every_entry_point_checks_its_queries(entry, queries, error, match):
+    with pytest.raises(error, match=match):
+        entry(queries)
 
 
 class TestNearOnlineInference:
@@ -248,10 +283,10 @@ class TestNearOnlineInference:
         assert all(t.masks.shape[0] == 2 for t in tubes)
         # A single-clip video's tubes are exactly the clip's masks and classes.
         feats = within_clip_forward(build_pyramid(video), params.within_blocks).levels[-1]
-        clip = run_clip(feats, params, 0)
+        _, masks, class_probs = run_clip(feats[None], params, 0)
         for i, video_tube in enumerate(tubes):
-            assert np.array_equal(video_tube.masks, clip.masks[i])
-            assert np.array_equal(video_tube.class_probs, clip.class_probs[i])
+            assert np.array_equal(video_tube.masks, masks[i])
+            assert np.array_equal(video_tube.class_probs, class_probs[i])
 
     def test_output_length_with_padding(self):
         cfg = ModelConfig(l=7, seed=4)
@@ -340,16 +375,12 @@ class TestClipRuns:
     def test_links_leave_the_runs_unchanged(self, inputs):
         video, params = inputs()
         runs = run_clips(video, params)
-        before = [
-            (res.queries.queries.copy(), res.features.copy(), res.masks.copy(), res.class_probs.copy())
-            for res in runs.results
-        ]
+        arrays = (runs.queries, runs.masks, runs.class_probs, runs.features)
+        before = [a.copy() for a in arrays]
         _linked_modes(runs, params)
         assert runs.length == video.shape[0]
-        for res, arrays in zip(runs.results, before):
-            now = (res.queries.queries, res.features, res.masks, res.class_probs)
-            for got, want in zip(now, arrays):
-                assert got.tobytes() == want.tobytes()
+        for got, want in zip(arrays, before):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("g, heads", [(1, 1), (6, 2), (12, 1)])
     def test_within_clip_runs_once_per_group(self, monkeypatch, g, heads):
@@ -365,7 +396,7 @@ class TestClipRuns:
 
         monkeypatch.setattr(segmenter, "within_clip_forward", recording_forward)
         runs = run_clips(video, params)
-        t, clips = params.clip_len, len(runs.results)
+        t, clips = params.clip_len, len(runs.features)
         assert [grp.shape[0] for grp in groups] == [min(g, clips - lo) for lo in range(0, clips, g)]
         padded = groups[0].base  # the one padded copy of the video
         assert padded.shape == (clips * t,) + video.shape[1:]
@@ -378,9 +409,9 @@ class TestClipRuns:
     def test_unmixed_clip_features_are_views_of_the_video(self):
         # No within-clip block and no padding: every clip's features are the video's frames.
         video, params = _random_video(l=8, t=2, h=8, w=8, n_w=0, n_c=1, seed=4)
-        for k, res in enumerate(run_clips(video, params).results):
-            assert np.shares_memory(res.features, video)
-            assert np.array_equal(res.features, video[2 * k:2 * k + 2])
+        features = run_clips(video, params).features
+        assert np.shares_memory(features, video)
+        assert np.array_equal(features, video.reshape((4, 2) + video.shape[1:]))
 
     @pytest.mark.parametrize("inputs", [
         *_GROUPED_INPUTS,
@@ -389,14 +420,16 @@ class TestClipRuns:
     ])
     def test_clip_features_are_slices_of_one_array(self, inputs):
         # Every clip's finest-level features are a slice of one (K, T, D, H, W)
-        # array; with no within-clip block it is the clip stack itself.
+        # array, beside the (K, N, ...) run arrays; with no within-clip block
+        # it is the clip stack itself.
         video, params = inputs()
         runs = run_clips(video, params)
         t, (_, d, h, w) = params.clip_len, video.shape
-        assert runs.features.shape == (len(runs.results), t, d, h, w)
+        k, (n, c) = -(-len(video) // t), (len(params.init_queries), params.class_head.shape[1])
+        assert runs.features.shape == (k, t, d, h, w)
         assert runs.features.flags.c_contiguous
-        for k, res in enumerate(runs.results):
-            assert res.features.__array_interface__ == runs.features[k].__array_interface__
+        assert runs.queries.shape == (k, n, d) and runs.class_probs.shape == (k, n, c)
+        assert runs.masks.shape == (k, n, t, h, w)
         if not params.within_blocks:
             frames = runs.features.reshape((-1,) + video.shape[1:])
             assert np.array_equal(frames[:len(video)], video)
