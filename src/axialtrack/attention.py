@@ -37,10 +37,10 @@ backward (`axialtrack.backward`), which recomputes stage one in matrix form
 instead of in sorted order.
 
 Every pass returns one array, its output. `stage_one_weights`, the only
-attention state exported, gives a sequence's head-mean stage-one weights
-(all that a trajectory map needs) without the product or stage two: the
-pass's block producer feeds it, and it head-means each block into its
-output, so the weights equal the pass's by construction.
+attention state exported, gives a sequence's head-mean stage-one rows at
+chosen references (a trajectory map needs two) without the product or
+stage two: the pass's block producer feeds it, and it head-means each
+block at its references, so the rows equal the pass's by construction.
 
 There are no positional encodings anywhere in this module.
 """
@@ -271,31 +271,40 @@ def trajectory_pass_1d(seq, params: AttentionParams, counter: MacCounter | None 
     return st2["out"]
 
 
-def stage_one_weights(seq, params: AttentionParams) -> np.ndarray:
-    """The (B, T, S, U, R) stage-one weights of the pass over a (B, T, S, D)
-    sequence, averaged over heads: for reference (t, s), the softmax over
-    positions r of target frame u. They come from the pass's own block
-    producer, each block head-meaned into the output as it is made; nothing
-    of stage one's product or of stage two is computed."""
+def stage_one_weights(seq, params: AttentionParams, refs) -> np.ndarray:
+    """The (n, U, R) head-mean stage-one weights of the pass over a
+    (B, T, S, D) sequence at n references: for reference (b, t, s), the
+    softmax over positions r of each target frame u. `refs` is the b, t and
+    s index arrays, of equal length; a reference may repeat. Only the b rows
+    holding a reference are scored, by the pass's own block producer, each
+    block head-meaned at its references as it is made; nothing of stage
+    one's product or of stage two is computed."""
     x = _validate_sequence(seq, params)
     b, t, s, _ = x.shape
+    bs, ts, ss = refs = [np.asarray(r) for r in refs]
+    for r, n in zip(refs, (b, t, s)):
+        if r.ndim != 1 or len(r) != len(bs) or r.dtype.kind not in "iu" or np.any((r < 0) | (r >= n)):
+            raise DimensionError(f"references must be equal-length integer indices within {(b, t, s)}")
     g = params.heads
-    qh, kh, _ = _stage_one_heads(x, params)
-    out = np.empty((b, t, s, t, s))
+    rows, row_of = np.unique(bs, return_inverse=True)  # the b rows read, and each reference's
+    qh, kh, _ = _stage_one_heads(x[rows], params)
+    out = np.empty((len(bs), t, s))
 
     def head_mean(lo: int, hi: int, w: np.ndarray, _room: np.ndarray) -> None:
         # Heads in index order, then one division: what `mean(axis=1)` gives.
-        # A piece holds whole b rows, so no other piece touches out[row].
+        # A piece holds whole b rows, so no other piece touches their references.
         for j, wj in zip(range(lo, hi), w):
             row, head = divmod(j, g)
+            i = np.flatnonzero(row_of == row)
             if head == 0:
-                out[row] = wj
+                out[i] = wj[ts[i], ss[i]]
             else:
-                out[row] += wj
+                out[i] += wj[ts[i], ss[i]]
             if head == g - 1:
-                out[row] /= g
+                out[i] /= g
 
-    _stage_one_blocks(qh, kh, params.scale, 8 * g * out.size, head_mean)
+    if len(rows):
+        _stage_one_blocks(qh, kh, params.scale, 8 * g * len(rows) * t * s * t * s, head_mean)
     return out
 
 

@@ -16,7 +16,6 @@ cannot be read or written (an `OSError`), 2 on an internal error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -161,14 +160,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     moving = [v != (0, 0) for v in spec.velocities]
     hit_rate = None  # no within-clip block, no maps to score
     if params.within_blocks:
-        block = params.within_blocks[0]
-        # Each clip's maps are built once; only clip 0's (dumped) outlive their
-        # clip, since a list of every clip's maps would set the peak memory.
-        maps = (axial_fields(clip, block.attn_h, block.attn_w) for clip in split_into_clips(video, cfg.t))
-        first = next(maps)
         ref = _first_moving_reference(gt, moving)
-        dump_attention_heatmaps(*first, ref, os.path.join(args.out, "heatmaps"))
-        hit_rate = trajectory_hit_rate([t.masks for t in gt.tubes], moving, itertools.chain([first], maps))
+        hit_rate, rows = trajectory_hit_rate(
+            [t.masks for t in gt.tubes], moving, split_into_clips(video, cfg.t), params.within_blocks[0], ref)
+        dump_attention_heatmaps(*rows, os.path.join(args.out, "heatmaps"))
 
     dump_tube_set(gt.tubes, gt.class_ids, os.path.join(args.out, "gt"))
     dump_tube_set(near, [int(np.argmax(t.class_probs)) for t in near], os.path.join(args.out, "pred_near"))
@@ -243,18 +238,21 @@ def _cmd_attn(args: argparse.Namespace) -> int:
     if not cfg.n_w:
         raise ConfigError("attn needs a within-clip block to draw its maps from, got n_w = 0")
     ref_t = args.ref_t
+    ref_h = args.ref_h if args.ref_h is not None else cfg.h // 2
+    ref_w = args.ref_w if args.ref_w is not None else cfg.w // 2
     if not 0 <= ref_t < cfg.l:
         raise DimensionError(f"reference frame {ref_t} outside video of length {cfg.l}")
+    for flag, value, extent in (("--ref-h", ref_h, cfg.h), ("--ref-w", ref_w, cfg.w)):
+        if not 0 <= value < extent:
+            raise DimensionError(f"{flag} {value} outside [0, {extent})")
     spec = demo_video_spec(cfg)
     video, _ = generate_synthetic(spec)
     params = build_oracle_params(spec, cfg)
-    clips = split_into_clips(video, cfg.t)
     clip_idx, t_local = divmod(ref_t, cfg.t)
-    ref_h = args.ref_h if args.ref_h is not None else cfg.h // 2
-    ref_w = args.ref_w if args.ref_w is not None else cfg.w // 2
     block = params.within_blocks[0]
-    w_h, w_w = axial_fields(clips[clip_idx], block.attn_h, block.attn_w)
-    paths = dump_attention_heatmaps(w_h, w_w, (t_local, ref_h, ref_w), os.path.join(args.out, "heatmaps"))
+    clip = split_into_clips(video, cfg.t)[clip_idx]
+    rows_h, rows_w = axial_fields(clip, block.attn_h, block.attn_w, ([t_local], [ref_h], [ref_w]))
+    paths = dump_attention_heatmaps(rows_h[0], rows_w[0], os.path.join(args.out, "heatmaps"))
     write_report(args.out, {
         "config": config_values(cfg),
         "clip_index": clip_idx,

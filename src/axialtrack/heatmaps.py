@@ -1,56 +1,42 @@
 """Trajectory heatmaps: the height and width stage-one attention rows of a
 reference pixel, multiplied into one map per target frame.
 
-`axial_fields` gives a clip's two weight arrays: the height pass's
-stage-one weights, and the width pass's on the height pass's output, with
-no width pass run. A reference point (t, h, w) selects the height row at
-batch index w and the width row at batch index h; their outer product at
-each target frame is the per-frame trajectory map that the dumps write;
-the tracking check takes its argmax from the two rows (`outer_argmax`).
+`axial_fields` reads a clip's height-pass stage-one rows at chosen (t, h, w)
+references, and the width pass's on the height pass's output, with no width
+pass run and no whole weight field built. A reference's two rows make its
+maps: their outer product at each target frame is the trajectory map that
+the dumps write, and the tracking check takes its argmax (`outer_argmax`).
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Iterable
 
 import numpy as np
 
 from .attention import (
     AttentionParams, from_sequence, prenorm, stage_one_weights, to_sequence, trajectory_pass_1d,
 )
-from .errors import DimensionError
 from .pgm import write_pgm
 from .tensor import as_array
 
 
 def axial_fields(
-    f, params_h: AttentionParams, params_w: AttentionParams
+    f, params_h: AttentionParams, params_w: AttentionParams, refs
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Head-mean stage-one weights of the height pass on the (T, D, H, W) clip,
-    (W, T, H, T, H), and of the width pass on the height pass's output,
-    (H, T, W, T, W). Runs the height pass only; `stage_one_weights` gives
-    each field, the height one after the pass, so it is never held beside
-    the pass's product."""
+    """Head-mean stage-one rows at n references of the (T, D, H, W) clip,
+    given as three index arrays (ts, hs, ws): the height pass's, (n, T, H),
+    and the width pass's on the height pass's output, (n, T, W). Runs the
+    height pass only; `stage_one_weights` reads the height rows after the
+    pass, so they are never scored beside the pass's product."""
     f = as_array(f)
+    ts, hs, ws = refs
     x = prenorm(to_sequence(f, "h"))
     mid = f + from_sequence(trajectory_pass_1d(x, params_h), "h")
-    w_h = stage_one_weights(x, params_h)
+    rows_h = stage_one_weights(x, params_h, (ws, ts, hs))
     del x
-    return w_h, stage_one_weights(prenorm(to_sequence(mid, "w")), params_w)
-
-
-def heatmap_frames(w_h: np.ndarray, w_w: np.ndarray, reference: tuple[int, int, int]) -> np.ndarray:
-    """(T, H, W): the outer-product map of each target frame for the reference pixel."""
-    t, h, w = reference
-    _, n_frames, n_h = w_h.shape[:3]
-    n_w = w_w.shape[2]
-    if not (0 <= t < n_frames and 0 <= h < n_h and 0 <= w < n_w):
-        raise DimensionError(f"reference {reference} outside (T={n_frames}, H={n_h}, W={n_w})")
-    rows_h = w_h[w, t, h]  # (T, H)
-    rows_w = w_w[h, t, w]  # (T, W)
-    return rows_h[:, :, None] * rows_w[:, None, :]
+    return rows_h, stage_one_weights(prenorm(to_sequence(mid, "w")), params_w, (hs, ts, ws))
 
 
 def outer_argmax(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,14 +61,12 @@ def normalize_heatmap(frame: np.ndarray) -> np.ndarray:
     return np.full(frame.shape, level, dtype=np.uint8)
 
 
-def dump_attention_heatmaps(
-    w_h: np.ndarray, w_w: np.ndarray, reference: tuple[int, int, int], out_dir
-) -> list[str]:
-    """Write one normalized P5 PGM per target frame; returns the paths."""
-    frames = heatmap_frames(w_h, w_w, reference)
+def dump_attention_heatmaps(rows_h: np.ndarray, rows_w: np.ndarray, out_dir) -> list[str]:
+    """Write one normalized P5 PGM per target frame, the outer product of one
+    reference's (T, H) height and (T, W) width rows; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for u, frame in enumerate(frames):
+    for u, frame in enumerate(rows_h[:, :, None] * rows_w[:, None, :]):
         path = os.path.join(out_dir, f"t{u:04d}.pgm")
         write_pgm(path, normalize_heatmap(frame))
         paths.append(path)
@@ -90,25 +74,33 @@ def dump_attention_heatmaps(
 
 
 def trajectory_hit_rate(
-    gt_masks: list[np.ndarray], moving: list[bool], maps: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> float:
+    gt_masks: list[np.ndarray], moving: list[bool], clips: np.ndarray, block, probe: tuple[int, int, int]
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Fraction of (reference, target frame) pairs whose multiplied-map
     argmax lands inside the reference object's (L, H, W) mask at the target
-    frame. `maps` yields the `axial_fields` weights of each clip in order.
-
+    frame, and the (T, H) and (T, W) rows of the `probe` (t, h, w) in clip 0.
     References are every on-mask pixel of every moving object at every
-    frame; targets are all frames of the reference's clip.
-    """
-    hits = 0
-    total = 0
-    for k, (w_h, w_w) in enumerate(maps):
-        clip_len = w_h.shape[1]
-        for mask in itertools.compress(gt_masks, moving):
-            # Video frame of each clip frame; padding frames repeat the last one.
-            frames = np.minimum(k * clip_len + np.arange(clip_len), mask.shape[0] - 1)
-            ts, ys, xs = np.nonzero(mask[frames])  # every on-mask reference in the clip
-            # (n, T, H) height rows and (n, T, W) width rows, one pair per reference
-            by, bx = outer_argmax(w_h[xs, ts, ys], w_w[ys, ts, xs])
-            hits += int(np.count_nonzero(mask[frames, by, bx]))
-            total += by.size
-    return hits / total if total else 1.0
+    frame; targets are all frames of the reference's clip. The within-clip
+    `block`'s rows are read once per (T, D, H, W) clip (`axial_fields`), at
+    the union of its references and, in clip 0, the probe, and dropped
+    before the next clip's are read."""
+    hits = total = 0
+    for k, clip in enumerate(clips):
+        t = len(clip)
+        # Each moving mask at the clip's frames; padding frames repeat the last one.
+        inside = [mask[np.minimum(k * t + np.arange(t), len(mask) - 1)] != 0
+                  for mask in itertools.compress(gt_masks, moving)]
+        on = np.any([np.zeros((t,) + clip.shape[2:], dtype=bool)] + inside, axis=0)
+        on[probe] |= k == 0  # clip 0 also reads the probe
+        at = np.flatnonzero(on)
+        rows_h, rows_w = axial_fields(clip, block.attn_h, block.attn_w, np.unravel_index(at, on.shape))
+        if k == 0:
+            i = np.searchsorted(at, np.ravel_multi_index(probe, on.shape))
+            probe_rows = rows_h[i].copy(), rows_w[i].copy()
+        by, bx = outer_argmax(rows_h, rows_w)  # (n, T): each reference's map argmax per target frame
+        del rows_h, rows_w
+        for m in inside:
+            sel = m.reshape(-1)[at]  # the references on this mask
+            hits += int(np.count_nonzero(m[np.arange(t), by[sel], bx[sel]]))
+            total += by[sel].size
+    return (hits / total if total else 1.0), probe_rows

@@ -4,12 +4,14 @@ Everything here is written straight from the defining formulas with
 explicit Python loops, plain exp/sum softmaxes (no max shift, no sorted
 reductions), and scalar accumulation. None of it shares code with the
 library kernels it checks. Two take library stages that the oracles above
-check: `naive_hit_rate` takes each clip's stage-one weights and re-does
-only the per-reference argmax loop, and `naive_near_online_tubes` takes
-each clip's run and association and re-does only the linking, one track
-at a time. `whole_stage_one_weights` is no loop oracle but the whole-array
-form of the blocked stage one: every score of every (b, g) row at once, then
-one `softmax_last`, which the block producer must match bit for bit.
+check: `naive_hit_rate` reads each clip's stage-one rows at every pixel
+(`axial_fields`) and re-does only the per-reference argmax loop, and
+`naive_near_online_tubes` takes each clip's run and association and
+re-does only the linking, one track at a time. `whole_stage_one_weights`
+is no loop oracle but the whole-array form of the blocked stage one: every
+score of every (b, g) row at once, then one `softmax_last`, which the block
+producer must match bit for bit. `stage_one_field` gathers a sequence's
+whole field of head-mean weights from `stage_one_weights` rows.
 """
 
 from __future__ import annotations
@@ -289,14 +291,29 @@ def brute_hungarian(cost):
     return best[1], best[0]
 
 
-def naive_hit_rate(gt_masks, moving, maps):
+def stage_one_field(seq, params):
+    """The (B, T, S, U, R) head-mean stage-one weights of the pass over a
+    (B, T, S, D) sequence: `stage_one_weights` at every reference, in order."""
+    from axialtrack.attention import stage_one_weights
+
+    b, t, s = seq.shape[:3]
+    return stage_one_weights(seq, params, np.indices((b, t, s)).reshape(3, -1)).reshape(b, t, s, t, s)
+
+
+def naive_hit_rate(gt_masks, moving, clips, block):
     """Trajectory hit rate by brute force: for every on-mask reference,
     build each target frame's full H x W outer-product map and argmax it.
-    `maps` holds each clip's (height, width) stage-one weight arrays."""
+    Each (T, D, H, W) clip's height and width rows come from `axial_fields`
+    with the within-clip `block`, read at every pixel of the clip."""
+    from axialtrack.heatmaps import axial_fields
+
     hits = 0
     total = 0
-    for k, (w_h, w_w) in enumerate(maps):
-        t_extent = w_h.shape[1]
+    for k, clip in enumerate(clips):
+        t_extent, _, height, width = clip.shape
+        every = np.indices((t_extent, height, width)).reshape(3, -1)
+        w_h, w_w = (rows.reshape(t_extent, height, width, t_extent, -1)
+                    for rows in axial_fields(clip, block.attn_h, block.attn_w, every))
         for mask, is_moving in zip(gt_masks, moving):
             if not is_moving:
                 continue
@@ -305,8 +322,8 @@ def naive_hit_rate(gt_masks, moving, maps):
                 t_global = min(k * t_extent + t_local, length - 1)
                 ys, xs = np.nonzero(mask[t_global])
                 for y, x in zip(ys, xs):
-                    rows_h = w_h[x, t_local, y]
-                    rows_w = w_w[y, t_local, x]
+                    rows_h = w_h[t_local, y, x]
+                    rows_w = w_w[t_local, y, x]
                     frames = [np.outer(rows_h[u], rows_w[u]) for u in range(t_extent)]
                     for u, frame in enumerate(frames):
                         u_global = min(k * t_extent + u, length - 1)

@@ -18,7 +18,6 @@ from axialtrack.attention import (
     axial_trajectory_h,
     axial_trajectory_w,
     full_trajectory_reference,
-    stage_one_weights,
 )
 from axialtrack.assignment import hungarian
 from axialtrack.backward import trajectory_backward
@@ -26,7 +25,7 @@ from axialtrack.cli import cli_main
 from axialtrack.config import ModelConfig
 from axialtrack.crossclip import cross_clip_blocks, cross_clip_forward, query_trajectory_attention
 from axialtrack.deform import build_pyramid, deform_params, msdeform_simplified
-from axialtrack.heatmaps import axial_fields, trajectory_hit_rate
+from axialtrack.heatmaps import trajectory_hit_rate
 from axialtrack.macs import CATEGORIES, count_macs
 from axialtrack.segmenter import decode_clip_queries, decoder_params, split_into_clips
 from axialtrack.synthetic import build_oracle_params, demo_video_spec, generate_synthetic
@@ -38,6 +37,7 @@ from oracles import (
     naive_decode,
     naive_msdeform,
     naive_query_attention,
+    stage_one_field,
 )
 
 
@@ -209,7 +209,7 @@ def test_criterion_7_normalization_and_equivariance():
 
         x = rng.normal(size=(2, 3, 4, d))
         w2 = _stage_two(_stage_one(x, p), p, softmax_last, sorted_sum)["w2"].mean(axis=1)
-        ok &= bool(np.all(np.abs(stage_one_weights(x, p).sum(axis=-1) - 1.0) <= 1e-9))
+        ok &= bool(np.all(np.abs(stage_one_field(x, p).sum(axis=-1) - 1.0) <= 1e-9))
         ok &= bool(np.all(np.abs(w2.sum(axis=-1) - 1.0) <= 1e-9))
 
         f = rng.normal(size=(2, d, 4, 3))
@@ -238,8 +238,8 @@ def test_criterion_8_trajectory_tracking_property():
     params = build_oracle_params(spec, cfg)
     block = params.within_blocks[0]
     moving = [v != (0, 0) for v in spec.velocities]
-    maps = [axial_fields(clip, block.attn_h, block.attn_w) for clip in split_into_clips(video, cfg.t)]
-    rate = trajectory_hit_rate([t.masks for t in gt.tubes], moving, maps)
+    clips = split_into_clips(video, cfg.t)
+    rate, _ = trajectory_hit_rate([t.masks for t in gt.tubes], moving, clips, block, (0, 0, 0))
     _report(8, f"heatmap argmax inside moving object (rate {rate:.4f})",
             rate >= 0.95, time.perf_counter() - start, 30.0)
 

@@ -23,7 +23,7 @@ from axialtrack.attention import (
 from axialtrack.errors import MEMORY_LIMIT, DimensionError, NumericError, ResourceGuardError
 from axialtrack.tensor import softmax_last, sorted_sum
 
-from oracles import naive_axial_h, naive_axial_w, naive_full_reference, naive_pass1d
+from oracles import naive_axial_h, naive_axial_w, naive_full_reference, naive_pass1d, stage_one_field
 
 
 def _params(d, seed, std=0.3, scale=None, heads=1):
@@ -36,7 +36,7 @@ def _state(x, p):
     stage-two weights (B, T, S, U) and trajectory points (B, T, U, S, D)."""
     ytil = _stage_one(x, p)
     w2 = _stage_two(ytil, p, softmax_last, sorted_sum)["w2"]
-    return stage_one_weights(x, p), w2.mean(axis=1), ytil
+    return stage_one_field(x, p), w2.mean(axis=1), ytil
 
 
 class TestTrajectoryPass:
@@ -112,7 +112,7 @@ class TestTrajectoryPass:
         p = _params(8, 13, heads=2)
         out = trajectory_pass_1d(x, p)
         assert out.shape == x.shape
-        np.testing.assert_allclose(stage_one_weights(x, p).sum(axis=-1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(stage_one_field(x, p).sum(axis=-1), 1.0, atol=1e-9)
 
     def test_dimension_mismatch(self):
         x = np.zeros((1, 2, 2, 4))
@@ -135,7 +135,7 @@ class TestTrajectoryPass:
             scale=p.scale,
             heads=1,
         )
-        w1, w1_scaled = stage_one_weights(x, p), stage_one_weights(x, scaled)
+        w1, w1_scaled = stage_one_field(x, p), stage_one_field(x, scaled)
         assert np.array_equal(np.argmax(w1, axis=-1), np.argmax(w1_scaled, axis=-1))
 
     def test_scale_invariance_of_stage2_argmax(self):
@@ -174,17 +174,20 @@ class TestStageOneWeights:
                 scale=p.scale,
             )
             want += naive_pass1d(x, head)[1]
-        np.testing.assert_allclose(stage_one_weights(x, p), want / heads, atol=1e-10)
+        np.testing.assert_allclose(stage_one_field(x, p), want / heads, atol=1e-10)
 
     def test_are_the_passes_weights(self, monkeypatch):
         # The pass multiplies into its product the blocks of weights that the
-        # producer hands it; gathered whole, their head mean is
-        # `stage_one_weights`, bit for bit. A two-row scratch puts block
-        # boundaries inside the heads of one b row.
+        # producer hands it; the head mean of those blocks, read at any
+        # references (repeats included), is `stage_one_weights`, bit for bit.
+        # A two-row scratch puts block boundaries inside the heads of one b row.
         from axialtrack import attention
         produce = attention._stage_one_blocks
         b, t, s, d = 3, 2, 5, 4
-        x = np.random.default_rng(49).normal(size=(b, t, s, d))
+        rng = np.random.default_rng(49)
+        x = rng.normal(size=(b, t, s, d))
+        refs = rng.integers(0, (b, t, s), size=(9, 3))
+        refs = np.concatenate([refs, refs[:3], [[1, 0, 2]]]).T  # repeats, and one b row alone
         for heads in (1, 2, 4):
             p = _params(d, 50, heads=heads)
             seen = np.full((b * heads, t, s, t, s), np.nan)
@@ -202,20 +205,43 @@ class TestStageOneWeights:
             passes = seen.reshape(b, heads, t, s, t, s).mean(axis=1)
             scratch = attention._stage_one_scratch
             monkeypatch.setattr(attention, "_stage_one_scratch", lambda *shape: (2, scratch(*shape)[1]))
-            got = stage_one_weights(x, p)
+            for at in (refs, refs[:, -1:]):
+                got = stage_one_weights(x, p, at)
+                want = passes[tuple(at)]
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
             monkeypatch.undo()
-            assert np.array_equal(got, passes)
-            assert np.array_equal(np.signbit(got), np.signbit(passes))
+
+    @pytest.mark.parametrize("refs", [
+        ([0, 2], [0, 1], [0, 3]),      # b past the end
+        ([0, -1], [0, 1], [0, 3]),     # negative b would wrap to the last row
+        ([0, 1], [0, 2], [0, 3]),      # t past the end
+        ([0, 1], [0, 1], [-1, 3]),     # negative s
+        ([0, 1], [0, 1], [0]),         # unequal lengths
+        ([0.0], [0], [0]),             # not integers
+        ([[0]], [[0]], [[0]]),         # not one axis
+        (0, 0, 0),                     # scalars
+    ])
+    def test_reference_checks(self, refs):
+        x = np.random.default_rng(53).normal(size=(2, 2, 4, 4))
+        with pytest.raises(DimensionError, match="references"):
+            stage_one_weights(x, _params(4, 54), refs)
+
+    def test_no_references(self):
+        x = np.random.default_rng(55).normal(size=(2, 2, 4, 4))
+        empty = np.zeros(0, dtype=np.int64)
+        assert stage_one_weights(x, _params(4, 56), (empty, empty, empty)).shape == (0, 2, 4)
 
     def test_validated_like_the_pass(self):
+        ref = ([0], [0], [0])
         with pytest.raises(DimensionError):
-            stage_one_weights(np.zeros((2, 2, 4)), _params(4, 51))
+            stage_one_weights(np.zeros((2, 2, 4)), _params(4, 51), ref)
         with pytest.raises(DimensionError):
-            stage_one_weights(np.zeros((1, 2, 2, 4)), _params(6, 51))
+            stage_one_weights(np.zeros((1, 2, 2, 4)), _params(6, 51), ref)
         x = np.zeros((1, 2, 2, 4))
         x[0, 1, 1, 2] = np.nan
         with pytest.raises(NumericError):
-            stage_one_weights(x, _params(4, 51))
+            stage_one_weights(x, _params(4, 51), ref)
 
     def test_oversized_refused_before_allocating(self):
         # The weights alone, 8 * B * T^2 * S^2 bytes, would be 2^41 bytes here;
@@ -224,7 +250,7 @@ class TestStageOneWeights:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceGuardError, match="stage-one product"):
-                stage_one_weights(x, _params(1, 52))
+                stage_one_weights(x, _params(1, 52), ([0], [0], [0]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -254,7 +280,7 @@ class TestAxialPasses:
         p = _params(4, 22)
         p.stage1.w_k = np.zeros((4, 4))
         x = prenorm(to_sequence(f, "h"))
-        np.testing.assert_allclose(stage_one_weights(x, p), 1.0 / 5.0, atol=1e-12)
+        np.testing.assert_allclose(stage_one_field(x, p), 1.0 / 5.0, atol=1e-12)
         # Uniform weights pool each target frame to its spatial mean.
         ytil = _stage_one(x, p)
         v = np.einsum("btse,de->btsd", x, p.stage1.w_v)

@@ -141,6 +141,24 @@ class TestDemo:
             tracemalloc.stop()
         assert peak <= need <= 1.25 * peak
 
+    def test_heatmap_peak_does_not_grow_with_clips(self, tmp_path):
+        # The hit rate holds one clip's heatmap rows at a time, so four clips
+        # peak where one does: a run that kept every clip's rows, or their
+        # whole weight fields, would peak higher with each clip. A first,
+        # untraced run makes the lazy imports.
+        flags = ["--t", "4", "--h", "48", "--w", "32", "--d", "2", "--n", "3", "--c", "3", "--n-w", "2",
+                 "--n-c", "1", "--heads", "2", "--k-sample", "4", "--objects", "1"]
+        assert cli_main(["demo", "--l", "4", *flags, "--out", str(tmp_path / "warm")]) == 0
+        peaks = []
+        for clips in (1, 4):
+            tracemalloc.start()
+            try:
+                assert cli_main(["demo", "--l", str(4 * clips), *flags, "--out", str(tmp_path / str(clips))]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
     def test_report_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError):
             cli.write_report(str(tmp_path), {"score": float("nan")})
@@ -465,7 +483,9 @@ class TestErrors:
     @pytest.mark.parametrize("flags, cause", [
         (["--n-w", "0"], "n_w = 0"),
         (["--ref-t", "8"], "reference frame 8 outside video of length 8"),
-    ], ids=["no_within_clip_block", "reference_past_the_end"])
+        (["--ref-h", "32"], "--ref-h 32 outside [0, 32)"),
+        (["--ref-w", "-1"], "--ref-w -1 outside [0, 32)"),
+    ], ids=["no_within_clip_block", "reference_past_the_end", "row_past_the_end", "negative_column"])
     def test_attn_input_refused_before_drawing(self, tmp_path, capsys, monkeypatch, flags, cause):
         def no_draw(*args, **kwargs):
             raise AssertionError("video drawn before the attn input checks")

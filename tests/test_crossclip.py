@@ -6,7 +6,6 @@ from axialtrack.attention import (
     _stage_two,
     attention_params,
     prenorm,
-    stage_one_weights,
 )
 from axialtrack.config import ModelConfig
 from axialtrack.crossclip import (
@@ -26,7 +25,7 @@ from axialtrack.segmenter import near_online_inference
 from axialtrack.synthetic import build_oracle_params, demo_video_spec, generate_synthetic
 from axialtrack.tensor import softmax_last, sorted_sum
 
-from oracles import naive_query_attention
+from oracles import naive_query_attention, stage_one_field
 
 
 def _attn(d, seed, std=0.3, scale=None):
@@ -49,7 +48,7 @@ class TestQueryTrajectoryAttention:
         z = rng.normal(size=(3, 5, 4))
         p = _attn(4, 3)
         p.stage1.w_k = np.zeros((4, 4))
-        np.testing.assert_allclose(stage_one_weights(prenorm(z[None]), p), 1.0 / 5.0, atol=1e-12)
+        np.testing.assert_allclose(stage_one_field(prenorm(z[None]), p), 1.0 / 5.0, atol=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(4)

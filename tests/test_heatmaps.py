@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ class TestHitRate:
         dict(l=7, t=3),   # the last clip pads two frames
         dict(l=9, t=2, heads=2),
     ])
-    def test_matches_per_reference_maps(self, params, shape):
+    def test_matches_per_reference_maps(self, monkeypatch, params, shape):
         cfg = ModelConfig(seed=3, h=16, w=16, **shape)
         spec = demo_video_spec(cfg)
         video, gt = generate_synthetic(spec)
@@ -29,10 +31,57 @@ class TestHitRate:
             bundle = build_oracle_params(spec, cfg)
         else:
             bundle = random_pipeline_params(cfg)
-        block = bundle.within_blocks[0]
-        maps = [axial_fields(clip, block.attn_h, block.attn_w) for clip in split_into_clips(video, cfg.t)]
-        args = ([t.masks for t in gt.tubes], [v != (0, 0) for v in spec.velocities], maps)
-        assert trajectory_hit_rate(*args) == naive_hit_rate(*args)
+        masks = [t.masks for t in gt.tubes]
+        _check(monkeypatch, video, masks, [v != (0, 0) for v in spec.velocities], cfg.t, bundle, (1, 5, 9))
+
+    @pytest.mark.parametrize("moving", [[True, True, False], [False, False, False]],
+                             ids=["overlapping", "none_moving"])
+    def test_overlapping_or_no_moving_objects(self, monkeypatch, moving):
+        # Two moving squares share pixels at every frame, so each shared pixel
+        # is one reference of both; with no moving object only the probe is read.
+        cfg = ModelConfig(seed=5, l=5, t=2, h=16, w=16)
+        video = np.random.default_rng(5).normal(size=(cfg.l, cfg.d, cfg.h, cfg.w))
+        masks = np.zeros((3, cfg.l, cfg.h, cfg.w))
+        for f in range(cfg.l):
+            masks[0, f, 2:8, f:f + 6] = 1.0
+            masks[1, f, 4:10, f + 2:f + 8] = 1.0
+        masks[2, :, 12:, 12:] = 1.0
+        rate = _check(monkeypatch, video, list(masks), moving, cfg.t, random_pipeline_params(cfg), (1, 3, 4))
+        if not any(moving):
+            assert rate == 1.0
+
+
+def _check(monkeypatch, video, masks, moving, t, bundle, probe):
+    """`trajectory_hit_rate` equals the per-reference brute force, reads each
+    clip's rows once, at the union of its moving on-mask pixels (with the
+    probe in clip 0), and returns the probe's rows; returns the rate."""
+    from axialtrack import heatmaps
+
+    block = bundle.within_blocks[0]
+    clips = split_into_clips(video, t)
+    read = []
+
+    def recording(clip, params_h, params_w, refs):
+        read.append(np.ravel_multi_index(refs, (t,) + clip.shape[2:]))
+        return axial_fields(clip, params_h, params_w, refs)
+
+    monkeypatch.setattr(heatmaps, "axial_fields", recording)
+    rate, (rows_h, rows_w) = trajectory_hit_rate(masks, moving, clips, block, probe)
+    monkeypatch.undo()
+    assert rate == naive_hit_rate(masks, moving, clips, block)
+    for k, at in enumerate(read):
+        frames = np.minimum(k * t + np.arange(t), len(video) - 1)
+        on = np.zeros((t,) + video.shape[2:], dtype=bool)
+        for mask in itertools.compress(masks, moving):
+            on |= mask[frames] != 0
+        on[probe] |= k == 0
+        assert np.array_equal(at, np.flatnonzero(on))
+    assert len(read) == len(clips)
+    every = np.indices(on.shape).reshape(3, -1)
+    whole_h, whole_w = axial_fields(clips[0], block.attn_h, block.attn_w, every)
+    at = np.ravel_multi_index(probe, on.shape)
+    assert np.array_equal(rows_h, whole_h[at]) and np.array_equal(rows_w, whole_w[at])
+    return rate
 
 
 def _brute(a, b):

@@ -3,12 +3,7 @@ import pytest
 
 from axialtrack.attention import passthrough_attention_params
 from axialtrack.errors import DimensionError
-from axialtrack.heatmaps import (
-    axial_fields,
-    dump_attention_heatmaps,
-    heatmap_frames,
-    normalize_heatmap,
-)
+from axialtrack.heatmaps import axial_fields, dump_attention_heatmaps, normalize_heatmap
 from axialtrack.pgm import dump_tube_set, load_tube_set, mask_to_u8, read_pgm, write_pgm
 from axialtrack.segmenter import Tube
 
@@ -77,24 +72,18 @@ class TestTubeDumps:
 
 
 class TestHeatmaps:
-    def _uniform_field(self, b, t, s):
-        return np.full((b, t, s, t, s), 1.0 / s)
-
     def test_uniform_weights_constant_gray(self, tmp_path):
-        fh = self._uniform_field(4, 2, 3)
-        fw = self._uniform_field(3, 2, 4)
-        frames = heatmap_frames(fh, fw, (0, 1, 1))
-        for frame in frames:
-            img = normalize_heatmap(frame)
+        paths = dump_attention_heatmaps(np.full((2, 4), 1 / 4), np.full((2, 3), 1 / 3), tmp_path)
+        assert len(paths) == 2
+        for path in paths:
+            img = read_pgm(path)
+            assert img.shape == (4, 3)
             assert img.min() == img.max()
             assert 0 < img[0, 0] < 255
 
-    def test_singleton_axes_white_pixel(self):
-        fh = self._uniform_field(1, 2, 1)
-        fw = self._uniform_field(1, 2, 1)
-        frames = heatmap_frames(fh, fw, (0, 0, 0))
-        for frame in frames:
-            img = normalize_heatmap(frame)
+    def test_singleton_axes_white_pixel(self, tmp_path):
+        for path in dump_attention_heatmaps(np.ones((2, 1)), np.ones((2, 1)), tmp_path):
+            img = read_pgm(path)
             assert img.shape == (1, 1)
             assert img[0, 0] == 255
 
@@ -102,15 +91,15 @@ class TestHeatmaps:
         rng = np.random.default_rng(2)
         f = rng.normal(size=(2, 4, 4, 4))
         p = passthrough_attention_params(4)
-        w_h, w_w = axial_fields(f, p, p)
-        paths = dump_attention_heatmaps(w_h, w_w, (0, 1, 2), tmp_path / "maps")
+        rows_h, rows_w = axial_fields(f, p, p, ([0], [1], [2]))
+        paths = dump_attention_heatmaps(rows_h[0], rows_w[0], tmp_path / "maps")
         assert len(paths) == 2
-        for path in paths:
+        for u, path in enumerate(paths):
             img = read_pgm(path)
             assert img.shape == (4, 4)
+            assert np.array_equal(img, normalize_heatmap(np.outer(rows_h[0, u], rows_w[0, u])))
 
     def test_out_of_range_reference(self):
-        fh = self._uniform_field(4, 2, 3)
-        fw = self._uniform_field(3, 2, 4)
+        p = passthrough_attention_params(4)
         with pytest.raises(DimensionError):
-            heatmap_frames(fh, fw, (0, 5, 0))
+            axial_fields(np.zeros((2, 4, 3, 4)), p, p, ([0], [5], [0]))
