@@ -32,9 +32,9 @@ are built, scaled, checked finite and normalized there by the row kernel
 of `softmax_last`, then multiplied into the block's rows of the product.
 No sum crosses a (b, g) row, so the bits depend neither on the number of
 pieces nor on the block size, and the whole product still goes to one
-`sorted_sum` call. The projections and stage two are shared with the
-backward (`axialtrack.backward`), which recomputes stage one in matrix form
-instead of in sorted order.
+`sorted_sum` call. The head layout and stage two are shared with the
+backward (`axialtrack.backward`), which projects on BLAS and recomputes
+stage one in matrix form instead of in sorted order.
 
 Every pass returns one array, its output. `stage_one_weights`, the only
 attention state exported, gives a sequence's head-mean stage-one rows at
@@ -134,27 +134,28 @@ def check_stage_one(shape: tuple[int, int, int, int]) -> None:
     check_memory("trajectory pass", f"(B, T, S, D) = {shape}", stage_one_bytes(shape), "stage-one product")
 
 
-def _stage_one_heads(x: np.ndarray, params: AttentionParams) -> tuple:
-    """Stage-one query, key and value projections as C-contiguous head-major
-    (B, G, T, S, C) arrays."""
+def _stage_one_heads(x: np.ndarray, params: AttentionParams, project) -> tuple:
+    """Stage-one query, key and value projections, `project(x, w)` = x @ w^T,
+    as C-contiguous head-major (B, G, T, S, C) arrays."""
     s1 = params.stage1
-    heads = (_split_heads(_project(x, w), params.heads) for w in (s1.w_q, s1.w_k, s1.w_v))
+    heads = (_split_heads(project(x, w), params.heads) for w in (s1.w_q, s1.w_k, s1.w_v))
     return tuple(np.ascontiguousarray(h.transpose(0, 3, 1, 2, 4)) for h in heads)
 
 
-def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total) -> dict:
+def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total, project) -> dict:
     """Stage two: re-project the (B, T, U, S, D) points, query from the
-    same-frame point, pool over frames. `softmax` normalizes a trailing axis
-    and `total(a, axis=...)` sums one: the forward passes the sorted
-    `softmax_last` and `sorted_sum`, the backward plain index-order ones."""
+    same-frame point, pool over frames. `softmax` normalizes a trailing axis,
+    `total(a, axis=...)` sums one and `project` is as in `_stage_one_heads`:
+    the forward passes the sorted `softmax_last` and `sorted_sum` and the
+    einsum `_project`, the backward index-order ones and BLAS `matmul`."""
     b, t, _, s, d = ytil.shape
     g = params.heads
     s2, scale = params.stage2, params.scale
     idx = np.arange(t)
     ydiag = ytil[:, idx, idx]  # (B,T,S,D)
-    qth = _split_heads(_project(ydiag, s2.w_q), g)  # (B,T,S,G,C)
-    kth = _split_heads(_project(ytil, s2.w_k), g)  # (B,T,U,S,G,C)
-    vth = _split_heads(_project(ytil, s2.w_v), g)
+    qth = _split_heads(project(ydiag, s2.w_q), g)  # (B,T,S,G,C)
+    kth = _split_heads(project(ytil, s2.w_k), g)  # (B,T,U,S,G,C)
+    vth = _split_heads(project(ytil, s2.w_v), g)
     # Head-major copies, so the (B,G,T,S,U) scores come out C-contiguous.
     q2 = np.ascontiguousarray(qth.transpose(0, 3, 1, 2, 4))  # (B,G,T,S,C)
     k2 = np.ascontiguousarray(kth.transpose(0, 4, 1, 3, 2, 5))  # (B,G,T,S,U,C)
@@ -208,7 +209,7 @@ def _stage_one(x: np.ndarray, params: AttentionParams) -> np.ndarray:
     b, t, s, d = x.shape
     g = params.heads
     c = d // g
-    qh, kh, vh = _stage_one_heads(x, params)
+    qh, kh, vh = _stage_one_heads(x, params, _project)
     # Per target frame u, attend over positions r. The product is the
     # largest array of the pass: one C-order buffer with r last, into which
     # each block of weights is multiplied, and which `sorted_sum` sorts in
@@ -257,7 +258,7 @@ def trajectory_pass_1d(seq, params: AttentionParams, counter: MacCounter | None 
     the updated sequence (same shape)."""
     x = _validate_sequence(seq, params)
     ytil = _stage_one(x, params)
-    st2 = _stage_two(ytil, params, softmax_last, sorted_sum)
+    st2 = _stage_two(ytil, params, softmax_last, sorted_sum, _project)
     if counter is not None:
         b, t, s, d = x.shape
         c = d // params.heads
@@ -287,7 +288,7 @@ def stage_one_weights(seq, params: AttentionParams, refs) -> np.ndarray:
             raise DimensionError(f"references must be equal-length integer indices within {(b, t, s)}")
     g = params.heads
     rows, row_of = np.unique(bs, return_inverse=True)  # the b rows read, and each reference's
-    qh, kh, _ = _stage_one_heads(x[rows], params)
+    qh, kh, _ = _stage_one_heads(x[rows], params, _project)
     out = np.empty((len(bs), t, s))
 
     def head_mean(lo: int, hi: int, w: np.ndarray, _room: np.ndarray) -> None:

@@ -6,14 +6,17 @@ stages, all six projections per pass, the diagonal query extraction, the
 pre-norm layer normalization, and the residual connections. Gradients
 are verified against central finite differences in the test suite.
 
-Each pass's state is recomputed with the forward's projections and stage
-two, but with stage one as batched matrix products (`_recompute`), and
-the stage-one gradients are matrix products in the same layout. Nothing
-here sorts or builds the forward's (B, G, T, S, U, C, R) product; every
-contraction is a c_einsum in a fixed order, free of BLAS. The batched
-stage-one products run in pieces of their leading (batch) axis on every
-CPU (`tensor.split_rows`); each piece sums only within its own batch
-rows, so the gradients do not depend on the number of pieces.
+Each pass's state is recomputed with the forward's stage two, but with
+stage one as batched matrix products (`_recompute`), and the stage-one
+gradients are matrix products in the same layout. Nothing here sorts or
+builds the forward's (B, G, T, S, U, C, R) product. Every matrix-shaped
+contraction (the projections, their Gram reductions and the stage-one
+products) is one `tensor.matmul` call on BLAS, with transposes passed as
+views; only the softmax row dot and stage two's head contractions stay
+einsum. A stack of products runs in pieces of its leading (batch) axis
+(`tensor.split_rows`), each matrix one gemm call, so the gradients do not
+depend on the number of pieces. Their bits are those of the CPU's BLAS
+kernel (see `tensor`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .attention import (
     to_sequence,
 )
 from .errors import DimensionError
-from .tensor import as_array, require_finite, split_rows
+from .tensor import as_array, matmul, require_finite
 
 
 @dataclass
@@ -51,34 +54,14 @@ class AxialPairGrads:
     params_w: AttentionParamGrads
 
 
-# Matrix products batched over the leading axes, as c_einsum (never BLAS).
-# `_mm` sums a short axis (C); `_mm_t` takes b transposed, so a long summed
-# axis (R or T*S) is contiguous in both operands and runs as a dot product.
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b."""
-    return _batched("...ik,...kj->...ij", a, b, b.shape[-1])
+def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w^T, the forward's projection on BLAS."""
+    return matmul(x, w.T)
 
 
-def _mm_t(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
-    """a @ bt^T."""
-    return _batched("...ik,...jk->...ij", a, bt, bt.shape[-2])
-
-
-def _batched(spec: str, a: np.ndarray, b: np.ndarray, cols: int) -> np.ndarray:
-    """The einsum `spec` of a and b into a new C-contiguous array, in pieces
-    of the first (batch) axis, whose length a and b share."""
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], cols))
-
-    def piece(lo: int, hi: int) -> None:
-        np.einsum(spec, a[lo:hi], b[lo:hi], out=out[lo:hi], optimize=False)
-
-    split_rows(piece, out.shape[0], a.nbytes + b.nbytes + out.nbytes)
-    return out
-
-
-def _t(a: np.ndarray) -> np.ndarray:
-    """Contiguous transpose of the last two axes."""
-    return np.ascontiguousarray(a.swapaxes(-1, -2))
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (D, D) sum over all leading axes of a[..., d] * b[..., e]."""
+    return matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -120,17 +103,16 @@ def _recompute(x: np.ndarray, params: AttentionParams) -> dict:
     b, t, s, d = x.shape
     g = params.heads
     c = d // g
-    qh, kh, vh = _stage_one_heads(x, params)  # (B,G,T,S,C)
+    # (B,G,U,R,C) keys and values: their frame axis is the target frame u.
+    qh, k, v = _stage_one_heads(x, params, _project)
     q = qh.reshape(b, g, 1, t * s, c)
-    # (B,G,U,C,R): the frame axis of keys and values is the target frame u.
-    kt, vt = _t(kh), _t(vh)
-    w1 = _mm(q, kt)  # (B,G,U,TS,R)
+    w1 = matmul(q, k.swapaxes(-1, -2))  # (B,G,U,TS,R)
     w1 *= params.scale
     _softmax(w1)
-    yt = _mm_t(w1, vt).reshape(b, g, t, t, s, c)  # (B,G,U,T,S,C)
+    yt = matmul(w1, v).reshape(b, g, t, t, s, c)  # (B,G,U,T,S,C)
     ytil = yt.transpose(0, 3, 2, 4, 1, 5).reshape(b, t, t, s, d)  # (B,T,U,S,D)
-    return {"x": x, "q": q, "kt": kt, "vt": vt, "w1": w1, "ytil": ytil,
-            **_stage_two(ytil, params, _softmax, np.sum)}
+    return {"x": x, "q": q, "k": k, "v": v, "w1": w1, "ytil": ytil,
+            **_stage_two(ytil, params, _softmax, np.sum, _project)}
 
 
 def _stage_two_backward(
@@ -154,22 +136,16 @@ def _stage_two_backward(
     dkth = scale * np.einsum("bgtsu,btsgc->btusgc", de2, qth, optimize=False)
     dvth = dvth_t.transpose(0, 2, 4, 3, 1, 5)  # back to (B,T,U,S,G,C)
 
-    dqt = _merge_heads(dqth)  # (B,T,S,D)
-    dkt = _merge_heads(dkth)  # (B,T,U,S,D)
-    dvt = _merge_heads(dvth)
+    dqt, dkt, dvt = (_merge_heads(a) for a in (dqth, dkth, dvth))  # (B,T,S,D), (B,T,U,S,D) twice
 
     # Stage-two projections.
-    d_uq = np.einsum("btsd,btse->de", dqt, ydiag, optimize=False)
-    d_uk = np.einsum("btusd,btuse->de", dkt, ytil, optimize=False)
-    d_uv = np.einsum("btusd,btuse->de", dvt, ytil, optimize=False)
-
-    dydiag = np.einsum("btsd,de->btse", dqt, s2.w_q, optimize=False)
-    dytil = np.einsum("btusd,de->btuse", dkt, s2.w_k, optimize=False)
-    dytil += np.einsum("btusd,de->btuse", dvt, s2.w_v, optimize=False)
+    grads = ProjectionWeights(_gram(dqt, ydiag), _gram(dkt, ytil), _gram(dvt, ytil))
+    dydiag = matmul(dqt, s2.w_q)
+    dytil = matmul(dkt, s2.w_k)
+    dytil += matmul(dvt, s2.w_v)
     idx = np.arange(t)
     dytil[:, idx, idx] += dydiag
     dyt = dytil.reshape(b, t, u, s, g, c).transpose(0, 4, 2, 1, 3, 5)  # (B,G,U,T,S,C)
-    grads = ProjectionWeights(d_uq, d_uk, d_uv)
     return np.ascontiguousarray(dyt).reshape(b, g, u, t * s, c), grads
 
 
@@ -184,28 +160,21 @@ def _pass_backward(
     dyt, grads2 = _stage_two_backward(st, params, d_out)
 
     # Stage one, as matrix products batched over (B, G, U).
-    q, kt, vt = st["q"], st["kt"], st["vt"]
+    q, k, v = st["q"], st["k"], st["v"]
     w1 = st.pop("w1")  # consumed: freed once de1 is formed
-    dv = _mm_t(_t(w1), _t(dyt))  # (B,G,U,R,C)
-    dw1 = _mm(dyt, vt)  # (B,G,U,TS,R)
+    dv = matmul(w1.swapaxes(-1, -2), dyt)  # (B,G,U,R,C)
+    dw1 = matmul(dyt, v.swapaxes(-1, -2))  # (B,G,U,TS,R)
     de1 = _softmax_backward(w1, dw1)
     del w1
-    dq = scale * _mm_t(de1, kt).sum(axis=2)  # (B,G,TS,C)
-    dk = scale * _mm_t(_t(de1), _t(q))  # (B,G,U,R,C)
+    dq = scale * matmul(de1, k).sum(axis=2)  # (B,G,TS,C)
+    dk = scale * matmul(de1.swapaxes(-1, -2), q)  # (B,G,U,R,C)
 
-    dq = _heads_last(dq.reshape(b, g, t, s, c))
-    dk = _heads_last(dk)
-    dv = _heads_last(dv)
+    dq, dk, dv = (_heads_last(a) for a in (dq.reshape(b, g, t, s, c), dk, dv))
 
-    d_wq = np.einsum("btsd,btse->de", dq, x, optimize=False)
-    d_wk = np.einsum("btsd,btse->de", dk, x, optimize=False)
-    d_wv = np.einsum("btsd,btse->de", dv, x, optimize=False)
-
-    dx = np.einsum("btsd,de->btse", dq, s1.w_q, optimize=False)
-    dx += np.einsum("btsd,de->btse", dk, s1.w_k, optimize=False)
-    dx += np.einsum("btsd,de->btse", dv, s1.w_v, optimize=False)
-
-    grads1 = ProjectionWeights(d_wq, d_wk, d_wv)
+    dx = matmul(dq, s1.w_q)
+    dx += matmul(dk, s1.w_k)
+    dx += matmul(dv, s1.w_v)
+    grads1 = ProjectionWeights(_gram(dq, x), _gram(dk, x), _gram(dv, x))
     return dx, AttentionParamGrads(stage1=grads1, stage2=grads2)
 
 
@@ -245,11 +214,11 @@ def trajectory_backward(
     both passes.
     """
     f = as_array(f)
+    if f.ndim != 4:
+        raise DimensionError(f"expected (T, D, H, W) clip features, got shape {f.shape}")
     upstream = as_array(upstream)
     if f.shape != upstream.shape:
-        raise DimensionError(
-            f"upstream shape {upstream.shape} must match input shape {f.shape}"
-        )
+        raise DimensionError(f"upstream shape {upstream.shape} must match input shape {f.shape}")
     require_finite(f, "backward input")
     require_finite(upstream, "upstream cotangent")
     params_h.validate(f.shape[1])

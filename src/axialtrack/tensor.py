@@ -10,7 +10,7 @@ that still need the original order pass a copy; every other operation
 leaves its inputs alone.
 
 `split_rows` runs the large row-wise kernels (`sorted_sum`,
-`softmax_last`, and attention's and the backward's batched products) in
+`softmax_last`, attention's stage one and `matmul`'s stacks) in
 contiguous pieces of whole leading-axis rows, one piece per CPU. No
 reduction crosses a piece, and each piece runs numpy alone and writes
 into buffers its caller allocated, so the bits of every result are the
@@ -22,6 +22,12 @@ pieces, so what they hold does not grow with the worker count.
 its pieces, and attention's stage one on each block of its scores. It
 sorts the rows for their denominators a block at a time in a scratch, so
 no sorted copy of the whole input is made.
+
+`matmul` is the one BLAS kernel, for the backward's matrix products. Its
+bits are those of the gemm kernel OpenBLAS picks for the CPU: FMA kernels
+(Haswell, Zen, SkylakeX) agree to about 1e-15, not bit for bit. A gemm's
+bits can depend on a row's place in its matrix, so the forward, which is
+bitwise permutation-equivariant, keeps `np.einsum`.
 """
 
 from __future__ import annotations
@@ -127,6 +133,30 @@ def scratch_rows(n: int, row_size: int) -> int:
     `split_rows` job: as many as `SCRATCH_BYTES` holds, but at least two, so
     that the job still splits."""
     return min(n, max(2, SCRATCH_BYTES // (8 * row_size)))
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b into a new C-contiguous array, one BLAS call per matrix (numpy's
+    vector paths where a matrix has an extent of 1).
+
+    An operand that is neither C-contiguous nor a last-two-axes transpose
+    of a C-contiguous array (BLAS takes both) is copied once: for other
+    strides numpy runs its own loop, with other bits. A stack runs in
+    pieces of its first axis (`split_rows`); a single product runs whole.
+    """
+    a, b = (x if x.flags.c_contiguous or x.swapaxes(-1, -2).flags.c_contiguous
+            else np.ascontiguousarray(x) for x in (a, b))
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
+    if out.ndim == 2:
+        return np.matmul(a, b, out=out)
+
+    def piece(lo: int, hi: int) -> None:
+        # An operand broadcast over the first axis is read whole by every piece.
+        a_, b_ = (x[lo:hi] if x.ndim == out.ndim and len(x) > 1 else x for x in (a, b))
+        np.matmul(a_, b_, out=out[lo:hi])
+
+    split_rows(piece, len(out), a.nbytes + b.nbytes + out.nbytes)
+    return out
 
 
 def as_array(x) -> np.ndarray:

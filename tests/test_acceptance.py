@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from axialtrack.attention import (
+    _project,
     _stage_one,
     _stage_two,
     attention_params,
@@ -208,7 +209,7 @@ def test_criterion_7_normalization_and_equivariance():
         p = attention_params(d, rng, std=0.3)
 
         x = rng.normal(size=(2, 3, 4, d))
-        w2 = _stage_two(_stage_one(x, p), p, softmax_last, sorted_sum)["w2"].mean(axis=1)
+        w2 = _stage_two(_stage_one(x, p), p, softmax_last, sorted_sum, _project)["w2"].mean(axis=1)
         ok &= bool(np.all(np.abs(stage_one_field(x, p).sum(axis=-1) - 1.0) <= 1e-9))
         ok &= bool(np.all(np.abs(w2.sum(axis=-1) - 1.0) <= 1e-9))
 

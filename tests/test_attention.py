@@ -9,6 +9,7 @@ from axialtrack.attention import (
     attention_params,
     axial_trajectory_h,
     axial_trajectory_w,
+    _project,
     _stage_one,
     _stage_two,
     from_sequence,
@@ -35,7 +36,7 @@ def _state(x, p):
     """The pass's head-mean stage-one weights (B, T, S, U, R), head-mean
     stage-two weights (B, T, S, U) and trajectory points (B, T, U, S, D)."""
     ytil = _stage_one(x, p)
-    w2 = _stage_two(ytil, p, softmax_last, sorted_sum)["w2"]
+    w2 = _stage_two(ytil, p, softmax_last, sorted_sum, _project)["w2"]
     return stage_one_field(x, p), w2.mean(axis=1), ytil
 
 
@@ -472,6 +473,22 @@ class TestStageOneProduct:
             want = np.take(out, perm, axis=axis)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("b, t, s, d, heads", [(3, 2, 130, 16, 2), (2, 4, 130, 16, 1), (4, 2, 65, 32, 2)])
+def test_equivariance_at_wide_channels(b, t, s, d, heads):
+    # At 16 and 32 channels, scores from a BLAS gemm change bits when rows
+    # move within their matrix; the pass's must not, for any S, B or T order.
+    rng = np.random.default_rng(s + d + heads)
+    x = rng.normal(size=(b, t, s, d))
+    p = _params(d, 66, heads=heads)
+    out = trajectory_pass_1d(x, p)
+    for axis in (0, 1, 2, 2):  # B, T and two S orders
+        perm = rng.permutation(x.shape[axis])
+        got = trajectory_pass_1d(np.take(x, perm, axis=axis), p)
+        want = np.take(out, perm, axis=axis)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestPassthroughParams:

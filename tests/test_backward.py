@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axialtrack import attention, tensor
+from axialtrack import attention, backward, tensor
 from axialtrack.attention import (
     ProjectionWeights,
     attention_params,
@@ -163,6 +163,17 @@ class TestTrajectoryBackward:
         finally:
             tracemalloc.stop()
         assert peak < 8 * max(w * t * t * h * h * d, h * t * t * w * w * d)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4, 5, 6), (2, 3, 4, 5, 6), (4, 5, 6)])
+    def test_non_clip_input_refused(self, monkeypatch, shape):
+        # A (K, T, D, H, W) stack was read as if T were D.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the backward started work on a refused input")
+
+        monkeypatch.setattr(backward, "to_sequence", no_work)
+        f = np.zeros(shape)
+        with pytest.raises(DimensionError, match=r"\(T, D, H, W\)"):
+            trajectory_backward(f, _params(4, 18), _params(4, 19), f)
 
     def test_shape_mismatch_rejected(self):
         f = np.zeros((2, 4, 3, 3))

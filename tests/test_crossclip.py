@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from axialtrack.attention import (
+    _project,
     _stage_one,
     _stage_two,
     attention_params,
@@ -39,7 +40,7 @@ class TestQueryTrajectoryAttention:
         p = _attn(6, 1)
         out = query_trajectory_attention(z, p)
         ytil = _stage_one(prenorm(z[None]), p)
-        w2 = _stage_two(ytil, p, softmax_last, sorted_sum)["w2"].mean(axis=1)
+        w2 = _stage_two(ytil, p, softmax_last, sorted_sum, _project)["w2"].mean(axis=1)
         assert np.array_equal(w2, np.ones_like(w2))
         assert out.shape == z.shape
 

@@ -6,15 +6,28 @@ small random-parameter config, and the outputs and gradients of an axial
 pass pair. A change that moves a digest on purpose names the digest, the
 cause and the largest difference in CHANGES.md.
 
-The digests were computed with numpy 2.4.6, the version CI pins.
+The digests were computed with numpy 2.4.6, the version CI pins. All but
+one pin bits of numpy's own loops (einsum, sorts, ufuncs), which BLAS
+does not touch. The gradient digest pins BLAS bits: the backward's matrix
+products are OpenBLAS gemm calls (`tensor.matmul`), whose bits depend on
+the gemm kernel OpenBLAS picks for the CPU. The FMA kernels agree to
+about 1e-15 but not bit for bit (the SkylakeX kernel gives `692e644f...`),
+so the gradients are computed in a child process pinned to OpenBLAS
+0.3.31's Haswell kernel on one thread (OPENBLAS_CORETYPE=Haswell,
+OPENBLAS_NUM_THREADS=1, set for the child only). That digest is skipped
+where the kernel cannot be chosen: on a CPU without AVX2 and FMA, or with
+a numpy whose BLAS is not a DYNAMIC_ARCH OpenBLAS.
 """
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import axialtrack
 from axialtrack.attention import attention_params, axial_trajectory_h, axial_trajectory_w
 from axialtrack.backward import trajectory_backward
 from axialtrack.cli import cli_main
@@ -31,7 +44,8 @@ DEMO_DIGESTS = {
 }
 ATTN_DIGEST = "7773b4b5b2077685c4b46941203d9e552d78d8e424c99d85d2feeef35a411cd4"
 TUBES_DIGEST = "854c5fd295d3770fc85bccddb25a125901d60bd93a4514fe6d3a7cf398f683f6"
-AXIAL_PAIR_DIGEST = "7e71967dfebd627c5811caad0ff15858f6b82cf623accd93d0b6d708817b8a01"
+AXIAL_PAIR_DIGEST = "d07a0cfcfcb4c1c792e0eb7f7a97d9f6260309f362e6126103c60566fd70cfe8"
+GRADIENT_DIGEST = "178727bfc4186fa161c9fe6544d3ff98a5f46a09b904bba42589eaefb9895af2"
 
 # Five frames in clips of two (a padded last clip), two heads, and a top
 # atrous rate above the three-clip length.
@@ -84,17 +98,70 @@ def test_random_parameter_tubes():
     assert _array_digest(arrays) == TUBES_DIGEST
 
 
-def test_axial_pair_outputs_and_gradients():
-    rng = np.random.default_rng(9)
-    f = rng.normal(0.0, 1.0, size=(3, 4, 5, 6))
-    params_h = attention_params(4, rng, heads=2, std=0.3)
-    params_w = attention_params(4, rng, heads=2, std=0.3)
-    upstream = rng.normal(0.0, 1.0, size=f.shape)
-    mid = axial_trajectory_h(f, params_h)
-    out = axial_trajectory_w(mid, params_w)
-    grads = trajectory_backward(f, params_h, params_w, upstream)
-    arrays = [mid, out, grads.d_input]
+def _axial_pair(shape=(3, 4, 5, 6), seed=9):
+    """Input, H and W pass parameters (two heads) and upstream cotangent."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(0.0, 1.0, size=shape)
+    params = [attention_params(shape[1], rng, heads=2, std=0.3) for _ in range(2)]
+    return f, *params, rng.normal(0.0, 1.0, size=shape)
+
+
+def _gradients(shape=(3, 4, 5, 6), seed=9):
+    """The input gradient and the twelve projection gradients of `_axial_pair`."""
+    grads = trajectory_backward(*_axial_pair(shape, seed))
+    arrays = [grads.d_input]
     for pair in (grads.params_h, grads.params_w):
         for stage in (pair.stage1, pair.stage2):
             arrays += [stage.w_q, stage.w_k, stage.w_v]
-    assert _array_digest(arrays) == AXIAL_PAIR_DIGEST
+    return arrays
+
+
+def _no_pinned_kernel():
+    """Why OpenBLAS's Haswell kernel cannot be chosen here, or None."""
+    cpu = np._core._multiarray_umath.__cpu_features__
+    if not (cpu.get("AVX2") and cpu.get("FMA3")):
+        return "the CPU lacks AVX2 or FMA, which OpenBLAS's Haswell kernel needs"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return f"numpy's BLAS ({blas.get('name')}) is not a DYNAMIC_ARCH OpenBLAS, so its kernel cannot be chosen"
+    return None
+
+
+NO_PINNED_KERNEL = _no_pinned_kernel()
+needs_pinned_kernel = pytest.mark.skipif(NO_PINNED_KERNEL is not None, reason=str(NO_PINNED_KERNEL))
+
+
+def _child_gradients(tmp_path, coretype, threads, *args):
+    """`_gradients(*args)` from a child process whose OpenBLAS runs `threads`
+    threads of the `coretype` kernel (None: the kernel it picks for the CPU)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    src = os.path.dirname(os.path.dirname(axialtrack.__file__))
+    env.update(OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    path = tmp_path / f"{coretype}-{threads}.npz"
+    code = f"import numpy as np, test_golden as g; np.savez({str(path)!r}, *g._gradients(*{args!r}))"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    with np.load(path) as saved:
+        return [saved[f"arr_{i}"] for i in range(len(saved.files))]
+
+
+def test_axial_pair_outputs_and_gradients(tmp_path):
+    f, params_h, params_w, _ = _axial_pair()
+    mid = axial_trajectory_h(f, params_h)
+    assert _array_digest([mid, axial_trajectory_w(mid, params_w)]) == AXIAL_PAIR_DIGEST
+    if NO_PINNED_KERNEL is not None:
+        pytest.skip(NO_PINNED_KERNEL)
+    assert _array_digest(_child_gradients(tmp_path, "Haswell", 1)) == GRADIENT_DIGEST
+
+
+@needs_pinned_kernel
+def test_gradient_bits_of_the_native_kernel(tmp_path):
+    # At (T, D, H, W) = (2, 16, 24, 24) the Gram products of the projection
+    # gradients are above OpenBLAS's threshold for running on threads.
+    shape = (2, 16, 24, 24)
+    one, two, haswell = (_child_gradients(tmp_path, core, n, shape, 31)
+                         for core, n in ((None, 1), (None, 2), ("Haswell", 1)))
+    for a, b, pinned in zip(one, two, haswell):
+        assert a.tobytes() == b.tobytes()
+        assert np.max(np.abs(a - pinned)) <= 1e-13 * np.max(np.abs(pinned))

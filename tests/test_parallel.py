@@ -24,7 +24,7 @@ from axialtrack.attention import attention_params, trajectory_pass_1d
 from axialtrack.backward import trajectory_backward
 from axialtrack.cli import cli_main
 from axialtrack.errors import NumericError
-from axialtrack.tensor import softmax_last, sorted_sum, split_rows
+from axialtrack.tensor import matmul, softmax_last, sorted_sum, split_rows
 
 from oracles import whole_stage_one_weights
 
@@ -161,6 +161,17 @@ class TestSameBitsForAnyWorkerCount:
         outs = _each_worker_count(use_workers, lambda: softmax_last(x))
         for out in outs[1:]:
             _assert_bitwise_equal(out, outs[0])
+
+    @pytest.mark.parametrize("b", BATCHES)
+    def test_matmul(self, use_workers, b):
+        # A stack with a broadcast operand, and a transposed view.
+        rng = np.random.default_rng(30 + b)
+        x = _tied_signed_rows(rng, (b, 2, 9, 16))
+        y = rng.normal(size=(b, 1, 40, 16)).swapaxes(-1, -2)
+        outs = _each_worker_count(use_workers, lambda: matmul(x, y))
+        for out in outs[1:]:
+            _assert_bitwise_equal(out, outs[0])
+        _assert_bitwise_equal(outs[0], np.matmul(x, y))
 
     @pytest.mark.parametrize("b", BATCHES)
     @pytest.mark.parametrize("heads", [1, 2])

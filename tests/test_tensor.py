@@ -10,6 +10,7 @@ from axialtrack.tensor import (
     atrous_conv1d,
     bilinear_sample,
     logistic,
+    matmul,
     softmax_last,
     sorted_sum,
 )
@@ -55,6 +56,27 @@ class TestSoftmax:
         got = softmax_last(x)
         assert np.array_equal(got, want)
         assert np.array_equal(np.argsort(got, axis=-1), np.argsort(x, axis=-1))
+
+
+class TestMatmul:
+    def test_bits_of_blas_on_each_layout(self):
+        # C-contiguous operands and last-two-axes transpose views go to BLAS
+        # as they are (the two give different bits); any other layout is
+        # copied once, so it gets the bits of its contiguous copy.
+        rng = np.random.default_rng(70)
+        a = rng.normal(size=(3, 2, 37, 16))
+        b = rng.normal(size=(3, 2, 16, 130))
+        bt = np.ascontiguousarray(b.swapaxes(-1, -2)).swapaxes(-1, -2)
+        wide = np.zeros((3, 2, 37, 32))
+        wide[..., ::2] = a
+        w = rng.normal(size=(16, 16))
+        cases = [(a, b, a @ b), (a, bt, a @ bt), (wide[..., ::2], b, a @ b),
+                 (a, w.T, a @ w.T), (a[0, 0], b[0, 0], a[0, 0] @ b[0, 0])]
+        for x, y, want in cases:
+            got = matmul(x, y)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+        np.testing.assert_allclose(matmul(a, bt), a @ b, rtol=1e-13, atol=1e-13)
 
 
 class TestLogistic:
