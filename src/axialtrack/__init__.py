@@ -40,7 +40,7 @@ from .errors import (
     NumericError,
     ResourceGuardError,
 )
-from .macs import MacReport, count_macs
+from .macs import count_macs
 from .metrics import GroundTruthSet, tube_iou, vpq
 from .segmenter import (
     ClipRuns,

@@ -263,12 +263,12 @@ def trajectory_pass_1d(seq, params: AttentionParams, counter: MacCounter | None 
         b, t, s, d = x.shape
         c = d // params.heads
         weights = b * params.heads * t * s * t * s  # stage one's, over all heads
-        counter.add("stage1_scores", weights * c)
-        counter.add("stage1_values", weights * c)
-        counter.add("stage2_scores", st2["w2"].size * c)
-        counter.add("stage2_values", st2["w2"].size * c)
-        counter.add("proj_stage1", 3 * x.size * d)
-        counter.add("proj_stage2", (x.size + 2 * ytil.size) * d)
+        counter["stage1_scores"] += weights * c
+        counter["stage1_values"] += weights * c
+        counter["stage2_scores"] += st2["w2"].size * c
+        counter["stage2_values"] += st2["w2"].size * c
+        counter["proj_stage1"] += 3 * x.size * d
+        counter["proj_stage2"] += (x.size + 2 * ytil.size) * d
     return st2["out"]
 
 

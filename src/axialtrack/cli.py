@@ -27,7 +27,7 @@ from .config import ModelConfig, config_values, format_config, parse_value, read
 from .crossclip import offline_inference
 from .errors import AxialtrackError, ConfigError, DimensionError
 from .heatmaps import axial_fields, dump_attention_heatmaps, trajectory_hit_rate
-from .macs import CATEGORIES, MacReport, count_macs
+from .macs import count_macs
 from .metrics import GroundTruthSet, vpq
 from .pgm import dump_tube_set, load_tube_set
 from .segmenter import Tube, link_video, near_online_inference, run_clips, split_into_clips
@@ -193,23 +193,6 @@ def _first_moving_reference(gt: GroundTruthSet, moving: list[bool]) -> tuple[int
     return (0, int(ys[0]), int(xs[0]))
 
 
-def _mac_dict(report: MacReport) -> dict:
-    data: dict = {}
-    for scheme, measured, analytic in (
-        ("full", report.full_measured, report.full_analytic),
-        ("axial", report.axial_measured, report.axial_analytic),
-    ):
-        for key in CATEGORIES:
-            data[f"{scheme}_{key}_measured"] = measured[key]
-            data[f"{scheme}_{key}_analytic"] = analytic[key]
-    data["dominant_macs_full"] = report.dominant_full
-    data["dominant_macs_axial"] = report.dominant_axial
-    data["ratio"] = report.ratio_measured
-    data["ratio_analytic"] = report.ratio_analytic
-    data["exact_match"] = report.exact_match
-    return data
-
-
 DEFAULT_SWEEP = tuple(
     (t, hw, d) for t in (2, 4) for hw in (2, 4, 8) for d in (4, 8)
 )
@@ -218,14 +201,13 @@ DEFAULT_SWEEP = tuple(
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg, given = _resolve_config(args)
     if given & {"t", "h", "w", "d"}:
-        report = count_macs(cfg)
-        write_report(args.out, _mac_dict(report))
+        write_report(args.out, count_macs(cfg))
         return 0
     sweep: dict = {}
     for t, hw, d in DEFAULT_SWEEP:
         name = f"t{t}_h{hw}_w{hw}_d{d}"
         try:
-            sweep[name] = _mac_dict(count_macs(replace(cfg, t=t, h=hw, w=hw, d=d)))
+            sweep[name] = count_macs(replace(cfg, t=t, h=hw, w=hw, d=d))
         except AxialtrackError as exc:
             raise type(exc)(f"sweep point {name}: {exc}") from None
     write_report(args.out, sweep)

@@ -1,16 +1,16 @@
 """Multiply-accumulate accounting for the attention decomposition.
 
-Both attention schemes run with an instrumented counter that derives its
-counts from the runtime tensor extents; closed forms computed from the
-configuration must match them exactly. The dominant term is the stage-one
-score plus value work, where the undecomposed pass costs 2*T^2*H^2*W^2*D
-against the axial pair's 2*T^2*H^2*W*D + 2*T^2*W^2*H*D, a full/axial
-ratio of H*W / (H + W).
+Both attention schemes run with a `tensor.MacCounter` (a Counter keyed by
+category) that the passes fill from the runtime tensor extents; closed
+forms computed from the configuration must match them exactly. The
+dominant term is the stage-one score plus value work, where the
+undecomposed pass costs 2*T^2*H^2*W^2*D against the axial pair's
+2*T^2*H^2*W*D + 2*T^2*W^2*H*D, a full/axial ratio of H*W / (H + W).
+`count_macs` returns both, and their comparison, as the one flat report
+that `bench` writes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,74 +63,51 @@ def dominant(counts: dict[str, int]) -> int:
     return counts["stage1_scores"] + counts["stage1_values"]
 
 
-@dataclass
-class MacReport:
-    """Measured and closed-form counts per scheme, plus the dominant-term ratio."""
+def count_macs(cfg: ModelConfig) -> dict:
+    """Run both schemes on seeded random features and report their counts.
 
-    t: int
-    h: int
-    w: int
-    d: int
-    full_measured: dict[str, int]
-    full_analytic: dict[str, int]
-    axial_measured: dict[str, int]
-    axial_analytic: dict[str, int]
-
-    @property
-    def dominant_full(self) -> int:
-        return dominant(self.full_measured)
-
-    @property
-    def dominant_axial(self) -> int:
-        return dominant(self.axial_measured)
-
-    @property
-    def ratio_measured(self) -> float:
-        return self.dominant_full / self.dominant_axial
-
-    @property
-    def ratio_analytic(self) -> float:
-        return (self.h * self.w) / (self.h + self.w)
-
-    @property
-    def exact_match(self) -> bool:
-        return self.full_measured == self.full_analytic and self.axial_measured == self.axial_analytic
-
-
-def count_macs(cfg: ModelConfig) -> MacReport:
-    """Run both schemes on seeded random features and compare counts.
+    The report is flat, in the order `bench` writes it: for `full`, then
+    `axial`, each category's `_measured` and `_analytic` count; then
+    `dominant_macs_full`, `dominant_macs_axial`, their `ratio`, the closed
+    form `ratio_analytic` = H*W / (H + W), and `exact_match`, true when
+    every measured count equals its closed form.
 
     Shapes above the reference cap, or whose reference pass's stage-one
     product (`attention.stage_one_bytes`) exceeds `errors.MEMORY_LIMIT`, are
     refused before the features are drawn.
     """
     cfg.validate()
-    t, h, w = cfg.t, cfg.h, cfg.w
+    t, h, w, d = cfg.t, cfg.h, cfg.w, cfg.d
     if t * h * w > REFERENCE_CAP:
         raise ResourceGuardError(
-            f"bench refused: (T, D, H, W) = {(t, cfg.d, h, w)} has T*H*W = {t * h * w}, "
+            f"bench refused: (T, D, H, W) = {(t, d, h, w)} has T*H*W = {t * h * w}, "
             f"above the reference cap {REFERENCE_CAP}"
         )
     # The reference pass's stage-one product bounds those of both axial passes.
-    check_stage_one((1, t, h * w, cfg.d))
+    check_stage_one((1, t, h * w, d))
     rng = np.random.default_rng(cfg.seed)
-    feats = rng.normal(0.0, 1.0, size=(cfg.t, cfg.d, cfg.h, cfg.w))
-    params = attention_params(cfg.d, rng, heads=cfg.heads, scale=cfg.scale())
+    feats = rng.normal(0.0, 1.0, size=(t, d, h, w))
+    params = attention_params(d, rng, heads=cfg.heads, scale=cfg.scale())
 
-    axial_counter = MacCounter()
-    mid = axial_trajectory_h(feats, params, counter=axial_counter)
-    axial_trajectory_w(mid, params, counter=axial_counter)
+    axial = MacCounter()
+    mid = axial_trajectory_h(feats, params, counter=axial)
+    axial_trajectory_w(mid, params, counter=axial)
+    full = MacCounter()
+    full_trajectory_reference(feats, params, counter=full)
 
-    full_counter = MacCounter()
-    full_trajectory_reference(feats, params, counter=full_counter)
-
-    return MacReport(
-        t=cfg.t,
-        h=cfg.h,
-        w=cfg.w,
-        d=cfg.d,
-        full_measured={key: full_counter.get(key) for key in CATEGORIES},
-        full_analytic=analytic_full(cfg.t, cfg.h, cfg.w, cfg.d),
-        axial_measured={key: axial_counter.get(key) for key in CATEGORIES},
-        axial_analytic=analytic_axial(cfg.t, cfg.h, cfg.w, cfg.d),
-    )
+    report: dict = {}
+    exact = True
+    for scheme, measured, analytic in (
+        ("full", full, analytic_full(t, h, w, d)),
+        ("axial", axial, analytic_axial(t, h, w, d)),
+    ):
+        for key in CATEGORIES:
+            report[f"{scheme}_{key}_measured"] = measured[key]
+            report[f"{scheme}_{key}_analytic"] = analytic[key]
+            exact &= measured[key] == analytic[key]
+    report["dominant_macs_full"] = dominant(full)
+    report["dominant_macs_axial"] = dominant(axial)
+    report["ratio"] = report["dominant_macs_full"] / report["dominant_macs_axial"]
+    report["ratio_analytic"] = (h * w) / (h + w)
+    report["exact_match"] = exact
+    return report

@@ -9,19 +9,19 @@ C-contiguous float64 operand of three or more terms in place, so callers
 that still need the original order pass a copy; every other operation
 leaves its inputs alone.
 
-`split_rows` runs the large row-wise kernels (`sorted_sum`,
-`softmax_last`, attention's stage one and `matmul`'s stacks) in
-contiguous pieces of whole leading-axis rows, one piece per CPU. No
-reduction crosses a piece, and each piece runs numpy alone and writes
-into buffers its caller allocated, so the bits of every result are the
-same for any number of pieces. A job's scratch (`scratch_rows`, at most
-`SCRATCH_BYTES` unless two of its rows need more) is shared out among its
-pieces, so what they hold does not grow with the worker count.
+`split_rows` runs the large row-wise kernels (`sorted_sum`, attention's
+stage one and `matmul`'s stacks) in contiguous pieces of whole
+leading-axis rows, one piece per CPU. No reduction crosses a piece, and
+each piece runs numpy alone and writes into buffers its caller
+allocated, so the bits of every result are the same for any number of
+pieces. A job's scratch (`scratch_rows`, at most `SCRATCH_BYTES` unless
+two of its rows need more) is shared out among its pieces, so what they
+hold does not grow with the worker count.
 
 `_softmax_rows` is the one row-softmax kernel: `softmax_last` runs it on
-its pieces, and attention's stage one on each block of its scores. It
-sorts the rows for their denominators a block at a time in a scratch, so
-no sorted copy of the whole input is made.
+its whole input, and attention's stage one on each block of its scores.
+It sorts the rows for their denominators a block at a time in a scratch,
+so no sorted copy of the whole input is made.
 
 `matmul` is the one BLAS kernel, for the backward's matrix products. Its
 bits are those of the gemm kernel OpenBLAS picks for the CPU: FMA kernels
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -129,9 +130,9 @@ def _piece(fn, lo: int, hi: int) -> None:
 
 
 def scratch_rows(n: int, row_size: int) -> int:
-    """Rows of `row_size` float64 values in a scratch of at most n rows for a
-    `split_rows` job: as many as `SCRATCH_BYTES` holds, but at least two, so
-    that the job still splits."""
+    """Rows of `row_size` float64 values in a scratch of at most n rows: as
+    many as `SCRATCH_BYTES` holds, but at least two, so that a `split_rows`
+    job still splits."""
     return min(n, max(2, SCRATCH_BYTES // (8 * row_size)))
 
 
@@ -230,7 +231,7 @@ def softmax_last(x) -> np.ndarray:
     Each trailing slice of the result is a probability vector; the
     denominator sums the exponentials in ascending order, as `sorted_sum`
     does, so the op is equivariant under permutations of the trailing axis.
-    Rows are split into pieces (`split_rows`), which share one sort
+    It runs on the calling thread, a block of rows at a time in one sort
     scratch (`scratch_rows`).
     """
     x = as_array(x)
@@ -239,13 +240,8 @@ def softmax_last(x) -> np.ndarray:
     require_finite(x, "softmax input")
     rows = x.reshape(-1, x.shape[-1])
     out = np.empty(rows.shape)
-    per_row = np.empty(rows.shape[0])
-
-    def piece(work: np.ndarray, lo: int, hi: int) -> None:
-        _softmax_rows(rows[lo:hi], out[lo:hi], work, per_row[lo:hi])
-
     work = np.empty((scratch_rows(*rows.shape), rows.shape[1]))
-    split_rows(piece, rows.shape[0], out.nbytes, work)
+    _softmax_rows(rows, out, work, np.empty(rows.shape[0]))
     return out.reshape(x.shape)
 
 
@@ -360,17 +356,6 @@ def logistic(x) -> np.ndarray:
     return out
 
 
-class MacCounter:
-    """Accumulates multiply-accumulate counts keyed by term name."""
-
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-
-    def add(self, key: str, n: int) -> None:
-        self.counts[key] = self.counts.get(key, 0) + int(n)
-
-    def get(self, key: str) -> int:
-        return self.counts.get(key, 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
+class MacCounter(Counter):
+    """Multiply-accumulate counts keyed by term name: `counter[key] += n`
+    adds, and a key never added reads 0."""

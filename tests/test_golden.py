@@ -1,9 +1,9 @@
 """Golden SHA-256 digests of the program's outputs.
 
 Each digest pins output bytes that a refactor must leave unchanged: the
-`demo` and `attn` trees, the float64 tubes of both inference modes at a
-small random-parameter config, and the outputs and gradients of an axial
-pass pair. A change that moves a digest on purpose names the digest, the
+`demo`, `attn` and `bench` trees, the float64 tubes of both inference
+modes at a small random-parameter config, and the outputs and gradients
+of an axial pass pair. A change that moves a digest on purpose names the digest, the
 cause and the largest difference in CHANGES.md.
 
 The digests were computed with numpy 2.4.6, the version CI pins. All but
@@ -43,6 +43,12 @@ DEMO_DIGESTS = {
     11: "fc219403a63ddd9b5a95052bd25c8072a1775ec6b171b2ff2f7513433470dd08",
 }
 ATTN_DIGEST = "7773b4b5b2077685c4b46941203d9e552d78d8e424c99d85d2feeef35a411cd4"
+# The default 12-shape sweep, and one shape given by flags.
+BENCH_DIGESTS = {
+    "sweep": ([], "e28e2563cf80a4e932a768e9c10c367d2a8aff159b66a72ef2bf07933e597bcb"),
+    "t2_h4_w4_d8": (["--t", "2", "--h", "4", "--w", "4", "--d", "8"],
+                    "444e998c3f67ea93946e2bf506b7dde67830645d230ae174773e06ef47c0f48f"),
+}
 TUBES_DIGEST = "854c5fd295d3770fc85bccddb25a125901d60bd93a4514fe6d3a7cf398f683f6"
 AXIAL_PAIR_DIGEST = "d07a0cfcfcb4c1c792e0eb7f7a97d9f6260309f362e6126103c60566fd70cfe8"
 GRADIENT_DIGEST = "178727bfc4186fa161c9fe6544d3ff98a5f46a09b904bba42589eaefb9895af2"
@@ -85,6 +91,13 @@ def test_demo_tree(tmp_path, seed):
 def test_attn_tree(tmp_path):
     assert cli_main(["attn", "--seed", "3", "--ref-t", "1", "--out", str(tmp_path)]) == 0
     assert _tree_digest(tmp_path) == ATTN_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
+def test_bench_tree(tmp_path, name):
+    flags, digest = BENCH_DIGESTS[name]
+    assert cli_main(["bench", *flags, "--out", str(tmp_path)]) == 0
+    assert _tree_digest(tmp_path) == digest
 
 
 def test_random_parameter_tubes():

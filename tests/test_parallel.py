@@ -236,12 +236,12 @@ def test_split_pass_peak_memory_not_above_serial(use_workers):
 
 @pytest.mark.parametrize("kernel", ["softmax_last", "sorted_sum"])
 def test_pieces_allocate_only_the_callers_buffers(use_workers, kernel):
-    # softmax_last allocates its output, one value per row and one sort
-    # scratch that its pieces share (the 1638 rows that 2^19 bytes hold, not
-    # a sorted copy of the whole input); sorted_sum sorts in place and
-    # allocates only its output. Neither broadcasts, so numpy adds no ufunc
-    # buffer. A piece with temporaries of its own would add at least half
-    # the 1.1 MB operand.
+    # softmax_last runs on the calling thread and allocates its output, one
+    # value per row and one sort scratch (the 1638 rows that 2^19 bytes
+    # hold, not a sorted copy of the whole input); sorted_sum sorts in place
+    # and allocates only its output. Neither broadcasts, so numpy adds no
+    # ufunc buffer. A piece with temporaries of its own would add at least
+    # half the 1.1 MB operand.
     x = np.random.default_rng(31).normal(size=(512, 7, 40))
     scratch = 8 * 40 * tensor.scratch_rows(x.size // 40, 40)
     allowed = {"softmax_last": x.nbytes + scratch, "sorted_sum": 0}[kernel] + x.size // 40 * 8
