@@ -6,6 +6,7 @@ keys are rejected. `atrous_rates` is a comma-separated integer triple.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -19,6 +20,9 @@ SCALE_ONE = "one"
 # A stage's bytes beside its arrays: numpy's 8192-element ufunc buffer and
 # small Python objects.
 SMALL_BYTES = 2 ** 17
+# A whole run's fixed bytes: its small objects beside a stage's (2 SMALL_BYTES),
+# and 1 MiB that a process's first run imports lazily (numpy.ma, locale: 0.9 MB).
+RUN_BYTES = 2 * SMALL_BYTES + 2 ** 20
 
 _INT_KEYS = ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "heads", "k_sample", "seed")
 
@@ -61,16 +65,19 @@ class ModelConfig:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
     def validate_pipeline(self) -> None:
-        """`validate`, plus the pipeline's rules. MAC accounting runs the
-        attention alone at any extents; the pipeline's pyramid halves H and W
-        twice, and every `stage_bytes` entry must fit `errors.MEMORY_LIMIT`
-        before the video is drawn or the parameters are built."""
+        """`validate`, plus the pipeline's rules (MAC accounting runs the attention
+        alone at any extents): the pyramid halves H and W twice, and `run_peak` must fit
+        `errors.MEMORY_LIMIT` before the video is drawn or the parameters are built. A
+        refusal names the first stage whose own arrays exceed it, else the stage at the peak."""
         self.validate()
         for key in ("h", "w"):
             if getattr(self, key) % 4:
                 raise ConfigError(f"{key} must be divisible by 4, got {getattr(self, key)}")
-        for stage, values, n, what in _stages(self):
+        stages = _stages(self)
+        for stage, values, n, what, _ in stages:
             check_memory(stage, values, n, what)
+        stage, values, n, what, peak = max(stages, key=lambda s: s[4])
+        check_memory(stage, values, peak, f"a run's peak, at {n} bytes of {what}")
 
     def scale(self) -> float:
         if self.scale_mode == SCALE_ONE:
@@ -78,120 +85,113 @@ class ModelConfig:
         return 1.0 / math.sqrt(self.d)
 
 
-def stage_bytes(cfg: ModelConfig) -> dict[str, int]:
-    """Stage -> the bytes it holds at its peak, in `validate_pipeline`'s check
-    order; the sampler and the H and W passes hold `clip_group(cfg)` clips."""
-    return {stage: n for stage, _, n, _ in _stages(cfg)}
+def run_peak(cfg: ModelConfig, g: int | None = None) -> int:
+    """The most bytes alive at any moment of a `demo` run, at g clips a group."""
+    return max(s[4] for s in _stages(cfg, g))
 
 
 def clip_group(cfg: ModelConfig) -> int:
-    """Clips per within-clip call. A group of one clip always runs; one of
-    more runs only if `group_bytes` fits beside the video entry, which
-    bounds what a run holds while its clips run, within the largest entry
-    of the one-clip table and `errors.MEMORY_LIMIT`. So grouping never
-    raises the declared peak, nor a grouped run's peak above it, and a
-    refusal names the stage that one clip would already overflow. Without
-    a within-clip block nothing runs per group, and g is the clip count."""
-    clips = -(-cfg.l // cfg.t)
-    if not cfg.n_w:
+    """Clips per within-clip call, K without a within-clip block: the most
+    clips (at most K) whose run peak is no higher than at one clip, nor than
+    `errors.MEMORY_LIMIT`, so grouping never raises the declared peak."""
+    clips, room = -(-cfg.l // cfg.t), min(run_peak(cfg, 1), errors.MEMORY_LIMIT)
+    if not cfg.n_w or run_peak(cfg, clips) <= room:
         return clips
-    one_clip = {stage: n for stage, _, n, _ in _stages(cfg, 1)}
-    room = min(max(one_clip.values()), errors.MEMORY_LIMIT) - one_clip["video"]
-    lo, hi = 1, clips  # the group's bytes grow with g: bisect
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if group_bytes(cfg, mid) <= room else (lo, mid - 1)
-    return lo
+    # Below K the peak grows with g: bisect for the first g that is too many.
+    return max(1, bisect.bisect_left(range(1, clips), True, key=lambda g: run_peak(cfg, g) > room))
 
 
-def group_bytes(cfg: ModelConfig, g: int) -> int:
-    """Bytes that `deform.within_clip_forward` holds at its peak on a group
-    of g clips (n_w >= 1), beside the video it views, in (g T, D, H, W)
-    float64 planes P at the finest level. While sampling: its entry, beside
-    the input pyramid's coarse levels and its own output (2 P). In a finest
-    H or W pass, those two pyramids and the level outputs so far (3 P) and
-    SMALL_BYTES, beside the largest of the pass's three moments: while
-    stage one fills its product, the product beside the input, its three
-    projections (4 P) and the blocks' scratch (`stage_one_scratch_bytes`);
-    while the product is summed, it beside the input and the (T P) sum; or
-    stage two, the input, the queries and their projection (3 P) and five
-    (T P) point arrays."""
-    t, h, w, d = cfg.t, cfg.h, cfg.w, cfg.d
-    plane = 8 * g * t * h * w * d
+def _group_bytes(cfg: ModelConfig, g: int) -> dict[str, int]:
+    """Within-clip stage -> bytes of `deform.within_clip_forward` at its peak
+    on g clips (n_w >= 1) in (g T, D, H, W) planes P; "sampler" is the
+    sampler's own count. Sampling: that count, the coarse levels and output
+    (2 P). A finest pass: two pyramids, the outputs so far (3 P), SMALL_BYTES
+    and the largest of stage one's product beside the input, 3 projections
+    (4 P) and the blocks' scratch, or beside the input and the (T P) sum; and
+    stage two's input, queries, projection (3 P) and five (T P) point arrays."""
+    t, h, w, d, k, px = cfg.t, cfg.h, cfg.w, cfg.d, cfg.k_sample, cfg.h * cfg.w
+    plane = 8 * g * t * px * d
 
     def moments(shape: tuple[int, int, int, int]) -> int:
-        product = stage_one_bytes(shape)
-        scratch = stage_one_scratch_bytes(shape, cfg.heads)
-        return max(product + max(4 * plane + scratch, (1 + t) * plane), (5 * t + 4) * plane)
+        product, scratch = stage_one_bytes(shape), stage_one_scratch_bytes(shape, cfg.heads)
+        return 3 * plane + SMALL_BYTES + max(product + max(4 * plane + scratch, (1 + t) * plane),
+                                             (5 * t + 4) * plane)
 
-    passes = 3 * plane + SMALL_BYTES + max(moments((g * w, t, h, d)), moments((g * h, t, w, d)))
-    sampler = next(n for stage, _, n, _ in _stages(cfg, g) if stage == "deformable sampling")
-    return max(sampler + 2 * plane, passes)
+    # The finest query level's gather over g T frames: per frame, the finest
+    # level's (H+2, W+2, D) bordered copy; per pixel, the queries and the
+    # running sum beside at most D of coarser outputs (3 D); per point, the
+    # samples and a corner's weighted gather (2 D), the offsets, points and
+    # their integer and fractional parts (8), 3 weights, 4 corner weights and
+    # 3 gather indices (10); the (H*W, 2) grid.
+    sampler = 8 * (g * t * ((h + 2) * (w + 2) * d + px * (3 * d + 2 * k * d + 18 * k)) + 2 * px) + SMALL_BYTES
+    return {"sampler": sampler, "deformable sampling": sampler + 2 * plane,
+            "H trajectory pass": moments((g * w, t, h, d)), "W trajectory pass": moments((g * h, t, w, d))}
 
 
-def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int, str]]:
-    """(stage, the values its count reads, its bytes, what they hold), in
-    check order, with `g` clips (`clip_group(cfg)` when omitted) per
-    within-clip call."""
-    if g is None:
-        g = clip_group(cfg)
+def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int, str, int]]:
+    """(stage, the values its count reads, the bytes of its own arrays, what
+    they hold, the run's bytes at its peak) in check order, at g clips a group."""
+    g = clip_group(cfg) if g is None else g
     l, t, h, w, d, n, k = cfg.l, cfg.t, cfg.h, cfg.w, cfg.d, cfg.n, cfg.k_sample
     px, frames = h * w, -(-l // t) * t  # frames padded to whole clips
-    keys = max(n, t * px)  # the longer of the decoder's two softmax rows
+    clips, keys = frames // t, max(n, t * px)  # keys: the longer of the decoder's two softmax rows
 
-    def named(*keys: str) -> str:
-        return ", ".join(f"{key}={getattr(cfg, key)}" for key in keys)
-
-    def trajectory_pass(name: str, shape: tuple[int, int, int, int]) -> tuple:
+    def trajectory_pass(name: str, shape: tuple[int, int, int, int], peak: int) -> tuple:
         return (f"{name} trajectory pass", f"(B, T, S, D) = {shape}", stage_one_bytes(shape),
-                "stage-one product")
+                "stage-one product", peak)
 
+    # Queries (N, D) and class head (D, C); three decoder layers of 14 D^2
+    # (two attentions of 3 D^2, a 4D-wide feed-forward); per within-clip block,
+    # deformable sampling of 3 (2 D^2 + 5 K D) and two axial attentions of
+    # 6 D^2; per cross-clip block, an attention of 6 D^2 and a pyramid of 10 D^2.
+    params = 8 * (n * d + d * cfg.c + 42 * d * d + cfg.n_w * (18 * d * d + 15 * k * d) + cfg.n_c * 16 * d * d)
+    # A decoder layer's cross- or self-attention softmax: the (T*H*W, D)
+    # features and, in cross-attention, their keys and values; the scaled
+    # scores and the softmax output, 2 (N, T*H*W) or 2 (N, N), the softmax's
+    # sort scratch of rows of either, and N denominators; the queries, their
+    # norms and projections and the previous layer's (N, 4D) hidden, 9 (N, D).
+    decoder = 8 * (3 * t * px * d + (2 * n + scratch_rows(n, keys)) * keys + 9 * n * d + n) + SMALL_BYTES
+    # In float64 (H, W) planes a run holds the (L, D) video, at most N tubes
+    # of ground truth, the parameters and RUN_BYTES but a stage's SMALL_BYTES;
+    # while the clips run, their padded copy; then the (F, D) clip features
+    # unless views of the video (no within-clip block, no padding), and the
+    # (F, N) clip masks. The offline logistic adds per padded frame the tubes,
+    # logits, its work array and output (4 N) and two boolean masks (N / 4).
+    base = 8 * px * l * (d + n) + params + RUN_BYTES - SMALL_BYTES
+    copy, masks = 8 * px * frames * d * (frames != l), 8 * px * frames * n
+    features = 8 * px * frames * d if cfg.n_w or frames != l else 0
+    video = base - params + features + 42 * px * frames * n + SMALL_BYTES
     stages = []
     if cfg.n_w:  # only a within-clip block samples
-        # The finest query level's gather from the finest level, over the g t
-        # frames of a group: per frame, that level's (H+2, W+2, D) bordered
-        # copy; per pixel, the queries and the running sum beside at most D of
-        # coarser outputs (3 D); per sampling point, the samples and one
-        # corner's gather, weighted in place (2 D), the offsets, points and
-        # their integer and fractional parts (8), the 3 weights, 4 corner
-        # weights and 3 gather indices (10); and the (H*W, 2) grid.
-        stages.append(("deformable sampling", named("t", "h", "w", "k_sample", "d"),
-                       8 * (g * t * ((h + 2) * (w + 2) * d + px * (3 * d + 2 * k * d + 18 * k)) + 2 * px)
-                       + SMALL_BYTES, "finest-level sampling arrays"))
+        group = _group_bytes(cfg, g)
+        beside = base + copy + features * (g < clips)  # a split run writes each group into the features
+        stages.append(("deformable sampling", f"{t=}, {h=}, {w=}, k_sample={k}, {d=}", group["sampler"],
+                       "finest-level sampling arrays", beside + group["deformable sampling"]))
     stages += [
-        # Queries (N, D) and class head (D, C); three decoder layers of 14 D^2
-        # (two attentions of 3 D^2, a 4D-wide feed-forward); per within-clip
-        # block, deformable sampling of 3 (2 D^2 + 5 K D) and two axial
-        # attentions of 6 D^2; per cross-clip block, an attention of 6 D^2
-        # and a temporal pyramid of 10 D^2.
-        ("parameters", named("n", "c", "d", "n_w", "n_c", "k_sample"),
-         8 * (n * d + d * cfg.c + 42 * d * d + cfg.n_w * (18 * d * d + 15 * k * d) + cfg.n_c * 16 * d * d),
-         "float64 parameters"),
-        # A decoder layer's cross- or self-attention softmax: the (T*H*W, D)
-        # features and, in cross-attention, their keys and values; the scaled
-        # scores and the softmax output, 2 (N, T*H*W) or 2 (N, N), the
-        # softmax's sort scratch of rows of either, and N denominators; the
-        # queries, their norms and projections and the previous layer's
-        # (N, 4D) hidden, 9 (N, D).
-        ("query decoding", named("n", "t", "h", "w", "d"),
-         8 * (3 * t * px * d + (2 * n + scratch_rows(n, keys)) * keys + 9 * n * d + n) + SMALL_BYTES,
-         "decoder features and attention scores"),
+        ("parameters", f"{n=}, c={cfg.c}, {d=}, n_w={cfg.n_w}, n_c={cfg.n_c}, k_sample={k}", params,
+         "float64 parameters", base),
+        ("query decoding", f"{n=}, {t=}, {h=}, {w=}, {d=}", decoder, "decoder features and attention scores",
+         base + copy + features * (cfg.n_w > 0) + masks + decoder),
     ]
     if cfg.n_c:
-        stages.append(trajectory_pass("cross-clip", (1, frames // t, n, d)))
-    # `demo`'s offline logistic, in float64 (H, W) planes: the (L, D) video
-    # and at most N ground-truth tubes; per padded frame, the clip features
-    # (D) unless they are views of the video (no within-clip block, no
-    # padding), the clip masks, near-online tubes, offline logits, the
-    # logistic's working array and its output (5 N), and its two boolean
-    # masks (N / 4); beside twice SMALL_BYTES, 1 MiB for what a process's
-    # first run imports lazily (numpy.random, numpy.ma, locale: 0.9 MB).
-    features = 1 if cfg.n_w or frames != l else 0
-    stages.append(("video", named("l", "t", "h", "w", "d", "n"),
-                   px * (8 * l * (d + n) + frames * (8 * features * d + 42 * n)) + 2 * SMALL_BYTES + 2 ** 20,
-                   "float64 video, ground truth, clip runs, tubes and logits"))
+        cross = (1, clips, n, d)
+        stages.append(trajectory_pass("cross-clip", cross, video + params + stage_one_bytes(cross)))
+    stages.append(("video", f"{l=}, {t=}, {h=}, {w=}, {d=}, {n=}", video,
+                   "float64 video, ground truth, clip runs, tubes and logits", video + params))
     if cfg.n_w:
-        stages += [trajectory_pass("H", (g * w, t, h, d)), trajectory_pass("W", (g * h, t, w, d))]
+        # The heatmaps read a clip at a time beside the clip copy and three
+        # modes' (F, N) tubes. At n = T*H*W references, their indices and two
+        # clips' (n, T) argmax (4 T + 4 a reference) beside the clip's H pass,
+        # or beside its (n, T, H) and (n, T, W) rows, sequences (8 D n) and
+        # the block of `outer_argmax` tests or the W rows' scratch.
+        refs, long = t * px, max(h, w)
+        rows = 8 * refs * (t * (h + w) + 8 * d) + SMALL_BYTES + max(
+            9 * scratch_rows(t * refs, long) * long, stage_one_scratch_bytes((h, t, w, d), cfg.heads))
+        heatmaps = 8 * refs * (4 * t + 4) + max(rows, _group_bytes(cfg, 1)["H trajectory pass"])
+        stages += [trajectory_pass("H", (g * w, t, h, d), beside + group["H trajectory pass"]),
+                   trajectory_pass("W", (g * h, t, w, d), beside + group["W trajectory pass"]),
+                   ("heatmaps", f"{t=}, {h=}, {w=}, {d=}, heads={cfg.heads}", heatmaps,
+                    "a clip's H pass and heatmap rows at every pixel", base + copy + 3 * masks + heatmaps)]
     return stages
 
 

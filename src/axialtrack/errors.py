@@ -1,7 +1,8 @@
 """Exception types shared across the library, and the one memory limit of
-every guarded stage; the CLI exits 1 on an `AxialtrackError`."""
+a run; the CLI exits 1 on an `AxialtrackError`."""
 
-# Most bytes that any guarded stage may hold at its peak.
+# Most bytes that a run may hold at its declared peak (`config.run_peak`),
+# and that one trajectory pass's stage-one product may take.
 MEMORY_LIMIT = 2 ** 30
 
 

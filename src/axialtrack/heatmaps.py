@@ -19,7 +19,7 @@ from .attention import (
     AttentionParams, from_sequence, prenorm, stage_one_weights, to_sequence, trajectory_pass_1d,
 )
 from .pgm import write_pgm
-from .tensor import as_array
+from .tensor import as_array, scratch_rows
 
 
 def axial_fields(
@@ -42,13 +42,20 @@ def axial_fields(
 def outer_argmax(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, col) of `np.argmax(np.outer(a, b))` per pair of trailing rows of
     weights >= 0. Rounding is monotone, so the top product is max(a) * max(b):
-    the first row reaching it, then that row's first column, is the first argmax."""
-    b_max = rows_b.max(axis=-1, keepdims=True)
-    top = rows_a.max(axis=-1, keepdims=True) * b_max
-    row = np.argmax(rows_a * b_max == top, axis=-1)
-    a_row = np.take_along_axis(rows_a, row[..., None], axis=-1)
-    col = np.argmax(a_row * rows_b == top, axis=-1)
-    return row, col
+    the first row reaching it, then that row's first column, is the first
+    argmax. Pairs go a block of `tensor.scratch_rows` at a time, so the
+    products beside the rows stay within about `tensor.SCRATCH_BYTES`."""
+    shape = rows_a.shape[:-1]
+    rows_a, rows_b = rows_a.reshape(-1, rows_a.shape[-1]), rows_b.reshape(-1, rows_b.shape[-1])
+    row, col = np.empty(len(rows_a), dtype=np.intp), np.empty(len(rows_a), dtype=np.intp)
+    step = max(1, scratch_rows(len(rows_a), max(rows_a.shape[1], rows_b.shape[1])))
+    for lo in range(0, len(rows_a), step):
+        a, b = rows_a[lo:lo + step], rows_b[lo:lo + step]
+        b_max = b.max(axis=-1, keepdims=True)
+        top = a.max(axis=-1, keepdims=True) * b_max
+        r = row[lo:lo + step] = np.argmax(a * b_max == top, axis=-1)
+        col[lo:lo + step] = np.argmax(np.take_along_axis(a, r[:, None], axis=-1) * b == top, axis=-1)
+    return row.reshape(shape), col.reshape(shape)
 
 
 def normalize_heatmap(frame: np.ndarray) -> np.ndarray:

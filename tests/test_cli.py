@@ -8,7 +8,7 @@ import pytest
 
 from axialtrack import cli, errors, segmenter
 from axialtrack.cli import cli_main
-from axialtrack.config import ModelConfig
+from axialtrack.config import ModelConfig, run_peak
 from axialtrack.errors import ResourceGuardError
 from axialtrack.pgm import dump_tube_set, read_pgm, write_pgm
 from axialtrack.segmenter import Tube
@@ -116,20 +116,15 @@ class TestDemo:
 
     @pytest.mark.parametrize("t", [2, 3], ids=["even", "padded"])
     def test_peak_memory_within_the_video_guard(self, tmp_path, monkeypatch, t):
-        # Whole-video arrays dominate without within-clip or cross-clip blocks.
-        # The guard's count is at least a whole run's traced peak, the lazy
-        # imports of a first run included, and at most a quarter above it.
-        # Unpadded clips are views of the video, and the offline mode reads
-        # their stack itself: only padded clips are a D-plane copy.
+        # Whole-video arrays dominate without within-clip or cross-clip blocks:
+        # the declared run peak refuses the run at the video, and is at least
+        # its traced peak and at most a quarter above it.
         flags = dict(l=16, t=t, h=96, w=96, d=3, n=3, c=3, n_w=0, n_c=0, k_sample=1)
-        frames = -(-16 // t) * t
-        features = 0 if frames == 16 else 1
-        need = 96 * 96 * (8 * 16 * (3 + 3) + frames * (8 * features * 3 + 42 * 3)) + 2 ** 18 + 2 ** 20
         cfg = ModelConfig(**flags)
-        monkeypatch.setattr(errors, "MEMORY_LIMIT", need - 1)
-        with pytest.raises(ResourceGuardError, match="video refused"):
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", run_peak(cfg) - 1)
+        with pytest.raises(ResourceGuardError, match=f"^video refused: .* need {run_peak(cfg)} bytes of a run"):
             cfg.validate_pipeline()
-        monkeypatch.setattr(errors, "MEMORY_LIMIT", need)  # the guard's own count is `need`
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", run_peak(cfg))
         argv = ["demo", "--out", str(tmp_path / "demo")]
         for key, value in flags.items():
             argv += [f"--{key.replace('_', '-')}", str(value)]
@@ -139,7 +134,7 @@ class TestDemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= need <= 1.25 * peak
+        assert peak <= run_peak(cfg) <= 1.25 * peak
 
     def test_heatmap_peak_does_not_grow_with_clips(self, tmp_path):
         # The hit rate holds one clip's heatmap rows at a time, so four clips

@@ -4,21 +4,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from axialtrack import errors
 from axialtrack.cli import cli_main
 from axialtrack.config import (
+    RUN_BYTES,
     ModelConfig,
+    _group_bytes,
     _stages,
     clip_group,
     format_config,
-    group_bytes,
     load_config,
     parse_config,
-    stage_bytes,
+    run_peak,
 )
 from axialtrack.deform import build_pyramid, deform_params, msdeform_simplified, within_clip_forward
 from axialtrack.errors import ConfigError, ResourceGuardError
+from axialtrack.heatmaps import trajectory_hit_rate
 from axialtrack.segmenter import decode_clip_queries, decoder_params, run_clips
 from axialtrack.synthetic import random_pipeline_params
 
@@ -56,17 +60,13 @@ class TestModelConfig:
                 bad.validate_pipeline()
 
     # Each boundary config makes its stage the largest one checked so far,
-    # so a limit one byte below the count refuses that stage.
+    # so a limit one byte below its own count refuses that stage by name.
 
     def test_pipeline_sampler_bytes_bounded(self, monkeypatch):
-        # Finest query level of 8 x 12 pixels and K = 30 points, D = 6, T = 3,
-        # one clip per group: a (10, 14, D) bordered copy per frame,
-        # 3 D + 2 K D + 18 K per pixel and a (96, 2) grid, plus the
-        # small-object allowance.
+        # Finest query level of 8 x 12 pixels and K = 30 points, D = 6, T = 3.
         cfg = ModelConfig(t=3, h=8, w=12, k_sample=30, d=6)
         assert clip_group(cfg) == 1
-        need = 8 * (3 * (10 * 14 * 6 + 96 * (3 * 6 + 2 * 30 * 6 + 18 * 30)) + 2 * 96) + 2 ** 17
-        _check_boundary(monkeypatch, cfg, need,
+        _check_boundary(monkeypatch, cfg,
                         ["deformable sampling refused", "t=3", "h=8", "w=12", "k_sample=30", "d=6"])
         replace(cfg, n_w=0).validate_pipeline()  # nothing samples without a within-clip block
 
@@ -74,38 +74,27 @@ class TestModelConfig:
         # Queries, class head, three decoder layers, two within-clip blocks
         # and one cross-clip block at D = 24, K = 2.
         cfg = ModelConfig(l=2, h=4, w=4, n=5, c=3, d=24, n_w=2, n_c=1, k_sample=2)
-        need = 8 * (5 * 24 + 24 * 3 + 42 * 24 * 24 + 2 * (3 * (2 * 24 * 24 + 5 * 2 * 24) + 12 * 24 * 24)
-                    + 16 * 24 * 24)
-        _check_boundary(monkeypatch, cfg, need,
+        _check_boundary(monkeypatch, cfg,
                         ["parameters refused", "n=5", "c=3", "d=24", "n_w=2", "n_c=1", "k_sample=2"])
 
-    @pytest.mark.parametrize("cfg, need, values", [
-        # Cross-attention to T*H*W = 128 pixels sets the (N, T*H*W) scores;
-        # the video, checked later, is larger still.
-        (ModelConfig(l=2, h=8, w=8, n=16, d=4, k_sample=1),
-         8 * (3 * 128 * 4 + 3 * 16 * 128 + 9 * 16 * 4 + 16) + 2 ** 17, ["n=16", "h=8", "w=8", "d=4"]),
-        # Self-attention among N = 300 queries sets the (N, N) scores; its
-        # softmax sorts them in a scratch of the 218 rows that 2^19 bytes hold.
-        (ModelConfig(l=2, h=4, w=8, n=300, n_c=0, k_sample=1),
-         8 * (3 * 64 * 8 + (2 * 300 + 218) * 300 + 9 * 300 * 8 + 300) + 2 ** 17,
-         ["n=300", "h=4", "w=8", "d=8"]),
+    @pytest.mark.parametrize("cfg, values", [
+        # Cross-attention to T*H*W = 128 pixels sets the (N, T*H*W) scores.
+        (ModelConfig(l=2, h=8, w=8, n=16, d=4, k_sample=1), ["n=16", "h=8", "w=8", "d=4"]),
+        # Self-attention among N = 300 queries sets the (N, N) scores.
+        (ModelConfig(l=2, h=4, w=8, n=300, n_c=0, k_sample=1), ["n=300", "h=4", "w=8", "d=8"]),
     ], ids=["pixels", "queries"])
-    def test_pipeline_decoder_bytes_bounded(self, monkeypatch, cfg, need, values):
-        _check_boundary(monkeypatch, cfg, need, ["query decoding refused", "t=2", *values])
+    def test_pipeline_decoder_bytes_bounded(self, monkeypatch, cfg, values):
+        _check_boundary(monkeypatch, cfg, ["query decoding refused", "t=2", *values])
 
     def test_pipeline_video_bytes_bounded(self, monkeypatch):
-        # Nine frames in clips of two, padded to ten, in 8 x 12 planes: L (D + N)
-        # for the video and the ground truth, 8 D + 42 N per padded frame,
-        # plus a whole run's small objects and lazy imports.
+        # Nine frames in clips of two, padded to ten, in 8 x 12 planes.
         cfg = ModelConfig(l=9, h=8, w=12, d=6, n=3, k_sample=1)
-        need = 8 * 12 * (8 * 9 * (6 + 3) + 10 * (8 * 6 + 42 * 3)) + 2 ** 18 + 2 ** 20
-        _check_boundary(monkeypatch, cfg, need,
-                        ["video refused", "l=9", "t=2", "h=8", "w=12", "d=6", "n=3"])
+        _check_boundary(monkeypatch, cfg, ["video refused", "l=9", "t=2", "h=8", "w=12", "d=6", "n=3"])
 
     def test_pipeline_cross_clip_pass_bounded(self, monkeypatch):
         # 64 frames in clips of two: the cross-clip pass is (1, 32, N, D).
         cfg = ModelConfig(l=64, h=4, w=4, n=8, d=4, n_w=0, n_c=1, k_sample=1)
-        _check_boundary(monkeypatch, cfg, 8 * 32 * 32 * 8 * 8 * 4,
+        _check_boundary(monkeypatch, cfg,
                         ["cross-clip trajectory pass refused", "(1, 32, 8, 4)", "stage-one product"])
         replace(cfg, n_c=0).validate_pipeline()  # no cross-clip pass
 
@@ -114,27 +103,35 @@ class TestModelConfig:
         # The finest level's H pass is (W, T, H, D), its W pass (H, T, W, D);
         # the longer axis sets the larger stage-one product.
         cfg = ModelConfig(l=3, t=3, h=h, w=w, n_w=1, n_c=0, k_sample=1)
-        _check_boundary(monkeypatch, cfg, 8 * 8 * 3 * 3 * 20 * 20 * 8,
+        _check_boundary(monkeypatch, cfg,
                         [f"{axis} trajectory pass refused", "(8, 3, 20, 8)", "stage-one product"])
         replace(cfg, n_w=0).validate_pipeline()  # no within-clip pass
 
+    def test_pipeline_refuses_a_run_above_its_largest_stage(self, monkeypatch):
+        # The default `demo` peaks at 11.19 MB, traced, against an H pass
+        # product of 8.39 MB: a limit between them refuses the config.
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 10_000_000)
+        with pytest.raises(ResourceGuardError):
+            ModelConfig().validate_pipeline()
 
-def _check_boundary(monkeypatch, cfg, need, words):
-    """A limit of `need` bytes lets the stage through; one byte less refuses
-    it, with a message naming the stage, every value the count reads and the
-    count. `words[0]` is the stage's refusal."""
-    monkeypatch.setattr(errors, "MEMORY_LIMIT", need)
-    try:
-        cfg.validate_pipeline()
-    except ResourceGuardError as exc:  # only a later, larger stage may refuse
-        assert words[0] not in str(exc)
+
+def _stage_bytes(cfg) -> dict[str, int]:
+    return {stage: n for stage, _, n, _, _ in _stages(cfg)}
+
+
+def _check_boundary(monkeypatch, cfg, words):
+    """A limit of `run_peak(cfg)` bytes lets the config through; one byte
+    below the stage's own count refuses it, with a message naming every
+    value the count reads and the count. `words[0]` is the stage's refusal."""
+    need = _stage_bytes(cfg)[words[0].removesuffix(" refused")]
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", run_peak(cfg))
+    cfg.validate_pipeline()
     monkeypatch.setattr(errors, "MEMORY_LIMIT", need - 1)
     with pytest.raises(ResourceGuardError) as err:
         cfg.validate_pipeline()
-    msg = str(err.value)
-    assert msg.startswith(words[0])
+    assert str(err.value).startswith(words[0])
     for part in (*words, f"need {need} bytes", f"limit of {need - 1} bytes"):
-        assert part in msg
+        assert part in str(err.value)
 
 
 def _peak(fn, *args) -> int:
@@ -169,12 +166,14 @@ def _decoder_peak(cfg, tmp_path) -> int:
     return _peak(decode_clip_queries, feats, queries, params)
 
 
-def _video_peak(cfg, tmp_path) -> int:
-    # A whole `demo` run, traced with no warm-up run, so a first run's lazy imports count.
-    argv = ["demo", "--out", str(tmp_path / "demo")]
-    for key in ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "k_sample"):
-        argv += [f"--{key.replace('_', '-')}", str(getattr(cfg, key))]
-    return _peak(cli_main, argv)
+def _heatmap_peak(cfg, tmp_path) -> int:
+    # The hit rate of two clips whose every pixel is on a moving object.
+    params = random_pipeline_params(cfg)
+    clips = np.random.default_rng(0).normal(0.0, 1.0, (2, cfg.t, cfg.d, cfg.h, cfg.w))
+    masks = np.ones((2 * cfg.t, cfg.h, cfg.w))
+    args = [masks], [True], clips, params.within_blocks[0], (0, 0, 0)
+    trajectory_hit_rate(*args)  # one-time set-up is no array of the stage
+    return _peak(trajectory_hit_rate, *args)
 
 
 # Stage, its measure, the values that vary and their shapes, and fixed values.
@@ -186,11 +185,10 @@ _PEAK_CASES = [
      [(32, 2, 8, 8, 4, 16, 24)], {}),
     ("query decoding", _decoder_peak, ("n", "t", "h", "w", "d"),
      [(300, 2, 4, 8, 8), (6, 2, 32, 32, 8), (24, 4, 32, 32, 16)], {}),
-    # Whole-video arrays set `demo`'s peak without within-clip or cross-clip
-    # blocks; `test_cli.py::TestDemo::test_peak_memory_within_the_video_guard`
-    # measures two more shapes, 16 frames of 96 x 96 in clips of 2 and of 3.
-    ("video", _video_peak, ("l", "t", "h", "w", "d", "n"), [(12, 4, 64, 128, 4, 3)],
-     dict(c=3, n_w=0, n_c=0, k_sample=1)),
+    # A `demo` video never puts a reference on every pixel: the rows (D = 2),
+    # or else the clip's H pass, set the stage's peak.
+    ("heatmaps", _heatmap_peak, ("t", "h", "w", "d", "heads"),
+     [(4, 16, 12, 2, 2), (2, 32, 32, 8, 1), (3, 24, 16, 8, 1)], dict(n_w=1)),
 ]
 
 
@@ -202,7 +200,40 @@ _PEAK_CASES = [
 def test_stage_bytes_bound_the_measured_peak(tmp_path, stage, measure, cfg):
     # Each entry is at least its stage's traced peak, and at most a quarter above it.
     peak = measure(cfg, tmp_path)
-    assert peak <= stage_bytes(cfg)[stage] <= 1.25 * peak
+    assert peak <= _stage_bytes(cfg)[stage] <= 1.25 * peak
+
+
+# Small `demo` configs of three or more clips, over every block and head
+# count, whose objects cross the frame in the video's length.
+_DEMO_CONFIGS = st.builds(
+    ModelConfig, l=st.integers(5, 11), t=st.sampled_from([2, 3]), h=st.sampled_from([8, 12, 16]),
+    w=st.sampled_from([8, 12, 16]), d=st.sampled_from([2, 4, 6]), n=st.sampled_from([2, 3, 8]),
+    c=st.just(3), n_w=st.integers(0, 2), n_c=st.integers(0, 2), heads=st.sampled_from([1, 2]),
+    k_sample=st.sampled_from([1, 2, 4]),
+).filter(lambda cfg: 2 * cfg.t < cfg.l <= min(e - max(2, 3 * e // 8) for e in (cfg.h, cfg.w)) + 1)
+
+
+@pytest.fixture(scope="module")
+def warm_run(tmp_path_factory):
+    """One untraced `demo` first, so that the runs traced do not import."""
+    out = str(tmp_path_factory.mktemp("warm"))
+    assert cli_main(["demo", "--l", "5", "--h", "8", "--w", "8", "--out", out]) == 0
+    return tmp_path_factory
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(cfg=_DEMO_CONFIGS)
+@example(cfg=ModelConfig())  # peaked at 11.2 MB against a largest stage of 8.39 MB
+@example(cfg=ModelConfig(l=4, t=4, h=48, w=32, d=2, n=3, c=3, n_w=2, n_c=1, heads=2, k_sample=4))
+@example(cfg=ModelConfig(l=5, t=2, h=8, w=8, d=2, n=8, c=3, n_w=2, n_c=1, heads=2, k_sample=1))  # 2 clips a group
+def test_run_peak_bounds_the_traced_demo(warm_run, cfg):
+    # A whole `demo` never holds more than its declared peak, which is at
+    # most a quarter above it beside the run's fixed bytes.
+    argv = ["demo", "--objects", str(min(3, cfg.d, cfg.n)), "--out", str(warm_run.mktemp("demo"))]
+    for key in ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "heads", "k_sample"):
+        argv += [f"--{key.replace('_', '-')}", str(getattr(cfg, key))]
+    peak = _peak(lambda: cli_main(argv) == 0 or pytest.fail(f"demo failed: {argv}"))
+    assert peak <= run_peak(cfg) <= 1.25 * peak + RUN_BYTES
 
 
 class TestConfigText:
@@ -254,27 +285,25 @@ class TestConfigText:
 
 
 def test_clip_group_keeps_the_one_clip_peak():
-    # Over a grid of configs, grouping never raises the declared peak, and g
-    # is the most clips (at most K) whose group fits beside the video entry
-    # within it and the memory limit; a one-clip group always runs, and with no
-    # within-clip block one group holds every clip. At 40000 frames the video
-    # entry is the largest, so nothing fits beside it: one clip per group.
+    # Over a grid of configs, g is the most clips (at most K) whose run peak
+    # is no higher than at one clip, nor than the memory limit, so grouping
+    # never raises the declared peak; a one-clip group always runs, and with
+    # no within-clip block one group holds every clip.
     grid = itertools.product(((2, 2), (5, 2), (9, 3), (32, 2), (40000, 2)), ((8, 8), (16, 32)),
                              ((8, 4), (16, 24)), ((0, 0), (1, 0), (2, 4)), (1, 4), (1, 2))
     for (l, t), (h, w), (d, n), (n_w, n_c), k, heads in grid:
         cfg = ModelConfig(l=l, t=t, h=h, w=w, d=d, n=n, n_w=n_w, n_c=n_c, k_sample=k, heads=heads)
-        g, clips = clip_group(cfg), -(-l // t)
-        one_clip = {stage: size for stage, _, size, _ in _stages(cfg, 1)}
-        room = min(max(one_clip.values()), errors.MEMORY_LIMIT) - one_clip["video"]
-        assert max(stage_bytes(cfg).values()) == max(one_clip.values()), cfg
-        assert 1 <= g <= clips, cfg
+        g, clips, room = clip_group(cfg), -(-l // t), min(run_peak(cfg, 1), errors.MEMORY_LIMIT)
+        assert 1 <= g <= clips and run_peak(cfg) == run_peak(cfg, g), cfg
         if not n_w:
             assert g == clips, cfg
             continue
-        if g > 1:
-            assert group_bytes(cfg, g) <= room, cfg
-        if g < clips:
-            assert group_bytes(cfg, g + 1) > room, cfg
+        assert g == 1 or run_peak(cfg, g) <= room, cfg
+        assert g == clips or run_peak(cfg, g + 1) > room, cfg
+    # The benchmark's groups: one clip in `demo_oracle`, all 16 in `track_many`.
+    assert clip_group(ModelConfig()) == 1 == clip_group(ModelConfig(heads=2))
+    track_many = dict(l=32, t=2, h=8, w=8, d=16, n=24, c=4, n_w=1, n_c=4)
+    assert clip_group(ModelConfig(**track_many)) == 16 == clip_group(ModelConfig(**track_many, heads=2))
 
 
 def _group_peak(cfg, g) -> int:
@@ -311,28 +340,28 @@ _GROUP_CASES = [
 def test_group_bytes_bound_the_measured_peak(g, cfg):
     # A group's count is at least its traced peak, and at most a quarter above it.
     peak = _group_peak(cfg, g)
-    assert peak <= group_bytes(cfg, g) <= 1.25 * peak
+    assert peak <= max(_group_bytes(cfg, g).values()) <= 1.25 * peak
 
 
 @pytest.mark.parametrize("cfg", [
     pytest.param(ModelConfig(l=32, t=2, h=8, w=8, d=16, n=24, c=4, n_w=1, n_c=4, heads=heads),
                  id=f"track_many-heads{heads}") for heads in (1, 2)
 ] + [
-    # The cross-clip pass is the largest entry; the group fills the room
-    # beside the video, and the last group is short and ends padded.
-    pytest.param(ModelConfig(l=31, t=2, h=8, w=16, d=8, n=24, c=3, n_w=n_w, n_c=1, k_sample=2),
+    # The cross-clip pass sets the run peak; three clips a group stay below
+    # it, and the last group is short and ends padded.
+    pytest.param(ModelConfig(l=31, t=2, h=8, w=16, d=8, n=8, c=3, n_w=n_w, n_c=1, k_sample=2),
                  id=f"room-for-three-n_w{n_w}") for n_w in (1, 2)
 ])
 def test_grouped_run_stays_within_the_declared_peak(cfg):
-    # A whole `run_clips`, the video drawn inside the trace: its peak is at
-    # most the video entry beside the group's count, which `clip_group`
-    # keeps at or below the table's largest entry.
-    g, sizes = clip_group(cfg), stage_bytes(cfg)
-    assert 1 < g
+    # A whole `run_clips`, the video drawn inside the trace, at groups of
+    # more clips than a `demo` of this size can hold.
+    assert 1 < clip_group(cfg)
     params = random_pipeline_params(cfg)
 
     def run():
         run_clips(np.random.default_rng(1).normal(0.0, 1.0, (cfg.l, cfg.d, cfg.h, cfg.w)), params)
 
     run()  # one-time set-up is no array of the run
-    assert _peak(run) <= sizes["video"] + group_bytes(cfg, g) <= max(sizes.values())
+    assert _peak(run) <= run_peak(cfg) <= run_peak(cfg, 1)
+
+

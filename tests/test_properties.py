@@ -9,7 +9,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import configuration, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axialtrack.cli import cli_main
@@ -18,9 +18,6 @@ from axialtrack.errors import ConfigError
 from axialtrack.pgm import dump_tube_set
 from axialtrack.segmenter import Tube
 
-# Even without a database, Hypothesis caches the literals it mines from
-# local modules under its home directory; keep that out of the checkout.
-configuration.set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "axialtrack-hypothesis"))
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 BIG = 10 ** 15

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from axialtrack.config import ModelConfig, stage_bytes
+from axialtrack.config import ModelConfig, _stages
 from axialtrack.crossclip import offline_inference
 from axialtrack.errors import ConfigError, GenerationError
 from axialtrack.metrics import vpq
@@ -164,6 +164,6 @@ def _nbytes(value) -> int:
 ])
 def test_param_bytes_is_the_bundle_size(cfg):
     spec = demo_video_spec(cfg, n_objects=min(3, cfg.d, cfg.n, cfg.c))
-    need = stage_bytes(cfg)["parameters"]
+    need = next(n for stage, _, n, _, _ in _stages(cfg) if stage == "parameters")
     assert _nbytes(build_oracle_params(spec, cfg)) == need
     assert _nbytes(random_pipeline_params(cfg)) == need
