@@ -21,9 +21,9 @@ permutations of the attended axis, the batch axis, and the frame axis.
 Scores are taken from C-contiguous head-major copies of the queries and
 keys, so the weights come out C-contiguous. Stage one's weighted sums are
 one (B, G, T, S, U, C, R) product, sorted in place along r, its last
-axis, and summed pairwise row by row (`tensor.sorted_sum`): a pass holds
-one such product at a time, the 8*B*T^2*S^2*D bytes of `stage_one_bytes`,
-and refuses an input whose product exceeds `errors.MEMORY_LIMIT`.
+axis, and summed pairwise row by row (`tensor.sorted_sum`). That product
+and its blocks' scratch are a pass's footprint, and its one size rule: a
+pass, the reference's too, refuses a footprint above `errors.MEMORY_LIMIT`.
 
 Stage one's weights are never held whole. Pieces of b rows run on every
 CPU (`tensor.split_rows`) and walk their (b, g) rows in blocks that fit a
@@ -51,16 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ResourceGuardError, check_memory
+from .errors import DimensionError, check_memory
 from .tensor import (
     MacCounter, _softmax_rows, as_array, require_finite, scratch_rows, softmax_last, sorted_sum, split_rows,
 )
 
 LN_EPS = 1e-5
-
-# Size guard for the undecomposed reference pass, expressed as a bound on
-# T*H*W (its weight tensor grows with the square of that).
-REFERENCE_CAP = 4096
 
 
 @dataclass
@@ -128,10 +124,17 @@ def _stage_one_scratch(rows: int, t: int, s: int, c: int) -> tuple[int, int]:
     return scratch_rows(-(-rows // 2), row), row
 
 
-def check_stage_one(shape: tuple[int, int, int, int]) -> None:
-    """Refuse a (B, T, S, D) pass whose stage-one product exceeds the memory limit."""
+def stage_one_footprint(shape: tuple[int, int, int, int], heads: int) -> tuple[int, str]:
+    """Bytes of a (B, T, S, D) pass's stage-one product and block scratch, and what they hold."""
+    product, scratch = stage_one_bytes(shape), stage_one_scratch_bytes(shape, heads)
+    return product + scratch, (f"stage-one footprint ({product} of stage-one product, "
+                              f"{scratch} of block scratch)")
+
+
+def check_stage_one(shape: tuple[int, int, int, int], heads: int) -> None:
+    """Refuse a (B, T, S, D) pass whose stage-one footprint exceeds the memory limit."""
     shape = tuple(shape)
-    check_memory("trajectory pass", f"(B, T, S, D) = {shape}", stage_one_bytes(shape), "stage-one product")
+    check_memory("trajectory pass", f"(B, T, S, D) = {shape}", *stage_one_footprint(shape, heads))
 
 
 def _stage_one_heads(x: np.ndarray, params: AttentionParams, project) -> tuple:
@@ -175,10 +178,10 @@ def _stage_one_blocks(qh: np.ndarray, kh: np.ndarray, scale: float, nbytes: int,
 
     Pieces of whole b rows (`split_rows` of a job of `nbytes`) each walk
     their (b, g) rows in blocks that fill their share of one scratch. There
-    a block's scores are built with one einsum, scaled, checked finite and
-    normalized in place by the row kernel of `softmax_last`, whose sort
-    buffer (the room, once the block is normalized) and denominators share
-    the scratch. No (B, G, T, S, U, R) array is made. `consume` runs inside
+    a block's scores are built with one einsum, scaled, checked finite (the
+    test's mask in the room) and normalized in place by the row kernel of
+    `softmax_last`, whose sort buffer (the room again) and denominators
+    share the scratch. No (B, G, T, S, U, R) array is made. `consume` runs inside
     the pieces, in row order within each.
     """
     b, g, t, s, c = qh.shape
@@ -195,7 +198,7 @@ def _stage_one_blocks(qh: np.ndarray, kh: np.ndarray, scale: float, nbytes: int,
             w, free = flat[:n * size].reshape(n, t, s, t, s), flat[n * size:n * (size + room)]
             np.einsum("ntsc,nurc->ntsur", q[first:last], k[first:last], out=w, optimize=False)
             w *= scale
-            require_finite(w, "stage-one scores")
+            require_finite(w, "stage-one scores", free.view(np.bool_)[:w.size].reshape(w.shape))
             x = w.reshape(-1, s)
             _softmax_rows(x, x, free[:n * size].reshape(-1, s), flat[n * (size + room):][:n * rows])
             consume(first, last, w, free)
@@ -249,7 +252,7 @@ def _validate_sequence(seq, params: AttentionParams) -> np.ndarray:
         raise DimensionError(f"expected a (B, T, S, D) sequence, got shape {seq.shape}")
     require_finite(seq, "trajectory attention input")
     params.validate(seq.shape[-1])
-    check_stage_one(seq.shape)
+    check_stage_one(seq.shape, params.heads)
     return seq
 
 
@@ -380,19 +383,15 @@ def full_trajectory_reference(
 ) -> np.ndarray:
     """Undecomposed trajectory attention over the joint H*W axis.
 
-    Stage one attends over all H*W positions of each target frame, so the
-    cost grows with (T*H*W)^2; inputs with T*H*W above `REFERENCE_CAP` are
-    refused.
+    Stage one attends over all H*W positions of each target frame, so its
+    product grows with (T*H*W)^2: the pass over the (1, T, H*W, D) sequence
+    refuses inputs whose footprint exceeds the memory limit, as any pass does.
     """
     f = as_array(f)
     if f.ndim != 4:
         raise DimensionError(f"expected (T, D, H, W) clip features, got shape {f.shape}")
     _validate_clip(f)
     t, d, h, w = f.shape
-    if t * h * w > REFERENCE_CAP:
-        raise ResourceGuardError(
-            f"reference pass refused: T*H*W = {t * h * w} exceeds cap {REFERENCE_CAP}"
-        )
     x = np.ascontiguousarray(f.transpose(0, 2, 3, 1).reshape(1, t, h * w, d))
     y = trajectory_pass_1d(prenorm(x), params, counter=counter)
     return f + y.reshape(t, h, w, d).transpose(0, 3, 1, 2)

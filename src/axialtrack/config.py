@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from . import errors
-from .attention import stage_one_bytes, stage_one_scratch_bytes
+from .attention import stage_one_bytes, stage_one_footprint, stage_one_scratch_bytes
 from .tensor import scratch_rows
 from .errors import ConfigError, check_memory
 
@@ -101,22 +101,22 @@ def clip_group(cfg: ModelConfig) -> int:
     return max(1, bisect.bisect_left(range(1, clips), True, key=lambda g: run_peak(cfg, g) > room))
 
 
+def _pass_bytes(shape: tuple[int, int, int, int], heads: int) -> int:
+    """A (B, T, S, D) pass's peak bytes in planes P of its sequence: stage one's
+    product beside the input (P) and either 3 projections (3 P) and the block scratch
+    or the (T P) sum; or stage two's input, queries, projection (3 P) and 5 (T P) points."""
+    t, plane, scratch = shape[1], 8 * math.prod(shape), stage_one_scratch_bytes(shape, heads)
+    return max(stage_one_bytes(shape) + max(4 * plane + scratch, (1 + t) * plane), (5 * t + 4) * plane)
+
+
 def _group_bytes(cfg: ModelConfig, g: int) -> dict[str, int]:
     """Within-clip stage -> bytes of `deform.within_clip_forward` at its peak
     on g clips (n_w >= 1) in (g T, D, H, W) planes P; "sampler" is the
     sampler's own count. Sampling: that count, the coarse levels and output
-    (2 P). A finest pass: two pyramids, the outputs so far (3 P), SMALL_BYTES
-    and the largest of stage one's product beside the input, 3 projections
-    (4 P) and the blocks' scratch, or beside the input and the (T P) sum; and
-    stage two's input, queries, projection (3 P) and five (T P) point arrays."""
+    (2 P); a finest pass, `_pass_bytes` beside two pyramids, the outputs so far (3 P) and SMALL_BYTES."""
     t, h, w, d, k, px = cfg.t, cfg.h, cfg.w, cfg.d, cfg.k_sample, cfg.h * cfg.w
     plane = 8 * g * t * px * d
-
-    def moments(shape: tuple[int, int, int, int]) -> int:
-        product, scratch = stage_one_bytes(shape), stage_one_scratch_bytes(shape, cfg.heads)
-        return 3 * plane + SMALL_BYTES + max(product + max(4 * plane + scratch, (1 + t) * plane),
-                                             (5 * t + 4) * plane)
-
+    beside = 3 * plane + SMALL_BYTES
     # The finest query level's gather over g T frames: per frame, the finest
     # level's (H+2, W+2, D) bordered copy; per pixel, the queries and the
     # running sum beside at most D of coarser outputs (3 D); per point, the
@@ -125,7 +125,8 @@ def _group_bytes(cfg: ModelConfig, g: int) -> dict[str, int]:
     # 3 gather indices (10); the (H*W, 2) grid.
     sampler = 8 * (g * t * ((h + 2) * (w + 2) * d + px * (3 * d + 2 * k * d + 18 * k)) + 2 * px) + SMALL_BYTES
     return {"sampler": sampler, "deformable sampling": sampler + 2 * plane,
-            "H trajectory pass": moments((g * w, t, h, d)), "W trajectory pass": moments((g * h, t, w, d))}
+            "H trajectory pass": beside + _pass_bytes((g * w, t, h, d), cfg.heads),
+            "W trajectory pass": beside + _pass_bytes((g * h, t, w, d), cfg.heads)}
 
 
 def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int, str, int]]:
@@ -137,8 +138,7 @@ def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int,
     clips, keys = frames // t, max(n, t * px)  # keys: the longer of the decoder's two softmax rows
 
     def trajectory_pass(name: str, shape: tuple[int, int, int, int], peak: int) -> tuple:
-        return (f"{name} trajectory pass", f"(B, T, S, D) = {shape}", stage_one_bytes(shape),
-                "stage-one product", peak)
+        return (f"{name} trajectory pass", f"(B, T, S, D) = {shape}", *stage_one_footprint(shape, cfg.heads), peak)
 
     # Queries (N, D) and class head (D, C); three decoder layers of 14 D^2
     # (two attentions of 3 D^2, a 4D-wide feed-forward); per within-clip block,
@@ -173,21 +173,21 @@ def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int,
         ("query decoding", f"{n=}, {t=}, {h=}, {w=}, {d=}", decoder, "decoder features and attention scores",
          base + copy + features * (cfg.n_w > 0) + masks + decoder),
     ]
-    if cfg.n_c:
-        cross = (1, clips, n, d)
-        stages.append(trajectory_pass("cross-clip", cross, video + params + stage_one_bytes(cross)))
+    if cfg.n_c:  # beside the clip masks, the near-online tubes and its (K, N, D) input
+        stages.append(trajectory_pass("cross-clip", cross := (1, clips, n, d), base + features + 2 * masks
+                                      + SMALL_BYTES + 8 * clips * n * d + _pass_bytes(cross, cfg.heads)))
     stages.append(("video", f"{l=}, {t=}, {h=}, {w=}, {d=}, {n=}", video,
                    "float64 video, ground truth, clip runs, tubes and logits", video + params))
     if cfg.n_w:
         # The heatmaps read a clip at a time beside the clip copy and three
-        # modes' (F, N) tubes. At n = T*H*W references, their indices and two
-        # clips' (n, T) argmax (4 T + 4 a reference) beside the clip's H pass,
+        # modes' (F, N) tubes. At n = T*H*W references, their indices and the
+        # clip's (n, T) argmax (2 T + 4 a reference) beside the clip's H pass,
         # or beside its (n, T, H) and (n, T, W) rows, sequences (8 D n) and
         # the block of `outer_argmax` tests or the W rows' scratch.
         refs, long = t * px, max(h, w)
         rows = 8 * refs * (t * (h + w) + 8 * d) + SMALL_BYTES + max(
             9 * scratch_rows(t * refs, long) * long, stage_one_scratch_bytes((h, t, w, d), cfg.heads))
-        heatmaps = 8 * refs * (4 * t + 4) + max(rows, _group_bytes(cfg, 1)["H trajectory pass"])
+        heatmaps = 8 * refs * (2 * t + 4) + max(rows, _group_bytes(cfg, 1)["H trajectory pass"])
         stages += [trajectory_pass("H", (g * w, t, h, d), beside + group["H trajectory pass"]),
                    trajectory_pass("W", (g * h, t, w, d), beside + group["W trajectory pass"]),
                    ("heatmaps", f"{t=}, {h=}, {w=}, {d=}, heads={cfg.heads}", heatmaps,

@@ -2,7 +2,7 @@
 a run; the CLI exits 1 on an `AxialtrackError`."""
 
 # Most bytes that a run may hold at its declared peak (`config.run_peak`),
-# and that one trajectory pass's stage-one product may take.
+# and one trajectory pass for stage one (`attention.stage_one_footprint`).
 MEMORY_LIMIT = 2 ** 30
 
 
@@ -23,7 +23,7 @@ class NumericError(AxialtrackError, ValueError):
 
 
 class ResourceGuardError(AxialtrackError, RuntimeError):
-    """A guarded operation would exceed its configured size cap."""
+    """A guarded operation would exceed the memory limit."""
 
 
 class GenerationError(AxialtrackError, RuntimeError):

@@ -90,7 +90,7 @@ def trajectory_hit_rate(
     frame; targets are all frames of the reference's clip. The within-clip
     `block`'s rows are read once per (T, D, H, W) clip (`axial_fields`), at
     the union of its references and, in clip 0, the probe, and dropped
-    before the next clip's are read."""
+    with the clip's argmax and references before the next clip's are read."""
     hits = total = 0
     for k, clip in enumerate(clips):
         t = len(clip)
@@ -110,4 +110,5 @@ def trajectory_hit_rate(
             sel = m.reshape(-1)[at]  # the references on this mask
             hits += int(np.count_nonzero(m[np.arange(t), by[sel], bx[sel]]))
             total += by[sel].size
+        by = bx = sel = m = None  # dropped before the next clip's H pass
     return (hits / total if total else 1.0), probe_rows

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import (
-    REFERENCE_CAP,
     attention_params,
     axial_trajectory_h,
     axial_trajectory_w,
@@ -72,19 +71,17 @@ def count_macs(cfg: ModelConfig) -> dict:
     form `ratio_analytic` = H*W / (H + W), and `exact_match`, true when
     every measured count equals its closed form.
 
-    Shapes above the reference cap, or whose reference pass's stage-one
-    product (`attention.stage_one_bytes`) exceeds `errors.MEMORY_LIMIT`, are
-    refused before the features are drawn.
+    A shape whose reference pass's stage-one footprint (its product and
+    block scratch, `attention.check_stage_one`) exceeds `errors.MEMORY_LIMIT`
+    is refused before the features are drawn; that footprint bounds both
+    axial passes'.
     """
     cfg.validate()
     t, h, w, d = cfg.t, cfg.h, cfg.w, cfg.d
-    if t * h * w > REFERENCE_CAP:
-        raise ResourceGuardError(
-            f"bench refused: (T, D, H, W) = {(t, d, h, w)} has T*H*W = {t * h * w}, "
-            f"above the reference cap {REFERENCE_CAP}"
-        )
-    # The reference pass's stage-one product bounds those of both axial passes.
-    check_stage_one((1, t, h * w, d))
+    try:
+        check_stage_one((1, t, h * w, d), cfg.heads)
+    except ResourceGuardError as exc:
+        raise ResourceGuardError(f"bench at (T, D, H, W) = {(t, d, h, w)}: {exc}") from None
     rng = np.random.default_rng(cfg.seed)
     feats = rng.normal(0.0, 1.0, size=(t, d, h, w))
     params = attention_params(d, rng, heads=cfg.heads, scale=cfg.scale())

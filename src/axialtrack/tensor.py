@@ -165,8 +165,9 @@ def as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def require_finite(x: np.ndarray, what: str = "input") -> None:
-    if not np.all(np.isfinite(x)):
+def require_finite(x: np.ndarray, what: str = "input", work: np.ndarray | None = None) -> None:
+    """Raise NumericError unless every value of `x` is finite; the test mask goes to `work`, if given."""
+    if not np.all(np.isfinite(x, out=work)):
         raise NumericError(f"{what} contains non-finite values")
 
 

@@ -16,6 +16,7 @@ from axialtrack.attention import (
     full_trajectory_reference,
     passthrough_attention_params,
     prenorm,
+    stage_one_footprint,
     stage_one_scratch_bytes,
     stage_one_weights,
     to_sequence,
@@ -362,10 +363,38 @@ class TestFullReference:
         )
 
     def test_size_guard(self):
-        # T*H*W = 4160, just above the fixed cap of 4096.
-        f = np.zeros((1, 2, 64, 65))
-        with pytest.raises(ResourceGuardError, match="T\\*H\\*W = 4160 exceeds cap 4096"):
-            full_trajectory_reference(f, _params(2, 39))
+        # The reference's only size rule is its pass's: at (T, D, H, W) =
+        # (4, 8, 32, 32) the (1, 4, 1024, 8) pass needs a 2^30-byte product
+        # and 268566528 bytes of block scratch, refused before either exists.
+        f = np.zeros((4, 8, 32, 32))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError) as exc:
+                full_trajectory_reference(f, _params(8, 39))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for part in ("(1, 4, 1024, 8)", "1342308352 bytes", f"{2 ** 30} of stage-one product",
+                     "268566528 of block scratch"):
+            assert part in str(exc.value)
+        assert peak < 2 ** 21
+
+    def test_runs_within_its_footprint_above_4096(self):
+        # T*H*W = 4160 fits: the pass holds its product and block scratch
+        # (415 MB) and no more than a fixed 1 MiB beside them.
+        t, d, h, w = 2, 1, 40, 52
+        f = np.random.default_rng(40).normal(size=(t, d, h, w))
+        p = _params(d, 41)
+        full_trajectory_reference(f[:, :, :2, :2], p)  # the row pool's one-time import and threads
+        tracemalloc.start()
+        try:
+            full_trajectory_reference(f, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        footprint = stage_one_footprint((1, t, h * w, d), 1)[0]
+        assert footprint == 415_400_960
+        assert footprint <= peak <= footprint + 2 ** 20
 
 
 class TestStageOneGuard:
@@ -383,9 +412,11 @@ class TestStageOneGuard:
     def test_limit_is_inclusive(self, monkeypatch):
         from axialtrack import errors
         x = np.ones((1, 2, 4, 4))  # stage-one product 8 * 1 * 4 * 16 * 4 = 2048 bytes
-        monkeypatch.setattr(errors, "MEMORY_LIMIT", 2048)
+        footprint = stage_one_footprint(x.shape, 1)[0]
+        assert footprint == 2048 + stage_one_scratch_bytes(x.shape, 1)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", footprint)
         trajectory_pass_1d(x, _params(4, 44))
-        monkeypatch.setattr(errors, "MEMORY_LIMIT", 2047)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", footprint - 1)
         with pytest.raises(ResourceGuardError):
             trajectory_pass_1d(x, _params(4, 44))
 

@@ -219,7 +219,19 @@ class TestBench:
         rc = cli_main(["bench", "--h", "100000", "--w", "100000", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "reference cap" in err and "100000" in err
+        assert "stage-one footprint" in err and "(2, 8, 100000, 100000)" in err
+
+    def test_over_the_memory_limit_refused(self, tmp_path, capsys, monkeypatch):
+        # T*H*W = 4096, but the reference pass's 2^30-byte product leaves no
+        # room for its 268566528 bytes of block scratch.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("features drawn before the size checks")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        rc = cli_main(["bench", "--t", "4", "--h", "32", "--w", "32", "--d", "8", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "(4, 8, 32, 32)" in err and "1342308352 bytes" in err
 
     def test_sweep_error_names_the_point(self, tmp_path, capsys):
         rc = cli_main(["bench", "--heads", "8", "--out", str(tmp_path / "sweep")])

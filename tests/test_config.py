@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from axialtrack import errors
+from axialtrack import attention, errors
 from axialtrack.cli import cli_main
 from axialtrack.config import (
     RUN_BYTES,
@@ -226,14 +226,28 @@ def warm_run(tmp_path_factory):
 @example(cfg=ModelConfig())  # peaked at 11.2 MB against a largest stage of 8.39 MB
 @example(cfg=ModelConfig(l=4, t=4, h=48, w=32, d=2, n=3, c=3, n_w=2, n_c=1, heads=2, k_sample=4))
 @example(cfg=ModelConfig(l=5, t=2, h=8, w=8, d=2, n=8, c=3, n_w=2, n_c=1, heads=2, k_sample=1))  # 2 clips a group
+# The cross-clip pass sets the peak, beside the clip masks and near-online tubes only.
+@example(cfg=ModelConfig(l=8, t=2, h=16, w=16, d=8, n=48, c=4, n_w=0, n_c=1))
+@example(cfg=ModelConfig(l=16, t=2, h=24, w=24, d=8, n=48, c=4, n_w=1, n_c=1))
 def test_run_peak_bounds_the_traced_demo(warm_run, cfg):
     # A whole `demo` never holds more than its declared peak, which is at
-    # most a quarter above it beside the run's fixed bytes.
+    # most a quarter above it beside the run's fixed bytes, and no pass's
+    # own guard can refuse what the run peak admits.
     argv = ["demo", "--objects", str(min(3, cfg.d, cfg.n)), "--out", str(warm_run.mktemp("demo"))]
     for key in ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "heads", "k_sample"):
         argv += [f"--{key.replace('_', '-')}", str(getattr(cfg, key))]
-    peak = _peak(lambda: cli_main(argv) == 0 or pytest.fail(f"demo failed: {argv}"))
+    footprints = []
+
+    def check(shape, heads):
+        footprints.append(attention.stage_one_footprint(shape, heads)[0])
+        guard(shape, heads)
+
+    with pytest.MonkeyPatch.context() as patch:
+        guard = attention.check_stage_one
+        patch.setattr(attention, "check_stage_one", check)
+        peak = _peak(lambda: cli_main(argv) == 0 or pytest.fail(f"demo failed: {argv}"))
     assert peak <= run_peak(cfg) <= 1.25 * peak + RUN_BYTES
+    assert max(footprints, default=0) <= run_peak(cfg)
 
 
 class TestConfigText:

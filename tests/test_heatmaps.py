@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,32 @@ class TestHitRate:
         rate = _check(monkeypatch, video, list(masks), moving, cfg.t, random_pipeline_params(cfg), (1, 3, 4))
         if not any(moving):
             assert rate == 1.0
+
+    def test_next_clip_starts_without_the_last_clips_argmax(self, monkeypatch):
+        # Every pixel is on a moving object, so a clip's (n, T) argmax covers
+        # n = T*H*W references (393 kB at this shape). The second clip's H pass
+        # starts beside clip 0's probe rows and small objects only.
+        from axialtrack import heatmaps
+
+        cfg = ModelConfig(t=4, h=48, w=32, d=2, heads=2, n_w=1)
+        clips = np.random.default_rng(0).normal(0.0, 1.0, (2, cfg.t, cfg.d, cfg.h, cfg.w))
+        args = [np.ones((2 * cfg.t, cfg.h, cfg.w))], [True], clips, random_pipeline_params(cfg).within_blocks[0]
+        trajectory_hit_rate(*args, (0, 0, 0))  # one-time set-up is no array of the hit rate
+        starts = []
+
+        def recording(seq, params):
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return pass_1d(seq, params)
+
+        pass_1d = heatmaps.trajectory_pass_1d
+        monkeypatch.setattr(heatmaps, "trajectory_pass_1d", recording)
+        tracemalloc.start()
+        try:
+            trajectory_hit_rate(*args, (0, 0, 0))
+        finally:
+            tracemalloc.stop()
+        probe_rows = 8 * cfg.t * (cfg.h + cfg.w)
+        assert len(starts) == 2 and starts[1] <= starts[0] + probe_rows + 2 ** 12
 
 
 def _check(monkeypatch, video, masks, moving, t, bundle, probe):

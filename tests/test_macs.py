@@ -53,13 +53,16 @@ class TestCountMacs:
         assert dominant(full) == 2 * t * t * h * h * w * w * d
 
     def test_reference_guard_propagates(self):
-        # T*H*W = 4160, just above the fixed reference cap of 4096.
-        with pytest.raises(ResourceGuardError, match="T\\*H\\*W = 4160, above the reference cap 4096"):
-            count_macs(ModelConfig(t=2, h=32, w=65, d=4))
+        # The reference pass's footprint is the one size rule: a 2^30-byte
+        # product, at the limit, and 268566528 bytes of block scratch.
+        with pytest.raises(ResourceGuardError) as exc:
+            count_macs(ModelConfig(t=4, h=32, w=32, d=8))
+        for part in ("(T, D, H, W) = (4, 8, 32, 32)", "(B, T, S, D) = (1, 4, 1024, 8)", "need 1342308352 bytes"):
+            assert part in str(exc.value)
 
     @pytest.mark.parametrize("cfg, words", [
         (ModelConfig(t=2, h=100000, w=100000, d=8), "(2, 8, 100000, 100000)"),
-        # T*H*W is at the cap; the H pass's stage-one product is 2 GiB.
+        # One column: the reference pass is the H pass, a 2 GiB stage-one product.
         (ModelConfig(t=2, h=2048, w=1, d=16), "stage-one product"),
         # Both axial passes fit; the reference pass needs 2 GiB.
         (ModelConfig(t=4, h=32, w=32, d=16), "(1, 4, 1024, 16)"),

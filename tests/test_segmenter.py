@@ -54,7 +54,7 @@ def _random_video(**kwargs):
 _GROUPINGS = {
     1: dict(l=7, t=3, h=16, w=16, seed=8),  # three groups of one clip
     # Two groups of six clips, then a short group of three ending in the padded clip.
-    6: dict(l=29, t=2, h=4, w=4, d=8, n=4, c=3, n_w=1, n_c=1, k_sample=3, seed=6),
+    6: dict(l=29, t=2, h=4, w=4, d=8, n=4, c=3, n_w=1, n_c=1, k_sample=4, seed=6),
     # One group of all twelve clips, the last padded.
     12: dict(l=23, t=2, h=4, w=4, d=8, n=16, c=3, n_w=1, n_c=1, k_sample=2, seed=5),
 }
