@@ -248,8 +248,8 @@ def _stage_one(x: np.ndarray, params: AttentionParams) -> np.ndarray:
 
 def _validate_sequence(seq, params: AttentionParams) -> np.ndarray:
     seq = as_array(seq)
-    if seq.ndim != 4:
-        raise DimensionError(f"expected a (B, T, S, D) sequence, got shape {seq.shape}")
+    if seq.ndim != 4 or min(seq.shape) < 1:
+        raise DimensionError(f"expected a (B, T, S, D) sequence with no empty axis, got shape {seq.shape}")
     require_finite(seq, "trajectory attention input")
     params.validate(seq.shape[-1])
     check_stage_one(seq.shape, params.heads)

@@ -21,7 +21,8 @@ SCALE_ONE = "one"
 # small Python objects.
 SMALL_BYTES = 2 ** 17
 # A whole run's fixed bytes: its small objects beside a stage's (2 SMALL_BYTES),
-# and 1 MiB that a process's first run imports lazily (numpy.ma, locale: 0.9 MB).
+# and 1 MiB for the modules that a process's first run imports (numpy.random
+# for its seeded streams, 0.75 MB, and locale for argparse's messages, 0.16 MB).
 RUN_BYTES = 2 * SMALL_BYTES + 2 ** 20
 
 _INT_KEYS = ("l", "t", "h", "w", "d", "n", "c", "n_w", "n_c", "heads", "k_sample", "seed")

@@ -32,8 +32,7 @@ class GroundTruthSet:
         if len(self.tubes) != len(self.class_ids):
             raise DimensionError("one class id per ground-truth tube is required")
         for tube in self.tubes:
-            vals = np.unique(tube.masks)
-            if not np.all(np.isin(vals, (0.0, 1.0))):
+            if not np.all((tube.masks == 0) | (tube.masks == 1)):
                 raise DimensionError("ground-truth masks must be binary")
             if tube.masks.shape != self.tubes[0].masks.shape:
                 raise DimensionError("ground-truth tubes must share their span and extent")

@@ -11,8 +11,11 @@ leaves its inputs alone.
 
 `split_rows` runs the large row-wise kernels (`sorted_sum`, attention's
 stage one and `matmul`'s stacks) in contiguous pieces of whole
-leading-axis rows, one piece per CPU. No reduction crosses a piece, and
-each piece runs numpy alone and writes into buffers its caller
+leading-axis rows, one piece per CPU. The calling thread runs the first
+piece and a thread started for each other piece runs it; all are joined
+before the call returns, so no thread and no state outlives a split (a
+forked child splits as its parent does). No reduction crosses a piece,
+and each piece runs numpy alone and writes into buffers its caller
 allocated, so the bits of every result are the same for any number of
 pieces. A job's scratch (`scratch_rows`, at most `SCRATCH_BYTES` unless
 two of its rows need more) is shared out among its pieces, so what they
@@ -51,40 +54,17 @@ SCRATCH_BYTES = 2 ** 19
 
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _IN_PIECE = threading.local()
-# The first split creates the pool, so importing this module starts no
-# thread and does not load `concurrent.futures` (and `logging`).
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool():
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="axialtrack-rows")
-        return _POOL
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads; it makes a new pool."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def split_rows(fn, n: int, nbytes: int, scratch: np.ndarray | None = None) -> None:
     """Run `fn(lo, hi)` over contiguous pieces [lo, hi) that cover range(n).
 
-    There is one piece per worker of the module pool (one per CPU in the
-    process affinity), but no piece under `MIN_PIECE_BYTES` of the job's
-    `nbytes`; with one piece, `fn(0, n)` runs on the calling thread. The
-    calling thread runs the first piece while the pool runs the others, and
-    the call returns once every piece is done; then an error that a piece
-    raised is raised.
+    There is one piece per CPU in the process affinity, but no piece under
+    `MIN_PIECE_BYTES` of the job's `nbytes`; with one piece, `fn(0, n)`
+    runs on the calling thread. The calling thread runs the first piece
+    while one thread started for each other piece runs it, and the call
+    returns once every thread is joined, so none outlives the call; then
+    the first error that a piece raised, in piece order, is raised.
 
     With `scratch`, each piece also gets its own share of it,
     `fn(share, lo, hi)`: the pieces cut its first axis as evenly as they
@@ -110,15 +90,27 @@ def split_rows(fn, n: int, nbytes: int, scratch: np.ndarray | None = None) -> No
     if pieces == 1:
         fns[0](0, n)
         return
-    pool = _pool()
-    futures = [pool.submit(_piece, f, lo, hi) for f, lo, hi in zip(fns[1:], bounds[1:-1], bounds[2:])]
+    errors = [None] * pieces
+
+    def run(i: int) -> None:
+        try:
+            _piece(fns[i], bounds[i], bounds[i + 1])
+        except BaseException as error:
+            errors[i] = error
+
+    threads = []
     try:
-        _piece(fns[0], bounds[0], bounds[1])
+        for i in range(1, pieces):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
     finally:
-        for future in futures:  # wait for all, so no piece outlives its buffers
-            future.exception()
-    for future in futures:
-        future.result()
+        for thread in threads:  # join all, so no piece outlives its buffers
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _piece(fn, lo: int, hi: int) -> None:

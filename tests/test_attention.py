@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,13 @@ class TestTrajectoryPass:
         x = np.zeros((1, 2, 2, 4))
         with pytest.raises(DimensionError):
             trajectory_pass_1d(x, _params(6, 14))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 0, 4), (1, 0, 3, 4), (0, 2, 3, 4)])
+    def test_empty_axis_refused_naming_the_shape(self, shape):
+        with pytest.raises(DimensionError, match=re.escape(str(shape))):
+            trajectory_pass_1d(np.zeros(shape), _params(4, 16))
+        with pytest.raises(DimensionError, match=re.escape(str(shape))):
+            stage_one_weights(np.zeros(shape), _params(4, 16), ([0], [0], [0]))
 
     def test_non_finite_rejected(self):
         x = np.zeros((1, 2, 2, 4))

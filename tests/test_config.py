@@ -1,4 +1,8 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -248,6 +252,40 @@ def test_run_peak_bounds_the_traced_demo(warm_run, cfg):
         peak = _peak(lambda: cli_main(argv) == 0 or pytest.fail(f"demo failed: {argv}"))
     assert peak <= run_peak(cfg) <= 1.25 * peak + RUN_BYTES
     assert max(footprints, default=0) <= run_peak(cfg)
+
+
+# The command runs first in a fresh process, with `tracemalloc` started
+# before it, so what the run imports on its first use counts in its peak.
+# A run imports neither the executors' package nor numpy's masked arrays.
+_FIRST_COMMAND = """
+import json, sys, tracemalloc
+from axialtrack.cli import cli_main
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+code = cli_main(sys.argv[2:])
+peak = tracemalloc.get_traced_memory()[1] - start
+modules = [name for name in ("concurrent", "numpy.ma") if name in sys.modules]
+with open(sys.argv[1], "w") as f:
+    json.dump({"code": code, "peak": peak, "modules": modules}, f)
+"""
+_TALL = ["--l", "4", "--t", "4", "--h", "48", "--w", "32", "--d", "2", "--n", "3", "--c", "3",
+         "--n-w", "2", "--n-c", "1", "--heads", "2", "--k-sample", "4", "--objects", "2"]
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["demo"], ModelConfig()),
+    (["demo", *_TALL], ModelConfig(l=4, t=4, h=48, w=32, d=2, n=3, c=3, n_w=2, n_c=1, heads=2, k_sample=4)),
+    (["attn"], ModelConfig()),  # bounded by the default demo's run peak
+], ids=["demo", "demo-tall", "attn"])
+def test_first_command_of_a_process_within_run_peak(tmp_path, argv, cfg):
+    src = os.path.dirname(os.path.dirname(attention.__file__))
+    result = tmp_path / "result.json"
+    subprocess.run([sys.executable, "-c", _FIRST_COMMAND, str(result), *argv, "--out", str(tmp_path / "out")],
+                   env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True)
+    run = json.loads(result.read_text())
+    assert run["code"] == 0
+    assert run["peak"] <= run_peak(cfg)
+    assert run["modules"] == []
 
 
 class TestConfigText:

@@ -109,9 +109,11 @@ class TestVpq:
         assert vpq([worse], gt) < vpq([a], gt)
 
     def test_binary_gt_enforced(self):
-        bad = _tube(np.full((1, 2, 2), 0.5))
-        with pytest.raises(DimensionError):
-            vpq([], _gt((bad, 0)))
+        for value in (0.5, np.nan):
+            masks = np.ones((1, 2, 2))
+            masks[0, 1, 0] = value
+            with pytest.raises(DimensionError, match="binary"):
+                vpq([], _gt((_tube(masks), 0)))
 
     def test_non_finite_prediction_refused(self):
         # Comparisons with NaN are false, so range checks alone let it through

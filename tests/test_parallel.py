@@ -1,7 +1,8 @@
 """Row-parallel kernels: the same bits for any number of workers.
 
-`tensor.split_rows` cuts a job into pieces of whole leading-axis rows and
-runs them on the module pool. These tests swap in pools of 1, 2 and 3
+`tensor.split_rows` cuts a job into pieces of whole leading-axis rows,
+runs the first on the calling thread and each other one on a thread it
+starts, and joins them all before it returns. These tests set 1, 2 and 3
 workers with no minimum piece size, so even small inputs are split, and
 require outputs equal to the serial ones bit for bit, signs of zero
 included.
@@ -14,7 +15,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,18 +34,13 @@ BOOKKEEPING_BYTES = 2 ** 16
 
 @pytest.fixture
 def use_workers(monkeypatch):
-    """use_workers(n): split every job into up to n pieces on an n-thread pool."""
-    pools = []
+    """use_workers(n): split every job into up to n pieces."""
 
     def use(n: int) -> None:
-        pools.append(ThreadPoolExecutor(n))
         monkeypatch.setattr(tensor, "_WORKERS", n)
-        monkeypatch.setattr(tensor, "_POOL", pools[-1])
         monkeypatch.setattr(tensor, "MIN_PIECE_BYTES", 1)
 
-    yield use
-    for pool in pools:
-        pool.shutdown()
+    return use
 
 
 def _each_worker_count(use_workers, fn):
@@ -122,9 +117,23 @@ class TestSplitRows:
             split_rows(fail_last, 9, 9)
         assert sorted(done) == [0, 3]
 
-    def test_forked_child_gets_a_working_pool(self, use_workers):
+    def test_no_thread_outlives_a_split(self, use_workers):
+        use_workers(3)
+        before = threading.enumerate()
+        split_rows(lambda lo, hi: None, 9, 9)
+        assert threading.enumerate() == before
+
+        def fail_middle(lo, hi):
+            if lo == 3:
+                raise ValueError("middle piece")
+
+        with pytest.raises(ValueError, match="middle piece"):
+            split_rows(fail_middle, 9, 9)
+        assert threading.enumerate() == before
+
+    def test_forked_child_splits(self, use_workers):
         use_workers(2)
-        split_rows(lambda lo, hi: None, 2, 2)  # the parent's threads now exist
+        split_rows(lambda lo, hi: None, 2, 2)  # the parent has split before the fork
         child = multiprocessing.get_context("fork").Process(target=_split_and_exit)
         child.start()
         child.join(timeout=60)
@@ -137,8 +146,8 @@ class TestSplitRows:
 
 
 def _split_and_exit():
-    # A fork copies only the calling thread, so the parent's pool threads
-    # are gone here; a split that waited on them would never return.
+    # A fork copies only the calling thread; a split that waited on a thread
+    # of the parent's would never return.
     seen = []
     split_rows(lambda lo, hi: seen.append((lo, hi)), 4, 4)
     os._exit(0 if sorted(seen) == [(0, 2), (2, 4)] else 1)
@@ -215,16 +224,17 @@ class TestSameBitsForAnyWorkerCount:
 
 def test_split_pass_peak_memory_not_above_serial(use_workers):
     # Pieces write into buffers their caller allocated, so splitting adds
-    # no array at the pass's peak, only the pool's bookkeeping (futures,
-    # work items, frames: about 5 KiB here). A piece that allocated its own
-    # temporaries would add at least half of the 1.8 MB stage-one weights.
+    # no array at the pass's peak, only the bookkeeping of the threads each
+    # split starts (thread objects, locks, frames: about 7 KiB here). A piece
+    # that allocated its own temporaries would add at least half of the
+    # 1.8 MB stage-one weights.
     rng = np.random.default_rng(30)
     x = rng.normal(size=(12, 4, 24, 16))
     p = attention_params(16, rng, heads=2)
     peaks = []
     for n in (1, 2):
         use_workers(n)
-        trajectory_pass_1d(x, p)  # starts the pool's threads outside the trace
+        trajectory_pass_1d(x, p)  # a first call's one-time allocations stay outside the trace
         tracemalloc.start()
         try:
             trajectory_pass_1d(x, p)
@@ -247,7 +257,7 @@ def test_pieces_allocate_only_the_callers_buffers(use_workers, kernel):
     allowed = {"softmax_last": x.nbytes + scratch, "sorted_sum": 0}[kernel] + x.size // 40 * 8
     use_workers(2)
     fn = getattr(tensor, kernel)
-    fn(x.copy())  # starts the pool's threads outside the trace
+    fn(x.copy())  # a first call's one-time allocations stay outside the trace
     operand = x.copy()
     tracemalloc.start()
     try:
@@ -363,4 +373,4 @@ def test_traced_names_entered_only_on_main_thread(use_workers, monkeypatch, tmp_
     assert {name for name, _ in entered} >= {"tensor.sorted_sum", "tensor.softmax_last",
                                              "attention.trajectory_pass_1d"}
     assert all(on_main for _, on_main in entered)
-    assert len(piece_threads) > 1  # the pieces did run on pool threads
+    assert len(piece_threads) > 1  # the pieces did run on threads of their own
