@@ -67,12 +67,12 @@ class ModelConfig:
 
     def validate_pipeline(self) -> None:
         """`validate`, plus the pipeline's rules (MAC accounting runs the attention
-        alone at any extents): the pyramid halves H and W twice, and `run_peak` must fit
-        `errors.MEMORY_LIMIT` before the video is drawn or the parameters are built. A
+        alone at any extents): a within-clip block's pyramid halves H and W twice, and `run_peak`
+        must fit `errors.MEMORY_LIMIT` before the video is drawn or the parameters are built. A
         refusal names the first stage whose own arrays exceed it, else the stage at the peak."""
         self.validate()
         for key in ("h", "w"):
-            if getattr(self, key) % 4:
+            if self.n_w and getattr(self, key) % 4:
                 raise ConfigError(f"{key} must be divisible by 4, got {getattr(self, key)}")
         stages = _stages(self)
         for stage, values, n, what, _ in stages:
@@ -114,7 +114,8 @@ def _group_bytes(cfg: ModelConfig, g: int) -> dict[str, int]:
     """Within-clip stage -> bytes of `deform.within_clip_forward` at its peak
     on g clips (n_w >= 1) in (g T, D, H, W) planes P; "sampler" is the
     sampler's own count. Sampling: that count, the coarse levels and output
-    (2 P); a finest pass, `_pass_bytes` beside two pyramids, the outputs so far (3 P) and SMALL_BYTES."""
+    (2 P); a finest pass, `_pass_bytes` beside at most 3 P and SMALL_BYTES: before the last
+    block the sampled pyramid and coarse outputs, at the last the sampled finest level alone."""
     t, h, w, d, k, px = cfg.t, cfg.h, cfg.w, cfg.d, cfg.k_sample, cfg.h * cfg.w
     plane = 8 * g * t * px * d
     beside = 3 * plane + SMALL_BYTES

@@ -3,7 +3,8 @@
 Each block applies multi-scale deformable sampling (spatial mixing, no
 temporal exchange; one gather per level serves every frame) followed by
 axial-trajectory attention along the height and then the width axis of
-every level (temporal mixing, no cross-level exchange).
+every level a later block samples (temporal mixing, no cross-level exchange):
+the last block's passes run on the finest level, the one the decoder reads.
 
 Every stage takes (..., T, D, H, W) levels: axes before T are batch axes,
 as in `tensor.bilinear_sample`. The pyramid and the sampler fold them into
@@ -137,21 +138,18 @@ class WithinClipBlock:
     attn_w: AttentionParams
 
 
-def within_clip_forward(
-    pyr: FeaturePyramid, blocks: list[WithinClipBlock]
-) -> FeaturePyramid:
-    """Stack deformable sampling and per-level H/W axial passes over
-    (..., T, D, H, W) levels; shapes preserved."""
-    pyr.validate()
-    for blk in blocks:
-        pyr = msdeform_simplified(pyr, blk.deform)
-        levels = []
-        for lvl in pyr.levels:
-            lvl = axial_trajectory_h(lvl, blk.attn_h)
-            lvl = axial_trajectory_w(lvl, blk.attn_w)
-            levels.append(lvl)
-        pyr = FeaturePyramid(levels)
-    return pyr
+def within_clip_forward(f, blocks: list[WithinClipBlock]) -> np.ndarray:
+    """The finest level of the (..., T, D, H, W) clip stack `f`'s pyramid after
+    the blocks, which pass only the levels a later block samples; with no block, `f`."""
+    if not blocks:
+        return f
+    levels = build_pyramid(f).levels
+    for i, blk in enumerate(blocks):
+        levels = msdeform_simplified(FeaturePyramid(levels), blk.deform).levels
+        if i == len(blocks) - 1:
+            levels = levels[-1:]
+        levels = [axial_trajectory_w(axial_trajectory_h(lvl, blk.attn_h), blk.attn_w) for lvl in levels]
+    return levels[-1]
 
 
 def _pool2(f: np.ndarray) -> np.ndarray:

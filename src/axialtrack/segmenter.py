@@ -3,14 +3,15 @@ near-online (clip-by-clip) inference chain.
 
 A toy transformer decoder refines per-clip object queries against the
 finest pyramid level; each refined query produces one mask tube and one
-class distribution. `run_clips` runs every clip of a video once: the
-pyramid and the within-clip blocks run once per group of consecutive
-clips, a `(g, T, D, H, W)` view of the (padded) video with g from
-`config.clip_group`, into one `(K, T, D, H, W)` features array, and
-`run_clip` then decodes each clip from its slice into row k of stacked
-`(K, N, ...)` query, mask and class arrays. No sum crosses a clip,
-so the group size never changes a bit. With no within-clip block nothing
-mixes and no pyramid is built: the features are the clip stack itself.
+class distribution. `run_clips` runs every clip of a video once: one
+`deform.within_clip_forward` call per group of consecutive clips, a
+`(g, T, D, H, W)` view of the (padded) video with g from
+`config.clip_group`, writes the group's finest level into one
+`(K, T, D, H, W)` features array, and `run_clip` then decodes each clip
+from its slice into row k of stacked `(K, N, ...)` query, mask and class
+arrays. No sum crosses a clip, so the group size never changes a bit. With
+no within-clip block one group holds every clip, nothing mixes and no
+pyramid is built: the features are the clip stack itself.
 `link_video` links consecutive clips of those runs by minimum-cost
 assignment on query cosine similarity, which keeps track ids stable
 across the video. A link holds only the runs and each clip's track rows,
@@ -27,7 +28,7 @@ import numpy as np
 from .assignment import Assignment, hungarian
 from .attention import ProjectionWeights, _project, prenorm, projection_weights
 from .config import ModelConfig, clip_group
-from .deform import WithinClipBlock, build_pyramid, within_clip_forward
+from .deform import WithinClipBlock, within_clip_forward
 from .errors import ConfigError, DimensionError
 from .tensor import as_array, logistic, require_finite, softmax_last
 
@@ -211,19 +212,13 @@ def run_clips(video, params: PipelineParams) -> ClipRuns:
     decoding and tubes."""
     video = as_array(video)
     clips = split_into_clips(video, params.clip_len)
-    features = clips  # with no within-clip block, the clip stack itself
-
-    def mixed(group: np.ndarray) -> np.ndarray:
-        return within_clip_forward(build_pyramid(group), params.within_blocks).levels[-1]
-
-    if params.within_blocks:
-        g = _group_size(video, params)
-        if g >= len(clips):
-            features = mixed(clips)
-        else:
-            features = np.empty(clips.shape)
-            for lo in range(0, len(clips), g):
-                features[lo:lo + g] = mixed(clips[lo:lo + g])
+    g = _group_size(video, params)
+    if g >= len(clips):  # with no within-clip block, the clip stack itself
+        features = within_clip_forward(clips, params.within_blocks)
+    else:
+        features = np.empty(clips.shape)
+        for lo in range(0, len(clips), g):
+            features[lo:lo + g] = within_clip_forward(clips[lo:lo + g], params.within_blocks)
     k_clips, t, _, h, w = features.shape
     n, d = params.init_queries.shape
     queries, masks = np.empty((k_clips, n, d)), np.empty((k_clips, n, t, h, w))

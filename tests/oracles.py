@@ -12,6 +12,10 @@ is no loop oracle but the whole-array form of the blocked stage one: every
 score of every (b, g) row at once, then one `softmax_last`, which the block
 producer must match bit for bit. `stage_one_field` gathers a sequence's
 whole field of head-mean weights from `stage_one_weights` rows.
+`every_level_within_clip_forward` runs the library's sampler and axial
+passes on every pyramid level of every block, then takes the finest level,
+which `within_clip_forward` must match bit for bit without the coarse
+levels' last passes.
 """
 
 from __future__ import annotations
@@ -339,7 +343,7 @@ def naive_near_online_tubes(video, params, shuffle_rng=None):
     within-clip blocks on its own, its tubes are re-linked through its
     association mapping, then every track's masks are concatenated and its
     class distributions averaged as lists."""
-    from axialtrack.deform import build_pyramid, within_clip_forward
+    from axialtrack.deform import within_clip_forward
     from axialtrack.segmenter import (
         Tube,
         associate_clips,
@@ -352,7 +356,7 @@ def naive_near_online_tubes(video, params, shuffle_rng=None):
     clip_tubes = []
     prev = None
     for k, clip in enumerate(split_into_clips(video, params.clip_len)):
-        feats = within_clip_forward(build_pyramid(clip), params.within_blocks).levels[-1]
+        feats = within_clip_forward(clip, params.within_blocks)
         queries = decode_clip_queries(feats, params.init_queries, params.decoder)
         masks, class_probs = predict_clip_tubes(queries, feats, params.class_head)
         n = queries.shape[0]
@@ -376,6 +380,20 @@ def naive_near_online_tubes(video, params, shuffle_rng=None):
         probs = np.mean([ct[i].class_probs for ct in clip_tubes], axis=0)
         out.append(Tube(masks[: video.shape[0]], probs, track_id=i))
     return out
+
+
+def every_level_within_clip_forward(f, blocks):
+    """The finest level of the (..., T, D, H, W) clip stack's pyramid after
+    each block's sampling and H and W passes on all three levels."""
+    from axialtrack.attention import axial_trajectory_h, axial_trajectory_w
+    from axialtrack.deform import FeaturePyramid, build_pyramid, msdeform_simplified
+
+    pyr = build_pyramid(f)
+    for blk in blocks:
+        pyr = msdeform_simplified(pyr, blk.deform)
+        pyr = FeaturePyramid([axial_trajectory_w(axial_trajectory_h(lvl, blk.attn_h), blk.attn_w)
+                              for lvl in pyr.levels])
+    return pyr.levels[-1]
 
 
 def whole_stage_one_weights(qh, kh, scale):

@@ -406,9 +406,18 @@ class TestErrors:
         assert "error" in capsys.readouterr().err
 
     def test_frame_size_not_divisible_by_four(self, tmp_path, capsys):
-        rc = cli_main(["demo", "--h", "30", "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert "h must be divisible by 4" in capsys.readouterr().err
+        for n_w in ("2", "1"):
+            rc = cli_main(["demo", "--n-w", n_w, "--h", "30", "--out", str(tmp_path / "x")])
+            assert rc == 1
+            assert "h must be divisible by 4" in capsys.readouterr().err
+
+    def test_frame_size_free_without_a_pyramid(self, tmp_path):
+        # With no within-clip block no pyramid halves H and W.
+        out = tmp_path / "x"
+        assert cli_main(["demo", "--n-w", "0", "--h", "30", "--w", "30", "--out", str(out)]) == 0
+        report = json.loads(_read(out / "report.json"))
+        modes = ("near_online", "offline", "near_online_shuffled")
+        assert [report[f"vpq_{mode}"] for mode in modes] == [1.0] * 3
 
     def test_config_file_and_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

@@ -57,6 +57,7 @@ class TestModelConfig:
 
     def test_pipeline_needs_extents_divisible_by_four(self):
         ModelConfig(h=16, w=24).validate_pipeline()
+        ModelConfig(n_w=0, h=30, w=22).validate_pipeline()  # no within-clip block, no pyramid
         for key in ("h", "w"):
             bad = ModelConfig(**{key: 30})
             bad.validate()  # MAC accounting still accepts it
@@ -233,6 +234,7 @@ def warm_run(tmp_path_factory):
 # The cross-clip pass sets the peak, beside the clip masks and near-online tubes only.
 @example(cfg=ModelConfig(l=8, t=2, h=16, w=16, d=8, n=48, c=4, n_w=0, n_c=1))
 @example(cfg=ModelConfig(l=16, t=2, h=24, w=24, d=8, n=48, c=4, n_w=1, n_c=1))
+@example(cfg=ModelConfig(n_w=0, h=30, w=22, l=5))  # no pyramid, so H and W need not divide by 4
 def test_run_peak_bounds_the_traced_demo(warm_run, cfg):
     # A whole `demo` never holds more than its declared peak, which is at
     # most a quarter above it beside the run's fixed bytes, and no pass's
@@ -365,7 +367,7 @@ def _group_peak(cfg, g) -> int:
     group = np.random.default_rng(1).normal(0.0, 1.0, (g, cfg.t, cfg.d, cfg.h, cfg.w))
 
     def run():
-        within_clip_forward(build_pyramid(group), params.within_blocks)
+        within_clip_forward(group, params.within_blocks)
 
     run()  # one-time set-up is no array of the group
     return _peak(run)

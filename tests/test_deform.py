@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from axialtrack import deform
 from axialtrack.attention import attention_params, axial_trajectory_h, axial_trajectory_w
 from axialtrack.deform import (
     DeformParams,
@@ -18,7 +19,7 @@ from axialtrack.deform import (
 )
 from axialtrack.errors import DimensionError
 
-from oracles import naive_msdeform
+from oracles import every_level_within_clip_forward, naive_msdeform
 
 
 def _pyramid(rng, t=2, d=4, hw=8):
@@ -127,52 +128,64 @@ class TestMsDeform:
 
 class TestWithinClipForward:
     def test_zero_blocks_is_identity(self):
-        rng = np.random.default_rng(7)
-        pyr = _pyramid(rng)
-        out = within_clip_forward(pyr, [])
-        for lvl_a, lvl_b in zip(out.levels, pyr.levels):
-            assert np.array_equal(lvl_a, lvl_b)
+        f = np.random.default_rng(7).normal(size=(2, 4, 8, 8))
+        assert within_clip_forward(f, []) is f
 
     def test_shape_preservation_two_blocks(self):
-        rng = np.random.default_rng(8)
-        pyr = _pyramid(rng, t=2, d=4, hw=8)
+        f = np.random.default_rng(8).normal(size=(2, 4, 8, 8))
         blocks = within_clip_blocks(4, 4, 2, np.random.default_rng(9))
-        out = within_clip_forward(pyr, blocks)
-        for lvl_a, lvl_b in zip(out.levels, pyr.levels):
-            assert lvl_a.shape == lvl_b.shape
-            assert np.all(np.isfinite(lvl_a))
+        out = within_clip_forward(f, blocks)
+        assert out.shape == f.shape
+        assert np.all(np.isfinite(out))
 
     def test_deterministic(self):
-        rng = np.random.default_rng(10)
-        pyr = _pyramid(rng)
+        f = np.random.default_rng(10).normal(size=(2, 4, 8, 8))
         blocks = within_clip_blocks(4, 2, 2, np.random.default_rng(11))
-        a = within_clip_forward(pyr, blocks)
-        b = within_clip_forward(pyr, blocks)
-        for lvl_a, lvl_b in zip(a.levels, b.levels):
-            assert np.array_equal(lvl_a, lvl_b)
+        assert np.array_equal(within_clip_forward(f, blocks), within_clip_forward(f, blocks))
 
     def test_axial_passes_do_not_mix_levels(self):
-        rng = np.random.default_rng(12)
-        pyr = _pyramid(rng)
-        p = attention_params(4, np.random.default_rng(13), std=0.3)
-        block = WithinClipBlock(identity_deform_params(4, 2), p, p)
-        base = within_clip_forward(pyr, [block])
-        bumped_levels = [lvl.copy() for lvl in pyr.levels]
-        bumped_levels[0] += 5.0
-        bumped = within_clip_forward(FeaturePyramid(bumped_levels), [block])
-        assert np.array_equal(base.levels[1], bumped.levels[1])
-        assert np.array_equal(base.levels[2], bumped.levels[2])
-        assert not np.array_equal(base.levels[0], bumped.levels[0])
+        # With identity sampling the coarse levels never reach the finest:
+        # two blocks give the finest level's own H and W passes, in order.
+        f = np.random.default_rng(12).normal(size=(2, 4, 8, 8))
+        rng = np.random.default_rng(13)
+        blocks = [WithinClipBlock(identity_deform_params(4, 2), attention_params(4, rng, std=0.3),
+                                  attention_params(4, rng, std=0.3)) for _ in range(2)]
+        want = f
+        for blk in blocks:
+            want = axial_trajectory_w(axial_trajectory_h(want, blk.attn_h), blk.attn_w)
+        assert np.array_equal(within_clip_forward(f, blocks), want)
 
     def test_finite_across_seeds(self):
         for seed in range(20):
-            rng = np.random.default_rng(seed)
-            pyr = _pyramid(rng, t=2, d=4, hw=4)
+            f = np.random.default_rng(seed).normal(size=(2, 4, 4, 4))
             blocks = within_clip_blocks(4, 2, 2, np.random.default_rng(100 + seed))
-            out = within_clip_forward(pyr, blocks)
-            for lvl_a, lvl_b in zip(out.levels, pyr.levels):
-                assert lvl_a.shape == lvl_b.shape
-                assert np.all(np.isfinite(lvl_a))
+            out = within_clip_forward(f, blocks)
+            assert out.shape == f.shape
+            assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("n_w", [1, 2, 3])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_passes_only_the_levels_read_later(self, monkeypatch, n_w, heads):
+        # Each block but the last passes all 3 levels and the last only the
+        # finest; the finest level's bits are those of passing every level.
+        stack = np.random.default_rng(30).normal(size=(2, 2, 4, 8, 12))  # a 2-clip stack
+        blocks = within_clip_blocks(4, 2, n_w, np.random.default_rng(31), heads=heads)
+        for blk in blocks:
+            blk.deform = _randomized_params(4, 2, 32)
+        want = every_level_within_clip_forward(stack, blocks)
+        calls = {"h": 0, "w": 0}
+
+        def counted(name, axial):
+            def run(f, params):
+                calls[name] += 1
+                return axial(f, params)
+            return run
+
+        monkeypatch.setattr(deform, "axial_trajectory_h", counted("h", axial_trajectory_h))
+        monkeypatch.setattr(deform, "axial_trajectory_w", counted("w", axial_trajectory_w))
+        got = within_clip_forward(stack, blocks)
+        assert calls == {"h": 3 * (n_w - 1) + 1, "w": 3 * (n_w - 1) + 1}
+        assert np.array_equal(got, want)
 
 
 def _assert_stacked(got, per_clip):
@@ -218,5 +231,3 @@ class TestLeadingAxes:
         levels = [pyr.levels[0], pyr.levels[1][:2], pyr.levels[2]]
         with pytest.raises(DimensionError, match="leading axes"):
             msdeform_simplified(FeaturePyramid(levels), _randomized_params(4, 2, 22))
-        with pytest.raises(DimensionError, match="leading axes"):
-            within_clip_forward(FeaturePyramid(levels), [])

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axialtrack import segmenter
+from axialtrack import deform, segmenter
 from axialtrack.assignment import hungarian
 from axialtrack.attention import ProjectionWeights
 from axialtrack.config import ModelConfig, clip_group
@@ -282,7 +282,7 @@ class TestNearOnlineInference:
         assert [t.track_id for t in tubes] == list(range(cfg.n))
         assert all(t.masks.shape[0] == 2 for t in tubes)
         # A single-clip video's tubes are exactly the clip's masks and classes.
-        feats = within_clip_forward(build_pyramid(video), params.within_blocks).levels[-1]
+        feats = within_clip_forward(video, params.within_blocks)
         _, masks, class_probs = run_clip(feats[None], params, 0)
         for i, video_tube in enumerate(tubes):
             assert np.array_equal(video_tube.masks, masks[i])
@@ -390,9 +390,9 @@ class TestClipRuns:
         groups = []
         forward = segmenter.within_clip_forward
 
-        def recording_forward(pyr, blocks):
-            groups.append(pyr.levels[-1])
-            return forward(pyr, blocks)
+        def recording_forward(f, blocks):
+            groups.append(f)
+            return forward(f, blocks)
 
         monkeypatch.setattr(segmenter, "within_clip_forward", recording_forward)
         runs = run_clips(video, params)
@@ -439,7 +439,7 @@ class TestClipRuns:
     def test_pyramid_only_for_within_clip_blocks(self, monkeypatch, n_w):
         # Nothing reads a pyramid's coarse levels without a within-clip block.
         built = []
-        monkeypatch.setattr(segmenter, "build_pyramid", lambda f: built.append(f) or build_pyramid(f))
+        monkeypatch.setattr(deform, "build_pyramid", lambda f: built.append(f) or build_pyramid(f))
         values = dict(l=7, t=2, h=8, w=8, n_w=n_w, n_c=1, seed=4)
         video, params = _random_video(**values)
         run_clips(video, params)
