@@ -6,17 +6,34 @@ stages, all six projections per pass, the diagonal query extraction, the
 pre-norm layer normalization, and the residual connections. Gradients
 are verified against central finite differences in the test suite.
 
-Each pass's state is recomputed with the forward's stage two, but with
-stage one as batched matrix products (`_recompute`), and the stage-one
-gradients are matrix products in the same layout. Nothing here sorts or
-builds the forward's (B, G, T, S, U, C, R) product. Every matrix-shaped
-contraction (the projections, their Gram reductions and the stage-one
-products) is one `tensor.matmul` call on BLAS, with transposes passed as
-views; only the softmax row dot and stage two's head contractions stay
-einsum. A stack of products runs in pieces of its leading (batch) axis
-(`tensor.split_rows`), each matrix one gemm call, so the gradients do not
-depend on the number of pieces. Their bits are those of the CPU's BLAS
-kernel (see `tensor`).
+No pass's state is held. In an axial pass every step from the recompute to
+the input gradient is local to one b row (the other spatial axis), so each
+pass runs as one row-parallel job (`tensor.split_rows`) whose pieces walk
+their b rows in blocks of `tensor.scratch_rows` rows (`_in_blocks`). For
+each block a piece recomputes the pass's state, runs the stage-two and
+stage-one backward on it, writes the block's input gradient and Gram
+operands into whole arrays that the caller allocated, and drops the state
+before the next block. Only the six Gram reductions of the projection
+gradients sum across rows; they run once, on the whole operands, after the
+job. The W pass reads the H pass's output, which a recompute-only job over
+the same blocks produces first; the H state is recomputed again in the H
+backward rather than held through the W backward.
+
+The state is recomputed with the forward's stage two, but with stage one
+as batched matrix products (`_recompute`), and the stage-one gradients are
+matrix products in the same layout. Nothing here sorts or builds the
+forward's (B, G, T, S, U, C, R) product. Every matrix-shaped contraction
+(the projections, their Gram reductions and the stage-one products) is one
+`tensor.matmul` call on BLAS, with transposes passed as views; only the
+softmax row dot and stage two's head contractions stay einsum. Each matrix
+is one gemm call, whichever block and piece hold its row, so the gradients
+depend neither on the number of pieces nor on the block size. Their bits
+are those of the CPU's BLAS kernel (see `tensor`).
+
+The backward's one size rule is its footprint (`_footprint`): the whole
+arrays of a pass plus the working set of its blocks in flight. A clip
+whose larger pass exceeds `errors.MEMORY_LIMIT` is refused before any
+work array is allocated.
 """
 
 from __future__ import annotations
@@ -35,8 +52,8 @@ from .attention import (
     prenorm,
     to_sequence,
 )
-from .errors import DimensionError
-from .tensor import as_array, matmul, require_finite
+from .errors import DimensionError, check_memory
+from .tensor import as_array, matmul, require_finite, scratch_rows, split_pieces, split_rows
 
 
 @dataclass
@@ -90,8 +107,9 @@ def _heads_last(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 3, 1, 4).reshape(b, t, s, g * c)
 
 
-def _recompute(x: np.ndarray, params: AttentionParams) -> dict:
-    """The state of one pass, with stage one in matrix form.
+def _recompute(x: np.ndarray, params: AttentionParams, w1: np.ndarray) -> dict:
+    """The state of one pass over the b rows of `x`, with stage one in
+    matrix form and its weights written into `w1`.
 
     Per head and target frame u, the scores are a (T*S x C)(C x R) product
     of the forward's head-major queries and transposed keys, and the
@@ -106,7 +124,7 @@ def _recompute(x: np.ndarray, params: AttentionParams) -> dict:
     # (B,G,U,R,C) keys and values: their frame axis is the target frame u.
     qh, k, v = _stage_one_heads(x, params, _project)
     q = qh.reshape(b, g, 1, t * s, c)
-    w1 = matmul(q, k.swapaxes(-1, -2))  # (B,G,U,TS,R)
+    matmul(q, k.swapaxes(-1, -2), out=w1)  # (B,G,U,TS,R)
     w1 *= params.scale
     _softmax(w1)
     yt = matmul(w1, v).reshape(b, g, t, t, s, c)  # (B,G,U,T,S,C)
@@ -115,17 +133,15 @@ def _recompute(x: np.ndarray, params: AttentionParams) -> dict:
             **_stage_two(ytil, params, _softmax, np.sum, _project)}
 
 
-def _stage_two_backward(
-    st: dict, params: AttentionParams, d_out: np.ndarray
-) -> tuple[np.ndarray, ProjectionWeights]:
-    """Stage-two projection grads and the cotangent of the pooled points,
-    laid out as stage one's (B, G, U, T*S, C) products."""
+def _stage_two_backward(st: dict, params: AttentionParams, d_out: np.ndarray) -> dict:
+    """The cotangents of stage two's projected query, keys and values
+    (`dqt`, `dkt`, `dvt`) and of the pooled points, `dyt`, laid out as stage
+    one's (B, G, U, T*S, C) products."""
     b, t, u, s, d = st["ytil"].shape
     g = params.heads
     c = d // g
     s2, scale = params.stage2, params.scale
-    qth, kth, vth = st["qth"], st["kth"], st["vth"]
-    ytil, ydiag, w2 = st["ytil"], st["ydiag"], st["w2"]
+    qth, kth, vth, w2 = st["qth"], st["kth"], st["vth"], st["w2"]
 
     dyh = d_out.reshape(b, t, s, g, c).transpose(0, 3, 1, 2, 4)  # (B,G,T,S,C)
     vth_t = vth.transpose(0, 4, 1, 3, 2, 5)  # (B,G,T,S,U,C)
@@ -138,34 +154,31 @@ def _stage_two_backward(
 
     dqt, dkt, dvt = (_merge_heads(a) for a in (dqth, dkth, dvth))  # (B,T,S,D), (B,T,U,S,D) twice
 
-    # Stage-two projections.
-    grads = ProjectionWeights(_gram(dqt, ydiag), _gram(dkt, ytil), _gram(dvt, ytil))
     dydiag = matmul(dqt, s2.w_q)
     dytil = matmul(dkt, s2.w_k)
     dytil += matmul(dvt, s2.w_v)
     idx = np.arange(t)
     dytil[:, idx, idx] += dydiag
     dyt = dytil.reshape(b, t, u, s, g, c).transpose(0, 4, 2, 1, 3, 5)  # (B,G,U,T,S,C)
-    return np.ascontiguousarray(dyt).reshape(b, g, u, t * s, c), grads
+    return {"dqt": dqt, "dkt": dkt, "dvt": dvt,
+            "dyt": np.ascontiguousarray(dyt).reshape(b, g, u, t * s, c)}
 
 
-def _pass_backward(
-    st: dict, params: AttentionParams, d_out: np.ndarray
-) -> tuple[np.ndarray, AttentionParamGrads]:
-    x = st["x"]
-    b, t, s, d = x.shape
+def _block_backward(st: dict, params: AttentionParams, d_out: np.ndarray, dw1: np.ndarray) -> dict:
+    """The input gradient `dx` of one block's pass and the block's rows of
+    the Gram operands (`_GRAMS`); stage one's weight gradient goes to `dw1`."""
+    b, t, s, d = st["x"].shape
     g = params.heads
     c = d // g
     s1, scale = params.stage1, params.scale
-    dyt, grads2 = _stage_two_backward(st, params, d_out)
+    cotangents = _stage_two_backward(st, params, d_out)
+    dyt = cotangents.pop("dyt")
 
     # Stage one, as matrix products batched over (B, G, U).
-    q, k, v = st["q"], st["k"], st["v"]
-    w1 = st.pop("w1")  # consumed: freed once de1 is formed
+    q, k, v, w1 = st["q"], st["k"], st["v"], st["w1"]
     dv = matmul(w1.swapaxes(-1, -2), dyt)  # (B,G,U,R,C)
-    dw1 = matmul(dyt, v.swapaxes(-1, -2))  # (B,G,U,TS,R)
+    matmul(dyt, v.swapaxes(-1, -2), out=dw1)  # (B,G,U,TS,R)
     de1 = _softmax_backward(w1, dw1)
-    del w1
     dq = scale * matmul(de1, k).sum(axis=2)  # (B,G,TS,C)
     dk = scale * matmul(de1.swapaxes(-1, -2), q)  # (B,G,U,R,C)
 
@@ -174,8 +187,100 @@ def _pass_backward(
     dx = matmul(dq, s1.w_q)
     dx += matmul(dk, s1.w_k)
     dx += matmul(dv, s1.w_v)
-    grads1 = ProjectionWeights(_gram(dq, x), _gram(dk, x), _gram(dv, x))
-    return dx, AttentionParamGrads(stage1=grads1, stage2=grads2)
+    return {"dx": dx, "dq": dq, "dk": dk, "dv": dv,
+            "ydiag": st["ydiag"], "ytil": st["ytil"], **cotangents}
+
+
+# Each projection gradient is the Gram of a cotangent and the projection's
+# input, summed over every row of the pass.
+_GRAMS = {
+    "stage1": (("dq", "x"), ("dk", "x"), ("dv", "x")),
+    "stage2": (("dqt", "ydiag"), ("dkt", "ytil"), ("dvt", "ytil")),
+}
+
+
+def _block_rows(shape: tuple[int, int, int, int], heads: int) -> tuple[int, int]:
+    """(rows, values per row) of a block of a (B, T, S, D) pass's b rows:
+    `tensor.scratch_rows` of rows that each hold their stage-one weights
+    w1 and the weights' gradient in a piece's scratch."""
+    b, t, s, _ = shape
+    row = 2 * heads * t * t * s * s
+    return scratch_rows(b, row), row
+
+
+def _in_blocks(shape: tuple[int, int, int, int], heads: int, fn) -> None:
+    """Run `fn(lo, hi, w1, dw1)` over blocks of a (B, T, S, D) pass's b rows
+    that cover range(B), with (hi - lo, G, U, T*S, R) views of a scratch
+    for the block's stage-one weights and their gradient.
+
+    Pieces of whole b rows (`split_rows`) each walk theirs in blocks of
+    `_block_rows`, in a scratch of their own; `fn` runs inside the pieces."""
+    b, t, s, _ = shape
+    rows, row = _block_rows(shape, heads)
+
+    def piece(lo: int, hi: int) -> None:
+        scratch = np.empty(min(rows, hi - lo) * row)
+        for first in range(lo, hi, rows):
+            n = min(hi, first + rows) - first
+            size = n * row // 2
+            w1, dw1 = (scratch[a:a + size].reshape(n, heads, t, t * s, s) for a in (0, size))
+            fn(first, first + n, w1, dw1)
+
+    split_rows(piece, b, 8 * b * row)
+
+
+def _pass_output(x: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """The pass's output over the prenormed (B, T, S, D) sequence `x`,
+    recomputed block by block."""
+    out = np.empty(x.shape)
+
+    def block(lo: int, hi: int, w1: np.ndarray, _dw1: np.ndarray) -> None:
+        out[lo:hi] = _recompute(x[lo:hi], params, w1)["out"]
+
+    _in_blocks(x.shape, params.heads, block)
+    return out
+
+
+def _pass_backward(
+    x: np.ndarray, params: AttentionParams, d_out: np.ndarray
+) -> tuple[np.ndarray, AttentionParamGrads]:
+    """The gradient of the prenormed (B, T, S, D) sequence `x` and of the
+    pass's projections, given the cotangent of its output. Each block's
+    state is recomputed and dropped in turn; its input gradient and Gram
+    operands go into whole arrays, which the Grams then sum."""
+    b, t, s, d = x.shape
+    whole = {"x": x}
+    whole.update((name, np.empty(x.shape)) for name in ("dx", "dq", "dk", "dv", "dqt", "ydiag"))
+    whole.update((name, np.empty((b, t, t, s, d))) for name in ("dkt", "dvt", "ytil"))
+
+    def block(lo: int, hi: int, w1: np.ndarray, dw1: np.ndarray) -> None:
+        st = _recompute(x[lo:hi], params, w1)
+        for name, value in _block_backward(st, params, d_out[lo:hi], dw1).items():
+            whole[name][lo:hi] = value
+
+    _in_blocks(x.shape, params.heads, block)
+    grads = {stage: ProjectionWeights(*(_gram(whole[a], whole[b]) for a, b in pairs))
+             for stage, pairs in _GRAMS.items()}
+    return whole["dx"], AttentionParamGrads(**grads)
+
+
+def _footprint(shape: tuple[int, int, int, int], heads: int) -> tuple[int, str]:
+    """Bytes that the backward of a (B, T, S, D) pass holds at most, and what they hold.
+
+    The whole arrays are ten (B, T, S, D) ones (the sequence, its prenorm,
+    the cotangents of output and input, five Gram operands and the other
+    pass's cotangent) and three (B, T, U, S, D) Gram operands. Each b row
+    in flight, a block's in every piece, holds its stage-one weights and
+    their gradient and at most eleven (T, U, S, D), ten (T, S, D) and four
+    (G, T, S, U) arrays of its state and cotangents; each piece also holds
+    one of numpy's ufunc buffers (`np.getbufsize()` values)."""
+    b, t, s, d = shape
+    whole = 8 * b * t * s * d * (10 + 3 * t)
+    rows, row = _block_rows(shape, heads)
+    pieces = split_pieces(b, 8 * b * row)
+    per_row = row + (11 * t + 10) * t * s * d + 4 * heads * t * t * s
+    blocks = 8 * (min(b, rows * pieces) * per_row + pieces * np.getbufsize())
+    return whole + blocks, f"backward footprint ({whole} of whole arrays, {blocks} of blocks)"
 
 
 def _prenorm_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
@@ -190,17 +295,11 @@ def _prenorm_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     )
 
 
-def _axial_state(f: np.ndarray, params: AttentionParams, axis: str) -> tuple:
-    """The sequence and pass cache of one axial pass; its output is cache["out"]."""
-    x = to_sequence(f, axis)
-    return x, _recompute(prenorm(x), params)
-
-
 def _axial_backward(
-    params: AttentionParams, state: tuple, d_out: np.ndarray, axis: str
+    x: np.ndarray, params: AttentionParams, d_out: np.ndarray, axis: str
 ) -> tuple[np.ndarray, AttentionParamGrads]:
-    x, cache = state
-    dxn, grads = _pass_backward(cache, params, to_sequence(d_out, axis))
+    """The gradients of the residual pass over the sequence `x` along `axis`."""
+    dxn, grads = _pass_backward(prenorm(x), params, to_sequence(d_out, axis))
     return d_out + from_sequence(_prenorm_backward(x, dxn), axis), grads
 
 
@@ -224,9 +323,14 @@ def trajectory_backward(
     params_h.validate(f.shape[1])
     params_w.validate(f.shape[1])
 
-    state_h = _axial_state(f, params_h, "h")
-    state_w = _axial_state(f + from_sequence(state_h[1]["out"], "h"), params_w, "w")
-    d_mid, grads_w = _axial_backward(params_w, state_w, upstream, "w")
-    del state_w  # the H backward holds one pass's state, not two
-    d_f, grads_h = _axial_backward(params_h, state_h, d_mid, "h")
+    t, d, h, w = f.shape
+    for params, axis, shape in ((params_h, "h", (w, t, h, d)), (params_w, "w", (h, t, w, d))):
+        check_memory("trajectory backward", f"the {axis.upper()} pass's (B, T, S, D) = {shape} "
+                     f"of (T, D, H, W) = {f.shape}", *_footprint(shape, params.heads))
+
+    # The W pass reads the H pass's output, recomputed block by block.
+    x_w = to_sequence(f + from_sequence(_pass_output(prenorm(to_sequence(f, "h")), params_h), "h"), "w")
+    d_mid, grads_w = _axial_backward(x_w, params_w, upstream, "w")
+    del x_w
+    d_f, grads_h = _axial_backward(to_sequence(f, "h"), params_h, d_mid, "h")
     return AxialPairGrads(d_input=d_f, params_h=grads_h, params_w=grads_w)

@@ -2,7 +2,8 @@
 a run; the CLI exits 1 on an `AxialtrackError`."""
 
 # Most bytes that a run may hold at its declared peak (`config.run_peak`),
-# and one trajectory pass for stage one (`attention.stage_one_footprint`).
+# one trajectory pass for stage one (`attention.stage_one_footprint`), and
+# a pass of the backward (`backward._footprint`).
 MEMORY_LIMIT = 2 ** 30
 
 

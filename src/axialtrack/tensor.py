@@ -10,16 +10,19 @@ that still need the original order pass a copy; every other operation
 leaves its inputs alone.
 
 `split_rows` runs the large row-wise kernels (`sorted_sum`, attention's
-stage one and `matmul`'s stacks) in contiguous pieces of whole
-leading-axis rows, one piece per CPU. The calling thread runs the first
-piece and a thread started for each other piece runs it; all are joined
-before the call returns, so no thread and no state outlives a split (a
-forked child splits as its parent does). No reduction crosses a piece,
-and each piece runs numpy alone and writes into buffers its caller
-allocated, so the bits of every result are the same for any number of
-pieces. A job's scratch (`scratch_rows`, at most `SCRATCH_BYTES` unless
-two of its rows need more) is shared out among its pieces, so what they
-hold does not grow with the worker count.
+stage one, `matmul`'s stacks and the backward's blocks) in contiguous
+pieces of whole leading-axis rows, one piece per CPU. The calling thread
+runs the first piece and a thread started for each other piece runs it;
+all are joined before the call returns, so no thread and no state
+outlives a split (a forked child splits as its parent does). No
+reduction crosses a piece, and each piece runs numpy alone and writes its
+results into buffers its caller allocated, so the bits of every result
+are the same for any number of pieces. A job's scratch (`scratch_rows`,
+at most `SCRATCH_BYTES` unless two of its rows need more) is shared out
+among its pieces, so what they hold does not grow with the worker count.
+The backward's pieces are the exception: each walks its rows in blocks
+of `scratch_rows` rows in a scratch of its own, and frees a block's
+temporaries before the next.
 
 `_softmax_rows` is the one row-softmax kernel: `softmax_last` runs it on
 its whole input, and attention's stage one on each block of its scores.
@@ -73,15 +76,13 @@ def split_rows(fn, n: int, nbytes: int, scratch: np.ndarray | None = None) -> No
 
     `fn` must treat each index as a whole row: no reduction may cross
     rows, so the result does not depend on where the pieces are cut. It
-    must run numpy only (no traced or instrumented function) and write only
-    into buffers its caller allocated. A call made from inside a piece runs
-    serially, so pieces never nest.
+    must run numpy only (no traced or instrumented function) and write its
+    results only into buffers its caller allocated. A call made from inside
+    a piece runs serially, so pieces never nest.
     """
-    pieces = min(_WORKERS, n, nbytes // MIN_PIECE_BYTES)
+    pieces = split_pieces(n, nbytes)
     if scratch is not None:
-        pieces = min(pieces, len(scratch))
-    if pieces < 2 or getattr(_IN_PIECE, "active", False):
-        pieces = 1
+        pieces = max(1, min(pieces, len(scratch)))
     bounds = [n * i // pieces for i in range(pieces + 1)]
     fns = [fn] * pieces
     if scratch is not None:
@@ -113,6 +114,14 @@ def split_rows(fn, n: int, nbytes: int, scratch: np.ndarray | None = None) -> No
             raise error
 
 
+def split_pieces(n: int, nbytes: int) -> int:
+    """The number of pieces `split_rows` cuts a job of `n` rows and `nbytes`
+    into, given no scratch."""
+    if getattr(_IN_PIECE, "active", False):
+        return 1
+    return max(1, min(_WORKERS, n, nbytes // MIN_PIECE_BYTES))
+
+
 def _piece(fn, lo: int, hi: int) -> None:
     _IN_PIECE.active = True
     try:
@@ -128,9 +137,10 @@ def scratch_rows(n: int, row_size: int) -> int:
     return min(n, max(2, SCRATCH_BYTES // (8 * row_size)))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b into a new C-contiguous array, one BLAS call per matrix (numpy's
-    vector paths where a matrix has an extent of 1).
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b into `out`, a C-contiguous array (a new one if not given), one
+    BLAS call per matrix (numpy's vector paths where a matrix has an extent
+    of 1).
 
     An operand that is neither C-contiguous nor a last-two-axes transpose
     of a C-contiguous array (BLAS takes both) is copied once: for other
@@ -139,7 +149,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a, b = (x if x.flags.c_contiguous or x.swapaxes(-1, -2).flags.c_contiguous
             else np.ascontiguousarray(x) for x in (a, b))
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
     if out.ndim == 2:
         return np.matmul(a, b, out=out)
 

@@ -13,7 +13,7 @@ from axialtrack.attention import (
     axial_trajectory_w,
 )
 from axialtrack.backward import trajectory_backward
-from axialtrack.errors import DimensionError
+from axialtrack.errors import DimensionError, ResourceGuardError
 
 EPS = 1e-4
 TOL = 1e-5
@@ -148,21 +148,61 @@ class TestTrajectoryBackward:
         f = np.random.default_rng(23).normal(size=(2, 4, 3, 2))
         trajectory_backward(f, _params(4, 24, heads=2), _params(4, 25, heads=2), f)
 
-    def test_peak_below_one_stage_one_product(self):
-        # Stage one runs as matrix products on (B, G, U, T*S, R) weights; one
-        # (B, G, T, S, U, C, R) product of the larger pass alone fills the bound.
-        t, d, h, w = 4, 16, 24, 24
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape", [(2, 4, 40, 40), (4, 16, 24, 24)], ids=["2x4x40x40", "4x16x24x24"])
+    def test_never_sets_the_train_step_peak(self, monkeypatch, workers, shape):
+        # The backward holds no pass's state, only whole Gram operands and its
+        # blocks, so its traced peak stays below that of the forward pair whose
+        # gradients it takes. A backward holding a pass's (B, G, U, T*S, R)
+        # stage-one weights reads 15.9 MB at (2, 4, 40, 40) against 9.2 MB.
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
         rng = np.random.default_rng(26)
-        f = rng.normal(size=(t, d, h, w))
-        ph, pw = _params(d, 27, heads=2), _params(d, 28, heads=2)
-        upstream = rng.normal(size=f.shape)
+        f = rng.normal(size=shape)
+        ph, pw = _params(shape[1], 27, heads=2), _params(shape[1], 28, heads=2)
+        upstream = rng.normal(size=shape)
+        peaks = []
+        for run in (lambda: axial_trajectory_w(axial_trajectory_h(f, ph), pw),
+                    lambda: trajectory_backward(f, ph, pw, upstream)):
+            run()  # a first call's one-time allocations stay outside the trace
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        forward, backward_peak = peaks
+        assert backward_peak < forward
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape, heads", [((4, 16, 24, 24), 2), ((2, 2, 40, 40), 2), ((3, 8, 32, 16), 4)],
+                             ids=["4x16x24x24-heads2", "2x2x40x40-heads2", "3x8x32x16-heads4"])
+    def test_footprint_bounds_the_traced_peak(self, monkeypatch, workers, shape, heads):
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        rng = np.random.default_rng(29)
+        f = rng.normal(size=shape)
+        ph, pw = _params(shape[1], 30, heads=heads), _params(shape[1], 31, heads=heads)
+        upstream = rng.normal(size=shape)
+        t, d, h, w = shape
+        footprint = max(backward._footprint(seq, heads)[0] for seq in ((w, t, h, d), (h, t, w, d)))
+        trajectory_backward(f, ph, pw, upstream)
         tracemalloc.start()
         try:
             trajectory_backward(f, ph, pw, upstream)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * max(w * t * t * h * h * d, h * t * t * w * w * d)
+        assert peak <= footprint <= 1.25 * peak
+
+    def test_oversized_refused_before_allocating(self, monkeypatch):
+        # One row of the W pass's stage-one weights is 8.6 GB.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the backward started work on a refused input")
+
+        monkeypatch.setattr(backward, "matmul", no_work)
+        f = np.zeros((2, 1, 1, 16384))
+        with pytest.raises(ResourceGuardError, match=r"trajectory backward refused: the W pass's "
+                                                     r"\(B, T, S, D\) = \(1, 2, 16384, 1\).* need \d+ bytes"):
+            trajectory_backward(f, _params(1, 32), _params(1, 33), f)
 
     @pytest.mark.parametrize("shape", [(2, 4, 4, 5, 6), (2, 3, 4, 5, 6), (4, 5, 6)])
     def test_non_clip_input_refused(self, monkeypatch, shape):

@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axialtrack import attention, tensor
+from axialtrack import attention, backward, tensor
 from axialtrack.attention import attention_params, trajectory_pass_1d
 from axialtrack.backward import trajectory_backward
 from axialtrack.cli import cli_main
@@ -56,6 +56,15 @@ def _assert_bitwise_equal(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _gradient_arrays(g):
+    """The input gradient and the twelve projection gradients of a backward."""
+    arrays = [g.d_input]
+    for side in (g.params_h, g.params_w):
+        for stage in (side.stage1, side.stage2):
+            arrays += [stage.w_q, stage.w_k, stage.w_v]
+    return arrays
 
 
 def _tied_signed_rows(rng, shape):
@@ -207,19 +216,54 @@ class TestSameBitsForAnyWorkerCount:
         f[:, 0, ::2] = -0.0
         up = rng.normal(size=f.shape)
         ph, pw = (attention_params(4, rng, heads=heads, std=0.5) for _ in range(2))
-
-        def grads():
-            g = trajectory_backward(f, ph, pw, up)
-            arrays = [g.d_input]
-            for side in (g.params_h, g.params_w):
-                for stage in (side.stage1, side.stage2):
-                    arrays += [stage.w_q, stage.w_k, stage.w_v]
-            return arrays
-
-        outs = _each_worker_count(use_workers, grads)
+        outs = _each_worker_count(use_workers, lambda: _gradient_arrays(trajectory_backward(f, ph, pw, up)))
         for arrays in outs[1:]:
             for got, want in zip(arrays, outs[0]):
                 _assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [1, 2, "piece"])
+    def test_trajectory_backward_blocks(self, use_workers, monkeypatch, rows):
+        # Both passes run over 12 b rows. Each of the backward's three jobs
+        # (the H output, the W and the H backward) cuts them into pieces that
+        # walk blocks of 1 row, of 2 (the least `scratch_rows` gives) or one
+        # block per piece, with the same bits as the serial default.
+        rng = np.random.default_rng(50)
+        f = rng.normal(size=(2, 4, 12, 12))
+        f[:, :, 1::3] = f[:, :, :1]
+        f[:, 0, ::2] = -0.0
+        up = rng.normal(size=f.shape)
+        ph, pw = (attention_params(4, rng, heads=2, std=0.5) for _ in range(2))
+        want = _gradient_arrays(trajectory_backward(f, ph, pw, up))
+        if rows == 1:
+            block_rows = backward._block_rows
+            monkeypatch.setattr(backward, "_block_rows", lambda shape, heads: (1, block_rows(shape, heads)[1]))
+        else:
+            monkeypatch.setattr(tensor, "SCRATCH_BYTES", 1 if rows == 2 else 2 ** 40)
+        jobs = []
+        in_blocks = backward._in_blocks
+
+        def recording(shape, heads, fn):
+            job = []
+            jobs.append(job)
+
+            def record(lo, hi, w1, dw1):
+                job.append((lo, hi))
+                fn(lo, hi, w1, dw1)
+
+            in_blocks(shape, heads, record)
+
+        monkeypatch.setattr(backward, "_in_blocks", recording)
+        step = 12 if rows == "piece" else rows
+        for n in (1, 2, 3):
+            use_workers(n)
+            jobs.clear()
+            for got, expected in zip(_gradient_arrays(trajectory_backward(f, ph, pw, up)), want):
+                _assert_bitwise_equal(got, expected)
+            cuts = [12 * i // n for i in range(n + 1)]
+            pieces = [[(lo, min(hi, lo + step)) for lo in range(a, hi, step)] for a, hi in zip(cuts, cuts[1:])]
+            assert len(jobs) == 3
+            assert all(sorted(job) == sorted(sum(pieces, [])) for job in jobs)
+            assert all(len(blocks) == 1 if rows == "piece" else len(blocks) > 1 for blocks in pieces)
 
 
 def test_split_pass_peak_memory_not_above_serial(use_workers):
@@ -370,7 +414,11 @@ def test_traced_names_entered_only_on_main_thread(use_workers, monkeypatch, tmp_
     monkeypatch.setattr(tensor, "_piece", recording_piece)
     assert cli_main(["demo", "--l", "4", "--h", "16", "--w", "16", "--heads", "2",
                      "--out", str(tmp_path / "demo")]) == 0
+    f = np.random.default_rng(51).normal(size=(2, 4, 6, 6))
+    p = attention_params(4, np.random.default_rng(52), heads=2)
+    backward.trajectory_backward(f, p, p, f)
     assert {name for name, _ in entered} >= {"tensor.sorted_sum", "tensor.softmax_last",
-                                             "attention.trajectory_pass_1d"}
+                                             "attention.trajectory_pass_1d",
+                                             "backward.trajectory_backward"}
     assert all(on_main for _, on_main in entered)
     assert len(piece_threads) > 1  # the pieces did run on threads of their own
