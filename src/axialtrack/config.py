@@ -114,8 +114,10 @@ def _group_bytes(cfg: ModelConfig, g: int) -> dict[str, int]:
     """Within-clip stage -> bytes of `deform.within_clip_forward` at its peak
     on g clips (n_w >= 1) in (g T, D, H, W) planes P; "sampler" is the
     sampler's own count. Sampling: that count, the coarse levels and output
-    (2 P); a finest pass, `_pass_bytes` beside at most 3 P and SMALL_BYTES: before the last
-    block the sampled pyramid and coarse outputs, at the last the sampled finest level alone."""
+    (2 P), at a block's finest query level; the last block samples that level alone,
+    beside its input pyramid and no coarse output. A finest pass, `_pass_bytes` beside at
+    most 3 P and SMALL_BYTES: before the last block the sampled pyramid and coarse outputs,
+    at the last the sampled finest level alone."""
     t, h, w, d, k, px = cfg.t, cfg.h, cfg.w, cfg.d, cfg.k_sample, cfg.h * cfg.w
     plane = 8 * g * t * px * d
     beside = 3 * plane + SMALL_BYTES

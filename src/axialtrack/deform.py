@@ -1,10 +1,10 @@
 """Within-clip feature mixing over a three-level pyramid.
 
 Each block applies multi-scale deformable sampling (spatial mixing, no
-temporal exchange; one gather per level serves every frame) followed by
-axial-trajectory attention along the height and then the width axis of
-every level a later block samples (temporal mixing, no cross-level exchange):
-the last block's passes run on the finest level, the one the decoder reads.
+temporal exchange; one gather per value level serves every frame) and then
+axial-trajectory attention along the height and then the width axis (temporal
+mixing, no cross-level exchange), both at every query level a later block
+samples: the last block's at the finest alone, the one the decoder reads.
 
 Every stage takes (..., T, D, H, W) levels: axes before T are batch axes,
 as in `tensor.bilinear_sample`. The pyramid and the sampler fold them into
@@ -91,44 +91,40 @@ def _axis_refs(n_from: int, n_to: int) -> np.ndarray:
     return np.arange(n_from) * ((n_to - 1) / (n_from - 1))
 
 
-def msdeform_simplified(pyr: FeaturePyramid, params: DeformParams) -> FeaturePyramid:
-    """Deformable sampling across all three levels, with residual.
+def msdeform_simplified(pyr: FeaturePyramid, params: DeformParams, level: int) -> np.ndarray:
+    """Deformable sampling of query level `level` (0 coarse to 2 fine) from all three levels, with residual.
 
     For every query pixel: predict K offsets and 3K softmax weights from
     the projected query feature, bilinear-sample each level at the mapped
-    reference plus offset, blend, project, and add to the input. Each
-    query level runs once over all frames, leading axes folded into them;
-    frames never mix.
+    reference plus offset, blend, project, and add to the input. The query
+    level runs once over all frames, leading axes folded into them; frames
+    never mix, and no other query level is read. Returns that level's
+    (..., T, D, H, W) output.
     """
     pyr.validate()
     lead, d = pyr.levels[0].shape[:-3], pyr.levels[0].shape[-3]
     params.validate(d)
-    k = params.points
+    k, lp = params.points, params.levels[level]
     frames = [lvl.reshape((-1,) + lvl.shape[-3:]) for lvl in pyr.levels]  # (T, D, H, W)
-    t = frames[0].shape[0]
-
-    out_levels = []
-    for lp, lvl in zip(params.levels, frames):
-        hq, wq = lvl.shape[2:]
-        pix = lvl.transpose(0, 2, 3, 1).reshape(t, -1, d)  # (T, P, D)
-        q = np.einsum("tpe,de->tpd", pix, lp.w_query, optimize=False)
-        off = np.einsum("tpe,oe->tpo", q, lp.w_offset, optimize=False).reshape(t, -1, k, 2)
-        wts = softmax_last(np.einsum("tpe,oe->tpo", q, lp.w_weight, optimize=False))
-        agg = np.zeros_like(pix)
-        for m, tgt in enumerate(frames):
-            ys = _axis_refs(hq, tgt.shape[2])
-            xs = _axis_refs(wq, tgt.shape[3])
-            grid = np.stack(np.meshgrid(ys, xs, indexing="ij"), axis=-1).reshape(-1, 1, 2)
-            pts = (grid + off).reshape(t, -1, 2)  # (T, P*K, 2)
-            smp = bilinear_sample(tgt, pts).reshape(t, -1, k, d)
-            for kk in range(k):
-                agg += wts[..., m * k + kk, None] * smp[:, :, kk]
-            del smp  # freed before the next level's samples are drawn
-        outp = pix + np.einsum("tpe,de->tpd", agg, lp.w_out, optimize=False)
-        # C order, since downstream einsums may sum in a stride-dependent order.
-        out = np.ascontiguousarray(outp.reshape(t, hq, wq, d).transpose(0, 3, 1, 2))
-        out_levels.append(out.reshape(lead + out.shape[1:]))
-    return FeaturePyramid(out_levels)
+    t, _, hq, wq = frames[level].shape
+    pix = frames[level].transpose(0, 2, 3, 1).reshape(t, -1, d)  # (T, P, D)
+    q = np.einsum("tpe,de->tpd", pix, lp.w_query, optimize=False)
+    off = np.einsum("tpe,oe->tpo", q, lp.w_offset, optimize=False).reshape(t, -1, k, 2)
+    wts = softmax_last(np.einsum("tpe,oe->tpo", q, lp.w_weight, optimize=False))
+    agg = np.zeros_like(pix)
+    for m, tgt in enumerate(frames):
+        ys = _axis_refs(hq, tgt.shape[2])
+        xs = _axis_refs(wq, tgt.shape[3])
+        grid = np.stack(np.meshgrid(ys, xs, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+        pts = (grid + off).reshape(t, -1, 2)  # (T, P*K, 2)
+        smp = bilinear_sample(tgt, pts).reshape(t, -1, k, d)
+        for kk in range(k):
+            agg += wts[..., m * k + kk, None] * smp[:, :, kk]
+        del smp  # freed before the next level's samples are drawn
+    outp = pix + np.einsum("tpe,de->tpd", agg, lp.w_out, optimize=False)
+    # C order, since downstream einsums may sum in a stride-dependent order.
+    out = np.ascontiguousarray(outp.reshape(t, hq, wq, d).transpose(0, 3, 1, 2))
+    return out.reshape(lead + out.shape[1:])
 
 
 @dataclass
@@ -140,14 +136,15 @@ class WithinClipBlock:
 
 def within_clip_forward(f, blocks: list[WithinClipBlock]) -> np.ndarray:
     """The finest level of the (..., T, D, H, W) clip stack `f`'s pyramid after
-    the blocks, which pass only the levels a later block samples; with no block, `f`."""
+    the blocks, which sample and pass only the levels read later: the last block
+    the finest alone; with no block, `f`."""
     if not blocks:
         return f
     levels = build_pyramid(f).levels
     for i, blk in enumerate(blocks):
-        levels = msdeform_simplified(FeaturePyramid(levels), blk.deform).levels
-        if i == len(blocks) - 1:
-            levels = levels[-1:]
+        # All of a block's sampling ends, and its input pyramid is dropped, before its passes run.
+        queries = (2,) if i == len(blocks) - 1 else range(3)
+        levels = [msdeform_simplified(FeaturePyramid(levels), blk.deform, m) for m in queries]
         levels = [axial_trajectory_w(axial_trajectory_h(lvl, blk.attn_h), blk.attn_w) for lvl in levels]
     return levels[-1]
 

@@ -12,10 +12,10 @@ is no loop oracle but the whole-array form of the blocked stage one: every
 score of every (b, g) row at once, then one `softmax_last`, which the block
 producer must match bit for bit. `stage_one_field` gathers a sequence's
 whole field of head-mean weights from `stage_one_weights` rows.
-`every_level_within_clip_forward` runs the library's sampler and axial
-passes on every pyramid level of every block, then takes the finest level,
-which `within_clip_forward` must match bit for bit without the coarse
-levels' last passes.
+`every_level_within_clip_forward` runs the library's sampler at every
+query level and the axial passes on every pyramid level of every block,
+then takes the finest level, which `within_clip_forward` must match bit
+for bit without the last block's coarse sampling and passes.
 """
 
 from __future__ import annotations
@@ -390,9 +390,9 @@ def every_level_within_clip_forward(f, blocks):
 
     pyr = build_pyramid(f)
     for blk in blocks:
-        pyr = msdeform_simplified(pyr, blk.deform)
+        levels = [msdeform_simplified(pyr, blk.deform, m) for m in range(3)]
         pyr = FeaturePyramid([axial_trajectory_w(axial_trajectory_h(lvl, blk.attn_h), blk.attn_w)
-                              for lvl in pyr.levels])
+                              for lvl in levels])
     return pyr.levels[-1]
 
 

@@ -151,15 +151,21 @@ def _peak(fn, *args) -> int:
 
 
 def _sampler_peak(cfg, tmp_path) -> int:
-    # One group of clips, as `run_clips` samples them.
+    # One group of clips, as the run's first block samples them: every query
+    # level when a later block samples the coarse ones, else the finest alone.
     rng = np.random.default_rng(0)
     params = deform_params(cfg.d, cfg.k_sample, rng)
     for level in params.levels:  # points off the grid, so every corner weight is live
         level.w_offset[:] = rng.normal(0.0, 1.0, level.w_offset.shape)
         level.w_weight[:] = rng.normal(0.0, 1.0, level.w_weight.shape)
     pyr = build_pyramid(rng.normal(0.0, 1.0, (clip_group(cfg), cfg.t, cfg.d, cfg.h, cfg.w)))
-    msdeform_simplified(pyr, params)  # one-time set-up is no array of the stage
-    return _peak(msdeform_simplified, pyr, params)
+    queries = range(3) if cfg.n_w >= 2 else (2,)
+
+    def sample():
+        return [msdeform_simplified(pyr, params, m) for m in queries]
+
+    sample()  # one-time set-up is no array of the stage
+    return _peak(sample)
 
 
 def _decoder_peak(cfg, tmp_path) -> int:
@@ -185,6 +191,9 @@ def _heatmap_peak(cfg, tmp_path) -> int:
 _PEAK_CASES = [
     ("deformable sampling", _sampler_peak, ("t", "h", "w", "k_sample", "d"),
      [(3, 32, 48, 5, 6), (2, 64, 64, 4, 8), (4, 32, 32, 1, 16)], {}),
+    # One block: the first is the last, and samples the finest level alone.
+    ("deformable sampling", _sampler_peak, ("t", "h", "w", "k_sample", "d", "n_w"),
+     [(3, 32, 48, 5, 6, 1), (2, 64, 64, 4, 8, 1), (4, 32, 32, 1, 16, 1)], {}),
     # The 16 clips of `track_many` in one group: the cross-clip pass sets the peak.
     ("deformable sampling", _sampler_peak, ("l", "t", "h", "w", "k_sample", "d", "n"),
      [(32, 2, 8, 8, 4, 16, 24)], {}),

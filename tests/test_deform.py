@@ -38,6 +38,10 @@ def _randomized_params(d, k, seed):
     return params
 
 
+def _every_level(pyr, params):
+    return [msdeform_simplified(pyr, params, m) for m in range(3)]
+
+
 def _aligned_identity_params(d, k):
     # Zero offsets/weights with identity query and output projections.
     levels = [
@@ -81,19 +85,18 @@ class TestMsDeform:
         # each level; identity output projection adds that constant back.
         pyr = FeaturePyramid([np.full((2, 1, s, s), 3.0) for s in (2, 4, 8)])
         params = _aligned_identity_params(1, 4)
-        out = msdeform_simplified(pyr, params)
-        for lvl in out.levels:
-            np.testing.assert_allclose(lvl, 6.0, atol=1e-12)
+        for m in range(3):
+            np.testing.assert_allclose(msdeform_simplified(pyr, params, m), 6.0, atol=1e-12)
 
     def test_frames_never_mix(self):
         rng = np.random.default_rng(1)
         pyr = _pyramid(rng)
         params = deform_params(4, 2, np.random.default_rng(2))
-        base = msdeform_simplified(pyr, params)
+        base = _every_level(pyr, params)
         bumped_levels = [lvl.copy() for lvl in pyr.levels]
         bumped_levels[2][0] += 10.0  # perturb frame 0 of the finest level
-        bumped = msdeform_simplified(FeaturePyramid(bumped_levels), params)
-        for lvl_a, lvl_b in zip(base.levels, bumped.levels):
+        bumped = _every_level(FeaturePyramid(bumped_levels), params)
+        for lvl_a, lvl_b in zip(base, bumped):
             assert np.array_equal(lvl_a[1:], lvl_b[1:])
             assert not np.array_equal(lvl_a[0], lvl_b[0])
 
@@ -101,28 +104,26 @@ class TestMsDeform:
         for t, d, hw, k in [(2, 3, 4, 2), (3, 3, (8, 12), 1), (3, 3, (8, 12), 4)]:
             pyr = _pyramid(np.random.default_rng(3), t=t, d=d, hw=hw)
             params = _randomized_params(d, k, 4)
-            got = msdeform_simplified(pyr, params)
+            got = _every_level(pyr, params)
             want = naive_msdeform(pyr.levels, params)
-            for lvl, ref in zip(got.levels, want):
+            for lvl, ref in zip(got, want):
                 np.testing.assert_allclose(lvl, ref, atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_clip_matches_single_frames_bitwise(self, k):
         pyr = _pyramid(np.random.default_rng(14), t=3, d=4, hw=(8, 12))
         params = _randomized_params(4, k, 15)
-        got = msdeform_simplified(pyr, params)
-        frames = [
-            msdeform_simplified(FeaturePyramid([lvl[ti:ti + 1] for lvl in pyr.levels]), params)
-            for ti in range(3)
-        ]
-        for m, lvl in enumerate(got.levels):
-            assert np.array_equal(lvl, np.concatenate([f.levels[m] for f in frames]))
+        got = _every_level(pyr, params)
+        frames = [_every_level(FeaturePyramid([lvl[ti:ti + 1] for lvl in pyr.levels]), params)
+                  for ti in range(3)]
+        for m, lvl in enumerate(got):
+            assert np.array_equal(lvl, np.concatenate([f[m] for f in frames]))
 
     def test_identity_params_are_identity(self):
         rng = np.random.default_rng(6)
         pyr = _pyramid(rng)
-        out = msdeform_simplified(pyr, identity_deform_params(4, 4))
-        for lvl_a, lvl_b in zip(out.levels, pyr.levels):
+        out = _every_level(pyr, identity_deform_params(4, 4))
+        for lvl_a, lvl_b in zip(out, pyr.levels):
             assert np.array_equal(lvl_a, lvl_b)
 
 
@@ -166,25 +167,35 @@ class TestWithinClipForward:
     @pytest.mark.parametrize("n_w", [1, 2, 3])
     @pytest.mark.parametrize("heads", [1, 2])
     def test_passes_only_the_levels_read_later(self, monkeypatch, n_w, heads):
-        # Each block but the last passes all 3 levels and the last only the
-        # finest; the finest level's bits are those of passing every level.
+        # Each block but the last samples and passes all 3 query levels and
+        # the last only the finest, each query level sampling the 3 value
+        # levels; the finest level's bits are those of every level.
         stack = np.random.default_rng(30).normal(size=(2, 2, 4, 8, 12))  # a 2-clip stack
         blocks = within_clip_blocks(4, 2, n_w, np.random.default_rng(31), heads=heads)
         for blk in blocks:
             blk.deform = _randomized_params(4, 2, 32)
         want = every_level_within_clip_forward(stack, blocks)
-        calls = {"h": 0, "w": 0}
+        calls = {"h": 0, "w": 0, "sample": 0}
+        query_levels = []
 
-        def counted(name, axial):
-            def run(f, params):
+        def counted(name, fn):
+            def run(*args):
                 calls[name] += 1
-                return axial(f, params)
+                return fn(*args)
             return run
+
+        def sampler(pyr, params, level):
+            query_levels.append(level)
+            return msdeform_simplified(pyr, params, level)
 
         monkeypatch.setattr(deform, "axial_trajectory_h", counted("h", axial_trajectory_h))
         monkeypatch.setattr(deform, "axial_trajectory_w", counted("w", axial_trajectory_w))
+        monkeypatch.setattr(deform, "bilinear_sample", counted("sample", deform.bilinear_sample))
+        monkeypatch.setattr(deform, "msdeform_simplified", sampler)
         got = within_clip_forward(stack, blocks)
-        assert calls == {"h": 3 * (n_w - 1) + 1, "w": 3 * (n_w - 1) + 1}
+        levels = 3 * (n_w - 1) + 1
+        assert calls == {"h": levels, "w": levels, "sample": 3 * levels}
+        assert query_levels == [0, 1, 2] * (n_w - 1) + [2]
         assert np.array_equal(got, want)
 
 
@@ -216,10 +227,10 @@ class TestLeadingAxes:
         for m, lvl in enumerate(pyr.levels):
             _assert_stacked(lvl, [c.levels[m] for c in clips])
         params = _randomized_params(4, 2, 22)
-        out = msdeform_simplified(pyr, params)
-        outs = [msdeform_simplified(c, params) for c in clips]
-        for m, lvl in enumerate(out.levels):
-            _assert_stacked(lvl, [o.levels[m] for o in outs])
+        out = _every_level(pyr, params)
+        outs = [_every_level(c, params) for c in clips]
+        for m, lvl in enumerate(out):
+            _assert_stacked(lvl, [o[m] for o in outs])
         rng = np.random.default_rng(23)
         for heads in (1, 2):
             for axial in (axial_trajectory_h, axial_trajectory_w):
@@ -230,4 +241,4 @@ class TestLeadingAxes:
         pyr = build_pyramid(self._stack())
         levels = [pyr.levels[0], pyr.levels[1][:2], pyr.levels[2]]
         with pytest.raises(DimensionError, match="leading axes"):
-            msdeform_simplified(FeaturePyramid(levels), _randomized_params(4, 2, 22))
+            msdeform_simplified(FeaturePyramid(levels), _randomized_params(4, 2, 22), 2)
