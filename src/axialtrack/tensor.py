@@ -4,36 +4,37 @@ Every operation has a fixed reduction order, so two calls on identical
 inputs are bitwise identical regardless of thread count. Reductions that
 feed attention normalizations sum their terms in ascending value order
 (`sorted_sum`), which additionally makes them bitwise-invariant under
-permutations of the reduced axis. `sorted_sum` sorts a writeable
-C-contiguous float64 operand of three or more terms in place, so callers
-that still need the original order pass a copy; every other operation
-leaves its inputs alone.
+permutations of the reduced axis. `sorted_sum` takes only a writeable
+C-contiguous float64 ndarray and sorts it in place, so callers that still
+need the original order pass a copy; every other operation leaves its
+inputs alone.
 
 `split_rows` runs the large row-wise kernels (`sorted_sum`, attention's
-stage one, `matmul`'s stacks and the backward's blocks) in contiguous
-pieces of whole leading-axis rows, one piece per CPU. The calling thread
-runs the first piece and a thread started for each other piece runs it;
-all are joined before the call returns, so no thread and no state
-outlives a split (a forked child splits as its parent does). No
-reduction crosses a piece, and each piece runs numpy alone and writes its
-results into buffers its caller allocated, so the bits of every result
-are the same for any number of pieces. A job's scratch (`scratch_rows`,
-at most `SCRATCH_BYTES` unless two of its rows need more) is shared out
-among its pieces, so what they hold does not grow with the worker count.
-The backward's pieces are the exception: each walks its rows in blocks
-of `scratch_rows` rows in a scratch of its own, and frees a block's
-temporaries before the next.
+stage one and the backward's blocks) in contiguous pieces of whole
+leading-axis rows, one piece per CPU. Every split is a top-level job: the
+calling thread runs the first piece and a thread started for each other
+piece runs it, no piece splits again, and all are joined before the call
+returns, so no thread and no state outlives a split (a forked child
+splits as its parent does). No reduction crosses a piece, and each piece
+runs numpy alone and writes its results into buffers its caller
+allocated, so the bits of every result are the same for any number of
+pieces. A job's scratch (`scratch_rows`, at most `SCRATCH_BYTES` unless
+two of its rows need more) is shared out among its pieces, so what they
+hold does not grow with the worker count. The backward's pieces are the
+exception: each walks its rows in blocks of `scratch_rows` rows in a
+scratch of its own, and frees a block's temporaries before the next.
 
 `_softmax_rows` is the one row-softmax kernel: `softmax_last` runs it on
 its whole input, and attention's stage one on each block of its scores.
 It sorts the rows for their denominators a block at a time in a scratch,
 so no sorted copy of the whole input is made.
 
-`matmul` is the one BLAS kernel, for the backward's matrix products. Its
-bits are those of the gemm kernel OpenBLAS picks for the CPU: FMA kernels
-(Haswell, Zen, SkylakeX) agree to about 1e-15, not bit for bit. A gemm's
-bits can depend on a row's place in its matrix, so the forward, which is
-bitwise permutation-equivariant, keeps `np.einsum`.
+`matmul` is the one BLAS kernel, for the backward's matrix products, and
+runs whole on the calling thread. Its bits are those of the gemm kernel
+OpenBLAS picks for the CPU: FMA kernels (Haswell, Zen, SkylakeX) agree to
+about 1e-15, not bit for bit. A gemm's bits can depend on a row's place
+in its matrix, so the forward, which is bitwise permutation-equivariant,
+keeps `np.einsum`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ MIN_PIECE_BYTES = 2 ** 20
 SCRATCH_BYTES = 2 ** 19
 
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_IN_PIECE = threading.local()
 
 
 def split_rows(fn, n: int, nbytes: int, scratch: np.ndarray | None = None) -> None:
@@ -76,9 +76,9 @@ def split_rows(fn, n: int, nbytes: int, scratch: np.ndarray | None = None) -> No
 
     `fn` must treat each index as a whole row: no reduction may cross
     rows, so the result does not depend on where the pieces are cut. It
-    must run numpy only (no traced or instrumented function) and write its
-    results only into buffers its caller allocated. A call made from inside
-    a piece runs serially, so pieces never nest.
+    must run numpy only (no traced or instrumented function), write its
+    results only into buffers its caller allocated, and not split again: a
+    piece calls neither `split_rows` nor a kernel that does.
     """
     pieces = split_pieces(n, nbytes)
     if scratch is not None:
@@ -95,7 +95,7 @@ def split_rows(fn, n: int, nbytes: int, scratch: np.ndarray | None = None) -> No
 
     def run(i: int) -> None:
         try:
-            _piece(fns[i], bounds[i], bounds[i + 1])
+            fns[i](bounds[i], bounds[i + 1])
         except BaseException as error:
             errors[i] = error
 
@@ -117,17 +117,7 @@ def split_rows(fn, n: int, nbytes: int, scratch: np.ndarray | None = None) -> No
 def split_pieces(n: int, nbytes: int) -> int:
     """The number of pieces `split_rows` cuts a job of `n` rows and `nbytes`
     into, given no scratch."""
-    if getattr(_IN_PIECE, "active", False):
-        return 1
     return max(1, min(_WORKERS, n, nbytes // MIN_PIECE_BYTES))
-
-
-def _piece(fn, lo: int, hi: int) -> None:
-    _IN_PIECE.active = True
-    try:
-        fn(lo, hi)
-    finally:
-        _IN_PIECE.active = False
 
 
 def scratch_rows(n: int, row_size: int) -> int:
@@ -138,29 +128,19 @@ def scratch_rows(n: int, row_size: int) -> int:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b into `out`, a C-contiguous array (a new one if not given), one
-    BLAS call per matrix (numpy's vector paths where a matrix has an extent
-    of 1).
+    """a @ b into `out`, a C-contiguous array (a new one if not given), in
+    one `np.matmul` call on the calling thread: one BLAS call per matrix of
+    a stack (numpy's vector paths where a matrix has an extent of 1).
 
     An operand that is neither C-contiguous nor a last-two-axes transpose
     of a C-contiguous array (BLAS takes both) is copied once: for other
-    strides numpy runs its own loop, with other bits. A stack runs in
-    pieces of its first axis (`split_rows`); a single product runs whole.
+    strides numpy runs its own loop, with other bits.
     """
     a, b = (x if x.flags.c_contiguous or x.swapaxes(-1, -2).flags.c_contiguous
             else np.ascontiguousarray(x) for x in (a, b))
     if out is None:
         out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
-    if out.ndim == 2:
-        return np.matmul(a, b, out=out)
-
-    def piece(lo: int, hi: int) -> None:
-        # An operand broadcast over the first axis is read whole by every piece.
-        a_, b_ = (x[lo:hi] if x.ndim == out.ndim and len(x) > 1 else x for x in (a, b))
-        np.matmul(a_, b_, out=out[lo:hi])
-
-    split_rows(piece, len(out), a.nbytes + b.nbytes + out.nbytes)
-    return out
+    return np.matmul(a, b, out=out)
 
 
 def as_array(x) -> np.ndarray:
@@ -184,28 +164,25 @@ def sorted_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     each ascending row is summed with numpy's pairwise sum. An axis of at
     most two terms is summed unsorted: IEEE addition commutes.
 
-    A writeable C-contiguous float64 ndarray `x` of three or more terms is
-    sorted in place and is left sorted along `axis`, so no second buffer
+    `x` must be a writeable C-contiguous float64 ndarray: an axis of three
+    or more terms is sorted in place and left sorted, so no second buffer
     of its size is allocated. Any other input (strided, read-only, another
-    dtype, not an ndarray) is left unchanged and one contiguous copy of it
-    is sorted. The leading axes before `axis` are split into pieces
-    (`split_rows`).
+    dtype, not an ndarray) raises `DimensionError` and is left unchanged;
+    a caller with such an input passes a C-contiguous float64 copy. The
+    leading axes before `axis` are split into pieces (`split_rows`).
     """
-    if (isinstance(x, np.ndarray) and x.dtype == np.float64
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64
             and x.flags.c_contiguous and x.flags.writeable):
-        ordered = x
-    else:
-        ordered = np.array(x, order="C")
-    shape = ordered.shape
+        raise DimensionError("sorted_sum sorts in place: it needs a writeable C-contiguous float64 ndarray")
+    shape = x.shape
     if not -len(shape) <= axis < len(shape):
         raise DimensionError(f"axis {axis} is out of range for shape {shape}")
     axis %= len(shape)
     rows, after = math.prod(shape[:axis]), shape[axis + 1:]
     # (rows, terms) for the last axis, where a 2-D sort is the fastest;
     # (rows, terms, the rest) for any other.
-    blocks = ordered.reshape((rows, shape[axis]) + ((math.prod(after),) if after else ()))
-    # The output has the dtype numpy's sum gives (int64 for an int32 input).
-    out = np.empty(blocks.shape[:1] + blocks.shape[2:], dtype=ordered[:0].sum().dtype)
+    blocks = x.reshape((rows, shape[axis]) + ((math.prod(after),) if after else ()))
+    out = np.empty(blocks.shape[:1] + blocks.shape[2:])
 
     def piece(lo: int, hi: int) -> None:
         _sorted_sums(blocks[lo:hi], out[lo:hi], None)

@@ -2,10 +2,10 @@
 
 `tensor.split_rows` cuts a job into pieces of whole leading-axis rows,
 runs the first on the calling thread and each other one on a thread it
-starts, and joins them all before it returns. These tests set 1, 2 and 3
-workers with no minimum piece size, so even small inputs are split, and
-require outputs equal to the serial ones bit for bit, signs of zero
-included.
+starts, and joins them all before it returns; no piece splits again.
+These tests set 1, 2 and 3 workers with no minimum piece size, so even
+small inputs are split, and require outputs equal to the serial ones bit
+for bit, signs of zero included.
 """
 
 import importlib.util
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from axialtrack import attention, backward, tensor
-from axialtrack.attention import attention_params, trajectory_pass_1d
+from axialtrack.attention import attention_params, stage_one_weights, trajectory_pass_1d
 from axialtrack.backward import trajectory_backward
 from axialtrack.cli import cli_main
 from axialtrack.errors import NumericError
@@ -67,6 +67,33 @@ def _gradient_arrays(g):
     return arrays
 
 
+def _record_splits(monkeypatch):
+    """Wrap `split_rows` at every axialtrack module that binds it. Returns
+    a list of whether each call was entered on the main thread, and the set
+    of the names of the threads its pieces ran on."""
+    entries, piece_threads = [], set()
+    split = tensor.split_rows
+
+    def recording(fn, n, nbytes, scratch=None):
+        entries.append(threading.current_thread() is threading.main_thread())
+
+        def piece(*args):
+            piece_threads.add(threading.current_thread().name)
+            fn(*args)
+
+        split(piece, n, nbytes, scratch)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("axialtrack") and getattr(module, "split_rows", None) is split:
+            monkeypatch.setattr(module, "split_rows", recording)
+    return entries, piece_threads
+
+
+def _small_demo(tmp_path):
+    assert cli_main(["demo", "--l", "4", "--h", "16", "--w", "16", "--heads", "2",
+                     "--out", str(tmp_path / "demo")]) == 0
+
+
 def _tied_signed_rows(rng, shape):
     """Normal values with whole rows tied along axis 1 and exact +-0.0 entries."""
     x = rng.normal(size=shape)
@@ -99,19 +126,21 @@ class TestSplitRows:
         split_rows(lambda lo, hi: seen.append((lo, hi)), 10, 199)
         assert seen == [(0, 10)]
 
-    def test_pieces_never_nest(self, use_workers):
-        use_workers(2)
-        inner = []
-        lock = threading.Lock()
-
-        def outer(lo, hi):
-            pieces = []
-            split_rows(lambda a, b: pieces.append((a, b)), 8, 8)
-            with lock:
-                inner.append(pieces)
-
-        split_rows(outer, 2, 2)
-        assert inner == [[(0, 8)], [(0, 8)]]
+    def test_no_piece_splits_again(self, use_workers, monkeypatch, tmp_path):
+        # Every split is a top-level job: with no minimum piece size every
+        # job of two rows or more splits, and still each call, at every
+        # binding of `split_rows`, is entered on the main thread.
+        use_workers(3)
+        entries, piece_threads = _record_splits(monkeypatch)
+        _small_demo(tmp_path)
+        rng = np.random.default_rng(53)
+        f = rng.normal(size=(2, 4, 6, 6))
+        p = attention_params(4, rng, heads=2)
+        trajectory_backward(f, p, p, f)
+        refs = (np.array([0, 3, 5]), np.array([1, 0, 1]), np.array([2, 2, 4]))
+        stage_one_weights(rng.normal(size=(6, 2, 6, 4)), p, refs)
+        assert len(piece_threads) > 1
+        assert entries and all(entries)
 
     def test_piece_error_raised_after_all_pieces_finish(self, use_workers):
         use_workers(3)
@@ -181,15 +210,20 @@ class TestSameBitsForAnyWorkerCount:
             _assert_bitwise_equal(out, outs[0])
 
     @pytest.mark.parametrize("b", BATCHES)
-    def test_matmul(self, use_workers, b):
-        # A stack with a broadcast operand, and a transposed view.
+    def test_matmul_one_blas_call(self, use_workers, monkeypatch, b):
+        # matmul runs whole, never split: a stack with a broadcast operand
+        # and a transposed view gets np.matmul's bits, and an odd-strided
+        # operand those of np.matmul on its contiguous copy.
+        use_workers(3)
+        entries, _ = _record_splits(monkeypatch)
         rng = np.random.default_rng(30 + b)
         x = _tied_signed_rows(rng, (b, 2, 9, 16))
         y = rng.normal(size=(b, 1, 40, 16)).swapaxes(-1, -2)
-        outs = _each_worker_count(use_workers, lambda: matmul(x, y))
-        for out in outs[1:]:
-            _assert_bitwise_equal(out, outs[0])
-        _assert_bitwise_equal(outs[0], np.matmul(x, y))
+        _assert_bitwise_equal(matmul(x, y), np.matmul(x, y))
+        odd = np.zeros((b, 2, 9, 32))[..., ::2]
+        odd[...] = x
+        _assert_bitwise_equal(matmul(odd, y), np.matmul(np.ascontiguousarray(odd), y))
+        assert entries == []
 
     @pytest.mark.parametrize("b", BATCHES)
     @pytest.mark.parametrize("heads", [1, 2])
@@ -404,16 +438,8 @@ def test_traced_names_entered_only_on_main_thread(use_workers, monkeypatch, tmp_
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, recording(f"{mod_name}.{fn_name}", value))
-    piece_threads = set()
-    run_piece = tensor._piece
-
-    def recording_piece(fn, lo, hi):
-        piece_threads.add(threading.current_thread().name)
-        run_piece(fn, lo, hi)
-
-    monkeypatch.setattr(tensor, "_piece", recording_piece)
-    assert cli_main(["demo", "--l", "4", "--h", "16", "--w", "16", "--heads", "2",
-                     "--out", str(tmp_path / "demo")]) == 0
+    _, piece_threads = _record_splits(monkeypatch)
+    _small_demo(tmp_path)
     f = np.random.default_rng(51).normal(size=(2, 4, 6, 6))
     p = attention_params(4, np.random.default_rng(52), heads=2)
     backward.trajectory_backward(f, p, p, f)
