@@ -13,7 +13,9 @@ their b rows in blocks of `tensor.scratch_rows` rows (`_in_blocks`). For
 each block a piece recomputes the pass's state, runs the stage-two and
 stage-one backward on it, writes the block's input gradient and Gram
 operands into whole arrays that the caller allocated, and drops the state
-before the next block. Only the six Gram reductions of the projection
+before the next block. A block's state and cotangents, its stage-one
+weights and their gradient included, are plain numpy results of its rows:
+no piece holds a scratch. Only the six Gram reductions of the projection
 gradients sum across rows; they run once, on the whole operands, after the
 job. The W pass reads the H pass's output, which a recompute-only job over
 the same blocks produces first; the H state is recomputed again in the H
@@ -107,9 +109,9 @@ def _heads_last(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 3, 1, 4).reshape(b, t, s, g * c)
 
 
-def _recompute(x: np.ndarray, params: AttentionParams, w1: np.ndarray) -> dict:
+def _recompute(x: np.ndarray, params: AttentionParams) -> dict:
     """The state of one pass over the b rows of `x`, with stage one in
-    matrix form and its weights written into `w1`.
+    matrix form.
 
     Per head and target frame u, the scores are a (T*S x C)(C x R) product
     of the forward's head-major queries and transposed keys, and the
@@ -124,7 +126,7 @@ def _recompute(x: np.ndarray, params: AttentionParams, w1: np.ndarray) -> dict:
     # (B,G,U,R,C) keys and values: their frame axis is the target frame u.
     qh, k, v = _stage_one_heads(x, params, _project)
     q = qh.reshape(b, g, 1, t * s, c)
-    matmul(q, k.swapaxes(-1, -2), out=w1)  # (B,G,U,TS,R)
+    w1 = matmul(q, k.swapaxes(-1, -2))  # (B,G,U,TS,R)
     w1 *= params.scale
     _softmax(w1)
     yt = matmul(w1, v).reshape(b, g, t, t, s, c)  # (B,G,U,T,S,C)
@@ -164,9 +166,9 @@ def _stage_two_backward(st: dict, params: AttentionParams, d_out: np.ndarray) ->
             "dyt": np.ascontiguousarray(dyt).reshape(b, g, u, t * s, c)}
 
 
-def _block_backward(st: dict, params: AttentionParams, d_out: np.ndarray, dw1: np.ndarray) -> dict:
+def _block_backward(st: dict, params: AttentionParams, d_out: np.ndarray) -> dict:
     """The input gradient `dx` of one block's pass and the block's rows of
-    the Gram operands (`_GRAMS`); stage one's weight gradient goes to `dw1`."""
+    the Gram operands (`_GRAMS`)."""
     b, t, s, d = st["x"].shape
     g = params.heads
     c = d // g
@@ -177,8 +179,7 @@ def _block_backward(st: dict, params: AttentionParams, d_out: np.ndarray, dw1: n
     # Stage one, as matrix products batched over (B, G, U).
     q, k, v, w1 = st["q"], st["k"], st["v"], st["w1"]
     dv = matmul(w1.swapaxes(-1, -2), dyt)  # (B,G,U,R,C)
-    matmul(dyt, v.swapaxes(-1, -2), out=dw1)  # (B,G,U,TS,R)
-    de1 = _softmax_backward(w1, dw1)
+    de1 = _softmax_backward(w1, matmul(dyt, v.swapaxes(-1, -2)))  # (B,G,U,TS,R)
     dq = scale * matmul(de1, k).sum(axis=2)  # (B,G,TS,C)
     dk = scale * matmul(de1.swapaxes(-1, -2), q)  # (B,G,U,R,C)
 
@@ -202,29 +203,22 @@ _GRAMS = {
 def _block_rows(shape: tuple[int, int, int, int], heads: int) -> tuple[int, int]:
     """(rows, values per row) of a block of a (B, T, S, D) pass's b rows:
     `tensor.scratch_rows` of rows that each hold their stage-one weights
-    w1 and the weights' gradient in a piece's scratch."""
+    w1 and the weights' gradient."""
     b, t, s, _ = shape
     row = 2 * heads * t * t * s * s
     return scratch_rows(b, row), row
 
 
 def _in_blocks(shape: tuple[int, int, int, int], heads: int, fn) -> None:
-    """Run `fn(lo, hi, w1, dw1)` over blocks of a (B, T, S, D) pass's b rows
-    that cover range(B), with (hi - lo, G, U, T*S, R) views of a scratch
-    for the block's stage-one weights and their gradient.
-
-    Pieces of whole b rows (`split_rows`) each walk theirs in blocks of
-    `_block_rows`, in a scratch of their own; `fn` runs inside the pieces."""
-    b, t, s, _ = shape
+    """Run `fn(lo, hi)` over blocks of a (B, T, S, D) pass's b rows that
+    cover range(B): pieces of whole b rows (`split_rows`) each walk theirs
+    in blocks of `_block_rows` rows, and `fn` runs inside the pieces."""
+    b = shape[0]
     rows, row = _block_rows(shape, heads)
 
     def piece(lo: int, hi: int) -> None:
-        scratch = np.empty(min(rows, hi - lo) * row)
         for first in range(lo, hi, rows):
-            n = min(hi, first + rows) - first
-            size = n * row // 2
-            w1, dw1 = (scratch[a:a + size].reshape(n, heads, t, t * s, s) for a in (0, size))
-            fn(first, first + n, w1, dw1)
+            fn(first, min(hi, first + rows))
 
     split_rows(piece, b, 8 * b * row)
 
@@ -234,8 +228,8 @@ def _pass_output(x: np.ndarray, params: AttentionParams) -> np.ndarray:
     recomputed block by block."""
     out = np.empty(x.shape)
 
-    def block(lo: int, hi: int, w1: np.ndarray, _dw1: np.ndarray) -> None:
-        out[lo:hi] = _recompute(x[lo:hi], params, w1)["out"]
+    def block(lo: int, hi: int) -> None:
+        out[lo:hi] = _recompute(x[lo:hi], params)["out"]
 
     _in_blocks(x.shape, params.heads, block)
     return out
@@ -253,9 +247,9 @@ def _pass_backward(
     whole.update((name, np.empty(x.shape)) for name in ("dx", "dq", "dk", "dv", "dqt", "ydiag"))
     whole.update((name, np.empty((b, t, t, s, d))) for name in ("dkt", "dvt", "ytil"))
 
-    def block(lo: int, hi: int, w1: np.ndarray, dw1: np.ndarray) -> None:
-        st = _recompute(x[lo:hi], params, w1)
-        for name, value in _block_backward(st, params, d_out[lo:hi], dw1).items():
+    def block(lo: int, hi: int) -> None:
+        st = _recompute(x[lo:hi], params)
+        for name, value in _block_backward(st, params, d_out[lo:hi]).items():
             whole[name][lo:hi] = value
 
     _in_blocks(x.shape, params.heads, block)

@@ -46,10 +46,14 @@ class _Parser(argparse.ArgumentParser):
 _CONFIG_FLAGS = [f.name for f in fields(ModelConfig)]
 
 
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--seed", type=int, help="seed for all randomness")
-    parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    _add_out_flag(parser)
     parser.add_argument("--l", type=int, help="video length in frames")
     parser.add_argument("--t", "--clip-len", dest="t", type=int, help="clip length")
     parser.add_argument("--h", type=int, help="frame height")
@@ -83,7 +87,7 @@ def build_parser() -> _Parser:
     attn.add_argument("--ref-w", type=int, help="reference column (default: center)")
 
     ev = sub.add_parser("eval", help="compare tube dumps")
-    _add_config_flags(ev)
+    _add_out_flag(ev)
     ev.add_argument("--pred", required=True, metavar="DIR", help="prediction dump")
     ev.add_argument("--gt", required=True, metavar="DIR", help="ground-truth dump")
     return parser
@@ -92,10 +96,10 @@ def build_parser() -> _Parser:
 def _resolve_config(args: argparse.Namespace) -> tuple[ModelConfig, set[str]]:
     """The defaults, updated by the --config file and then by the flags, and
     the keys that the file or a flag set."""
-    updates = read_config_updates(args.config) if getattr(args, "config", None) else {}
+    updates = read_config_updates(args.config) if args.config else {}
     replace(ModelConfig(), **updates).validate()  # the file alone is a valid config
     for key in _CONFIG_FLAGS:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is None:
             continue
         if key == "atrous_rates":

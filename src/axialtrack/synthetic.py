@@ -10,11 +10,11 @@ without any training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import passthrough_attention_params
+from .attention import AttentionParams, passthrough_attention_params
 from .config import ModelConfig
 from .crossclip import CrossClipBlock, cross_clip_blocks, identity_aspp_params
 from .deform import WithinClipBlock, identity_deform_params, within_clip_blocks
@@ -157,7 +157,7 @@ def build_oracle_params(spec: SyntheticVideoSpec, cfg: ModelConfig) -> PipelineP
 
     Every within-clip, decoder, and cross-clip block passes features and
     queries through unchanged (while still computing real attention
-    weights), query i is 10 * e_color(i), and the class head maps channel
+    weights, with the config's heads), query i is 10 * e_color(i), and the class head maps channel
     c to class c. Mask logits on a one-hot video are then exactly +10 on
     an object and 0 off it.
     """
@@ -177,17 +177,21 @@ def build_oracle_params(spec: SyntheticVideoSpec, cfg: ModelConfig) -> PipelineP
         class_head[j, j] = 1.0
 
     scale = cfg.scale()
+
+    def passthrough() -> AttentionParams:
+        return replace(passthrough_attention_params(cfg.d, scale), heads=cfg.heads)
+
     within = [
         WithinClipBlock(
             deform=identity_deform_params(cfg.d, cfg.k_sample),
-            attn_h=passthrough_attention_params(cfg.d, scale),
-            attn_w=passthrough_attention_params(cfg.d, scale),
+            attn_h=passthrough(),
+            attn_w=passthrough(),
         )
         for _ in range(cfg.n_w)
     ]
     cross = [
         CrossClipBlock(
-            attn=passthrough_attention_params(cfg.d, scale),
+            attn=passthrough(),
             aspp=identity_aspp_params(cfg.d, cfg.atrous_rates),
         )
         for _ in range(cfg.n_c)

@@ -20,9 +20,7 @@ runs numpy alone and writes its results into buffers its caller
 allocated, so the bits of every result are the same for any number of
 pieces. A job's scratch (`scratch_rows`, at most `SCRATCH_BYTES` unless
 two of its rows need more) is shared out among its pieces, so what they
-hold does not grow with the worker count. The backward's pieces are the
-exception: each walks its rows in blocks of `scratch_rows` rows in a
-scratch of its own, and frees a block's temporaries before the next.
+hold does not grow with the worker count.
 
 `_softmax_rows` is the one row-softmax kernel: `softmax_last` runs it on
 its whole input, and attention's stage one on each block of its scores.
@@ -127,10 +125,10 @@ def scratch_rows(n: int, row_size: int) -> int:
     return min(n, max(2, SCRATCH_BYTES // (8 * row_size)))
 
 
-def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b into `out`, a C-contiguous array (a new one if not given), in
-    one `np.matmul` call on the calling thread: one BLAS call per matrix of
-    a stack (numpy's vector paths where a matrix has an extent of 1).
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, a new C-contiguous array, in one `np.matmul` call on the
+    calling thread: one BLAS call per matrix of a stack (numpy's vector
+    paths where a matrix has an extent of 1).
 
     An operand that is neither C-contiguous nor a last-two-axes transpose
     of a C-contiguous array (BLAS takes both) is copied once: for other
@@ -138,9 +136,7 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     """
     a, b = (x if x.flags.c_contiguous or x.swapaxes(-1, -2).flags.c_contiguous
             else np.ascontiguousarray(x) for x in (a, b))
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
-    return np.matmul(a, b, out=out)
+    return np.matmul(a, b)
 
 
 def as_array(x) -> np.ndarray:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axialtrack import cli, errors, segmenter
+from axialtrack import attention, cli, crossclip, errors, heatmaps, segmenter
 from axialtrack.cli import cli_main
 from axialtrack.config import ModelConfig, run_peak
 from axialtrack.errors import ResourceGuardError
@@ -105,6 +105,22 @@ class TestDemo:
         monkeypatch.setattr(segmenter, "associate_clips", counting_associate)
         assert cli_main(["demo", "--seed", "3", "--out", str(tmp_path / "demo")]) == 0
         assert solves == [3, 3]
+
+    @pytest.mark.parametrize("argv", [["demo"], ["attn", "--ref-t", "1"]], ids=["demo", "attn"])
+    def test_passes_run_with_the_configured_heads(self, tmp_path, monkeypatch, argv):
+        # Every oracle attention has the config's heads: each pass of the run,
+        # within-clip, cross-clip or heatmap, is a two-head pass at --heads 2.
+        heads = []
+        pass_1d = attention.trajectory_pass_1d
+
+        def recording(seq, params, counter=None):
+            heads.append(params.heads)
+            return pass_1d(seq, params, counter)
+
+        for module in (attention, crossclip, heatmaps):
+            monkeypatch.setattr(module, "trajectory_pass_1d", recording)
+        assert cli_main([*argv, "--heads", "2", "--out", str(tmp_path / "run")]) == 0
+        assert heads and set(heads) == {2}
 
     def test_long_video_names_frames_and_extent(self, tmp_path, capsys):
         # The second object moves one column a frame: 24 + 63 columns > 64.
@@ -303,6 +319,23 @@ class TestEval:
                 renamed += 1
         assert renamed >= 2
         assert evaluate("after") == before
+
+    @pytest.mark.parametrize("flags", [
+        ["--config", "/nonexistent/cfg.txt"], ["--seed", "3"], ["--t", "1"], ["--clip-len", "2"],
+        ["--heads", "7"], ["--atrous-rates", "1,2,3"], ["--scale-mode", "one"],
+    ], ids=lambda flags: flags[0])
+    def test_config_and_model_flags_are_unknown(self, tmp_path, capsys, flags):
+        # eval reads no config, so it takes none of its flags.
+        masks = np.zeros((2, 4, 4))
+        masks[:, 1:3, 1:3] = 1.0
+        tubes = [Tube(masks, np.array([0.0, 1.0]), track_id=0)]
+        dump_tube_set(tubes, [1], tmp_path / "gt")
+        rc = cli_main(["eval", "--pred", str(tmp_path / "gt"), "--gt", str(tmp_path / "gt"),
+                       "--out", str(tmp_path / "eval"), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and f"unrecognized arguments: {' '.join(flags)}" in err
+        assert not (tmp_path / "eval").exists()
 
     def test_missing_dump_is_validation_error(self, tmp_path, capsys):
         rc = cli_main(["eval", "--pred", "/nonexistent", "--gt", "/nonexistent", "--out", str(tmp_path)])

@@ -280,9 +280,9 @@ class TestSameBitsForAnyWorkerCount:
             job = []
             jobs.append(job)
 
-            def record(lo, hi, w1, dw1):
+            def record(lo, hi):
                 job.append((lo, hi))
-                fn(lo, hi, w1, dw1)
+                fn(lo, hi)
 
             in_blocks(shape, heads, record)
 
