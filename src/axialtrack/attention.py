@@ -27,20 +27,24 @@ pass, the reference's too, refuses a footprint above `errors.MEMORY_LIMIT`.
 
 Stage one's weights are never held whole. Pieces of b rows run on every
 CPU (`tensor.split_rows`) and walk their (b, g) rows in blocks that fit a
-small scratch shared among them (`_stage_one_blocks`): each block's scores
-are built, scaled, checked finite and normalized there by the row kernel
-of `softmax_last`, then multiplied into the block's rows of the product.
-No sum crosses a (b, g) row, so the bits depend neither on the number of
-pieces nor on the block size, and the whole product still goes to one
-`sorted_sum` call. The head layout and stage two are shared with the
-backward (`axialtrack.backward`), which projects on BLAS and recomputes
-stage one in matrix form instead of in sorted order.
+scratch shared among them, of at most `tensor.SCRATCH_BYTES` at any
+accepted shape (`_stage_one_blocks`): whole (b, g) rows where two fit,
+else tiles of a row's T*S query rows (t, s). Each block's scores are
+built, scaled, checked finite and normalized there by the row kernel of
+`softmax_last`, then multiplied into the block's rows of the product.
+No sum crosses a query row, so the bits depend neither on the number of
+pieces nor on the block or tile size (Rabe and Staats, "Self-attention
+does not need O(n^2) memory", arXiv 2112.05682), and the whole product
+still goes to one `sorted_sum` call. The head layout and stage two are
+shared with the backward (`axialtrack.backward`), which projects on BLAS
+and recomputes stage one in matrix form instead of in sorted order.
 
 Every pass returns one array, its output. `stage_one_weights`, the only
 attention state exported, gives a sequence's head-mean stage-one rows at
 chosen references (a trajectory map needs two) without the product or
 stage two: the pass's block producer feeds it, and it head-means each
-block at its references, so the rows equal the pass's by construction.
+block at the references whose query rows it holds, so the rows equal the
+pass's by construction.
 
 There are no positional encodings anywhere in this module.
 """
@@ -53,7 +57,8 @@ import numpy as np
 
 from .errors import DimensionError, check_memory
 from .tensor import (
-    MacCounter, _softmax_rows, as_array, require_finite, scratch_rows, softmax_last, sorted_sum, split_rows,
+    SCRATCH_BYTES, MacCounter, _softmax_rows, as_array, require_finite, scratch_rows, softmax_last, sorted_sum,
+    split_rows,
 )
 
 LN_EPS = 1e-5
@@ -107,25 +112,33 @@ def stage_one_bytes(shape: tuple[int, int, int, int]) -> int:
 
 def stage_one_scratch_bytes(shape: tuple[int, int, int, int], heads: int) -> int:
     """Float64 bytes of the scratch that a (B, T, S, D) pass's stage one
-    shares among its pieces (`_stage_one_blocks`)."""
-    b, t, s, d = shape
-    rows, row = _stage_one_scratch(b * heads, t, s, d // heads)
-    return 8 * rows * row
+    shares among its pieces (`_stage_one_blocks`): at most
+    `tensor.SCRATCH_BYTES` at any shape that `check_stage_one` accepts."""
+    b, t, s, _ = shape
+    slots, per_slot = _stage_one_scratch(b * heads, t, s)
+    return 8 * slots * per_slot * (2 * t * s + t)
 
 
-def _stage_one_scratch(rows: int, t: int, s: int, c: int) -> tuple[int, int]:
-    """(rows, values per row) of stage one's scratch for `rows` (b, g) rows:
-    `tensor.scratch_rows` of at most half of them, so that a small pass,
-    whose one block would hold all its weights twice (with their sort
-    buffer), holds no more than its whole weights. A row holds its
-    (T, S, U, R) weights, their sort buffer, at least a (U, C, R) slab, and
-    their T*S*U softmax denominators."""
-    row = t * s * t * s + max(t * s * t * s, t * c * s) + t * s * t
-    return scratch_rows(-(-rows // 2), row), row
+def _stage_one_scratch(rows: int, t: int, s: int) -> tuple[int, int]:
+    """(slots, query rows per slot) of stage one's scratch for `rows` (b, g)
+    rows of T*S query rows each. A query row holds its (U, R) weights, their
+    sort buffer and its T softmax denominators, 2*T*S + T values. Where two
+    whole (b, g) rows fit in `tensor.SCRATCH_BYTES`, a slot holds one, and
+    there are `tensor.scratch_rows` of at most half the rows, so that a
+    small pass, whose one block would hold all its weights twice (with their
+    sort buffer), holds no more than its whole weights. Elsewhere there are
+    two slots of the most query rows that fit, or one slot of one query row
+    where two do not."""
+    query_rows, row = t * s, 2 * t * s + t
+    if 16 * query_rows * row <= SCRATCH_BYTES:
+        return scratch_rows(-(-rows // 2), query_rows * row), query_rows
+    tile = SCRATCH_BYTES // (16 * row)
+    return (2, tile) if tile else (1, 1)
 
 
 def stage_one_footprint(shape: tuple[int, int, int, int], heads: int) -> tuple[int, str]:
-    """Bytes of a (B, T, S, D) pass's stage-one product and block scratch, and what they hold."""
+    """Bytes of a (B, T, S, D) pass's stage-one product and block scratch,
+    and what they hold: the product plus at most `tensor.SCRATCH_BYTES`."""
     product, scratch = stage_one_bytes(shape), stage_one_scratch_bytes(shape, heads)
     return product + scratch, (f"stage-one footprint ({product} of stage-one product, "
                               f"{scratch} of block scratch)")
@@ -171,37 +184,45 @@ def _stage_two(ytil: np.ndarray, params: AttentionParams, softmax, total, projec
 
 def _stage_one_blocks(qh: np.ndarray, kh: np.ndarray, scale: float, nbytes: int, consume) -> None:
     """Stage one's weights from (B, G, T, S, C) query and key heads, a block
-    of (b, g) rows at a time: `consume(lo, hi, w, room)` gets the
-    C-contiguous (hi - lo, T, S, U, R) weights of rows lo..hi-1 of the B*G
-    rows, and `room`, scratch free for its own use that holds at least
-    hi - lo (U, C, R) slabs.
+    at a time: `consume(lo, hi, a, w, room)` gets the C-contiguous
+    (hi - lo, m, U, R) weights of query rows a..a+m-1, in (t, s) order, of
+    (b, g) rows lo..hi-1 of the B*G rows, and `room`, scratch free for its
+    own use that holds as many values as the weights.
 
-    Pieces of whole b rows (`split_rows` of a job of `nbytes`) each walk
-    their (b, g) rows in blocks that fill their share of one scratch. There
-    a block's scores are built with one einsum, scaled, checked finite (the
-    test's mask in the room) and normalized in place by the row kernel of
-    `softmax_last`, whose sort buffer (the room again) and denominators
-    share the scratch. No (B, G, T, S, U, R) array is made. `consume` runs inside
-    the pieces, in row order within each.
+    Pieces of whole b rows (`split_rows` of a job of `nbytes`) each get a
+    share of one scratch (`_stage_one_scratch`). A share that holds whole
+    (b, g) rows walks its rows in blocks of as many as it holds, with m =
+    T*S; one that does not walks each row in tiles of as many query rows
+    as it holds. There a block's scores are built with one einsum, scaled,
+    checked finite (the test's mask in the room) and normalized in place by
+    the row kernel of `softmax_last`, whose sort buffer (the room again) and
+    denominators share the scratch. Each score is the same dot over a
+    contiguous c, and each softmax runs over r alone, so the bits depend on
+    neither the block nor the tile. No (B, G, T, S, U, R) array is made.
+    `consume` runs inside the pieces, in row and then query-row order
+    within each.
     """
     b, g, t, s, c = qh.shape
-    q, k = qh.reshape(b * g, t, s, c), kh.reshape(b * g, t, s, c)
-    scratch = np.empty(_stage_one_scratch(b * g, t, s, c))
-    size, rows = t * s * t * s, t * s * t  # weights and softmax rows per (b, g) row
-    room = scratch.shape[1] - size - rows  # sort buffer per (b, g) row
+    queries = t * s  # query rows per (b, g) row
+    q, k = qh.reshape(b * g, queries, c), kh.reshape(b * g, t, s, c)
+    slots, per_slot = _stage_one_scratch(b * g, t, s)
+    scratch = np.empty((slots, per_slot * (2 * queries + t)))
 
     def piece(share: np.ndarray, lo: int, hi: int) -> None:
         flat = share.reshape(-1)
-        for first in range(lo * g, hi * g, len(share)):
-            last = min(hi * g, first + len(share))
-            n = last - first
-            w, free = flat[:n * size].reshape(n, t, s, t, s), flat[n * size:n * (size + room)]
-            np.einsum("ntsc,nurc->ntsur", q[first:last], k[first:last], out=w, optimize=False)
-            w *= scale
-            require_finite(w, "stage-one scores", free.view(np.bool_)[:w.size].reshape(w.shape))
-            x = w.reshape(-1, s)
-            _softmax_rows(x, x, free[:n * size].reshape(-1, s), flat[n * (size + room):][:n * rows])
-            consume(first, last, w, free)
+        fits = len(share) * per_slot  # query rows the share holds
+        n, m = (fits // queries, queries) if fits >= queries else (1, fits)
+        for first in range(lo * g, hi * g, n):
+            last = min(hi * g, first + n)
+            for a in range(0, queries, m):
+                size = (last - first) * min(m, queries - a) * queries
+                w, free = flat[:size].reshape(last - first, -1, t, s), flat[size:2 * size]
+                np.einsum("nqc,nurc->nqur", q[first:last, a:a + m], k[first:last], out=w, optimize=False)
+                w *= scale
+                require_finite(w, "stage-one scores", free.view(np.bool_)[:size].reshape(w.shape))
+                x = w.reshape(-1, s)
+                _softmax_rows(x, x, free.reshape(-1, s), flat[2 * size:2 * size + len(x)])
+                consume(first, last, a, w, free)
 
     split_rows(piece, b, nbytes, scratch)
 
@@ -217,30 +238,38 @@ def _stage_one(x: np.ndarray, params: AttentionParams) -> np.ndarray:
     # largest array of the pass: one C-order buffer with r last, into which
     # each block of weights is multiplied, and which `sorted_sum` sorts in
     # place row by row and sums pairwise. It is freed once summed.
-    vt = vh.swapaxes(-1, -2).reshape(b * g, t, c, s)  # (B*G,U,C,R), a view
+    # The values as a C-contiguous (B*G,U,C,R) copy, in place of their heads.
+    vt = np.ascontiguousarray(vh.swapaxes(-1, -2)).reshape(b * g, t, c, s)
+    del vh
     prod1 = np.empty((b * g, t * s, t, c, s))  # (B*G,T*S,U,C,R)
 
-    def multiply(lo: int, hi: int, w: np.ndarray, room: np.ndarray) -> None:
-        # A ufunc that broadcasts gets a numpy buffer in every piece at once.
-        # So copies spread the weights over c and the values over (t, s) in
-        # the room, whole rows at a time where they fit, and the products
-        # multiply equal shapes (IEEE products commute).
+    def multiply(lo: int, hi: int, a: int, w: np.ndarray, room: np.ndarray) -> None:
+        # A ufunc that broadcasts, or reads a strided operand, gets a numpy
+        # buffer in every piece at once. So the weights are copied over c,
+        # and the products multiply equal C-contiguous shapes (IEEE products
+        # commute): a chunk of query rows by copies of the values over its
+        # rows in the room, whole (b, g) rows at a time where they fit, and a
+        # chunk of one query row by the values themselves.
+        m = w.shape[1]
         slabs = len(room) // (t * c * s)  # (U, C, R) slabs of values that fit
-        step = min(slabs, t * s)  # slabs per product chunk
-        rows = max(1, slabs // (t * s))  # (b, g) rows per product chunk
-        v = room[:rows * step * t * c * s].reshape(rows, step, t, c, s)
-        w = w.reshape(hi - lo, t * s, t, 1, s)
+        step = max(1, min(slabs, m))  # query rows per product chunk
+        rows = hi - lo if step == 1 else max(1, slabs // m)  # (b, g) rows per product chunk
+        w = w.reshape(hi - lo, m, t, 1, s)
         for j in range(lo, hi, rows):
-            out = prod1[j:min(hi, j + rows)]
+            out = prod1[j:min(hi, j + rows), a:a + m]
             n = len(out)
-            np.copyto(v[:n], vt[j:j + n, None])
-            for a in range(0, t * s, step):
-                chunk = out[:, a:a + step]
-                np.copyto(chunk, w[j - lo:j - lo + n, a:a + step])
-                np.multiply(chunk, v[:n, :chunk.shape[1]], out=chunk)
+            v = vt[j:j + n, None]
+            if step > 1:
+                slab = room[:n * step * t * c * s].reshape(n, step, t, c, s)
+                np.copyto(slab, v)
+                v = slab
+            for i in range(0, m, step):
+                chunk = out[:, i:i + step]
+                np.copyto(chunk, w[j - lo:j - lo + n, i:i + step])
+                np.multiply(chunk, v[:, :chunk.shape[1]], out=chunk)
 
     _stage_one_blocks(qh, kh, params.scale, prod1.nbytes, multiply)
-    del qh, kh, vh, vt
+    del qh, kh, vt
     yt = sorted_sum(prod1.reshape(b, g, t, s, t, c, s), axis=-1)  # (B,G,T,S,U,C)
     del prod1
     return yt.transpose(0, 2, 4, 3, 1, 5).reshape(b, t, t, s, d)
@@ -291,19 +320,20 @@ def stage_one_weights(seq, params: AttentionParams, refs) -> np.ndarray:
             raise DimensionError(f"references must be equal-length integer indices within {(b, t, s)}")
     g = params.heads
     rows, row_of = np.unique(bs, return_inverse=True)  # the b rows read, and each reference's
+    query = ts * s + ss  # each reference's query row within its (b, g) row
     qh, kh, _ = _stage_one_heads(x[rows], params, _project)
     out = np.empty((len(bs), t, s))
 
-    def head_mean(lo: int, hi: int, w: np.ndarray, _room: np.ndarray) -> None:
+    def head_mean(lo: int, hi: int, a: int, w: np.ndarray, _room: np.ndarray) -> None:
         # Heads in index order, then one division: what `mean(axis=1)` gives.
         # A piece holds whole b rows, so no other piece touches their references.
         for j, wj in zip(range(lo, hi), w):
             row, head = divmod(j, g)
-            i = np.flatnonzero(row_of == row)
+            i = np.flatnonzero((row_of == row) & (query >= a) & (query < a + len(wj)))
             if head == 0:
-                out[i] = wj[ts[i], ss[i]]
+                out[i] = wj[query[i] - a]
             else:
-                out[i] += wj[ts[i], ss[i]]
+                out[i] += wj[query[i] - a]
             if head == g - 1:
                 out[i] /= g
 

@@ -18,9 +18,10 @@ returns, so no thread and no state outlives a split (a forked child
 splits as its parent does). No reduction crosses a piece, and each piece
 runs numpy alone and writes its results into buffers its caller
 allocated, so the bits of every result are the same for any number of
-pieces. A job's scratch (`scratch_rows`, at most `SCRATCH_BYTES` unless
-two of its rows need more) is shared out among its pieces, so what they
-hold does not grow with the worker count.
+pieces. A job's scratch, at most `SCRATCH_BYTES` (stage one's holds
+`scratch_rows` whole rows where two fit, else tiles of one row), is shared
+out among its pieces, so what they hold does not grow with the worker
+count.
 
 `_softmax_rows` is the one row-softmax kernel: `softmax_last` runs it on
 its whole input, and attention's stage one on each block of its scores.

@@ -200,12 +200,12 @@ class TestStageOneWeights:
         refs = np.concatenate([refs, refs[:3], [[1, 0, 2]]]).T  # repeats, and one b row alone
         for heads in (1, 2, 4):
             p = _params(d, 50, heads=heads)
-            seen = np.full((b * heads, t, s, t, s), np.nan)
+            seen = np.full((b * heads, t * s, t, s), np.nan)
 
             def recording(qh, kh, scale, nbytes, consume):
-                def record(lo, hi, w, room):
-                    seen[lo:hi] = w
-                    consume(lo, hi, w, room)
+                def record(lo, hi, a, w, room):
+                    seen[lo:hi, a:a + w.shape[1]] = w
+                    consume(lo, hi, a, w, room)
                 produce(qh, kh, scale, nbytes, record)
 
             monkeypatch.setattr(attention, "_stage_one_blocks", recording)
@@ -213,8 +213,7 @@ class TestStageOneWeights:
             monkeypatch.undo()
             assert not np.any(np.isnan(seen))
             passes = seen.reshape(b, heads, t, s, t, s).mean(axis=1)
-            scratch = attention._stage_one_scratch
-            monkeypatch.setattr(attention, "_stage_one_scratch", lambda *shape: (2, scratch(*shape)[1]))
+            monkeypatch.setattr(attention, "_stage_one_scratch", lambda rows, t, s: (2, t * s))
             for at in (refs, refs[:, -1:]):
                 got = stage_one_weights(x, p, at)
                 want = passes[tuple(at)]
@@ -373,7 +372,7 @@ class TestFullReference:
     def test_size_guard(self):
         # The reference's only size rule is its pass's: at (T, D, H, W) =
         # (4, 8, 32, 32) the (1, 4, 1024, 8) pass needs a 2^30-byte product
-        # and 268566528 bytes of block scratch, refused before either exists.
+        # and 393408 bytes of block scratch, refused before either exists.
         f = np.zeros((4, 8, 32, 32))
         tracemalloc.start()
         try:
@@ -382,18 +381,18 @@ class TestFullReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        for part in ("(1, 4, 1024, 8)", "1342308352 bytes", f"{2 ** 30} of stage-one product",
-                     "268566528 of block scratch"):
+        for part in ("(1, 4, 1024, 8)", "1074135232 bytes", f"{2 ** 30} of stage-one product",
+                     "393408 of block scratch"):
             assert part in str(exc.value)
         assert peak < 2 ** 21
 
     def test_runs_within_its_footprint_above_4096(self):
         # T*H*W = 4160 fits: the pass holds its product and block scratch
-        # (415 MB) and no more than a fixed 1 MiB beside them.
+        # (139 MB) and no more than a fixed 1 MiB beside them.
         t, d, h, w = 2, 1, 40, 52
         f = np.random.default_rng(40).normal(size=(t, d, h, w))
         p = _params(d, 41)
-        full_trajectory_reference(f[:, :, :2, :2], p)  # the row pool's one-time import and threads
+        full_trajectory_reference(f[:, :, :2, :2], p)  # a first call's one-time allocations stay outside the trace
         tracemalloc.start()
         try:
             full_trajectory_reference(f, p)
@@ -401,7 +400,7 @@ class TestFullReference:
         finally:
             tracemalloc.stop()
         footprint = stage_one_footprint((1, t, h * w, d), 1)[0]
-        assert footprint == 415_400_960
+        assert footprint == 138_844_256
         assert footprint <= peak <= footprint + 2 ** 20
 
 
@@ -428,6 +427,28 @@ class TestStageOneGuard:
         with pytest.raises(ResourceGuardError):
             trajectory_pass_1d(x, _params(4, 44))
 
+    def test_scratch_within_scratch_bytes_at_any_accepted_shape(self):
+        # Stage one's block scratch holds whole (b, g) rows where two fit and
+        # tiles of query rows elsewhere, so at every shape a pass accepts it
+        # stays within `tensor.SCRATCH_BYTES`, up to the one-query-row slot
+        # of a (b, g) row near the longest that the limit admits, T*S = 11580.
+        from axialtrack.errors import check_memory
+        from axialtrack.tensor import SCRATCH_BYTES
+        named = [((1, 4, 520, 16), 1), ((1, 16, 40, 64), 1), ((1, 16, 130, 16), 1), ((1, 16, 24, 16), 1),
+                 ((1, 2, 2080, 1), 1), ((40, 4, 40, 16), 2), ((1, 1, 11580, 1), 1), ((1, 11580, 1, 1), 1)]
+        grid = [((b, t, s, d), heads) for b in (1, 2, 40) for t in (1, 2, 4, 16) for d in (1, 16, 64)
+                for s in (1, 3, 24, 40, 130, 520, 2080, 8192) for heads in (1, 2, 4) if d % heads == 0]
+        accepted = 0
+        for shape, heads in named + grid:
+            try:
+                check_memory("pass", str(shape), *stage_one_footprint(shape, heads))
+            except ResourceGuardError:
+                assert (shape, heads) not in named
+                continue
+            accepted += 1
+            assert stage_one_scratch_bytes(shape, heads) <= SCRATCH_BYTES, (shape, heads)
+        assert accepted > len(named)
+
     def test_pass_holds_one_stage_one_buffer(self):
         # The product is sorted in place; a second, sorted copy of it would
         # put the traced peak at about twice its size. Stage one's weights w1
@@ -438,7 +459,7 @@ class TestStageOneGuard:
         rng = np.random.default_rng(45)
         x = rng.normal(size=(b, t, s, d))
         p = _params(d, 46, heads=heads)
-        trajectory_pass_1d(x, p)  # the row pool's one-time import and threads are no array of the pass
+        trajectory_pass_1d(x, p)  # a first call's one-time allocations stay outside the trace
         tracemalloc.start()
         try:
             trajectory_pass_1d(x, p)

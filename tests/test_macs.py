@@ -54,10 +54,10 @@ class TestCountMacs:
 
     def test_reference_guard_propagates(self):
         # The reference pass's footprint is the one size rule: a 2^30-byte
-        # product, at the limit, and 268566528 bytes of block scratch.
+        # product, at the limit, and 393408 bytes of block scratch.
         with pytest.raises(ResourceGuardError) as exc:
             count_macs(ModelConfig(t=4, h=32, w=32, d=8))
-        for part in ("(T, D, H, W) = (4, 8, 32, 32)", "(B, T, S, D) = (1, 4, 1024, 8)", "need 1342308352 bytes"):
+        for part in ("(T, D, H, W) = (4, 8, 32, 32)", "(B, T, S, D) = (1, 4, 1024, 8)", "need 1074135232 bytes"):
             assert part in str(exc.value)
 
     @pytest.mark.parametrize("cfg, words", [

@@ -322,6 +322,29 @@ def test_split_pass_peak_memory_not_above_serial(use_workers):
     assert peaks[1] <= peaks[0] + BOOKKEEPING_BYTES
 
 
+def test_tiled_pass_allocates_only_its_footprint(use_workers):
+    # Two pieces of one b row each walk their (b, g) row in tiles of 101 of
+    # its 160 query rows, and a tile's room holds one (U, C, R) value slab:
+    # each product chunk is one query row, multiplied by the C-contiguous
+    # values themselves. Beside the product, the pass holds the query, key
+    # and value heads (three sequence-sized arrays), the block scratch and
+    # the bookkeeping of the split. A ufunc on a strided operand would add
+    # one numpy buffer (64 KiB) in each piece.
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(2, 4, 40, 64))
+    p = attention_params(64, rng)
+    use_workers(2)
+    trajectory_pass_1d(x, p)  # a first call's one-time allocations stay outside the trace
+    tracemalloc.start()
+    try:
+        trajectory_pass_1d(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    beside = 3 * x.nbytes + attention.stage_one_scratch_bytes(x.shape, 1)
+    assert peak <= attention.stage_one_bytes(x.shape) + beside + BOOKKEEPING_BYTES
+
+
 @pytest.mark.parametrize("kernel", ["softmax_last", "sorted_sum"])
 def test_pieces_allocate_only_the_callers_buffers(use_workers, kernel):
     # softmax_last runs on the calling thread and allocates its output, one
@@ -359,7 +382,7 @@ def _stage_one_heads(rng, b, heads, t, s, c):
 
 class TestStageOneBlocks:
     """The blocked stage one equals the whole-array softmax bit for bit, for
-    any block size and number of pieces."""
+    any block size, tile size and number of pieces."""
 
     @pytest.mark.parametrize("block", [1, 2, "all"])
     @pytest.mark.parametrize("heads", [1, 2])
@@ -370,23 +393,80 @@ class TestStageOneBlocks:
         # zero weights.
         b, t = 3, 2
         qh, kh = _stage_one_heads(np.random.default_rng(40 + s + heads), b, heads, t, s, 2)
-        want = whole_stage_one_weights(qh, kh, 700.0).reshape(b * heads, t, s, t, s)
+        want = whole_stage_one_weights(qh, kh, 700.0).reshape(b * heads, t * s, t, s)
         assert np.any(want == 0.0)
         rows = b * heads if block == "all" else block
-        scratch = attention._stage_one_scratch
-        monkeypatch.setattr(attention, "_stage_one_scratch", lambda *shape: (rows, scratch(*shape)[1]))
+        monkeypatch.setattr(attention, "_stage_one_scratch", lambda n, t, s: (rows, t * s))
         for n in (1, 2, 3):
             use_workers(n)
             got = np.full(want.shape, np.nan)
             sizes = []
 
-            def consume(lo, hi, w, room):
+            def consume(lo, hi, a, w, room):
+                assert a == 0 and w.shape[1] == t * s
                 got[lo:hi] = w
                 sizes.append(hi - lo)
 
             attention._stage_one_blocks(qh, kh, 700.0, want.nbytes, consume)
             _assert_bitwise_equal(got, want)
             assert sum(sizes) == b * heads and max(sizes) <= rows
+
+    @pytest.mark.parametrize("tile", [1, 3, "last"])
+    @pytest.mark.parametrize("b, heads", [(1, 1), (3, 1), (3, 2), (2, 4)])
+    @pytest.mark.parametrize("s", [17, 130])
+    def test_tiles_are_the_whole_array_softmax(self, use_workers, monkeypatch, tile, b, heads, s):
+        # One scratch slot per b row, of 1, 3 or T*S - 1 query rows. A piece
+        # whose share holds less than a (b, g) row walks each of its rows in
+        # tiles of as many query rows as the share holds, the last partial;
+        # one that holds more walks whole rows. B*G = 1 is one piece.
+        t = 2
+        qh, kh = _stage_one_heads(np.random.default_rng(60 + s + b + heads), b, heads, t, s, 2)
+        want = whole_stage_one_weights(qh, kh, 700.0).reshape(b * heads, t * s, t, s)
+        rows = t * s - 1 if tile == "last" else tile
+        monkeypatch.setattr(attention, "_stage_one_scratch", lambda *shape: (b, rows))
+        for n in (1, 2, 3):
+            use_workers(n)
+            pieces = min(n, b)
+            fits = {}  # (b, g) row -> query rows its piece's share holds
+            for i in range(pieces):
+                for j in range(b * i // pieces * heads, b * (i + 1) // pieces * heads):
+                    fits[j] = (b * (i + 1) // pieces - b * i // pieces) * rows
+            got, visits = np.full(want.shape, np.nan), np.zeros(want.shape[:2], int)
+
+            def consume(lo, hi, a, w, room):
+                m = w.shape[1]
+                if fits[lo] < t * s:
+                    assert hi - lo == 1 and m == min(fits[lo], t * s - a)
+                else:
+                    assert a == 0 and m == t * s and hi - lo <= fits[lo] // (t * s)
+                got[lo:hi, a:a + m] = w
+                visits[lo:hi, a:a + m] += 1
+
+            attention._stage_one_blocks(qh, kh, 700.0, want.nbytes, consume)
+            _assert_bitwise_equal(got, want)
+            assert np.all(visits == 1)
+
+    @pytest.mark.parametrize("tile", [1, 3, "last"])
+    @pytest.mark.parametrize("b, heads", [(1, 1), (3, 2), (2, 4)])
+    def test_tiles_read_their_references(self, use_workers, monkeypatch, tile, b, heads):
+        # `stage_one_weights` head-means each tile at the references whose
+        # query row falls in it; references spread over every tile (repeats
+        # included) read the whole-array weights' head mean, bit for bit.
+        t, s, d = 2, 17, 8
+        rng = np.random.default_rng(70 + b + heads)
+        x = rng.normal(size=(b, t, s, d))
+        x[:, :, 1::3] = x[:, :, :1]
+        x[..., ::4, 0] = -0.0
+        p = attention_params(d, rng, heads=heads, std=0.5)
+        qh, kh, _ = attention._stage_one_heads(x, p, attention._project)
+        want = whole_stage_one_weights(qh, kh, p.scale).mean(axis=1)
+        refs = rng.integers(0, (b, t, s), size=(40, 3))
+        refs = np.concatenate([refs, refs[:5]]).T
+        rows = t * s - 1 if tile == "last" else tile
+        monkeypatch.setattr(attention, "_stage_one_scratch", lambda *shape: (b, rows))
+        for n in (1, 2, 3):
+            use_workers(n)
+            _assert_bitwise_equal(stage_one_weights(x, p, refs), want[tuple(refs)])
 
     def test_non_finite_scores_raise_after_all_pieces_finish(self, use_workers):
         # Three pieces of two b rows each: the middle one's scores overflow to
@@ -397,7 +477,7 @@ class TestStageOneBlocks:
         qh[2] = kh[2] = 1e200
         done = []
 
-        def consume(lo, hi, w, room):
+        def consume(lo, hi, a, w, room):
             if lo >= 4 * heads:
                 time.sleep(0.1)
             done.extend(range(lo, hi))
