@@ -24,6 +24,10 @@ one (B, G, T, S, U, C, R) product, sorted in place along r, its last
 axis, and summed pairwise row by row (`tensor.sorted_sum`). That product
 and its blocks' scratch are a pass's footprint, and its one size rule: a
 pass, the reference's too, refuses a footprint above `errors.MEMORY_LIMIT`.
+Everything a pass holds at once, the footprint or stage two beside the
+sequence-sized arrays, is its declared peak (`pass_peak`), which
+`config.run_peak` composes with what else a run holds; a change to what a
+pass allocates re-bases it here alone.
 
 Stage one's weights are never held whole. Pieces of b rows run on every
 CPU (`tensor.split_rows`) and walk their (b, g) rows in blocks that fit a
@@ -51,14 +55,15 @@ There are no positional encodings anywhere in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, check_memory
 from .tensor import (
-    SCRATCH_BYTES, MacCounter, _softmax_rows, as_array, require_finite, scratch_rows, softmax_last, sorted_sum,
-    split_rows,
+    SCRATCH_BYTES, SMALL_BYTES, MacCounter, _softmax_rows, as_array, require_finite, scratch_rows, softmax_last,
+    sorted_sum, split_rows,
 )
 
 LN_EPS = 1e-5
@@ -142,6 +147,16 @@ def stage_one_footprint(shape: tuple[int, int, int, int], heads: int) -> tuple[i
     product, scratch = stage_one_bytes(shape), stage_one_scratch_bytes(shape, heads)
     return product + scratch, (f"stage-one footprint ({product} of stage-one product, "
                               f"{scratch} of block scratch)")
+
+
+def pass_peak(shape: tuple[int, int, int, int], heads: int) -> int:
+    """Bytes that a (B, T, S, D) pass holds at its peak, in planes P of its
+    sequence, and `tensor.SMALL_BYTES`: stage one's product beside the input
+    (P) and either its 3 projections (3 P) and the block scratch or the (T P)
+    sum; or stage two's input, queries, projection (3 P) and 5 (T P) points."""
+    t, plane = shape[1], 8 * math.prod(shape)
+    stage_one = stage_one_bytes(shape) + max(4 * plane + stage_one_scratch_bytes(shape, heads), (1 + t) * plane)
+    return max(stage_one, (5 * t + 4) * plane) + SMALL_BYTES
 
 
 def check_stage_one(shape: tuple[int, int, int, int], heads: int) -> None:

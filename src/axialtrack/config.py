@@ -1,7 +1,12 @@
-"""Model configuration and its line-oriented text format.
+"""Model configuration, its line-oriented text format, and a run's memory.
 
 Files are UTF-8 `key = value` lines; `#` starts a comment and unknown
 keys are rejected. `atrous_rates` is a comma-separated integer triple.
+
+A run's declared peak (`run_peak`) composes the peaks that each stage
+declares beside its kernel (`attention.pass_peak`, `deform.sampling_peak`,
+`segmenter.decoder_peak`, `heatmaps.clip_peak`) with what else is alive at
+that moment of a run; no kernel's arrays are counted here.
 """
 
 from __future__ import annotations
@@ -11,15 +16,15 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from . import errors
-from .attention import stage_one_bytes, stage_one_footprint, stage_one_scratch_bytes
-from .tensor import scratch_rows
+from .attention import pass_peak, stage_one_footprint
+from .deform import sampling_peak
 from .errors import ConfigError, check_memory
+from .heatmaps import clip_peak
+from .segmenter import decoder_peak
+from .tensor import SMALL_BYTES
 
 SCALE_RSQRT_D = "rsqrt_d"
 SCALE_ONE = "one"
-# A stage's bytes beside its arrays: numpy's 8192-element ufunc buffer and
-# small Python objects.
-SMALL_BYTES = 2 ** 17
 # A whole run's fixed bytes: its small objects beside a stage's (2 SMALL_BYTES),
 # and 1 MiB for the modules that a process's first run imports (numpy.random
 # for its seeded streams, 0.75 MB, and locale for argparse's messages, 0.16 MB).
@@ -102,35 +107,21 @@ def clip_group(cfg: ModelConfig) -> int:
     return max(1, bisect.bisect_left(range(1, clips), True, key=lambda g: run_peak(cfg, g) > room))
 
 
-def _pass_bytes(shape: tuple[int, int, int, int], heads: int) -> int:
-    """A (B, T, S, D) pass's peak bytes in planes P of its sequence: stage one's
-    product beside the input (P) and either 3 projections (3 P) and the block scratch
-    or the (T P) sum; or stage two's input, queries, projection (3 P) and 5 (T P) points."""
-    t, plane, scratch = shape[1], 8 * math.prod(shape), stage_one_scratch_bytes(shape, heads)
-    return max(stage_one_bytes(shape) + max(4 * plane + scratch, (1 + t) * plane), (5 * t + 4) * plane)
-
-
 def _group_bytes(cfg: ModelConfig, g: int) -> dict[str, int]:
     """Within-clip stage -> bytes of `deform.within_clip_forward` at its peak
     on g clips (n_w >= 1) in (g T, D, H, W) planes P; "sampler" is the
-    sampler's own count. Sampling: that count, the coarse levels and output
-    (2 P), at a block's finest query level; the last block samples that level alone,
-    beside its input pyramid and no coarse output. A finest pass, `_pass_bytes` beside at
-    most 3 P and SMALL_BYTES: before the last block the sampled pyramid and coarse outputs,
-    at the last the sampled finest level alone."""
-    t, h, w, d, k, px = cfg.t, cfg.h, cfg.w, cfg.d, cfg.k_sample, cfg.h * cfg.w
-    plane = 8 * g * t * px * d
-    beside = 3 * plane + SMALL_BYTES
-    # The finest query level's gather over g T frames: per frame, the finest
-    # level's (H+2, W+2, D) bordered copy; per pixel, the queries and the
-    # running sum beside at most D of coarser outputs (3 D); per point, the
-    # samples and a corner's weighted gather (2 D), the offsets, points and
-    # their integer and fractional parts (8), 3 weights, 4 corner weights and
-    # 3 gather indices (10); the (H*W, 2) grid.
-    sampler = 8 * (g * t * ((h + 2) * (w + 2) * d + px * (3 * d + 2 * k * d + 18 * k)) + 2 * px) + SMALL_BYTES
+    sampler's own count (`deform.sampling_peak`). Sampling: that count, the
+    coarse levels and output (2 P), at a block's finest query level; the last
+    block samples that level alone, beside its input pyramid and no coarse
+    output. A finest pass (`attention.pass_peak`) beside at most 3 P: before
+    the last block the sampled pyramid and coarse outputs, at the last the
+    sampled finest level alone."""
+    t, h, w, d = cfg.t, cfg.h, cfg.w, cfg.d
+    plane = 8 * g * t * h * w * d
+    sampler = sampling_peak((g * t, d, h, w), cfg.k_sample)
     return {"sampler": sampler, "deformable sampling": sampler + 2 * plane,
-            "H trajectory pass": beside + _pass_bytes((g * w, t, h, d), cfg.heads),
-            "W trajectory pass": beside + _pass_bytes((g * h, t, w, d), cfg.heads)}
+            "H trajectory pass": 3 * plane + pass_peak((g * w, t, h, d), cfg.heads),
+            "W trajectory pass": 3 * plane + pass_peak((g * h, t, w, d), cfg.heads)}
 
 
 def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int, str, int]]:
@@ -139,7 +130,7 @@ def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int,
     g = clip_group(cfg) if g is None else g
     l, t, h, w, d, n, k = cfg.l, cfg.t, cfg.h, cfg.w, cfg.d, cfg.n, cfg.k_sample
     px, frames = h * w, -(-l // t) * t  # frames padded to whole clips
-    clips, keys = frames // t, max(n, t * px)  # keys: the longer of the decoder's two softmax rows
+    clips = frames // t
 
     def trajectory_pass(name: str, shape: tuple[int, int, int, int], peak: int) -> tuple:
         return (f"{name} trajectory pass", f"(B, T, S, D) = {shape}", *stage_one_footprint(shape, cfg.heads), peak)
@@ -149,12 +140,7 @@ def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int,
     # deformable sampling of 3 (2 D^2 + 5 K D) and two axial attentions of
     # 6 D^2; per cross-clip block, an attention of 6 D^2 and a pyramid of 10 D^2.
     params = 8 * (n * d + d * cfg.c + 42 * d * d + cfg.n_w * (18 * d * d + 15 * k * d) + cfg.n_c * 16 * d * d)
-    # A decoder layer's cross- or self-attention softmax: the (T*H*W, D)
-    # features and, in cross-attention, their keys and values; the scaled
-    # scores and the softmax output, 2 (N, T*H*W) or 2 (N, N), the softmax's
-    # sort scratch of rows of either, and N denominators; the queries, their
-    # norms and projections and the previous layer's (N, 4D) hidden, 9 (N, D).
-    decoder = 8 * (3 * t * px * d + (2 * n + scratch_rows(n, keys)) * keys + 9 * n * d + n) + SMALL_BYTES
+    decoder = decoder_peak(n, (t, d, h, w))
     # In float64 (H, W) planes a run holds the (L, D) video, at most N tubes
     # of ground truth, the parameters and RUN_BYTES but a stage's SMALL_BYTES;
     # while the clips run, their padded copy; then the (F, D) clip features
@@ -179,19 +165,11 @@ def _stages(cfg: ModelConfig, g: int | None = None) -> list[tuple[str, str, int,
     ]
     if cfg.n_c:  # beside the clip masks, the near-online tubes and its (K, N, D) input
         stages.append(trajectory_pass("cross-clip", cross := (1, clips, n, d), base + features + 2 * masks
-                                      + SMALL_BYTES + 8 * clips * n * d + _pass_bytes(cross, cfg.heads)))
+                                      + 8 * clips * n * d + pass_peak(cross, cfg.heads)))
     stages.append(("video", f"{l=}, {t=}, {h=}, {w=}, {d=}, {n=}", video,
                    "float64 video, ground truth, clip runs, tubes and logits", video + params))
-    if cfg.n_w:
-        # The heatmaps read a clip at a time beside the clip copy and three
-        # modes' (F, N) tubes. At n = T*H*W references, their indices and the
-        # clip's (n, T) argmax (2 T + 4 a reference) beside the clip's H pass,
-        # or beside its (n, T, H) and (n, T, W) rows, sequences (8 D n) and
-        # the block of `outer_argmax` tests or the W rows' scratch.
-        refs, long = t * px, max(h, w)
-        rows = 8 * refs * (t * (h + w) + 8 * d) + SMALL_BYTES + max(
-            9 * scratch_rows(t * refs, long) * long, stage_one_scratch_bytes((h, t, w, d), cfg.heads))
-        heatmaps = 8 * refs * (2 * t + 4) + max(rows, _group_bytes(cfg, 1)["H trajectory pass"])
+    if cfg.n_w:  # the heatmaps read a clip at a time beside the clip copy and three modes' (F, N) tubes
+        heatmaps = clip_peak((t, d, h, w), cfg.heads)
         stages += [trajectory_pass("H", (g * w, t, h, d), beside + group["H trajectory pass"]),
                    trajectory_pass("W", (g * h, t, w, d), beside + group["W trajectory pass"]),
                    ("heatmaps", f"{t=}, {h=}, {w=}, {d=}, heads={cfg.heads}", heatmaps,

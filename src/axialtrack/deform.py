@@ -21,7 +21,7 @@ import numpy as np
 
 from .attention import AttentionParams, attention_params, axial_trajectory_h, axial_trajectory_w
 from .errors import DimensionError
-from .tensor import as_array, bilinear_sample, softmax_last
+from .tensor import SMALL_BYTES, as_array, bilinear_sample, softmax_last
 
 
 @dataclass
@@ -125,6 +125,23 @@ def msdeform_simplified(pyr: FeaturePyramid, params: DeformParams, level: int) -
     # C order, since downstream einsums may sum in a stride-dependent order.
     out = np.ascontiguousarray(outp.reshape(t, hq, wq, d).transpose(0, 3, 1, 2))
     return out.reshape(lead + out.shape[1:])
+
+
+def sampling_peak(shape: tuple[int, int, int, int], points: int) -> int:
+    """Bytes that `msdeform_simplified` holds at its peak on the finest query
+    level of an (F, D, H, W) pyramid at `points` points, with
+    `tensor.SMALL_BYTES`; sampling the coarser query levels first, and
+    keeping their outputs, stays within it.
+
+    The gather over F frames: per frame, the finest level's (H+2, W+2, D)
+    bordered copy; per pixel, the queries and the running sum beside at
+    most D of coarser outputs (3 D); per point, the samples and a corner's
+    weighted gather (2 D), the offsets, points and their integer and
+    fractional parts (8), 3 weights, 4 corner weights and 3 gather indices
+    (10); the (H*W, 2) grid."""
+    frames, d, h, w = shape
+    per_frame = (h + 2) * (w + 2) * d + h * w * (3 * d + 2 * points * d + 18 * points)
+    return 8 * (frames * per_frame + 2 * h * w) + SMALL_BYTES
 
 
 @dataclass

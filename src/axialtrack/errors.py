@@ -1,9 +1,10 @@
 """Exception types shared across the library, and the one memory limit of
 a run; the CLI exits 1 on an `AxialtrackError`."""
 
-# Most bytes that a run may hold at its declared peak (`config.run_peak`),
-# one trajectory pass for stage one (`attention.stage_one_footprint`), and
-# a pass of the backward (`backward._footprint`).
+# Most bytes that a run may hold at its declared peak (`config.run_peak`, a
+# composition of the peaks each stage declares beside its kernel), one
+# trajectory pass for stage one (`attention.stage_one_footprint`), and a pass
+# of the backward (`backward._footprint`).
 MEMORY_LIMIT = 2 ** 30
 
 

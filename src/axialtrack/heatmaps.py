@@ -16,10 +16,11 @@ import os
 import numpy as np
 
 from .attention import (
-    AttentionParams, from_sequence, prenorm, stage_one_weights, to_sequence, trajectory_pass_1d,
+    AttentionParams, from_sequence, pass_peak, prenorm, stage_one_scratch_bytes, stage_one_weights, to_sequence,
+    trajectory_pass_1d,
 )
 from .pgm import write_pgm
-from .tensor import as_array, scratch_rows
+from .tensor import SMALL_BYTES, as_array, scratch_rows
 
 
 def axial_fields(
@@ -37,6 +38,21 @@ def axial_fields(
     rows_h = stage_one_weights(x, params_h, (ws, ts, hs))
     del x
     return rows_h, stage_one_weights(prenorm(to_sequence(mid, "w")), params_w, (hs, ts, ws))
+
+
+def clip_peak(shape: tuple[int, int, int, int], heads: int) -> int:
+    """Bytes that `trajectory_hit_rate` holds at its peak on one (T, D, H, W)
+    clip at `heads` heads, with `tensor.SMALL_BYTES`, as if every pixel were
+    a reference. At n = T*H*W references, their indices and the clip's
+    (n, T) argmax (2 T + 4 a reference) beside the clip's H pass
+    (`attention.pass_peak` beside 3 (T, D, H, W) planes), or beside its
+    (n, T, H) and (n, T, W) rows, sequences (8 D n) and the block of
+    `outer_argmax` tests or the W rows' scratch."""
+    t, d, h, w = shape
+    refs, long = t * h * w, max(h, w)
+    rows = 8 * refs * (t * (h + w) + 8 * d) + SMALL_BYTES + max(
+        9 * scratch_rows(t * refs, long) * long, stage_one_scratch_bytes((h, t, w, d), heads))
+    return 8 * refs * (2 * t + 4) + max(rows, 24 * refs * d + pass_peak((w, t, h, d), heads))
 
 
 def outer_argmax(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,7 +59,8 @@ def vpq(preds: list[Tube], gts: GroundTruthSet) -> float:
 
     Per class: sum(IoU of true positives) / (TP + FP/2 + FN/2), where a
     prediction whose binarized mask is empty is ignored entirely (never a
-    false positive). Every prediction must pass `Tube.validate`. The result
+    false positive). Every prediction must pass `Tube.validate` and, whatever
+    its class or mask, share the ground truth's (span, H, W). The result
     averages over classes present in the ground truth or among the kept
     predictions.
     """
@@ -67,6 +68,9 @@ def vpq(preds: list[Tube], gts: GroundTruthSet) -> float:
     kept: list[tuple[int, Tube]] = []
     for tube in preds:
         tube.validate()
+        if gts.tubes and tube.masks.shape != gts.tubes[0].masks.shape:
+            raise DimensionError(f"prediction (span, H, W) {tube.masks.shape} differs from the ground "
+                                 f"truth's {gts.tubes[0].masks.shape}")
         if np.count_nonzero(tube.binarized()) == 0:
             continue
         kept.append((int(np.argmax(tube.class_probs)), tube))

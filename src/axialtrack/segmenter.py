@@ -5,8 +5,8 @@ A toy transformer decoder refines per-clip object queries against the
 finest pyramid level; each refined query produces one mask tube and one
 class distribution. `run_clips` runs every clip of a video once: one
 `deform.within_clip_forward` call per group of consecutive clips, a
-`(g, T, D, H, W)` view of the (padded) video with g from
-`config.clip_group`, writes the group's finest level into one
+`(g, T, D, H, W)` view of the (padded) video with g the parameters'
+`clip_group`, writes the group's finest level into one
 `(K, T, D, H, W)` features array, and `run_clip` then decodes each clip
 from its slice into row k of stacked `(K, N, ...)` query, mask and class
 arrays. No sum crosses a clip, so the group size never changes a bit. With
@@ -27,10 +27,9 @@ import numpy as np
 
 from .assignment import Assignment, hungarian
 from .attention import ProjectionWeights, _project, prenorm, projection_weights
-from .config import ModelConfig, clip_group
 from .deform import WithinClipBlock, within_clip_forward
 from .errors import ConfigError, DimensionError
-from .tensor import as_array, logistic, require_finite, softmax_last
+from .tensor import SMALL_BYTES, as_array, logistic, require_finite, scratch_rows, softmax_last
 
 # A mask value counts as foreground when it exceeds this.
 MASK_THRESHOLD = 0.5
@@ -94,6 +93,20 @@ def _attend(q: np.ndarray, keys: np.ndarray, proj: ProjectionWeights, scale: flo
     vv = _project(keys, proj.w_v)
     weights = softmax_last(scale * np.einsum("nd,pd->np", qq, kk, optimize=False))
     return np.einsum("np,pd->nd", weights, vv, optimize=False)
+
+
+def decoder_peak(n: int, shape: tuple[int, int, int, int]) -> int:
+    """Bytes that `decode_clip_queries` holds at its peak on n queries and
+    (T, D, H, W) clip features, with `tensor.SMALL_BYTES`: a cross- or
+    self-attention softmax (`_attend`) over the longer of its two key rows,
+    T*H*W pixels or N queries. That is the (T*H*W, D) features and, in
+    cross-attention, their keys and values; the scaled scores and the
+    softmax output, 2 (N, keys), the softmax's sort scratch of rows of
+    keys, and N denominators; the queries, their norms and projections and
+    the previous layer's (N, 4D) hidden, 9 (N, D)."""
+    t, d, h, w = shape
+    keys = max(n, t * h * w)
+    return 8 * (3 * t * h * w * d + (2 * n + scratch_rows(n, keys)) * keys + 9 * n * d + n) + SMALL_BYTES
 
 
 def _check_queries(queries) -> np.ndarray:
@@ -165,6 +178,7 @@ class PipelineParams:
     """Everything inference needs besides the video itself."""
 
     clip_len: int
+    clip_group: int  # clips per within-clip call: `config.clip_group` of the config they are built from
     init_queries: np.ndarray    # (N, D)
     class_head: np.ndarray      # (D, C)
     decoder: list[DecoderLayerParams]
@@ -192,27 +206,13 @@ class ClipRuns:
     length: int  # original frame count, before padding
 
 
-def _group_size(video: np.ndarray, params: PipelineParams) -> int:
-    """`config.clip_group` of the config that the (L, D, H, W) video's shape
-    and the parameters' arrays describe (the most heads of any axial pass)."""
-    l, d, h, w = video.shape
-    blocks = params.within_blocks
-    cfg = ModelConfig(
-        l=l, t=params.clip_len, h=h, w=w, d=d, n=params.init_queries.shape[0],
-        c=params.class_head.shape[1], n_w=len(blocks), n_c=len(params.cross_blocks),
-        k_sample=blocks[0].deform.points if blocks else 1,
-        heads=max((attn.heads for blk in blocks for attn in (blk.attn_h, blk.attn_w)), default=1),
-    )
-    return clip_group(cfg)
-
-
 def run_clips(video, params: PipelineParams) -> ClipRuns:
     """Run every clip of an (L, D, H, W) video once: within-clip mixing per
     group of consecutive clips into one features array, then each clip's
     decoding and tubes."""
     video = as_array(video)
     clips = split_into_clips(video, params.clip_len)
-    g = _group_size(video, params)
+    g = params.clip_group
     if g >= len(clips):  # with no within-clip block, the clip stack itself
         features = within_clip_forward(clips, params.within_blocks)
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import AttentionParams, passthrough_attention_params
-from .config import ModelConfig
+from .config import ModelConfig, clip_group
 from .crossclip import CrossClipBlock, cross_clip_blocks, identity_aspp_params
 from .deform import WithinClipBlock, identity_deform_params, within_clip_blocks
 from .errors import ConfigError, GenerationError
@@ -198,6 +198,7 @@ def build_oracle_params(spec: SyntheticVideoSpec, cfg: ModelConfig) -> PipelineP
     ]
     return PipelineParams(
         clip_len=cfg.t,
+        clip_group=clip_group(cfg),
         init_queries=queries,
         class_head=class_head,
         decoder=identity_decoder_params(cfg.d, scale=scale),
@@ -212,6 +213,7 @@ def random_pipeline_params(cfg: ModelConfig) -> PipelineParams:
     scale = cfg.scale()
     return PipelineParams(
         clip_len=cfg.t,
+        clip_group=clip_group(cfg),
         init_queries=rng.normal(0.0, 0.02, size=(cfg.n, cfg.d)),
         class_head=rng.normal(0.0, 0.02, size=(cfg.d, cfg.c)),
         decoder=decoder_params(cfg.d, rng, scale=scale),

@@ -54,6 +54,10 @@ MIN_PIECE_BYTES = 2 ** 20
 # Bytes of scratch that a job's pieces share: blocks of rows this small
 # stay in cache, and the pieces still split any job of two rows or more.
 SCRATCH_BYTES = 2 ** 19
+# A stage's bytes beside its arrays in every declared peak (`attention.pass_peak`,
+# `deform.sampling_peak`, `segmenter.decoder_peak`, `heatmaps.clip_peak`):
+# numpy's 8192-element ufunc buffer and small Python objects.
+SMALL_BYTES = 2 ** 17
 
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 

@@ -15,6 +15,7 @@ from axialtrack.attention import (
     _stage_two,
     from_sequence,
     full_trajectory_reference,
+    pass_peak,
     passthrough_attention_params,
     prenorm,
     stage_one_footprint,
@@ -24,9 +25,10 @@ from axialtrack.attention import (
     trajectory_pass_1d,
 )
 from axialtrack.errors import MEMORY_LIMIT, DimensionError, NumericError, ResourceGuardError
-from axialtrack.tensor import softmax_last, sorted_sum
+from axialtrack.tensor import SMALL_BYTES, softmax_last, sorted_sum
 
 from oracles import naive_axial_h, naive_axial_w, naive_full_reference, naive_pass1d, stage_one_field
+from traced import traced_peak
 
 
 def _params(d, seed, std=0.3, scale=None, heads=1):
@@ -470,6 +472,24 @@ class TestStageOneGuard:
         beside = 3 * x.nbytes + stage_one_scratch_bytes(x.shape, heads) + 2 ** 16
         assert beside <= w1_bytes / 2
         assert peak <= product + beside
+
+
+# The benchmark's passes: `axial_train`'s H pass at 2 heads; `track_many`'s
+# cross-clip pass and its 16-clip group's finest passes; `demo_oracle`'s
+# finest, coarser and coarsest passes and its cross-clip pass, whose arrays
+# alone are below its traced peak.
+@pytest.mark.parametrize("shape, heads", [
+    ((40, 4, 40, 16), 2), ((1, 16, 24, 16), 1), ((128, 2, 8, 16), 1), ((32, 2, 32, 8), 1),
+    ((16, 2, 16, 8), 1), ((8, 2, 8, 8), 1), ((1, 4, 4, 8), 1),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"heads{v}")
+def test_pass_peak_bounds_the_traced_pass(shape, heads):
+    # The declared peak is at least the pass's traced peak, and at most a
+    # quarter above it beside a stage's small bytes.
+    x = np.random.default_rng(47).normal(size=shape)
+    p = _params(shape[-1], 48, heads=heads)
+    trajectory_pass_1d(x, p)  # a first call's one-time allocations stay outside the trace
+    peak = traced_peak(trajectory_pass_1d, x, p)
+    assert peak <= pass_peak(shape, heads) <= 1.25 * peak + SMALL_BYTES
 
 
 class TestStageOneProduct:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,36 @@ def _fd_param(f, ph, pw, upstream, which, stage, name):
 
 def _rel_err(analytic, fd):
     return float(np.max(np.abs(analytic - fd) / np.maximum(1e-6, np.abs(fd))))
+
+
+def _first_blocks_overlap(monkeypatch):
+    """Make both pieces of every two-piece backward job hold their first
+    block at one moment: each waits at a barrier in that block's stage-one
+    softmax backward (its second, after stage two's), which has written the
+    weights' gradient over its operand, so nothing is held that the block
+    does not hold there anyway."""
+    barrier, local = threading.Barrier(2, timeout=30), threading.local()
+    split_rows, softmax_backward = backward.split_rows, backward._softmax_backward
+
+    def splitting(piece, n, nbytes):
+        two = tensor.split_pieces(n, nbytes) == 2
+
+        def counted(lo, hi):
+            local.calls = 0 if two else None  # softmax backwards so far in this piece
+            piece(lo, hi)
+
+        split_rows(counted, n, nbytes)
+
+    def waiting(w, dw):
+        dw = softmax_backward(w, dw)
+        if getattr(local, "calls", None) is not None:
+            local.calls += 1
+            if local.calls == 2:
+                barrier.wait()
+        return dw
+
+    monkeypatch.setattr(backward, "split_rows", splitting)
+    monkeypatch.setattr(backward, "_softmax_backward", waiting)
 
 
 class TestTrajectoryBackward:
@@ -177,7 +208,10 @@ class TestTrajectoryBackward:
     @pytest.mark.parametrize("shape, heads", [((4, 16, 24, 24), 2), ((2, 2, 40, 40), 2), ((3, 8, 32, 16), 4)],
                              ids=["4x16x24x24-heads2", "2x2x40x40-heads2", "3x8x32x16-heads4"])
     def test_footprint_bounds_the_traced_peak(self, monkeypatch, workers, shape, heads):
+        # The footprint counts a block in flight in each piece, so the pieces'
+        # first blocks are made to overlap, however the threads are scheduled.
         monkeypatch.setattr(tensor, "_WORKERS", workers)
+        _first_blocks_overlap(monkeypatch)
         rng = np.random.default_rng(29)
         f = rng.normal(size=shape)
         ph, pw = _params(shape[1], 30, heads=heads), _params(shape[1], 31, heads=heads)

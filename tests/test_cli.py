@@ -378,6 +378,22 @@ class TestEval:
         assert str(frame_path) in err
         assert "(4, 6)" in err and "(4, 4)" in err
 
+    @pytest.mark.parametrize("masks, class_id", [(np.ones((2, 4, 4)), 7), (np.zeros((2, 4, 4)), 3),
+                                                 (np.zeros((2, 0, 0)), 3)], ids=["class_7", "empty", "no_pixels"])
+    def test_prediction_of_another_size_is_validation_error(self, tmp_path, capsys, masks, class_id):
+        # Neither counted as a false positive nor dropped as empty.
+        gt = np.zeros((2, 32, 32))
+        gt[:, 2:10, 2:10] = 1.0
+        dump_tube_set([Tube(gt, np.array([1.0]), track_id=0)], [3], tmp_path / "gt")
+        tubes = [Tube(gt, np.array([1.0]), track_id=0), Tube(masks, np.array([1.0]), track_id=1)]
+        dump_tube_set(tubes, [3, class_id], tmp_path / "pred")
+        rc = cli_main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(masks.shape) in err and "(2, 32, 32)" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_pgm_without_separator_after_magic_is_validation_error(self, tmp_path, capsys):
         masks = np.zeros((1, 3, 12))
         tubes = [Tube(masks, np.array([0.0, 1.0]), track_id=0)]

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,11 +23,15 @@ from axialtrack.config import (
     parse_config,
     run_peak,
 )
-from axialtrack.deform import build_pyramid, deform_params, msdeform_simplified, within_clip_forward
+from axialtrack.deform import within_clip_forward
 from axialtrack.errors import ConfigError, ResourceGuardError
-from axialtrack.heatmaps import trajectory_hit_rate
-from axialtrack.segmenter import decode_clip_queries, decoder_params, run_clips
+from axialtrack.segmenter import run_clips
 from axialtrack.synthetic import random_pipeline_params
+
+from test_deform import traced_sampling
+from test_heatmaps import traced_hit_rate
+from test_segmenter import traced_decoding
+from traced import traced_peak
 
 
 class TestModelConfig:
@@ -139,52 +142,20 @@ def _check_boundary(monkeypatch, cfg, words):
         assert part in str(err.value)
 
 
-def _peak(fn, *args) -> int:
-    """Traced bytes that `fn(*args)` holds at its peak above its start."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
-def _sampler_peak(cfg, tmp_path) -> int:
+# Each stage's traced peak, measured as its kernel's test file measures it.
+def _sampler_peak(cfg) -> int:
     # One group of clips, as the run's first block samples them: every query
     # level when a later block samples the coarse ones, else the finest alone.
-    rng = np.random.default_rng(0)
-    params = deform_params(cfg.d, cfg.k_sample, rng)
-    for level in params.levels:  # points off the grid, so every corner weight is live
-        level.w_offset[:] = rng.normal(0.0, 1.0, level.w_offset.shape)
-        level.w_weight[:] = rng.normal(0.0, 1.0, level.w_weight.shape)
-    pyr = build_pyramid(rng.normal(0.0, 1.0, (clip_group(cfg), cfg.t, cfg.d, cfg.h, cfg.w)))
-    queries = range(3) if cfg.n_w >= 2 else (2,)
-
-    def sample():
-        return [msdeform_simplified(pyr, params, m) for m in queries]
-
-    sample()  # one-time set-up is no array of the stage
-    return _peak(sample)
+    finest = (clip_group(cfg), cfg.t, cfg.d, cfg.h, cfg.w)
+    return traced_sampling(finest, cfg.k_sample, range(3) if cfg.n_w >= 2 else (2,))
 
 
-def _decoder_peak(cfg, tmp_path) -> int:
-    rng = np.random.default_rng(0)
-    feats = rng.normal(0.0, 1.0, (cfg.t, cfg.d, cfg.h, cfg.w))
-    queries = rng.normal(0.0, 1.0, (cfg.n, cfg.d))
-    params = decoder_params(cfg.d, rng)
-    decode_clip_queries(feats, queries, params)  # one-time set-up is no array of the stage
-    return _peak(decode_clip_queries, feats, queries, params)
+def _decoder_peak(cfg) -> int:
+    return traced_decoding(cfg.n, (cfg.t, cfg.d, cfg.h, cfg.w))
 
 
-def _heatmap_peak(cfg, tmp_path) -> int:
-    # The hit rate of two clips whose every pixel is on a moving object.
-    params = random_pipeline_params(cfg)
-    clips = np.random.default_rng(0).normal(0.0, 1.0, (2, cfg.t, cfg.d, cfg.h, cfg.w))
-    masks = np.ones((2 * cfg.t, cfg.h, cfg.w))
-    args = [masks], [True], clips, params.within_blocks[0], (0, 0, 0)
-    trajectory_hit_rate(*args)  # one-time set-up is no array of the stage
-    return _peak(trajectory_hit_rate, *args)
+def _heatmap_peak(cfg) -> int:
+    return traced_hit_rate((cfg.t, cfg.d, cfg.h, cfg.w), cfg.heads)
 
 
 # Stage, its measure, the values that vary and their shapes, and fixed values.
@@ -211,9 +182,9 @@ _PEAK_CASES = [
                  id="-".join(f"{key}{value}" for key, value in zip(keys, shape)))
     for stage, measure, keys, shapes, fixed in _PEAK_CASES for shape in shapes
 ])
-def test_stage_bytes_bound_the_measured_peak(tmp_path, stage, measure, cfg):
+def test_stage_bytes_bound_the_measured_peak(stage, measure, cfg):
     # Each entry is at least its stage's traced peak, and at most a quarter above it.
-    peak = measure(cfg, tmp_path)
+    peak = measure(cfg)
     assert peak <= _stage_bytes(cfg)[stage] <= 1.25 * peak
 
 
@@ -260,7 +231,7 @@ def test_run_peak_bounds_the_traced_demo(warm_run, cfg):
     with pytest.MonkeyPatch.context() as patch:
         guard = attention.check_stage_one
         patch.setattr(attention, "check_stage_one", check)
-        peak = _peak(lambda: cli_main(argv) == 0 or pytest.fail(f"demo failed: {argv}"))
+        peak = traced_peak(lambda: cli_main(argv) == 0 or pytest.fail(f"demo failed: {argv}"))
     assert peak <= run_peak(cfg) <= 1.25 * peak + RUN_BYTES
     assert max(footprints, default=0) <= run_peak(cfg)
 
@@ -379,7 +350,7 @@ def _group_peak(cfg, g) -> int:
         within_clip_forward(group, params.within_blocks)
 
     run()  # one-time set-up is no array of the group
-    return _peak(run)
+    return traced_peak(run)
 
 
 # Clips per group, then the values that vary; n_w = 1 throughout.
@@ -425,6 +396,6 @@ def test_grouped_run_stays_within_the_declared_peak(cfg):
         run_clips(np.random.default_rng(1).normal(0.0, 1.0, (cfg.l, cfg.d, cfg.h, cfg.w)), params)
 
     run()  # one-time set-up is no array of the run
-    assert _peak(run) <= run_peak(cfg) <= run_peak(cfg, 1)
+    assert traced_peak(run) <= run_peak(cfg) <= run_peak(cfg, 1)
 
 

@@ -14,12 +14,14 @@ from axialtrack.deform import (
     deform_params,
     identity_deform_params,
     msdeform_simplified,
+    sampling_peak,
     within_clip_blocks,
     within_clip_forward,
 )
 from axialtrack.errors import DimensionError
 
 from oracles import every_level_within_clip_forward, naive_msdeform
+from traced import traced_peak
 
 
 def _pyramid(rng, t=2, d=4, hw=8):
@@ -242,3 +244,33 @@ class TestLeadingAxes:
         levels = [pyr.levels[0], pyr.levels[1][:2], pyr.levels[2]]
         with pytest.raises(DimensionError, match="leading axes"):
             msdeform_simplified(FeaturePyramid(levels), _randomized_params(4, 2, 22), 2)
+
+
+def traced_sampling(finest: tuple, points: int, levels) -> int:
+    """Traced peak of sampling the query `levels` in turn, keeping their
+    outputs, of the pyramid of a (..., T, D, H, W) finest level."""
+    rng = np.random.default_rng(0)
+    params = deform_params(finest[-3], points, rng)
+    for level in params.levels:  # points off the grid, so every corner weight is live
+        level.w_offset[:] = rng.normal(0.0, 1.0, level.w_offset.shape)
+        level.w_weight[:] = rng.normal(0.0, 1.0, level.w_weight.shape)
+    pyr = build_pyramid(rng.normal(0.0, 1.0, finest))
+
+    def sample():
+        return [msdeform_simplified(pyr, params, m) for m in levels]
+
+    sample()  # one-time set-up is no array of the stage
+    return traced_peak(sample)
+
+
+# (F, D, H, W) finest levels and points: the last is `track_many`'s group of 16 two-frame clips.
+@pytest.mark.parametrize("levels", [range(3), (2,)], ids=["every_level", "finest"])
+@pytest.mark.parametrize("shape, points", [
+    ((3, 6, 32, 48), 5), ((2, 8, 64, 64), 4), ((4, 16, 32, 32), 1), ((32, 16, 8, 8), 4),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"k{v}")
+def test_sampling_peak_bounds_the_traced_peak(shape, points, levels):
+    # A block samples every query level when a later block reads the coarse
+    # ones, else the finest alone; either stays within the finest level's
+    # count, which is at most a quarter above the traced peak.
+    peak = traced_sampling(shape, points, levels)
+    assert peak <= sampling_peak(shape, points) <= 1.25 * peak

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from axialtrack.config import ModelConfig
-from axialtrack.heatmaps import axial_fields, outer_argmax, trajectory_hit_rate
+from axialtrack.deform import within_clip_blocks
+from axialtrack.heatmaps import axial_fields, clip_peak, outer_argmax, trajectory_hit_rate
 from axialtrack.segmenter import split_into_clips
 from axialtrack.synthetic import (
     build_oracle_params,
@@ -15,6 +16,7 @@ from axialtrack.synthetic import (
 )
 
 from oracles import naive_hit_rate
+from traced import traced_peak
 
 
 class TestHitRate:
@@ -145,3 +147,24 @@ class TestOuterArgmax:
         for i in range(400):
             for u in range(3):
                 assert (rows[i, u], cols[i, u]) == _brute(a[i, u], b[i, u])
+
+
+def traced_hit_rate(shape: tuple, heads: int) -> int:
+    """Traced peak of the hit rate of two random (T, D, H, W) clips whose
+    every pixel is on a moving object, under a random block of `heads` heads."""
+    t, d, h, w = shape
+    block = within_clip_blocks(d, 1, 1, np.random.default_rng(0), heads)[0]
+    clips = np.random.default_rng(0).normal(0.0, 1.0, (2, *shape))
+    args = [np.ones((2 * t, h, w))], [True], clips, block, (0, 0, 0)
+    trajectory_hit_rate(*args)  # one-time set-up is no array of the stage
+    return traced_peak(trajectory_hit_rate, *args)
+
+
+# A `demo` video never puts a reference on every pixel: the rows (D = 2),
+# or else the clip's H pass, set the peak.
+@pytest.mark.parametrize("shape, heads", [((4, 2, 16, 12), 2), ((2, 8, 32, 32), 1), ((3, 8, 24, 16), 1)],
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"heads{v}")
+def test_clip_peak_bounds_the_traced_peak(shape, heads):
+    # The declared peak is at least the traced one, and at most a quarter above it.
+    peak = traced_hit_rate(shape, heads)
+    assert peak <= clip_peak(shape, heads) <= 1.25 * peak

@@ -126,6 +126,15 @@ class TestVpq:
             with pytest.raises(NumericError):
                 vpq([bad], gt)
 
+    @pytest.mark.parametrize("masks, class_id", [(np.ones((2, 4, 4)), 2), (np.zeros((2, 4, 4)), 0),
+                                                 (np.zeros((2, 0, 0)), 0)], ids=["other_class", "empty", "no_pixels"])
+    def test_prediction_shape_must_match_ground_truth(self, masks, class_id):
+        # Checked before an empty prediction is dropped, whatever its class.
+        gt = _gt((_box_tube(2, 8, 8, 0, 4, 0, 4), 0))
+        with pytest.raises(DimensionError) as err:
+            vpq([gt.tubes[0], _tube(masks, class_id, track_id=1)], gt)
+        assert str(masks.shape) in str(err.value) and "(2, 8, 8)" in str(err.value)
+
     def test_score_stays_in_unit_interval(self):
         rng = np.random.default_rng(2)
         for seed in range(10):

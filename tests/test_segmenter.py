@@ -16,6 +16,7 @@ from axialtrack.segmenter import (
     associate_clips,
     decode_clip_queries,
     decoder_params,
+    decoder_peak,
     link_video,
     near_online_inference,
     predict_clip_tubes,
@@ -33,6 +34,7 @@ from axialtrack.synthetic import (
 from axialtrack.tensor import logistic
 
 from oracles import naive_decode, naive_near_online_tubes
+from traced import traced_peak
 
 
 def _oracle_video(**kwargs):
@@ -149,6 +151,25 @@ class TestDecodeClipQueries:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             decode_clip_queries(np.zeros((2, 4, 2, 2)), np.zeros((3, 5)), [])
+
+
+def traced_decoding(n: int, shape: tuple) -> int:
+    """Traced peak of decoding n random queries against random (T, D, H, W) clip features."""
+    rng = np.random.default_rng(0)
+    feats = rng.normal(0.0, 1.0, shape)
+    queries = rng.normal(0.0, 1.0, (n, shape[1]))
+    params = decoder_params(shape[1], rng)
+    decode_clip_queries(feats, queries, params)  # one-time set-up is no array of the stage
+    return traced_peak(decode_clip_queries, feats, queries, params)
+
+
+# Self-attention among 300 queries sets the peak, or cross-attention to every pixel.
+@pytest.mark.parametrize("n, shape", [(300, (2, 8, 4, 8)), (6, (2, 8, 32, 32)), (24, (4, 16, 32, 32))],
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"n{v}")
+def test_decoder_peak_bounds_the_traced_peak(n, shape):
+    # The declared peak is at least the traced one, and at most a quarter above it.
+    peak = traced_decoding(n, shape)
+    assert peak <= decoder_peak(n, shape) <= 1.25 * peak
 
 
 class TestPredictClipTubes:
